@@ -438,6 +438,22 @@ mod tests {
     }
 
     #[test]
+    fn sweep_tables_match_the_committed_golden() {
+        // The same bytes `figures --jobs 1 --coherence` followed by
+        // `--coherence --protocol dragon` print.
+        let got = format!(
+            "{}\n{}\n",
+            coherence_table(Protocol::Mesi),
+            coherence_table(Protocol::Dragon)
+        );
+        assert_eq!(
+            got,
+            include_str!("../../../tests/data/coherence_golden.txt"),
+            "coherence sweep drifted from tests/data/coherence_golden.txt"
+        );
+    }
+
+    #[test]
     fn sweep_table_has_expected_shape() {
         let t = coherence_table(Protocol::Mesi);
         assert_eq!(t.rows().len(), 4);

@@ -28,12 +28,14 @@
 //! no coherence transaction is ever priced) — a property the unit tests
 //! pin down.
 //!
-//! **False sharing.** The system keeps, per line and per CPU, a bitmask
-//! of the words that CPU touched since it last (re)filled the line. When
-//! a remote write invalidates a copy, the invalidation is classified
-//! *false sharing* if the victim never touched the word the writer is
-//! modifying — the ping-pong is an artifact of line granularity, not a
-//! data dependence. The masks clear on invalidation and eviction.
+//! **False sharing.** Each core keeps, per tag-array slot, a bitmask of
+//! the words it touched since it last filled that slot — a second
+//! sidecar indexed like the protocol state. When a remote write
+//! invalidates a copy, the invalidation is classified *false sharing*
+//! if the victim never touched the word the writer is modifying — the
+//! ping-pong is an artifact of line granularity, not a data dependence.
+//! A mask resets when its slot is filled and when its copy is
+//! invalidated, so an invalid slot always carries an empty mask.
 
 use crate::{
     BusTx, CacheGeometry, Clock, CoherenceProtocol, FillSource, LineState, MemoryModel, Mesi,
@@ -113,6 +115,10 @@ struct Core<P: Probe> {
     /// Protocol state per tag-array slot, same global indexing as the
     /// [`TagArray`]; kept in sync with the entries' valid/dirty bits.
     state: Vec<LineState>,
+    /// Per slot, same indexing: the words (word-in-line index, clamped
+    /// to 63) touched since the slot was filled. Drives the
+    /// false-sharing classifier.
+    words: Vec<u64>,
     wb: SnoopWriteBuffer,
     metrics: Metrics,
     probe: P,
@@ -152,10 +158,6 @@ pub struct CoherentSystem<Proto: CoherenceProtocol = Mesi, P: Probe = NoopProbe>
     cores: Vec<Core<P>>,
     global: Metrics,
     stats: CoherenceStats,
-    /// Per line, per CPU: bitmask of words (word-in-line index, clamped
-    /// to 63) the CPU touched since it last filled the line. Drives the
-    /// false-sharing classifier.
-    word_masks: BTreeMap<u64, [u64; MAX_CPUS]>,
     _proto: PhantomData<Proto>,
 }
 
@@ -186,6 +188,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             .map(|probe| Core {
                 tags: TagArray::new(geom),
                 state: vec![LineState::Invalid; geom.lines() as usize],
+                words: vec![0; geom.lines() as usize],
                 wb: SnoopWriteBuffer::new(8, retire),
                 metrics: Metrics::new(),
                 probe,
@@ -199,7 +202,6 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             cores,
             global: Metrics::new(),
             stats,
-            word_masks: BTreeMap::new(),
             _proto: PhantomData,
         }
     }
@@ -266,29 +268,13 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         }
     }
 
-    /// Word-in-line bit index of an address (clamped to the 64-bit mask
-    /// width; lines above 512 bytes alias their tail words, which only
-    /// makes the false-sharing classifier conservative).
+    /// Word-in-line bit index of `addr`, which lies in `line` (clamped
+    /// to the 64-bit mask width; lines above 512 bytes alias their tail
+    /// words, which only makes the false-sharing classifier
+    /// conservative).
     #[inline]
-    fn word_bit(&self, addr: u64) -> u32 {
-        ((addr % self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
-    }
-
-    /// Whether `cpu` touched word `bit` of `line` since it last filled
-    /// the line.
-    fn word_touched(&self, cpu: usize, line: u64, bit: u32) -> bool {
-        self.word_masks
-            .get(&line)
-            .is_some_and(|m| m[cpu] >> bit & 1 == 1)
-    }
-
-    fn clear_mask(&mut self, cpu: usize, line: u64) {
-        if let Some(m) = self.word_masks.get_mut(&line) {
-            m[cpu] = 0;
-            if m.iter().all(|&w| w == 0) {
-                self.word_masks.remove(&line);
-            }
-        }
+    fn word_bit(&self, addr: u64, line: u64) -> u32 {
+        ((addr - line * self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
     }
 
     #[inline]
@@ -374,8 +360,8 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             if r.next == LineState::Invalid {
                 self.cores[c].tags.invalidate(line);
                 self.cores[c].state[ridx] = LineState::Invalid;
-                let false_sharing = !self.word_touched(c, line, writer_bit);
-                self.clear_mask(c, line);
+                let words = std::mem::take(&mut self.cores[c].words[ridx]);
+                let false_sharing = words >> writer_bit & 1 == 0;
                 self.stats.per_cpu[c].invalidations_received += 1;
                 self.stats.per_cpu[c].false_sharing_invalidations += u64::from(false_sharing);
                 self.stats.per_cpu[requester].invalidations_sent += 1;
@@ -432,7 +418,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         self.cores[cpu].metrics.stall_cycles += stall;
         self.global.stall_cycles += stall;
         let line = self.geom.line_of(a.addr());
-        let bit = self.word_bit(a.addr());
+        let bit = self.word_bit(a.addr(), line);
         if P::ENABLED {
             self.cores[cpu].probe.on_ref(a.addr(), line, is_write);
         }
@@ -441,9 +427,6 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         } else {
             self.miss(cpu, a.addr(), line, bit, is_write, stall);
         }
-        // Note the touched word *after* the snoop so a write's own mask
-        // bit never classifies its victims.
-        self.word_masks.entry(line).or_default()[cpu] |= 1 << bit;
         self.cores[cpu].metrics.debug_check_invariants();
         self.global.debug_check_invariants();
     }
@@ -476,6 +459,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             self.cores[cpu].state[idx] = next;
             self.cores[cpu].tags.entry_at_mut(idx).dirty = next.is_dirty();
         }
+        self.cores[cpu].words[idx] |= 1 << bit;
         self.charge(cpu, cost);
     }
 
@@ -521,20 +505,19 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         let old = self.cores[cpu]
             .tags
             .fill(line, way, addr, new_state.is_dirty());
-        if old.valid {
-            self.clear_mask(cpu, old.line);
-            if old.dirty {
-                self.cores[cpu].metrics.writebacks += 1;
-                self.global.writebacks += 1;
-                let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
-                self.cores[cpu].metrics.stall_cycles += wb_stall;
-                self.global.stall_cycles += wb_stall;
-                cost += wb_stall;
-                if P::ENABLED {
-                    self.cores[cpu]
-                        .probe
-                        .on_event(&Event::Writeback { line: old.line });
-                }
+        // A fresh mask: the new copy has touched only this word.
+        self.cores[cpu].words[vidx] = 1 << bit;
+        if old.valid && old.dirty {
+            self.cores[cpu].metrics.writebacks += 1;
+            self.global.writebacks += 1;
+            let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
+            self.cores[cpu].metrics.stall_cycles += wb_stall;
+            self.global.stall_cycles += wb_stall;
+            cost += wb_stall;
+            if P::ENABLED {
+                self.cores[cpu]
+                    .probe
+                    .on_event(&Event::Writeback { line: old.line });
             }
         }
         self.cores[cpu].state[vidx] = new_state;
@@ -566,13 +549,20 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
 
     /// Verifies the single-writer/multiple-reader invariant over every
     /// line currently cached anywhere: at most one owner (M/Sm), and an
-    /// M or E copy is the *only* copy. Returns the first violation.
+    /// M or E copy is the *only* copy. Also checks that no invalid slot
+    /// carries a word mask. Returns the first violation.
     pub fn check_swmr(&self) -> Result<(), String> {
         let mut by_line: BTreeMap<u64, Vec<(usize, LineState)>> = BTreeMap::new();
         for (c, core) in self.cores.iter().enumerate() {
             for idx in 0..self.geom.lines() as usize {
                 let e = core.tags.entry_at(idx);
                 if !e.valid {
+                    if core.words[idx] != 0 {
+                        return Err(format!(
+                            "cpu {c} slot {idx} is invalid but has word mask {:#x}",
+                            core.words[idx]
+                        ));
+                    }
                     continue;
                 }
                 let s = core.state[idx];

@@ -1,11 +1,12 @@
 //! End-to-end invariants of the multi-core coherent memory system.
 //!
-//! Four families, mirroring the coherence design notes in DESIGN.md §16:
+//! Five families, mirroring the coherence design notes in DESIGN.md §16:
 //!
 //! 1. **SWMR fuzz** — on seeded-random multi-CPU traces, the
 //!    single-writer/multiple-reader invariant holds after *every* access
 //!    (at most one owner per line; an M or E copy is the sole cached
-//!    copy), under MESI and Dragon alike.
+//!    copy; no invalid slot keeps a word mask), under MESI and Dragon
+//!    alike.
 //! 2. **Reconciliation** — the per-CPU [`Metrics`] blocks merge exactly
 //!    into the global block, reference for reference and cycle for
 //!    cycle.
@@ -17,13 +18,18 @@
 //!    pending in a core's write buffer is visible to a remote BusRd that
 //!    races the drain (forwarded at cache-to-cache cost), and invisible
 //!    one cycle after the drain completes.
+//! 5. **Frozen counters** — twelve seeded runs (MESI and Dragon, 2–4
+//!    CPUs, tight and standard geometry) book exactly the per-CPU
+//!    coherence counters (false sharing included), global metrics and
+//!    bus totals pinned as literals.
 //!
 //! The build environment is offline, so instead of `proptest` the fuzz
 //! uses the hand-rolled [`SplitMix64`] generator; every assertion
 //! message carries the case seed so a failure is reproducible.
 
 use software_assisted_caches::simcache::{
-    CacheGeometry, CoherentSystem, Dragon, MemoryModel, Mesi, Metrics, SNOOP_CYCLES,
+    CacheGeometry, CoherenceProtocol, CoherentSystem, CpuCoherence, Dragon, MemoryModel, Mesi,
+    Metrics, SNOOP_CYCLES,
 };
 use software_assisted_caches::trace::rng::SplitMix64;
 use software_assisted_caches::trace::{interleave_round_robin, Access, Trace, MAX_CPUS};
@@ -86,6 +92,157 @@ fn swmr_holds_at_every_step_dragon() {
             sys.check_swmr()
                 .unwrap_or_else(|e| panic!("case {case}, after access {i}: {e}"));
         }
+    }
+}
+
+/// Everything a seeded run books: each CPU's coherence counters, the
+/// global metrics, and the bus's transaction and occupancy totals.
+fn frozen_run<Proto: CoherenceProtocol>(
+    geom: CacheGeometry,
+    cpus: usize,
+    seed: u64,
+    lines: u64,
+) -> (Vec<CpuCoherence>, Metrics, [u64; 2]) {
+    let trace = random_multi(seed, cpus, 2_000, lines);
+    let mut sys: CoherentSystem<Proto> = CoherentSystem::new(geom, MemoryModel::default(), cpus);
+    sys.run(&trace);
+    (
+        sys.stats().per_cpu().to_vec(),
+        *sys.metrics(),
+        [sys.bus().transactions(), sys.bus().occupancy_cycles()],
+    )
+}
+
+/// One frozen case: the run's shape and the counters it must book.
+struct Frozen {
+    dragon: bool,
+    standard: bool,
+    cpus: usize,
+    /// refs, reads, writes, main hits, misses, mem cycles, lines
+    /// fetched, words fetched, writebacks, stall cycles (every other
+    /// [`Metrics`] field is zero).
+    metrics: [u64; 10],
+    /// Per CPU: invalidations sent, received, false sharing, upgrades,
+    /// c2c fills, wb forwards, updates.
+    per_cpu: &'static [[u64; 7]],
+    /// Bus transactions, occupancy cycles.
+    bus: [u64; 2],
+}
+
+#[rustfmt::skip]
+const FROZEN: [Frozen; 12] = [
+    Frozen { dragon: false, standard: false, cpus: 2,
+        metrics: [4000, 2402, 1598, 1639, 2361, 34115, 2361, 9444, 1321, 0],
+        per_cpu: &[[331, 329, 201, 161, 543, 0, 0], [329, 331, 217, 150, 573, 0, 0]],
+        bus: [3355, 6710] },
+    Frozen { dragon: false, standard: false, cpus: 3,
+        metrics: [6000, 3624, 2376, 2094, 3906, 45044, 3906, 15624, 2120, 0],
+        per_cpu: &[[571, 576, 358, 165, 841, 0, 0], [575, 572, 378, 164, 795, 0, 0],
+                   [572, 570, 381, 167, 807, 0, 0]],
+        bus: [5856, 11712] },
+    Frozen { dragon: false, standard: false, cpus: 4,
+        metrics: [8000, 4813, 3187, 2442, 5558, 57392, 5558, 22232, 2931, 0],
+        per_cpu: &[[771, 733, 463, 182, 948, 0, 0], [749, 777, 498, 155, 928, 0, 0],
+                   [758, 752, 501, 175, 949, 0, 0], [773, 789, 571, 160, 990, 0, 0]],
+        bus: [8488, 16976] },
+    Frozen { dragon: false, standard: true, cpus: 2,
+        metrics: [4000, 2402, 1598, 1907, 2093, 29339, 2093, 8372, 1134, 0],
+        per_cpu: &[[365, 379, 232, 184, 548, 0, 0], [379, 365, 228, 166, 525, 0, 0]],
+        bus: [3200, 6400] },
+    Frozen { dragon: false, standard: true, cpus: 3,
+        metrics: [6000, 3624, 2376, 2372, 3628, 41412, 3628, 14512, 1949, 0],
+        per_cpu: &[[626, 639, 388, 182, 778, 0, 0], [635, 628, 409, 200, 786, 0, 0],
+                   [645, 639, 417, 200, 766, 0, 0]],
+        bus: [5743, 11486] },
+    Frozen { dragon: false, standard: true, cpus: 4,
+        metrics: [8000, 4813, 3187, 2739, 5261, 54761, 5261, 21044, 2746, 0],
+        per_cpu: &[[827, 786, 516, 189, 866, 0, 0], [758, 816, 555, 176, 952, 0, 0],
+                   [793, 784, 526, 187, 893, 0, 0], [809, 801, 530, 195, 912, 0, 0]],
+        bus: [8288, 16576] },
+    Frozen { dragon: true, standard: false, cpus: 2,
+        metrics: [4000, 2402, 1598, 1972, 2028, 29994, 2028, 8112, 878, 0],
+        per_cpu: &[[0, 0, 0, 0, 491, 0, 391], [0, 0, 0, 0, 518, 0, 393]],
+        bus: [2812, 5624] },
+    Frozen { dragon: true, standard: false, cpus: 3,
+        metrics: [6000, 3624, 2376, 2947, 3053, 32473, 3053, 12212, 1069, 0],
+        per_cpu: &[[0, 0, 0, 0, 792, 0, 598], [0, 0, 0, 0, 753, 0, 577],
+                   [0, 0, 0, 0, 743, 0, 597]],
+        bus: [4825, 9650] },
+    Frozen { dragon: true, standard: false, cpus: 4,
+        metrics: [8000, 4813, 3187, 3948, 4052, 34432, 4052, 16208, 1225, 0],
+        per_cpu: &[[0, 0, 0, 0, 854, 0, 710], [0, 0, 0, 0, 899, 0, 679],
+                   [0, 0, 0, 0, 874, 0, 687], [0, 0, 0, 0, 941, 0, 706]],
+        bus: [6834, 13668] },
+    Frozen { dragon: true, standard: true, cpus: 2,
+        metrics: [4000, 2402, 1598, 2362, 1638, 27156, 1638, 6552, 499, 0],
+        per_cpu: &[[0, 0, 0, 0, 372, 0, 473], [0, 0, 0, 0, 357, 0, 467]],
+        bus: [2578, 5156] },
+    Frozen { dragon: true, standard: true, cpus: 3,
+        metrics: [6000, 3624, 2376, 3546, 2454, 31798, 2454, 9816, 631, 0],
+        per_cpu: &[[0, 0, 0, 0, 543, 0, 589], [0, 0, 0, 0, 556, 0, 608],
+                   [0, 0, 0, 0, 533, 0, 623]],
+        bus: [4274, 8548] },
+    Frozen { dragon: true, standard: true, cpus: 4,
+        metrics: [8000, 4813, 3187, 4595, 3405, 37101, 3405, 13620, 756, 0],
+        per_cpu: &[[0, 0, 0, 0, 637, 0, 703], [0, 0, 0, 0, 681, 0, 661],
+                   [0, 0, 0, 0, 661, 0, 669], [0, 0, 0, 0, 680, 0, 696]],
+        bus: [6134, 12268] },
+];
+
+#[test]
+fn seeded_runs_book_frozen_counters() {
+    // The false-sharing column is the only check of the word masks
+    // beyond the 0%/100% sharing kernels: a mask that survives a
+    // refill, or is cleared too early, moves it.
+    for f in &FROZEN {
+        let case = format!(
+            "{} {} geometry, {} CPUs",
+            if f.dragon { "Dragon" } else { "MESI" },
+            if f.standard { "standard" } else { "tight" },
+            f.cpus
+        );
+        let (geom, lines) = if f.standard {
+            (CacheGeometry::standard(), 384)
+        } else {
+            (tight_geom(), 16)
+        };
+        let seed = 0xF20_0000 + f.cpus as u64;
+        let (per_cpu, metrics, bus) = if f.dragon {
+            frozen_run::<Dragon>(geom, f.cpus, seed, lines)
+        } else {
+            frozen_run::<Mesi>(geom, f.cpus, seed, lines)
+        };
+        let want_cpu: Vec<CpuCoherence> = f
+            .per_cpu
+            .iter()
+            .map(|&[s, r, fs, u, c2c, wbf, upd]| CpuCoherence {
+                invalidations_sent: s,
+                invalidations_received: r,
+                false_sharing_invalidations: fs,
+                upgrades: u,
+                c2c_fills: c2c,
+                wb_forwards: wbf,
+                updates: upd,
+            })
+            .collect();
+        assert_eq!(per_cpu, want_cpu, "{case}: per-CPU coherence counters");
+        let [refs, reads, writes, main_hits, misses, mem_cycles, lines_fetched, words_fetched, writebacks, stall_cycles] =
+            f.metrics;
+        let want = Metrics {
+            refs,
+            reads,
+            writes,
+            main_hits,
+            misses,
+            mem_cycles,
+            lines_fetched,
+            words_fetched,
+            writebacks,
+            stall_cycles,
+            ..Metrics::default()
+        };
+        assert_eq!(metrics, want, "{case}: global metrics");
+        assert_eq!(bus, f.bus, "{case}: bus transactions and occupancy");
     }
 }
 
