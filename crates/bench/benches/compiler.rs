@@ -39,6 +39,25 @@ fn bench(c: &mut Criterion) {
     c.bench_function("compiler/trace_mv_256_leveled", |b| {
         b.iter(|| black_box(&mv).trace(black_box(&leveled)).expect("traces"))
     });
+    // A Figure 11a cell's trace at paper scale, materialized as most
+    // callers use it and streamed as Figure 11a consumes it.
+    let blocked = sac_workloads::blocked::program(sac_workloads::blocked::Params {
+        block: 50,
+        ..Default::default()
+    });
+    let fig11 = TraceOptions::default();
+    c.bench_function("compiler/trace_blocked_mv/materialized", |b| {
+        b.iter(|| black_box(&blocked).trace(&fig11).expect("traces"))
+    });
+    c.bench_function("compiler/trace_blocked_mv/streamed", |b| {
+        b.iter(|| {
+            let mut refs = 0;
+            black_box(&blocked)
+                .trace_into(&fig11, |chunk| refs += black_box(chunk).len())
+                .expect("traces");
+            refs
+        })
+    });
 }
 
 criterion_group! {

@@ -139,7 +139,6 @@ impl SoftPolicy {
         };
         let over_cap = entry.prefetched && self.prefetched_resident >= self.cfg.max_prefetched;
         let way = Self::bounce_victim_way(&bb, entry.line, entry.prefetched, over_cap);
-        let displaced_was = bb.entry(entry.line, way).prefetched;
         if entry.prefetched {
             self.prefetched_resident += 1;
         }
@@ -147,7 +146,6 @@ impl SoftPolicy {
         entry.lru = 0; // install refreshes it
         let evicted = bb.install(line, way, entry);
         self.bounce = Some(bb);
-        let _ = displaced_was;
         if !evicted.valid {
             return;
         }

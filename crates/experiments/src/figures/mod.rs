@@ -445,6 +445,21 @@ pub fn fig10b(suite: &Suite) -> Table {
     t
 }
 
+/// Replays `cells` over `program`'s default trace while it is generated
+/// ([`runner::replay_generated`]); the generation records as
+/// `trace_label`.
+fn replay_program(
+    trace_label: String,
+    cells: &[(String, Config)],
+    program: &sac_loopir::Program,
+) -> Vec<Metrics> {
+    let opts = sac_loopir::TraceOptions::default();
+    runner::replay_generated(trace_label, cells, |batch| {
+        program.trace_into(&opts, |chunk| batch.feed(chunk))
+    })
+    .unwrap_or_else(|e| panic!("{} failed to trace: {e}", program.name()))
+}
+
 /// Figure 11a: optimal block size for blocked matrix-vector multiply.
 /// Rows are block sizes; `small` scales the problem down for tests.
 pub fn fig11a(small: bool) -> Table {
@@ -460,16 +475,15 @@ pub fn fig11a(small: bool) -> Table {
         "Figure 11a — blocked MV: AMAT vs block size",
         &["Stand.", "Soft."],
     );
-    // One parallel cell per block size: the trace is generated once per
-    // cell and shared by both engine runs.
+    // One parallel cell per block size: both engines replay the trace
+    // chunk by chunk while it is generated.
     let rows = runner::par_map(&blocks, |_, &b| {
         let p = sac_workloads::blocked::program(sac_workloads::blocked::Params { n, block: b });
-        let trace = runner::timed_cell(format!("Figure 11a/B={b}/trace"), || p.trace_default());
-        let cells = vec![
+        let cells = [
             (format!("Figure 11a/B={b}/Stand."), Config::standard()),
             (format!("Figure 11a/B={b}/Soft."), Config::soft()),
         ];
-        let ms = runner::replay_trace(&cells, &trace);
+        let ms = replay_program(format!("Figure 11a/B={b}/trace"), &cells, &p);
         (format!("B={b}"), vec![ms[0].amat(), ms[1].amat()])
     });
     for (label, row) in rows {
@@ -488,24 +502,16 @@ pub fn fig11b(small: bool) -> Table {
     );
     let lds: Vec<i64> = sac_workloads::copying::FIG11B_LDS.to_vec();
     let rows = runner::par_map(&lds, |_, &ld| {
-        // The four cells of a row need only two traces (copy off/on);
-        // generate each once and share it across the engine runs.
-        let trace_for = |copying: bool| {
+        // The four cells of a row need only two traces (copy off/on); each
+        // streams once through a batch of both engines.
+        let replay_for = |copying: bool| {
             let p = sac_workloads::copying::program(sac_workloads::copying::Params {
                 n,
                 ld,
                 block,
                 copying,
             });
-            runner::timed_cell(format!("Figure 11b/ld={ld}/copy={copying}/trace"), || {
-                p.trace_default()
-            })
-        };
-        let nocopy = trace_for(false);
-        let copy = trace_for(true);
-        // One batched pass per trace; columns interleave copy × soft.
-        let cells_for = |copying: bool| {
-            vec![
+            let cells = [
                 (
                     format!("Figure 11b/ld={ld}/copy={copying}/soft=false"),
                     Config::standard(),
@@ -514,10 +520,13 @@ pub fn fig11b(small: bool) -> Table {
                     format!("Figure 11b/ld={ld}/copy={copying}/soft=true"),
                     Config::soft(),
                 ),
-            ]
+            ];
+            let trace_label = format!("Figure 11b/ld={ld}/copy={copying}/trace");
+            replay_program(trace_label, &cells, &p)
         };
-        let nc = runner::replay_trace(&cells_for(false), &nocopy);
-        let cp = runner::replay_trace(&cells_for(true), &copy);
+        let nc = replay_for(false);
+        let cp = replay_for(true);
+        // Columns interleave copy × soft.
         let row = vec![nc[0].amat(), cp[0].amat(), nc[1].amat(), cp[1].amat()];
         (format!("ld={ld}"), row)
     });

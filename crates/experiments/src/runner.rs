@@ -346,9 +346,10 @@ impl ReplayBatch {
     }
 
     /// Opens the batch's cell-level span (claiming this thread's next
-    /// slot), if span recording is on. Called by the replay drivers.
+    /// slot), if span recording is on. [`ReplayBatch::feed`] calls it on
+    /// the first chunk, so every way of driving a batch records its span.
     fn begin_span(&mut self) {
-        if !span::enabled() || self.span.is_some() {
+        if !span::enabled() {
             return;
         }
         let (key, worker, queue_wait_us) = claim_slot();
@@ -364,6 +365,9 @@ impl ReplayBatch {
     /// Drives every engine over one decoded chunk (in push order)
     /// through its [`CacheSim::run_chunk`].
     pub fn feed(&mut self, chunk: &[Access]) {
+        if self.span.is_none() {
+            self.begin_span();
+        }
         let chunk_span_start = match &self.span {
             Some(_) if chunk_spans() => Some(span::now_us()),
             _ => None,
@@ -446,7 +450,6 @@ impl ReplayBatch {
         if workers > 1 && !span::enabled() {
             return self.replay_sharded(trace, workers);
         }
-        self.begin_span();
         for chunk in trace.as_slice().chunks(REPLAY_CHUNK) {
             self.feed(chunk);
         }
@@ -506,7 +509,6 @@ impl ReplayBatch {
         mut self,
         reader: &mut S,
     ) -> Result<Vec<Metrics>, ReadError> {
-        self.begin_span();
         while let Some(chunk) = reader.next_chunk()? {
             self.feed(chunk);
         }
@@ -522,6 +524,42 @@ pub fn replay_trace(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
         batch.push(label.clone(), config);
     }
     batch.replay(trace)
+}
+
+/// Runs a labeled configuration sweep over a trace that is generated
+/// while it replays: `generate` receives the batch and feeds it each chunk
+/// as it is made (typically `|batch| program.trace_into(&opts, |c|
+/// batch.feed(c))`), so the trace is never materialized. Engines consume
+/// chunks independently of their size, so the metrics equal
+/// [`replay_trace`] over the materialized trace.
+///
+/// The generation is recorded in the ledger under `trace_label` with its
+/// own wall time, the total minus the engines' replay time, next to the
+/// engines' cells. The engines run on the calling thread whatever
+/// [`cell_jobs`] says, since chunks exist only as the generator makes
+/// them; the output is the same either way.
+///
+/// # Errors
+///
+/// Returns the generator's error; no cell is recorded then.
+pub fn replay_generated<E>(
+    trace_label: String,
+    cells: &[(String, Config)],
+    generate: impl FnOnce(&mut ReplayBatch) -> Result<(), E>,
+) -> Result<Vec<Metrics>, E> {
+    let mut batch = ReplayBatch::new();
+    for (label, config) in cells {
+        batch.push(label.clone(), config);
+    }
+    let start = Instant::now();
+    generate(&mut batch)?;
+    let replay: Duration = batch.engines.iter().map(|slot| slot.wall).sum();
+    record_cell(
+        trace_label,
+        start.elapsed().saturating_sub(replay),
+        Metrics::new(),
+    );
+    Ok(batch.finish())
 }
 
 /// One finished sweep cell, as recorded in the observability ledger.
@@ -906,6 +944,47 @@ mod tests {
         let streamed = batch.replay_reader(&mut reader).expect("valid stream");
         let direct = vec![Config::standard().run(&trace), Config::soft().run(&trace)];
         assert_eq!(streamed, direct);
+    }
+
+    /// Streaming a trace into a batch while it is generated, as Figures
+    /// 11a and 11b do, equals `Config::run` over the materialized trace
+    /// for every organization, and records the generation cell.
+    #[test]
+    fn generated_replay_matches_materialized_runs() {
+        // The programs of `fig11a(true)` and `fig11b(true)`.
+        let mut programs: Vec<sac_loopir::Program> = [10, 20, 30, 40, 60, 120, 240]
+            .map(|block| {
+                sac_workloads::blocked::program(sac_workloads::blocked::Params { n: 240, block })
+            })
+            .into();
+        for ld in sac_workloads::copying::FIG11B_LDS {
+            for copying in [false, true] {
+                programs.push(sac_workloads::copying::program(
+                    sac_workloads::copying::Params {
+                        n: 32,
+                        ld,
+                        block: 16,
+                        copying,
+                    },
+                ));
+            }
+        }
+        let cells: Vec<(String, Config)> = Config::all_organizations()
+            .into_iter()
+            .map(|(name, config)| (format!("test/generated/{name}"), config))
+            .collect();
+        let opts = sac_loopir::TraceOptions::default();
+        for (i, p) in programs.iter().enumerate() {
+            let trace = p.trace(&opts).expect("traces");
+            let label = format!("test/generated/{i}/trace");
+            let streamed = replay_generated(label.clone(), &cells, |batch| {
+                p.trace_into(&opts, |chunk| batch.feed(chunk))
+            })
+            .expect("traces");
+            let solo: Vec<Metrics> = cells.iter().map(|(_, c)| c.run(&trace)).collect();
+            assert_eq!(streamed, solo, "{}", p.name());
+            assert!(super::cells().iter().any(|c| c.label == label));
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The trace-emitting interpreter (the paper's source-level tracer).
 
 use crate::analysis_impl::{analyze, Tags};
-use crate::expr::AffineExpr;
-use crate::program::{Bound, Program, RefStmt, Stmt, Subscript};
-use sac_trace::{Access, AccessKind, GapModel, Trace};
+use crate::program::{ArrayId, Bound, Program, Stmt, Subscript, TableId};
+use sac_trace::io::DEFAULT_CHUNK;
+use sac_trace::{Access, GapModel, Trace};
 use std::fmt;
+use std::ops::Range;
 
 /// Options for trace generation.
 #[derive(Debug, Clone)]
@@ -93,25 +94,42 @@ impl Program {
     /// Returns [`TraceError`] if a subscript or table lookup evaluates out
     /// of range — this always indicates a bug in the workload definition.
     pub fn trace(&self, opts: &TraceOptions) -> Result<Trace, TraceError> {
-        let tags = self.analyze();
-        let levels = if opts.levels {
-            Some(crate::analysis_impl::analyze_levels(self))
-        } else {
-            None
-        };
-        let mut gaps = GapModel::seeded(opts.seed);
-        let mut env = vec![0i64; self.var_count()];
         let mut trace = Trace::with_capacity(self.name(), 1024);
+        self.trace_into(opts, |chunk| trace.extend(chunk.iter().copied()))?;
+        Ok(trace)
+    }
+
+    /// Interprets the program like [`Program::trace`], but hands the
+    /// entries to `sink` in chunks of [`DEFAULT_CHUNK`] (the last chunk
+    /// may be shorter) instead of materializing the trace, so a consumer
+    /// such as a replay batch can run while the trace is generated. The
+    /// concatenated chunks equal [`Program::trace`]'s entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`TraceError`] [`Program::trace`] would; `sink` has then
+    /// seen exactly the references emitted before the failing one.
+    pub fn trace_into(
+        &self,
+        opts: &TraceOptions,
+        mut sink: impl FnMut(&[Access]),
+    ) -> Result<(), TraceError> {
         let mut interp = Interp {
             p: self,
-            tags: &tags,
-            levels: levels.as_deref(),
-            trace: &mut trace,
-            gaps: &mut gaps,
-            use_gaps: opts.gaps,
+            refs: Vec::with_capacity(self.ref_count() as usize),
+            dims: Vec::new(),
+            terms: Vec::new(),
+            gaps: opts.gaps.then(|| GapModel::seeded(opts.seed)),
+            buf: Vec::with_capacity(DEFAULT_CHUNK),
+            sink: &mut sink,
         };
-        interp.run(self.stmts(), &mut env)?;
-        Ok(trace)
+        interp.lower(opts.levels);
+        let mut env = vec![0i64; self.var_count()];
+        let result = interp.run(self.stmts(), &mut env);
+        if !interp.buf.is_empty() {
+            (interp.sink)(&interp.buf);
+        }
+        result
     }
 
     /// Interprets the program with default options.
@@ -125,16 +143,89 @@ impl Program {
     }
 }
 
-struct Interp<'a> {
-    p: &'a Program,
-    tags: &'a [Tags],
-    levels: Option<&'a [u8]>,
-    trace: &'a mut Trace,
-    gaps: &'a mut GapModel,
-    use_gaps: bool,
+/// A reference site lowered once per trace: everything emitting it needs
+/// except the loop variables' current values.
+struct LoweredRef {
+    base: u64,
+    array: ArrayId,
+    /// This reference's subscripts in [`Interp::dims`].
+    dims: Range<usize>,
+    /// The entry with its kind, tags, level and instruction id filled in;
+    /// emitting stamps the address and gap on a copy.
+    template: Access,
 }
 
-impl Interp<'_> {
+/// One subscript, flattened: the value is `constant + Σ coef · env[var]`,
+/// read through `table` when the subscript is indirect.
+struct LoweredDim {
+    /// This subscript's `(var index, coef value)` terms in
+    /// [`Interp::terms`].
+    terms: Range<usize>,
+    constant: i64,
+    table: Option<TableId>,
+    extent: i64,
+    /// Column-major stride: the product of the preceding extents.
+    stride: i64,
+}
+
+struct Interp<'a, F> {
+    p: &'a Program,
+    /// Indexed by [`crate::RefId`].
+    refs: Vec<LoweredRef>,
+    dims: Vec<LoweredDim>,
+    terms: Vec<(usize, i64)>,
+    /// `None` when every gap is 1.
+    gaps: Option<GapModel>,
+    buf: Vec<Access>,
+    sink: &'a mut F,
+}
+
+impl<F: FnMut(&[Access])> Interp<'_, F> {
+    /// Resolves every reference site: tags, level, array base, and the
+    /// terms, extent and stride of each subscript.
+    fn lower(&mut self, levels: bool) {
+        let p = self.p;
+        let tags = analyze(p);
+        let levels = levels.then(|| crate::analysis_impl::analyze_levels(p));
+        p.for_each_ref(|r| {
+            let id = r.id().index();
+            debug_assert_eq!(id, self.refs.len(), "references number in program order");
+            let decl = p.array_decl(r.array());
+            let start = self.dims.len();
+            let mut stride = 1;
+            for (k, sub) in r.subscripts().iter().enumerate() {
+                let (expr, table) = match sub {
+                    Subscript::Affine(e) => (e, None),
+                    Subscript::Indirect { table, index } => (index, Some(*table)),
+                };
+                let terms_start = self.terms.len();
+                self.terms
+                    .extend(expr.terms().iter().map(|&(v, c)| (v.index(), c.value())));
+                // Subscripts past the declared rank index an extent of 1.
+                let extent = decl.dims().get(k).copied().unwrap_or(1);
+                self.dims.push(LoweredDim {
+                    terms: terms_start..self.terms.len(),
+                    constant: expr.constant_term(),
+                    table,
+                    extent,
+                    stride,
+                });
+                stride *= extent;
+            }
+            let level = levels.as_ref().map_or(0, |l| l[id]);
+            self.refs.push(LoweredRef {
+                base: decl.base(),
+                array: r.array(),
+                dims: start..self.dims.len(),
+                template: Access::new(0, r.kind())
+                    .with_temporal(tags[id].temporal)
+                    .with_spatial(tags[id].spatial)
+                    .with_spatial_level(level)
+                    .with_instr(r.id().0),
+            });
+        });
+    }
+
     fn run(&mut self, stmts: &[Stmt], env: &mut Vec<i64>) -> Result<(), TraceError> {
         for s in stmts {
             match s {
@@ -155,7 +246,7 @@ impl Interp<'_> {
                         v += step;
                     }
                 }
-                Stmt::Ref(r) => self.emit(r, env)?,
+                Stmt::Ref(r) => self.emit(r.id().index(), env)?,
                 Stmt::Call => {}
             }
         }
@@ -165,21 +256,15 @@ impl Interp<'_> {
     fn eval_bound(&self, b: &Bound, env: &[i64]) -> Result<i64, TraceError> {
         match b {
             Bound::Affine(e) => Ok(e.eval(env)),
-            Bound::Table { table, index } => self.lookup(*table, index, env),
+            Bound::Table { table, index } => self.lookup(*table, index.eval(env)),
         }
     }
 
-    fn lookup(
-        &self,
-        table: crate::program::TableId,
-        index: &AffineExpr,
-        env: &[i64],
-    ) -> Result<i64, TraceError> {
+    fn lookup(&self, table: TableId, pos: i64) -> Result<i64, TraceError> {
         let values = self.p.table_values(table);
-        let pos = index.eval(env);
         if pos < 0 || pos as usize >= values.len() {
             return Err(TraceError::TableOutOfBounds {
-                table: table_index(table),
+                table: table.0,
                 index: pos,
                 len: values.len(),
             });
@@ -187,48 +272,42 @@ impl Interp<'_> {
         Ok(values[pos as usize])
     }
 
-    fn emit(&mut self, r: &RefStmt, env: &[i64]) -> Result<(), TraceError> {
-        let decl = self.p.array_decl(r.array());
-        let dims = decl.dims();
+    /// Emits one execution of reference `id`: evaluates and bounds-checks
+    /// its subscripts in order, then stamps the address and a sampled gap
+    /// on its template.
+    #[inline]
+    fn emit(&mut self, id: usize, env: &[i64]) -> Result<(), TraceError> {
+        let r = &self.refs[id];
         let mut linear: i64 = 0;
-        let mut stride: i64 = 1;
-        for (k, sub) in r.subscripts().iter().enumerate() {
-            let v = match sub {
-                Subscript::Affine(e) => e.eval(env),
-                Subscript::Indirect { table, index } => self.lookup(*table, index, env)?,
-            };
-            let extent = dims.get(k).copied().unwrap_or(1);
-            if v < 0 || v >= extent {
+        for (k, d) in self.dims[r.dims.clone()].iter().enumerate() {
+            let mut v = d.constant;
+            for &(var, coef) in &self.terms[d.terms.clone()] {
+                v += coef * env[var];
+            }
+            if let Some(table) = d.table {
+                v = self.lookup(table, v)?;
+            }
+            if v < 0 || v >= d.extent {
                 return Err(TraceError::OutOfBounds {
-                    array: decl.name().to_string(),
+                    array: self.p.array_decl(r.array).name().to_string(),
                     dim: k,
                     value: v,
-                    extent,
+                    extent: d.extent,
                 });
             }
-            linear += v * stride;
-            stride *= extent;
+            linear += v * d.stride;
         }
-        let addr = decl.base() + linear as u64 * sac_trace::WORD_BYTES;
-        let tags = self.tags[r.id().index()];
-        let gap = if self.use_gaps { self.gaps.sample() } else { 1 };
-        let level = self.levels.map(|l| l[r.id().index()]).unwrap_or(0);
-        let access = match r.kind() {
-            AccessKind::Read => Access::read(addr),
-            AccessKind::Write => Access::write(addr),
+        let access = r
+            .template
+            .with_addr(r.base + linear as u64 * sac_trace::WORD_BYTES);
+        let gap = self.gaps.as_mut().map_or(1, GapModel::sample);
+        self.buf.push(access.with_gap(gap));
+        if self.buf.len() == DEFAULT_CHUNK {
+            (self.sink)(&self.buf);
+            self.buf.clear();
         }
-        .with_temporal(tags.temporal)
-        .with_spatial(tags.spatial)
-        .with_spatial_level(level)
-        .with_gap(gap)
-        .with_instr(r.id().0);
-        self.trace.push(access);
         Ok(())
     }
-}
-
-fn table_index(t: crate::program::TableId) -> usize {
-    t.0
 }
 
 #[cfg(test)]

@@ -195,6 +195,14 @@ impl Access {
         self
     }
 
+    /// Sets the referenced byte address, keeping every other field
+    /// (builder style; stamps a pre-tagged template with an address).
+    #[inline]
+    pub fn with_addr(mut self, addr: u64) -> Self {
+        self.addr = addr;
+        self
+    }
+
     /// Sets the static instruction id that issued this reference.
     pub fn with_instr(mut self, instr: u32) -> Self {
         self.instr = instr;

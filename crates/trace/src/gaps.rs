@@ -45,8 +45,11 @@ pub const FIG4B_DISTRIBUTION: [(u32, f64); 9] = [
 #[derive(Debug, Clone)]
 pub struct GapModel {
     rng: SplitMix64,
-    /// Cumulative distribution over `FIG4B_DISTRIBUTION`.
-    cdf: [(u32, f64); 9],
+    /// `thresholds[k] = ceil(cum_k · 2^53)` for the cumulative probability
+    /// `cum_k` of buckets `0..=k`; see [`GapModel::sample`].
+    thresholds: [u64; 8],
+    /// The gap of each bucket, unused tail slots padded with the last.
+    gaps: [u32; 9],
 }
 
 impl GapModel {
@@ -68,12 +71,16 @@ impl GapModel {
         if dist.is_empty() {
             return Err("distribution must have at least one bucket".into());
         }
-        let mut cdf = [(0u32, 0.0f64); 9];
-        if dist.len() > cdf.len() {
-            return Err(format!("at most {} buckets supported", cdf.len()));
+        let mut gaps = [0u32; 9];
+        if dist.len() > gaps.len() {
+            return Err(format!("at most {} buckets supported", gaps.len()));
         }
+        // Every threshold starts at 2^53, past the largest draw, which
+        // pins the last bucket's cumulative value (and the unused tail's)
+        // to 1.
+        let mut thresholds = [1u64 << 53; 8];
         let mut acc = 0.0;
-        for (slot, &(gap, p)) in cdf.iter_mut().zip(dist) {
+        for (k, &(gap, p)) in dist.iter().enumerate() {
             if gap == 0 {
                 return Err("gaps must be at least 1 cycle".into());
             }
@@ -81,32 +88,45 @@ impl GapModel {
                 return Err(format!("bucket for gap {gap} has probability {p}"));
             }
             acc += p;
-            *slot = (gap, acc);
+            gaps[k] = gap;
+            if k + 1 < dist.len() {
+                thresholds[k] = (acc * (1u64 << 53) as f64).ceil() as u64;
+            }
         }
         if (acc - 1.0).abs() > 1e-6 {
             return Err(format!("probabilities sum to {acc}, expected 1"));
         }
-        // Pad the unused tail with the final bucket and pin it to 1.
-        let last = dist.len() - 1;
-        let final_gap = cdf[last].0;
-        for slot in cdf.iter_mut().skip(last) {
-            *slot = (final_gap, 1.0);
+        let final_gap = gaps[dist.len() - 1];
+        for slot in gaps.iter_mut().skip(dist.len()) {
+            *slot = final_gap;
         }
         Ok(GapModel {
             rng: SplitMix64::seed_from_u64(seed),
-            cdf,
+            thresholds,
+            gaps,
         })
     }
 
     /// Draws the issue gap (in cycles) for the next trace entry.
+    ///
+    /// The draw is `m = x >> 11` for the generator's next word `x`, read
+    /// as the uniform `u = m / 2^53`, and the gap is that of the first
+    /// bucket whose cumulative probability `cum_k` exceeds `u`. Both
+    /// scalings by 2^53 are exact in `f64` (`m < 2^53`; `cum_k · 2^53`
+    /// only shifts the exponent), so `u < cum_k` holds exactly when
+    /// `m < cum_k · 2^53`, that is when `m < ceil(cum_k · 2^53)` for the
+    /// integer `m`. The bucket index is therefore the number of
+    /// thresholds `m` has reached, counted without a branch.
     pub fn sample(&mut self) -> u32 {
-        let u: f64 = self.rng.next_f64();
-        for &(gap, cum) in &self.cdf {
-            if u < cum {
-                return gap;
-            }
-        }
-        self.cdf[self.cdf.len() - 1].0
+        let m = self.rng.next_u64() >> 11;
+        self.bucket(m)
+    }
+
+    /// The gap of the bucket the 53-bit draw `m` falls in.
+    #[inline]
+    fn bucket(&self, m: u64) -> u32 {
+        let k: usize = self.thresholds.iter().map(|&t| usize::from(m >= t)).sum();
+        self.gaps[k]
     }
 
     /// Expected gap of the distribution, in cycles.
@@ -175,6 +195,38 @@ mod tests {
         for _ in 0..1000 {
             let g = m.sample();
             assert!(g == 2 || g == 7);
+        }
+    }
+
+    /// The thresholds against the floating-point rule they replace, on
+    /// both sides of every boundary and at the ends of the draw range.
+    #[test]
+    fn thresholds_split_exactly_where_the_float_rule_does() {
+        let float_rule = |dist: &[(u32, f64)], m: u64| {
+            let u = m as f64 / (1u64 << 53) as f64;
+            let mut acc = 0.0;
+            for (k, &(gap, p)) in dist.iter().enumerate() {
+                acc += p;
+                if k + 1 == dist.len() || u < acc {
+                    return gap;
+                }
+            }
+            unreachable!("the last bucket always matches")
+        };
+        let mut irregular: Vec<(u32, f64)> = (1..=8)
+            .map(|k| (k, 1.0 / (3.0 * f64::from(k) + 1.0)))
+            .collect();
+        let rest = 1.0 - irregular.iter().map(|&(_, p)| p).sum::<f64>();
+        irregular.push((40, rest));
+        for dist in [&FIG4B_DISTRIBUTION[..], &[(6, 1.0)], &irregular] {
+            let m = GapModel::from_distribution(0, dist).unwrap();
+            let mut probes = vec![0, (1u64 << 53) - 1];
+            for &t in &m.thresholds {
+                probes.extend([t.saturating_sub(1), t, t + 1].map(|p| p.min((1 << 53) - 1)));
+            }
+            for p in probes {
+                assert_eq!(m.bucket(p), float_rule(dist, p), "draw {p}");
+            }
         }
     }
 
