@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sac_bench::small_suite;
 use sac_experiments::runner::ReplayBatch;
 use sac_experiments::Config;
-use sac_trace::io::ChunkedReader;
+use sac_trace::io::{ChunkSource, TraceReader};
 use sac_trace::{io, Access, Trace};
 use std::hint::black_box;
 
@@ -93,7 +93,7 @@ fn streamed_decode(c: &mut Criterion) {
     // Chunked decode + replay without ever materializing the trace.
     group.bench_function("decode_and_replay", |b| {
         b.iter(|| {
-            let mut reader = ChunkedReader::new(black_box(&bytes[..])).expect("valid header");
+            let mut reader = TraceReader::new(black_box(&bytes[..])).expect("valid header");
             let mut batch = ReplayBatch::new();
             batch.push("bench/stream".into(), &Config::standard());
             batch.replay_reader(&mut reader).expect("valid stream")
@@ -102,7 +102,7 @@ fn streamed_decode(c: &mut Criterion) {
     // Decode alone, for the decode/simulate split.
     group.bench_function("decode_only", |b| {
         b.iter(|| {
-            let mut reader = ChunkedReader::new(black_box(&bytes[..])).expect("valid header");
+            let mut reader = TraceReader::new(black_box(&bytes[..])).expect("valid header");
             let mut n = 0usize;
             while let Some(chunk) = reader.next_chunk().expect("valid stream") {
                 n += chunk.len();

@@ -496,10 +496,9 @@ impl ReplayBatch {
 
     /// Streams a serialized trace through the batch without
     /// materializing it: each decoded chunk is consumed by every engine,
-    /// then overwritten by the next one. Accepts any [`ChunkSource`] —
-    /// a `SACT` [`sac_trace::io::ChunkedReader`], a `SAC2`
-    /// [`sac_trace::io::Sact2Reader`], or the format-sniffing
-    /// [`sac_trace::io::TraceReader`].
+    /// then overwritten by the next one. Accepts any [`ChunkSource`],
+    /// such as [`sac_trace::io::TraceReader`] over either wire format,
+    /// whether the bytes are memory-mapped or read into memory.
     ///
     /// # Errors
     ///
@@ -795,7 +794,7 @@ pub fn summary(elapsed: Duration) -> RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_trace::io::ChunkedReader;
+    use sac_trace::io::TraceReader;
     use sac_trace::Access;
 
     #[test]
@@ -940,7 +939,7 @@ mod tests {
         let mut batch = ReplayBatch::new();
         batch.push("stream/stand".into(), &Config::standard());
         batch.push("stream/soft".into(), &Config::soft());
-        let mut reader = ChunkedReader::new(&bytes[..]).expect("valid header");
+        let mut reader = TraceReader::new(&bytes[..]).expect("valid header");
         let streamed = batch.replay_reader(&mut reader).expect("valid stream");
         let direct = vec![Config::standard().run(&trace), Config::soft().run(&trace)];
         assert_eq!(streamed, direct);

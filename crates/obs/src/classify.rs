@@ -18,8 +18,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// known, and returns what the shadow structures said about that line at
 /// that instant. [`crate::TracingProbe`] calls it from `on_ref` and uses
 /// the remembered outcome when (and only when) a miss event follows for
-/// the same reference. This reproduces exactly the offline decomposition
-/// of a trace (the shadow sees the same reference stream as the engine).
+/// the same reference. The offline decomposition of a trace
+/// (`sac_simcache::classify_misses`) is a fold over this type, so the two
+/// agree by construction (the shadow sees the same reference stream as
+/// the engine).
 #[derive(Debug, Clone)]
 pub struct ShadowClassifier {
     capacity: usize,

@@ -15,8 +15,8 @@
 //! * **conflict** — additional misses of the actual organization.
 
 use crate::CacheGeometry;
+use sac_obs::ShadowClassifier;
 use sac_trace::Trace;
-use std::collections::HashMap;
 
 /// The 3C decomposition of a trace's misses for one cache geometry.
 ///
@@ -67,76 +67,36 @@ impl MissClasses {
     }
 }
 
-/// A minimal fully-associative LRU miss counter.
-struct FullyAssocLru {
-    capacity: usize,
-    /// line → last-use stamp.
-    stamps: HashMap<u64, u64>,
-    /// Min-heap-free LRU: we scan lazily using an ordered map.
-    order: std::collections::BTreeMap<u64, u64>,
-    clock: u64,
-}
-
-impl FullyAssocLru {
-    fn new(capacity: usize) -> Self {
-        FullyAssocLru {
-            capacity,
-            stamps: HashMap::new(),
-            order: std::collections::BTreeMap::new(),
-            clock: 0,
-        }
-    }
-
-    /// Returns `true` on a miss.
-    fn access(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        if let Some(&old) = self.stamps.get(&line) {
-            self.order.remove(&old);
-            self.order.insert(self.clock, line);
-            self.stamps.insert(line, self.clock);
-            return false;
-        }
-        if self.stamps.len() == self.capacity {
-            let (&oldest, &victim) = self.order.iter().next().expect("full cache");
-            self.order.remove(&oldest);
-            self.stamps.remove(&victim);
-        }
-        self.stamps.insert(line, self.clock);
-        self.order.insert(self.clock, line);
-        true
-    }
-}
-
 /// Classifies the misses a plain cache of geometry `geom` takes on
 /// `trace` (demand misses only; no prefetching, no software assistance —
 /// the decomposition is a property of the reference stream).
+///
+/// This is a fold over [`ShadowClassifier`], the online classifier the
+/// tracing probes use, so the offline and online splits cannot diverge:
+/// compulsory counts first touches, capacity counts shadow misses that
+/// are not first touches, and conflict is what the real organization
+/// misses beyond both.
 pub fn classify_misses(trace: &Trace, geom: CacheGeometry) -> MissClasses {
-    let mut seen: HashMap<u64, ()> = HashMap::new();
-    let mut fa = FullyAssocLru::new(geom.lines() as usize);
+    let mut shadow = ShadowClassifier::new(geom.lines() as usize);
     let mut real = crate::TagArray::new(geom);
     let mut out = MissClasses {
         refs: trace.len() as u64,
         ..MissClasses::default()
     };
-    let mut fa_misses = 0u64;
-    let mut real_misses = 0u64;
     for a in trace {
         let line = geom.line_of(a.addr());
-        if seen.insert(line, ()).is_none() {
-            out.compulsory += 1;
-        }
-        if fa.access(line) {
-            fa_misses += 1;
-        }
+        let seen = shadow.touch(line);
+        out.compulsory += u64::from(seen.first_touch);
+        out.capacity += u64::from(!seen.first_touch && !seen.fa_hit);
         if real.probe(line).is_none() {
-            real_misses += 1;
+            out.total_misses += 1;
             let way = real.victim_way(line);
             real.fill(line, way, a.addr(), false);
         }
     }
-    out.capacity = fa_misses.saturating_sub(out.compulsory);
-    out.conflict = real_misses.saturating_sub(fa_misses);
-    out.total_misses = real_misses;
+    out.conflict = out
+        .total_misses
+        .saturating_sub(out.compulsory + out.capacity);
     out
 }
 

@@ -102,7 +102,7 @@ pub struct Access {
 
 // Pin the wire-layout contract the zero-copy reader depends on: a future
 // field reorder or type change fails the build here instead of silently
-// corrupting traces decoded through `io::MappedReader`.
+// corrupting traces decoded through `io::TraceReader`.
 const _: () = {
     assert!(std::mem::size_of::<Access>() == 16);
     assert!(std::mem::offset_of!(Access, addr) == 0);

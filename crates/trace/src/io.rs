@@ -273,11 +273,11 @@ fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Size of one SACT entry on disk, in bytes.
 const ENTRY_BYTES: usize = 16;
 
-/// Default number of entries a [`ChunkedReader`] decodes per chunk.
+/// Default number of entries a [`TraceReader`] yields per chunk.
 ///
-/// 4096 × 16 B = 64 KB of raw bytes and 64 KB of decoded [`Access`]es —
-/// small enough to stay resident in L1/L2 while a replay batch drives
-/// several engines over the chunk, large enough to amortize read calls.
+/// 4096 entries = 64 KB of decoded [`Access`]es — small enough to stay
+/// resident in L1/L2 while a replay batch drives several engines over
+/// the chunk, large enough to amortize the per-chunk bookkeeping.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 /// Decodes one on-disk SACT entry.
@@ -289,139 +289,18 @@ fn decode_entry(buf: &[u8]) -> Access {
     access_from_parts(addr, instr, gap, buf[14])
 }
 
-/// A streaming SACT decoder: parses the header eagerly, then yields the
-/// entry section chunk by chunk so a trace is never fully materialized
-/// unless the caller collects it.
-///
-/// Both the raw byte buffer and the decoded [`Access`] buffer are
-/// allocated once and reused across chunks, so steady-state decoding does
-/// no per-entry (or even per-chunk) allocation — this replaced a reader
-/// that issued one 16-byte `read_exact` per entry.
-///
-/// ```
-/// use sac_trace::{io, Access, Trace};
-///
-/// let trace: Trace = (0..10_000u64).map(|i| Access::read(i * 8)).collect();
-/// let mut bytes = Vec::new();
-/// io::write_binary(&trace, &mut bytes).unwrap();
-///
-/// let mut reader = io::ChunkedReader::new(&bytes[..]).unwrap();
-/// assert_eq!(reader.total(), 10_000);
-/// let mut seen = 0;
-/// while let Some(chunk) = reader.next_chunk().unwrap() {
-///     assert!(chunk.len() <= io::DEFAULT_CHUNK);
-///     seen += chunk.len() as u64;
-/// }
-/// assert_eq!(seen, 10_000);
-/// ```
-pub struct ChunkedReader<R: Read> {
-    r: BufReader<R>,
-    name: String,
-    total: u64,
-    remaining: u64,
-    chunk_entries: usize,
-    bytes: Vec<u8>,
-    decoded: Vec<Access>,
-}
-
-impl<R: Read> ChunkedReader<R> {
-    /// Opens a SACT stream, parsing and validating the header, with the
-    /// default chunk size ([`DEFAULT_CHUNK`] entries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError`] on I/O failure, bad magic/version, an
-    /// oversized name, or an entry count whose byte size overflows `u64`
-    /// (a malformed or adversarial header — no allocation is attempted).
-    pub fn new(r: R) -> Result<Self, ReadError> {
-        ChunkedReader::with_chunk_size(r, DEFAULT_CHUNK)
-    }
-
-    /// Opens a SACT stream decoding `chunk_entries` entries per chunk.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ChunkedReader::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_entries` is zero.
-    pub fn with_chunk_size(r: R, chunk_entries: usize) -> Result<Self, ReadError> {
-        assert!(chunk_entries > 0, "chunk size must be positive");
-        let mut r = BufReader::new(r);
-        let (name, count) = read_header(&mut r, MAGIC)?;
-        // A count whose byte size cannot be represented is malformed by
-        // construction; reject it before any size computation can wrap.
-        if count.checked_mul(ENTRY_BYTES as u64).is_none() {
-            return Err(ReadError::BadHeader(format!(
-                "entry count {count} overflows the entry section size"
-            )));
-        }
-        Ok(ChunkedReader {
-            r,
-            name,
-            total: count,
-            remaining: count,
-            chunk_entries,
-            bytes: Vec::new(),
-            decoded: Vec::new(),
-        })
-    }
-
-    /// The trace name from the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total number of entries announced by the header.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Entries not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Decodes and returns the next chunk, or `None` once all announced
-    /// entries have been yielded. The returned slice borrows an internal
-    /// buffer that is overwritten by the next call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError::BadEntry`] if the entry section ends before
-    /// `count` entries (truncated stream) or the underlying read fails.
-    pub fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let n = (self.remaining).min(self.chunk_entries as u64) as usize;
-        self.bytes.resize(n * ENTRY_BYTES, 0);
-        let start = self.total - self.remaining;
-        self.r.read_exact(&mut self.bytes).map_err(|e| {
-            ReadError::BadEntry(format!("entries {start}..{}: {e}", start + n as u64))
-        })?;
-        self.decoded.clear();
-        self.decoded
-            .extend(self.bytes.chunks_exact(ENTRY_BYTES).map(decode_entry));
-        self.remaining -= n as u64;
-        Ok(Some(&self.decoded))
-    }
-}
-
 /// Reads a trace in the binary `SACT` format, fully materialized.
 ///
-/// A `&mut` reference may be passed for `r` (any `Read` works). This is
-/// [`ChunkedReader`] driven to completion; use the reader directly to
-/// stream a trace without holding it all in memory.
+/// A `&mut` reference may be passed for `r` (any `Read` works). The
+/// input is read to its end, then decoded by [`TraceReader`]; `SAC2`
+/// input is rejected with [`ReadError::BadHeader`].
 ///
 /// # Errors
 ///
 /// Returns [`ReadError`] on I/O failure, bad magic/version, or a
 /// truncated entry section.
 pub fn read_binary<R: Read>(r: R) -> Result<Trace, ReadError> {
-    let mut reader = ChunkedReader::new(r)?;
-    drain_to_trace(&mut reader)
+    drain_to_trace(&mut TraceReader::read_whole(r, Some("SACT"))?)
 }
 
 /// Drives any [`ChunkSource`] to completion into a materialized trace.
@@ -558,275 +437,215 @@ pub fn write_binary2<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     w.finish().map(|_| ())
 }
 
-/// A streaming `SAC2` decoder with the same chunked interface as
-/// [`ChunkedReader`]: run state (current flags, previous address/instr)
-/// persists across chunk boundaries, and both the refill buffer and the
-/// decoded buffer are reused, so steady-state decoding allocates
-/// nothing.
-pub struct Sact2Reader<R: Read> {
-    r: R,
-    /// Refill buffer: valid bytes are `buf[start..end]`.
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    eof: bool,
-    name: String,
-    total: u64,
-    remaining: u64,
-    chunk_entries: usize,
-    decoded: Vec<Access>,
-    /// Entries left in the currently open run (0 = at a run boundary).
-    run_left: u64,
-    run_flags: u8,
-    prev_addr: u64,
-    prev_instr: u32,
-}
-
-/// Refill buffer size for [`Sact2Reader`]; any value past the longest
-/// possible entry (31 bytes) works, 64 KB keeps syscalls rare.
-const SACT2_BUF: usize = 64 * 1024;
-
-impl<R: Read> Sact2Reader<R> {
-    /// Opens a `SAC2` stream, parsing and validating the header, with
-    /// the default chunk size ([`DEFAULT_CHUNK`] entries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError`] on I/O failure or a bad header.
-    pub fn new(r: R) -> Result<Self, ReadError> {
-        Sact2Reader::with_chunk_size(r, DEFAULT_CHUNK)
-    }
-
-    /// Opens a `SAC2` stream decoding `chunk_entries` entries per chunk.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sact2Reader::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_entries` is zero.
-    pub fn with_chunk_size(mut r: R, chunk_entries: usize) -> Result<Self, ReadError> {
-        assert!(chunk_entries > 0, "chunk size must be positive");
-        let (name, count) = read_header(&mut r, MAGIC2)?;
-        Ok(Sact2Reader {
-            r,
-            buf: vec![0; SACT2_BUF],
-            start: 0,
-            end: 0,
-            eof: false,
-            name,
-            total: count,
-            remaining: count,
-            chunk_entries,
-            decoded: Vec::new(),
-            run_left: 0,
-            run_flags: 0,
-            prev_addr: 0,
-            prev_instr: 0,
-        })
-    }
-
-    /// The trace name from the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total number of entries announced by the header.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Entries not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Reads one byte, refilling the buffer as needed.
-    #[inline]
-    fn read_byte(&mut self) -> Result<u8, ReadError> {
-        if self.start == self.end {
-            self.refill()?;
-            if self.start == self.end {
-                return Err(ReadError::BadEntry("unexpected end of stream".into()));
-            }
-        }
-        let b = self.buf[self.start];
-        self.start += 1;
-        Ok(b)
-    }
-
-    /// Slides leftover bytes to the front and reads more. Post: either
-    /// `start < end` or `eof` holds.
-    fn refill(&mut self) -> Result<(), ReadError> {
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        while !self.eof && self.end < self.buf.len() {
-            let n = self.r.read(&mut self.buf[self.end..])?;
-            if n == 0 {
-                self.eof = true;
-            } else {
-                self.end += n;
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes a LEB128 varint with a hard 10-byte / 64-bit cap.
-    fn read_varint(&mut self) -> Result<u64, ReadError> {
-        let mut val = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_byte()?;
-            if shift == 63 && (b & 0x7f) > 1 {
-                return Err(ReadError::BadEntry("varint overflows u64".into()));
-            }
-            val |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(val);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(ReadError::BadEntry("varint longer than 10 bytes".into()));
-            }
-        }
-    }
-
-    /// Decodes and returns the next chunk, or `None` once all announced
-    /// entries have been yielded. The returned slice borrows an internal
-    /// buffer that is overwritten by the next call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError::BadEntry`] (with the entry index) on a
-    /// truncated stream or any malformed run or entry.
-    pub fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let n = self.remaining.min(self.chunk_entries as u64) as usize;
-        self.decoded.clear();
-        while self.decoded.len() < n {
-            let at = self.total - self.remaining + self.decoded.len() as u64;
-            let ctx = |e: ReadError| match e {
-                ReadError::BadEntry(m) => ReadError::BadEntry(format!("entry {at}: {m}")),
-                other => other,
-            };
-            if self.run_left == 0 {
-                let flags = self.read_byte().map_err(ctx)?;
-                if flags & 0x80 != 0 {
-                    return Err(ReadError::BadEntry(format!(
-                        "entry {at}: reserved flag bit set ({flags:#04x})"
-                    )));
-                }
-                let len = self.read_varint().map_err(ctx)?;
-                let left = self.remaining - self.decoded.len() as u64;
-                if len == 0 || len > left {
-                    return Err(ReadError::BadEntry(format!(
-                        "entry {at}: run of {len} overflows the {left} announced entries left"
-                    )));
-                }
-                self.run_flags = flags;
-                self.run_left = len;
-            }
-            let d = zigzag_decode(self.read_varint().map_err(ctx)?);
-            self.prev_addr = self.prev_addr.wrapping_add(d as u64);
-            let gap = self.read_varint().map_err(ctx)?;
-            if gap > u16::MAX as u64 {
-                return Err(ReadError::BadEntry(format!(
-                    "entry {at}: gap {gap} > 65535"
-                )));
-            }
-            let di = zigzag_decode(self.read_varint().map_err(ctx)?);
-            if di < i32::MIN as i64 || di > i32::MAX as i64 {
-                return Err(ReadError::BadEntry(format!(
-                    "entry {at}: instr delta {di} outside i32"
-                )));
-            }
-            self.prev_instr = self.prev_instr.wrapping_add(di as u32);
-            self.decoded.push(access_from_parts(
-                self.prev_addr,
-                self.prev_instr,
-                gap as u16,
-                self.run_flags,
-            ));
-            self.run_left -= 1;
-        }
-        self.remaining -= n as u64;
-        Ok(Some(&self.decoded))
-    }
-}
-
-/// Reads a trace in the compact `SAC2` format, fully materialized.
+/// Reads a trace in the compact `SAC2` format, fully materialized; as
+/// [`read_binary`], `SACT` input is rejected with
+/// [`ReadError::BadHeader`].
 ///
 /// # Errors
 ///
 /// Returns [`ReadError`] on I/O failure, a bad header, or a malformed
 /// entry section.
 pub fn read_binary2<R: Read>(r: R) -> Result<Trace, ReadError> {
-    let mut reader = Sact2Reader::new(r)?;
-    drain_to_trace(&mut reader)
+    drain_to_trace(&mut TraceReader::read_whole(r, Some("SAC2"))?)
 }
 
-/// A format-sniffing chunked reader: peeks at the magic bytes and opens
-/// the matching decoder, so every consumer of [`ChunkSource`] accepts
-/// `SACT` and `SAC2` streams transparently.
-pub enum TraceReader<R: Read> {
-    /// A fixed-entry `SACT` v1 stream.
-    Sact(ChunkedReader<io::Chain<io::Cursor<[u8; 4]>, R>>),
-    /// A delta-coded `SAC2` stream.
-    Sact2(Sact2Reader<io::Chain<io::Cursor<[u8; 4]>, R>>),
+/// The binary wire format `head` starts with — `"SACT"` or `"SAC2"` —
+/// or `None` for anything else, text traces included.
+pub fn sniff_format(head: &[u8]) -> Option<&'static str> {
+    match head.get(..4)? {
+        m if m == MAGIC => Some("SACT"),
+        m if m == MAGIC2 => Some("SAC2"),
+        _ => None,
+    }
 }
 
-impl<R: Read> TraceReader<R> {
-    /// Sniffs the magic bytes and opens the matching streaming decoder
-    /// with the default chunk size.
+/// Where a [`TraceReader`]'s input lives. Only the storage differs; the
+/// same decoder runs over both.
+enum Bytes {
+    /// A read-only memory mapping of a trace file.
+    Mapped(crate::mmap::Mapping),
+    /// An input read whole into memory: a `Read` stream, or a file the
+    /// platform cannot map.
+    Owned(Vec<u8>),
+}
+
+impl Bytes {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Bytes::Mapped(map) => map.bytes(),
+            Bytes::Owned(vec) => vec,
+        }
+    }
+}
+
+/// `SAC2` decode state that persists across chunk boundaries.
+#[derive(Default)]
+struct RunState {
+    /// Entries left in the currently open run (0 = at a run boundary).
+    left: u64,
+    flags: u8,
+    prev_addr: u64,
+    prev_instr: u32,
+}
+
+/// The chunked trace reader: sniffs the magic bytes and decodes either
+/// wire format from a byte slice, so every consumer of [`ChunkSource`]
+/// accepts `SACT` and `SAC2` transparently.
+///
+/// [`TraceReader::open`] memory-maps a file where the platform allows
+/// and reads it whole otherwise; [`TraceReader::new`] reads a `Read`
+/// input to its end. `SACT` chunks whose payload is 8-byte aligned
+/// (every mapped trace written since the header started padding for
+/// alignment) and whose flag bytes carry no reserved bits are **borrowed
+/// straight from the input** — no per-entry decode, no copy. Other
+/// `SACT` chunks and all `SAC2` input (delta coding cannot be viewed in
+/// place) are decoded into one reused buffer, so steady-state decoding
+/// allocates nothing.
+///
+/// ```
+/// use sac_trace::io::{self, ChunkSource};
+/// use sac_trace::{Access, Trace};
+///
+/// let trace: Trace = (0..10_000u64).map(|i| Access::read(i * 8)).collect();
+/// let mut bytes = Vec::new();
+/// io::write_binary2(&trace, &mut bytes).unwrap();
+///
+/// let mut reader = io::TraceReader::new(&bytes[..]).unwrap();
+/// assert_eq!((reader.format(), reader.total()), ("SAC2", 10_000));
+/// let mut seen = 0;
+/// while let Some(chunk) = reader.next_chunk().unwrap() {
+///     assert!(chunk.len() <= io::DEFAULT_CHUNK);
+///     seen += chunk.len() as u64;
+/// }
+/// assert_eq!(seen, 10_000);
+/// ```
+pub struct TraceReader {
+    bytes: Bytes,
+    /// Byte offset of the next undecoded entry (`SACT`) or byte (`SAC2`).
+    pos: usize,
+    name: String,
+    total: u64,
+    remaining: u64,
+    chunk_entries: usize,
+    decoded: Vec<Access>,
+    /// `None` for `SACT`, whose entries need no state between chunks.
+    sac2: Option<RunState>,
+    borrowed_chunks: u64,
+}
+
+/// [`TraceReader`] under the name path-based callers use:
+/// `FileSource::open(path)`.
+pub type FileSource = TraceReader;
+
+impl TraceReader {
+    /// Reads `r` to its end and parses the header, with the default
+    /// chunk size ([`DEFAULT_CHUNK`] entries).
     ///
     /// # Errors
     ///
-    /// Returns [`ReadError::BadHeader`] when the magic matches neither
-    /// format; otherwise as the matching reader.
-    pub fn new(r: R) -> Result<Self, ReadError> {
-        TraceReader::with_chunk_size(r, DEFAULT_CHUNK)
+    /// Returns [`ReadError`] on I/O failure, a magic that is neither
+    /// `SACT` nor `SAC2`, a bad version, an oversized name, or a `SACT`
+    /// entry count whose byte size overflows `u64` (a malformed or
+    /// adversarial header — nothing is sized from it).
+    pub fn new<R: Read>(r: R) -> Result<Self, ReadError> {
+        TraceReader::read_whole(r, None)
     }
 
-    /// As [`TraceReader::new`] with an explicit chunk size.
+    /// Opens the trace file at `path`: memory-mapped where the platform
+    /// allows, read whole when mapping fails (an empty file, a platform
+    /// without the mapping shim).
     ///
     /// # Errors
     ///
-    /// As for [`TraceReader::new`].
+    /// As for [`TraceReader::new`]; an open failure names the path.
+    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, ReadError> {
+        let file = open_input(path.as_ref())?;
+        match crate::mmap::Mapping::open(&file) {
+            Ok(map) => TraceReader::from_bytes(Bytes::Mapped(map), None),
+            Err(_) => TraceReader::read_whole(file, None),
+        }
+    }
+
+    /// Reads `r` to its end and parses the header, accepting only the
+    /// `expect` format when one is named.
+    fn read_whole<R: Read>(mut r: R, expect: Option<&str>) -> Result<Self, ReadError> {
+        let mut vec = Vec::new();
+        r.read_to_end(&mut vec)?;
+        TraceReader::from_bytes(Bytes::Owned(vec), expect)
+    }
+
+    fn from_bytes(bytes: Bytes, expect: Option<&str>) -> Result<Self, ReadError> {
+        let data = bytes.as_slice();
+        let Some(format) = sniff_format(data).filter(|f| expect.is_none_or(|e| e == *f)) else {
+            return Err(ReadError::BadHeader(format!(
+                "magic {:?} is not {}",
+                &data[..data.len().min(4)],
+                expect.unwrap_or("SACT or SAC2")
+            )));
+        };
+        let mut cur = &data[4..];
+        let (name, count) = read_header(&mut cur)?;
+        let sac2 = (format == "SAC2").then(RunState::default);
+        // A count whose byte size cannot be represented is malformed by
+        // construction; reject it before any size computation can wrap.
+        if sac2.is_none() && count.checked_mul(ENTRY_BYTES as u64).is_none() {
+            return Err(ReadError::BadHeader(format!(
+                "entry count {count} overflows the entry section size"
+            )));
+        }
+        let pos = data.len() - cur.len();
+        Ok(TraceReader {
+            bytes,
+            pos,
+            name,
+            total: count,
+            remaining: count,
+            chunk_entries: DEFAULT_CHUNK,
+            decoded: Vec::new(),
+            sac2,
+            borrowed_chunks: 0,
+        })
+    }
+
+    /// Yields at most `chunk_entries` entries per chunk from now on —
+    /// small values split `SAC2` runs across chunk boundaries.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_entries` is zero.
-    pub fn with_chunk_size(mut r: R, chunk_entries: usize) -> Result<Self, ReadError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        let rest = io::Cursor::new(magic).chain(r);
-        match &magic {
-            m if m == MAGIC => Ok(TraceReader::Sact(ChunkedReader::with_chunk_size(
-                rest,
-                chunk_entries,
-            )?)),
-            m if m == MAGIC2 => Ok(TraceReader::Sact2(Sact2Reader::with_chunk_size(
-                rest,
-                chunk_entries,
-            )?)),
-            m => Err(ReadError::BadHeader(format!(
-                "magic {m:?} is neither SACT nor SAC2"
-            ))),
-        }
+    #[must_use]
+    pub fn with_chunk_size(mut self, chunk_entries: usize) -> Self {
+        assert!(chunk_entries > 0, "chunk size must be positive");
+        self.chunk_entries = chunk_entries;
+        self
     }
 
     /// The wire format behind this reader, for display.
     pub fn format(&self) -> &'static str {
-        match self {
-            TraceReader::Sact(_) => "SACT",
-            TraceReader::Sact2(_) => "SAC2",
+        if self.sac2.is_some() {
+            "SAC2"
+        } else {
+            "SACT"
         }
     }
+
+    /// How many chunks so far were borrowed straight from the input (as
+    /// opposed to decoded into the buffer) — diagnostics for tests
+    /// asserting the zero-copy path actually engages.
+    pub fn borrowed_chunks(&self) -> u64 {
+        self.borrowed_chunks
+    }
+}
+
+/// Opens `path` for reading with the path named in the error — the
+/// input-side twin of [`create_output`].
+fn open_input(path: &std::path::Path) -> Result<std::fs::File, ReadError> {
+    std::fs::File::open(path).map_err(|e| {
+        ReadError::Io(io::Error::new(
+            e.kind(),
+            format!("cannot read {}: {e}", path.display()),
+        ))
+    })
 }
 
 /// Reads a trace in either binary format (sniffed), fully materialized.
@@ -836,8 +655,17 @@ impl<R: Read> TraceReader<R> {
 /// Returns [`ReadError`] on I/O failure, an unrecognized or bad header,
 /// or a malformed entry section.
 pub fn read_any<R: Read>(r: R) -> Result<Trace, ReadError> {
-    let mut reader = TraceReader::new(r)?;
-    drain_to_trace(&mut reader)
+    drain_to_trace(&mut TraceReader::new(r)?)
+}
+
+/// Reads a binary trace from `path`, fully materialized — memory-mapped
+/// where the platform allows, read whole otherwise.
+///
+/// # Errors
+///
+/// As for [`TraceReader::open`].
+pub fn read_path<P: AsRef<std::path::Path>>(path: P) -> Result<Trace, ReadError> {
+    drain_to_trace(&mut TraceReader::open(path)?)
 }
 
 /// Opens `path` for writing, creating or truncating it — the one place
@@ -869,8 +697,8 @@ pub fn create_output_buffered<P: AsRef<std::path::Path>>(
     create_output(path).map(io::BufWriter::new)
 }
 
-/// A streaming source of decoded trace chunks — what the replay layer
-/// consumes, independent of the wire format behind it.
+/// A source of decoded trace chunks — what the replay layer consumes,
+/// independent of the wire format behind it.
 pub trait ChunkSource {
     /// The trace name from the header.
     fn name(&self) -> &str;
@@ -887,60 +715,100 @@ pub trait ChunkSource {
     fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError>;
 }
 
-impl<R: Read> ChunkSource for ChunkedReader<R> {
+impl ChunkSource for TraceReader {
     fn name(&self) -> &str {
-        ChunkedReader::name(self)
+        &self.name
     }
-    fn total(&self) -> u64 {
-        ChunkedReader::total(self)
-    }
-    fn remaining(&self) -> u64 {
-        ChunkedReader::remaining(self)
-    }
-    fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        ChunkedReader::next_chunk(self)
-    }
-}
 
-impl<R: Read> ChunkSource for Sact2Reader<R> {
-    fn name(&self) -> &str {
-        Sact2Reader::name(self)
-    }
     fn total(&self) -> u64 {
-        Sact2Reader::total(self)
+        self.total
     }
-    fn remaining(&self) -> u64 {
-        Sact2Reader::remaining(self)
-    }
-    fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        Sact2Reader::next_chunk(self)
-    }
-}
 
-impl<R: Read> ChunkSource for TraceReader<R> {
-    fn name(&self) -> &str {
-        match self {
-            TraceReader::Sact(r) => r.name(),
-            TraceReader::Sact2(r) => r.name(),
-        }
-    }
-    fn total(&self) -> u64 {
-        match self {
-            TraceReader::Sact(r) => r.total(),
-            TraceReader::Sact2(r) => r.total(),
-        }
-    }
     fn remaining(&self) -> u64 {
-        match self {
-            TraceReader::Sact(r) => r.remaining(),
-            TraceReader::Sact2(r) => r.remaining(),
-        }
+        self.remaining
     }
+
+    /// Decodes (or borrows) the next chunk. A truncated input or any
+    /// malformed run or entry is a [`ReadError::BadEntry`] naming the
+    /// entry index (`SAC2`) or the chunk's entry range (`SACT`).
     fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        match self {
-            TraceReader::Sact(r) => ChunkSource::next_chunk(r),
-            TraceReader::Sact2(r) => ChunkSource::next_chunk(r),
+        if self.remaining == 0 {
+            return Ok(None);
         }
+        let n = self.remaining.min(self.chunk_entries as u64) as usize;
+        let start = self.total - self.remaining;
+        let bytes = self.bytes.as_slice();
+        self.decoded.clear();
+        let Some(run) = &mut self.sac2 else {
+            let need = n * ENTRY_BYTES;
+            if bytes.len() - self.pos < need {
+                return Err(ReadError::BadEntry(format!(
+                    "entries {start}..{}: input truncated",
+                    start + n as u64
+                )));
+            }
+            let payload = &bytes[self.pos..self.pos + need];
+            self.pos += need;
+            self.remaining -= n as u64;
+            if sact_flags_clean(payload) {
+                if let Some(view) = crate::mmap::cast_accesses(payload) {
+                    self.borrowed_chunks += 1;
+                    return Ok(Some(view));
+                }
+            }
+            self.decoded
+                .extend(payload.chunks_exact(ENTRY_BYTES).map(decode_entry));
+            return Ok(Some(&self.decoded));
+        };
+        let pos = &mut self.pos;
+        while self.decoded.len() < n {
+            let at = start + self.decoded.len() as u64;
+            let ctx = |e: ReadError| match e {
+                ReadError::BadEntry(m) => ReadError::BadEntry(format!("entry {at}: {m}")),
+                other => other,
+            };
+            if run.left == 0 {
+                let flags = slice_byte(bytes, pos).map_err(ctx)?;
+                if flags & 0x80 != 0 {
+                    return Err(ReadError::BadEntry(format!(
+                        "entry {at}: reserved flag bit set ({flags:#04x})"
+                    )));
+                }
+                let len = slice_varint(bytes, pos).map_err(ctx)?;
+                let left = self.remaining - self.decoded.len() as u64;
+                if len == 0 || len > left {
+                    return Err(ReadError::BadEntry(format!(
+                        "entry {at}: run of {len} overflows the {left} announced entries left"
+                    )));
+                }
+                run.flags = flags;
+                run.left = len;
+            }
+            let d = zigzag_decode(slice_varint(bytes, pos).map_err(ctx)?);
+            run.prev_addr = run.prev_addr.wrapping_add(d as u64);
+            let gap = slice_varint(bytes, pos).map_err(ctx)?;
+            if gap > u16::MAX as u64 {
+                return Err(ReadError::BadEntry(format!(
+                    "entry {at}: gap {gap} > 65535"
+                )));
+            }
+            let di = zigzag_decode(slice_varint(bytes, pos).map_err(ctx)?);
+            if di < i32::MIN as i64 || di > i32::MAX as i64 {
+                return Err(ReadError::BadEntry(format!(
+                    "entry {at}: instr delta {di} outside i32"
+                )));
+            }
+            run.prev_instr = run.prev_instr.wrapping_add(di as u32);
+            self.decoded.push(access_from_parts(
+                run.prev_addr,
+                run.prev_instr,
+                gap as u16,
+                run.flags,
+            ));
+            run.left -= 1;
+        }
+        self.remaining -= n as u64;
+        Ok(Some(&self.decoded))
     }
 }
 
@@ -950,25 +818,24 @@ impl<R: Read> ChunkSource for TraceReader<R> {
 /// tags, level and the multi-core cpu id), so a zero-copy
 /// reinterpretation of the payload is observably identical to decoding
 /// exactly when it is already zero. [`SactWriter`] never sets it; a
-/// foreign or corrupted file that does simply takes the copying path and
-/// gets the same masking the streaming reader applies.
+/// foreign or corrupted file that does simply takes the decoding path
+/// and has the bit masked away.
 fn sact_flags_clean(payload: &[u8]) -> bool {
     payload.chunks_exact(ENTRY_BYTES).all(|e| e[14] & 0x80 == 0)
 }
 
-/// Reads one byte from a slice cursor (the mmap-backed twin of
-/// [`Sact2Reader::read_byte`], with the same truncation error).
+/// Reads one byte from a slice cursor.
 #[inline]
 fn slice_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, ReadError> {
     let b = *bytes
         .get(*pos)
-        .ok_or_else(|| ReadError::BadEntry("unexpected end of stream".into()))?;
+        .ok_or_else(|| ReadError::BadEntry("input truncated".into()))?;
     *pos += 1;
     Ok(b)
 }
 
-/// Decodes a LEB128 varint from a slice cursor with the same hard
-/// 10-byte / 64-bit cap as [`Sact2Reader::read_varint`].
+/// Decodes a LEB128 varint from a slice cursor with a hard 10-byte /
+/// 64-bit cap.
 fn slice_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, ReadError> {
     let mut val = 0u64;
     let mut shift = 0u32;
@@ -986,394 +853,6 @@ fn slice_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, ReadError> {
             return Err(ReadError::BadEntry("varint longer than 10 bytes".into()));
         }
     }
-}
-
-/// Per-format decode state of a [`MappedReader`].
-enum MapState {
-    /// Fixed-width entries: a cursor into the mapping suffices.
-    Sact {
-        /// Byte offset of the next undecoded entry.
-        pos: usize,
-        /// Entries not yet yielded.
-        remaining: u64,
-    },
-    /// Delta-coded entries: the run state persists across chunks exactly
-    /// as in [`Sact2Reader`].
-    Sact2 {
-        /// Byte offset of the next undecoded byte.
-        pos: usize,
-        /// Entries not yet yielded.
-        remaining: u64,
-        /// Entries left in the currently open run (0 = at a run boundary).
-        run_left: u64,
-        run_flags: u8,
-        prev_addr: u64,
-        prev_instr: u32,
-    },
-}
-
-/// A zero-copy chunked trace reader over a memory-mapped file, sniffing
-/// the same two wire formats as [`TraceReader`].
-///
-/// For `SACT` input whose payload is 8-byte aligned in the file (every
-/// trace written since the header started padding for alignment) and
-/// whose flag bytes carry no reserved bits, each chunk is **borrowed
-/// straight from the mapping** — no per-entry decode, no copy, the
-/// `&[Access]` slice points into the page cache. Misaligned or foreign
-/// files fall back to decoding into the reused arena, and `SAC2` input is
-/// always decoded into the arena (delta coding cannot be viewed in
-/// place), with validation identical to the streaming reader.
-///
-/// Construct via [`FileSource::open`], which falls back to the streaming
-/// reader when the platform cannot map files.
-pub struct MappedReader {
-    map: crate::mmap::Mapping,
-    name: String,
-    total: u64,
-    chunk_entries: usize,
-    decoded: Vec<Access>,
-    state: MapState,
-    borrowed_chunks: u64,
-}
-
-impl MappedReader {
-    /// Opens a mapped trace, sniffing the format and validating the
-    /// header with the shared rules.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TraceReader::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_entries` is zero.
-    fn with_chunk_size(map: crate::mmap::Mapping, chunk_entries: usize) -> Result<Self, ReadError> {
-        assert!(chunk_entries > 0, "chunk size must be positive");
-        let (name, total, state) = {
-            let bytes = map.bytes();
-            let sniff = bytes.get(..4).ok_or_else(|| {
-                ReadError::BadHeader("file shorter than the 4 magic bytes".into())
-            })?;
-            let mut cur = bytes;
-            if sniff == &MAGIC[..] {
-                let (name, count) = read_header(&mut cur, MAGIC)?;
-                if count.checked_mul(ENTRY_BYTES as u64).is_none() {
-                    return Err(ReadError::BadHeader(format!(
-                        "entry count {count} overflows the entry section size"
-                    )));
-                }
-                let pos = bytes.len() - cur.len();
-                (
-                    name,
-                    count,
-                    MapState::Sact {
-                        pos,
-                        remaining: count,
-                    },
-                )
-            } else if sniff == &MAGIC2[..] {
-                let (name, count) = read_header(&mut cur, MAGIC2)?;
-                let pos = bytes.len() - cur.len();
-                (
-                    name,
-                    count,
-                    MapState::Sact2 {
-                        pos,
-                        remaining: count,
-                        run_left: 0,
-                        run_flags: 0,
-                        prev_addr: 0,
-                        prev_instr: 0,
-                    },
-                )
-            } else {
-                return Err(ReadError::BadHeader(format!(
-                    "magic {sniff:?} is neither SACT nor SAC2"
-                )));
-            }
-        };
-        Ok(MappedReader {
-            map,
-            name,
-            total,
-            chunk_entries,
-            decoded: Vec::new(),
-            state,
-            borrowed_chunks: 0,
-        })
-    }
-
-    /// The trace name from the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total number of entries announced by the header.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Entries not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        match self.state {
-            MapState::Sact { remaining, .. } | MapState::Sact2 { remaining, .. } => remaining,
-        }
-    }
-
-    /// The wire format behind this reader, for display.
-    pub fn format(&self) -> &'static str {
-        match self.state {
-            MapState::Sact { .. } => "SACT",
-            MapState::Sact2 { .. } => "SAC2",
-        }
-    }
-
-    /// How many chunks so far were borrowed straight from the mapping
-    /// (as opposed to decoded into the arena) — diagnostics for tests
-    /// asserting the zero-copy path actually engages.
-    pub fn borrowed_chunks(&self) -> u64 {
-        self.borrowed_chunks
-    }
-
-    /// Decodes (or borrows) and returns the next chunk; see
-    /// [`ChunkSource::next_chunk`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError::BadEntry`] on a truncated mapping or any
-    /// malformed run or entry — the same validation as the streaming
-    /// readers.
-    pub fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        match &mut self.state {
-            MapState::Sact { pos, remaining } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                let n = (*remaining).min(self.chunk_entries as u64) as usize;
-                let start = self.total - *remaining;
-                let need = n * ENTRY_BYTES;
-                let bytes = self.map.bytes();
-                if bytes.len() - *pos < need {
-                    return Err(ReadError::BadEntry(format!(
-                        "entries {start}..{}: file truncated",
-                        start + n as u64
-                    )));
-                }
-                let at = *pos;
-                *pos += need;
-                *remaining -= n as u64;
-                let payload = &bytes[at..at + need];
-                if sact_flags_clean(payload) {
-                    if let Some(view) = crate::mmap::cast_accesses(payload) {
-                        self.borrowed_chunks += 1;
-                        return Ok(Some(view));
-                    }
-                }
-                self.decoded.clear();
-                self.decoded
-                    .extend(payload.chunks_exact(ENTRY_BYTES).map(decode_entry));
-                Ok(Some(&self.decoded))
-            }
-            MapState::Sact2 {
-                pos,
-                remaining,
-                run_left,
-                run_flags,
-                prev_addr,
-                prev_instr,
-            } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                let n = (*remaining).min(self.chunk_entries as u64) as usize;
-                let bytes = self.map.bytes();
-                self.decoded.clear();
-                while self.decoded.len() < n {
-                    let at = self.total - *remaining + self.decoded.len() as u64;
-                    let ctx = |e: ReadError| match e {
-                        ReadError::BadEntry(m) => ReadError::BadEntry(format!("entry {at}: {m}")),
-                        other => other,
-                    };
-                    if *run_left == 0 {
-                        let flags = slice_byte(bytes, pos).map_err(ctx)?;
-                        if flags & 0x80 != 0 {
-                            return Err(ReadError::BadEntry(format!(
-                                "entry {at}: reserved flag bit set ({flags:#04x})"
-                            )));
-                        }
-                        let len = slice_varint(bytes, pos).map_err(ctx)?;
-                        let left = *remaining - self.decoded.len() as u64;
-                        if len == 0 || len > left {
-                            return Err(ReadError::BadEntry(format!(
-                                "entry {at}: run of {len} overflows the {left} announced entries left"
-                            )));
-                        }
-                        *run_flags = flags;
-                        *run_left = len;
-                    }
-                    let d = zigzag_decode(slice_varint(bytes, pos).map_err(ctx)?);
-                    *prev_addr = prev_addr.wrapping_add(d as u64);
-                    let gap = slice_varint(bytes, pos).map_err(ctx)?;
-                    if gap > u16::MAX as u64 {
-                        return Err(ReadError::BadEntry(format!(
-                            "entry {at}: gap {gap} > 65535"
-                        )));
-                    }
-                    let di = zigzag_decode(slice_varint(bytes, pos).map_err(ctx)?);
-                    if di < i32::MIN as i64 || di > i32::MAX as i64 {
-                        return Err(ReadError::BadEntry(format!(
-                            "entry {at}: instr delta {di} outside i32"
-                        )));
-                    }
-                    *prev_instr = prev_instr.wrapping_add(di as u32);
-                    self.decoded.push(access_from_parts(
-                        *prev_addr,
-                        *prev_instr,
-                        gap as u16,
-                        *run_flags,
-                    ));
-                    *run_left -= 1;
-                }
-                *remaining -= n as u64;
-                Ok(Some(&self.decoded))
-            }
-        }
-    }
-}
-
-impl ChunkSource for MappedReader {
-    fn name(&self) -> &str {
-        MappedReader::name(self)
-    }
-    fn total(&self) -> u64 {
-        MappedReader::total(self)
-    }
-    fn remaining(&self) -> u64 {
-        MappedReader::remaining(self)
-    }
-    fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        MappedReader::next_chunk(self)
-    }
-}
-
-/// A binary trace opened from a filesystem path: memory-mapped for
-/// zero-copy decode where the platform supports it, the buffered
-/// streaming reader otherwise (or on request, for differential testing).
-pub enum FileSource {
-    /// Zero-copy decode from a read-only memory mapping.
-    Mapped(MappedReader),
-    /// The buffered streaming reader.
-    Streamed(TraceReader<std::fs::File>),
-}
-
-impl FileSource {
-    /// Opens `path` with the default chunk size, preferring the mapped
-    /// reader and falling back to streaming when mapping is unsupported
-    /// or fails (empty file, exotic filesystem, non-Linux platform).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError`] when the file cannot be opened or its
-    /// header is invalid.
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<FileSource, ReadError> {
-        FileSource::with_chunk_size(path, DEFAULT_CHUNK)
-    }
-
-    /// As [`FileSource::open`] with an explicit chunk size.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FileSource::open`].
-    pub fn with_chunk_size<P: AsRef<std::path::Path>>(
-        path: P,
-        chunk_entries: usize,
-    ) -> Result<FileSource, ReadError> {
-        let file = open_input(path.as_ref())?;
-        match crate::mmap::Mapping::open(&file) {
-            Ok(map) => Ok(FileSource::Mapped(MappedReader::with_chunk_size(
-                map,
-                chunk_entries,
-            )?)),
-            Err(_) => Ok(FileSource::Streamed(TraceReader::with_chunk_size(
-                file,
-                chunk_entries,
-            )?)),
-        }
-    }
-
-    /// Opens `path` with the streaming reader unconditionally — the
-    /// differential-testing twin of [`FileSource::open`] (`--stream` in
-    /// the CLI tools).
-    ///
-    /// # Errors
-    ///
-    /// As for [`FileSource::open`].
-    pub fn open_streamed<P: AsRef<std::path::Path>>(path: P) -> Result<FileSource, ReadError> {
-        let file = open_input(path.as_ref())?;
-        Ok(FileSource::Streamed(TraceReader::new(file)?))
-    }
-
-    /// Whether this source reads through a memory mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, FileSource::Mapped(_))
-    }
-
-    /// The wire format behind this source, for display.
-    pub fn format(&self) -> &'static str {
-        match self {
-            FileSource::Mapped(r) => r.format(),
-            FileSource::Streamed(r) => r.format(),
-        }
-    }
-}
-
-/// Opens `path` for reading with the path named in the error — the
-/// input-side twin of [`create_output`].
-fn open_input(path: &std::path::Path) -> Result<std::fs::File, ReadError> {
-    std::fs::File::open(path).map_err(|e| {
-        ReadError::Io(io::Error::new(
-            e.kind(),
-            format!("cannot read {}: {e}", path.display()),
-        ))
-    })
-}
-
-impl ChunkSource for FileSource {
-    fn name(&self) -> &str {
-        match self {
-            FileSource::Mapped(r) => r.name(),
-            FileSource::Streamed(r) => r.name(),
-        }
-    }
-    fn total(&self) -> u64 {
-        match self {
-            FileSource::Mapped(r) => r.total(),
-            FileSource::Streamed(r) => r.total(),
-        }
-    }
-    fn remaining(&self) -> u64 {
-        match self {
-            FileSource::Mapped(r) => r.remaining(),
-            FileSource::Streamed(r) => r.remaining(),
-        }
-    }
-    fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
-        match self {
-            FileSource::Mapped(r) => r.next_chunk(),
-            FileSource::Streamed(r) => ChunkSource::next_chunk(r),
-        }
-    }
-}
-
-/// Reads a binary trace from `path`, fully materialized — memory-mapped
-/// decode when the platform allows, streaming otherwise.
-///
-/// # Errors
-///
-/// As for [`FileSource::open`].
-pub fn read_path<P: AsRef<std::path::Path>>(path: P) -> Result<Trace, ReadError> {
-    let mut src = FileSource::open(path)?;
-    drain_to_trace(&mut src)
 }
 
 /// Writes a trace in the human-readable text format.
@@ -1479,14 +958,9 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-/// Parses and validates the `magic/version/namelen/name/count` header
-/// shared by both binary formats.
-fn read_header<R: Read>(r: &mut R, magic: &[u8; 4]) -> Result<(String, u64), ReadError> {
-    let mut got = [0u8; 4];
-    r.read_exact(&mut got)?;
-    if &got != magic {
-        return Err(ReadError::BadHeader(format!("magic {got:?}")));
-    }
+/// Parses and validates the `version/namelen/name/count` header shared
+/// by both binary formats, from just past the magic bytes.
+fn read_header(r: &mut &[u8]) -> Result<(String, u64), ReadError> {
     let version = read_u32(r)?;
     if version != VERSION {
         return Err(ReadError::BadHeader(format!(
@@ -1614,7 +1088,7 @@ mod tests {
         let err = read_binary(&buf[..]).unwrap_err();
         assert!(matches!(err, ReadError::BadHeader(_)));
         assert!(err.to_string().contains("overflow"));
-        let err = ChunkedReader::new(&buf[..]).map(|_| ()).unwrap_err();
+        let err = TraceReader::new(&buf[..]).map(|_| ()).unwrap_err();
         assert!(matches!(err, ReadError::BadHeader(_)));
     }
 
@@ -1638,7 +1112,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
         // A chunk size that does not divide 500 exercises the tail chunk.
-        let mut reader = ChunkedReader::with_chunk_size(&buf[..], 64).unwrap();
+        let mut reader = TraceReader::new(&buf[..]).unwrap().with_chunk_size(64);
         assert_eq!(reader.name(), "sample");
         assert_eq!(reader.total(), 500);
         let mut streamed = Vec::new();
@@ -1658,7 +1132,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
         buf.truncate(buf.len() - 7);
-        let mut reader = ChunkedReader::with_chunk_size(&buf[..], 128).unwrap();
+        let mut reader = TraceReader::new(&buf[..]).unwrap().with_chunk_size(128);
         let err = loop {
             match reader.next_chunk() {
                 Ok(Some(_)) => {}
@@ -1757,7 +1231,7 @@ mod tests {
         write_binary2(&t, &mut buf).unwrap();
         // A tiny chunk size forces every run to straddle chunk
         // boundaries; the decoder's delta/run state must persist.
-        let mut r = Sact2Reader::with_chunk_size(&buf[..], 7).unwrap();
+        let mut r = TraceReader::new(&buf[..]).unwrap().with_chunk_size(7);
         assert_eq!(r.name(), t.name());
         assert_eq!(r.total(), t.len() as u64);
         let mut got = Vec::new();
@@ -1907,6 +1381,18 @@ mod tests {
         }
     }
 
+    /// Whether `src` reads through a memory mapping; every file opens
+    /// mapped on the platforms with the mapping shim.
+    fn maps_file(src: &TraceReader) -> bool {
+        let mapped = matches!(src.bytes, Bytes::Mapped(_));
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        assert!(mapped, "mapping must engage on supported platforms");
+        mapped
+    }
+
     #[test]
     fn mapped_sact_matches_streaming_and_borrows_chunks() {
         let t = sample_trace();
@@ -1916,27 +1402,18 @@ mod tests {
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SACT");
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        assert!(
-            src.is_mapped(),
-            "mapping must engage on supported platforms"
-        );
         let mapped = drain_to_trace(&mut src).unwrap();
         assert_eq!(mapped.name(), t.name());
         assert_eq!(mapped.as_slice(), t.as_slice());
-        if let FileSource::Mapped(r) = &src {
+        if maps_file(&src) {
             assert!(
-                r.borrowed_chunks() > 0,
+                src.borrowed_chunks() > 0,
                 "aligned clean SACT chunks must be borrowed, not copied"
             );
         }
 
-        let mut streamed = FileSource::open_streamed(&path).unwrap();
-        assert!(!streamed.is_mapped());
-        let s = drain_to_trace(&mut streamed).unwrap();
+        let mut owned = TraceReader::new(&buf[..]).unwrap();
+        let s = drain_to_trace(&mut owned).unwrap();
         assert_eq!(s.as_slice(), mapped.as_slice());
         assert_eq!(s.name(), mapped.name());
         std::fs::remove_file(path).ok();
@@ -1951,9 +1428,9 @@ mod tests {
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SAC2");
+        maps_file(&src);
         let mapped = drain_to_trace(&mut src).unwrap();
-        let mut streamed = FileSource::open_streamed(&path).unwrap();
-        let s = drain_to_trace(&mut streamed).unwrap();
+        let s = read_any(&buf[..]).unwrap();
         assert_eq!(mapped.as_slice(), t.as_slice());
         assert_eq!(s.as_slice(), mapped.as_slice());
         std::fs::remove_file(path).ok();
@@ -1984,9 +1461,10 @@ mod tests {
         let back = drain_to_trace(&mut src).unwrap();
         assert_eq!(back.name(), "sampl");
         assert_eq!(back.as_slice(), t.as_slice());
-        if let FileSource::Mapped(r) = &src {
+        // A page-aligned mapping puts the payload at an odd offset.
+        if maps_file(&src) {
             assert_eq!(
-                r.borrowed_chunks(),
+                src.borrowed_chunks(),
                 0,
                 "misaligned payload cannot be borrowed"
             );
@@ -2000,20 +1478,17 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
         let namelen = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        // Set a reserved bit in the first entry's flag byte; both readers
+        // Set a reserved bit in the first entry's flag byte; both stores
         // must mask it away identically.
         buf[20 + namelen + 14] |= 0x80;
         let path = tmp_file("mapped_dirty_flags.sact", &buf);
 
         let mut mapped = FileSource::open(&path).unwrap();
         let m = drain_to_trace(&mut mapped).unwrap();
-        let mut streamed = FileSource::open_streamed(&path).unwrap();
-        let s = drain_to_trace(&mut streamed).unwrap();
+        let s = read_binary(&buf[..]).unwrap();
         assert_eq!(m.as_slice(), s.as_slice());
         assert_eq!(m.as_slice()[0], t.as_slice()[0], "reserved bits masked");
-        if let FileSource::Mapped(r) = &mapped {
-            assert_eq!(r.borrowed_chunks(), 0, "dirty flags disable borrowing");
-        }
+        assert_eq!(mapped.borrowed_chunks(), 0, "dirty flags disable borrowing");
         std::fs::remove_file(path).ok();
     }
 
@@ -2027,6 +1502,9 @@ mod tests {
         let mut src = FileSource::open(&path).unwrap();
         let err = drain_to_trace(&mut src).unwrap_err();
         assert!(matches!(err, ReadError::BadEntry(_)), "{err}");
+        assert!(err.to_string().contains("0..500"), "{err}");
+        let owned = read_binary(&buf[..]).unwrap_err();
+        assert_eq!(err.to_string(), owned.to_string());
         std::fs::remove_file(path).ok();
     }
 

@@ -1,5 +1,5 @@
 //! Read-only memory mapping of trace files — the zero-copy substrate of
-//! [`crate::io::MappedReader`].
+//! [`crate::io::TraceReader::open`].
 //!
 //! This is the one corner of the crate that uses `unsafe`, and it is kept
 //! deliberately small. The safety argument:
@@ -18,7 +18,7 @@
 //! * No `libc` dependency is available in this workspace, so the Linux
 //!   implementation issues the two raw syscalls (`mmap`, `munmap`)
 //!   directly via inline assembly on x86_64/aarch64. Every other platform
-//!   reports `Unsupported` and callers fall back to the streaming reader.
+//!   reports `Unsupported` and callers read the file whole instead.
 //!
 //! [`Access`]: crate::Access
 
@@ -284,7 +284,7 @@ mod imp {
     use std::io;
 
     /// Stub on platforms without the raw-syscall shim: mapping always
-    /// reports `Unsupported`, so callers take the streaming path.
+    /// reports `Unsupported`, so callers read the file whole.
     pub(super) struct Mmap;
 
     impl Mmap {

@@ -21,7 +21,7 @@ use software_assisted_caches::trace::stats::{
 use software_assisted_caches::trace::{self as trace_mod, io as trace_io, Trace};
 use software_assisted_caches::workloads;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{Read, Write};
 use std::process::ExitCode;
 
 const BENCHMARKS: [&str; 9] = [
@@ -82,11 +82,9 @@ USAGE:
       --small                      scaled-down problem size
       --levels                     attach variable-virtual-line levels
   sac stats <trace-file>           reuse/vector/tag statistics of a trace
-      --stream                     force the streaming reader (no mmap)
   sac simulate <trace-file> [-c <config>]...
                                    run cache configurations over a trace
-                                   (default: standard and soft)
-      --stream                     force the streaming reader (no mmap)"
+                                   (default: standard and soft)"
     );
 }
 
@@ -317,32 +315,34 @@ fn write_with_progress(trace: &Trace, w: &mut impl Write, sact2: bool) -> std::i
     Ok(())
 }
 
-/// Loads a trace from `path`: either binary format first (sniffed by
-/// magic, memory-mapped for zero-copy decode unless `stream` forces the
-/// buffered reader), falling back to the text format.
-fn load_trace(path: &str, stream: bool) -> Result<Trace, String> {
-    let src = if stream {
-        trace_io::FileSource::open_streamed(path)
-    } else {
-        trace_io::FileSource::open(path)
-    };
-    match src {
-        Ok(mut s) => trace_io::drain_to_trace(&mut s).map_err(|e| format!("{path}: {e}")),
-        // Not a binary trace: fall back to the text format.
-        Err(_) => {
-            let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            trace_io::read_text(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
-        }
+/// Loads a trace from `path`: a binary trace when the magic bytes name
+/// either wire format (memory-mapped for zero-copy decode where the
+/// platform allows; header errors are reported as such), the text
+/// format otherwise.
+fn load_trace(path: &str) -> Result<Trace, String> {
+    let fail = |e: trace_io::ReadError| format!("{path}: {e}");
+    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let mut head = Vec::with_capacity(4);
+    (&file)
+        .take(4)
+        .read_to_end(&mut head)
+        .map_err(|e| format!("read {path}: {e}"))?;
+    if trace_io::sniff_format(&head).is_some() {
+        return trace_io::read_path(path).map_err(fail);
     }
+    trace_io::read_text(head.chain(file)).map_err(fail)
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let stream = args.iter().any(|a| a == "--stream");
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("usage: sac stats <trace-file> [--stream]")?;
-    let trace = load_trace(path, stream)?;
+    let mut path = None;
+    for a in args {
+        match a.as_str() {
+            other if !other.starts_with('-') => path = Some(other),
+            other => return Err(format!("unknown option '{other}'")),
+        }
+    }
+    let path = path.ok_or("usage: sac stats <trace-file>")?;
+    let trace = load_trace(path)?;
     println!("{trace}");
     println!(
         "footprint: {} words ({} KB); {:.1}% loads; issue time {} cycles",
@@ -372,23 +372,21 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let mut path = None;
     let mut configs: Vec<String> = Vec::new();
-    let mut stream = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "-c" | "--config" => {
                 configs.push(it.next().ok_or("missing value for --config")?.clone())
             }
-            "--stream" => stream = true,
             other if !other.starts_with('-') => path = Some(other.to_string()),
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let path = path.ok_or("usage: sac simulate <trace-file> [-c <config>]... [--stream]")?;
+    let path = path.ok_or("usage: sac simulate <trace-file> [-c <config>]...")?;
     if configs.is_empty() {
         configs = vec!["standard".into(), "soft".into()];
     }
-    let trace = load_trace(&path, stream)?;
+    let trace = load_trace(&path)?;
     println!("{trace}\n");
     println!(
         "{:<16} {:>8} {:>11} {:>11} {:>10} {:>10}",

@@ -9,15 +9,15 @@
 //! sact-convert trace.sact                  # -> trace.sact2 (SAC2)
 //! sact-convert trace.sact2 --to sact       # -> trace.sact  (SACT)
 //! sact-convert trace.sact -o /tmp/out.bin  # explicit output path
-//! sact-convert trace.sact --stream         # force the streaming reader
 //! ```
 //!
 //! The input is memory-mapped where the platform allows (`SACT` chunks
-//! are then borrowed straight from the page cache), with `--stream` as
-//! the differential-testing opt-out; either way conversion runs
-//! chunk-by-chunk through the same decoders the replay engine uses, so a
-//! multi-gigabyte trace converts in constant memory, and the announced
-//! entry count is carried from the input header (the writers enforce it).
+//! are then borrowed straight from the page cache) and read whole
+//! otherwise. Conversion runs chunk-by-chunk through the same decoder
+//! the replay engine uses, so besides the input bytes the converter
+//! holds one decoded chunk and one pending `SAC2` run, and the announced
+//! entry count is carried from the input header (the writers enforce
+//! it).
 
 use sac_obs::ProgressGauge;
 use sac_trace::io::{
@@ -33,10 +33,9 @@ use std::process::exit;
 const PROGRESS_MIN_BYTES: u64 = 64 << 20;
 
 fn usage() -> ! {
-    eprintln!("usage: sact-convert <trace-file> [-o <output>] [--to sact|sact2] [--stream]");
+    eprintln!("usage: sact-convert <trace-file> [-o <output>] [--to sact|sact2]");
     eprintln!("  converts between the SACT (fixed-width) and SAC2 (delta) formats;");
-    eprintln!("  the input format is sniffed, the default target is the other format;");
-    eprintln!("  --stream forces the streaming reader over the memory-mapped one.");
+    eprintln!("  the input format is sniffed, the default target is the other format.");
     exit(2)
 }
 
@@ -45,13 +44,11 @@ fn main() {
     let mut input: Option<String> = None;
     let mut output: Option<String> = None;
     let mut target: Option<String> = None;
-    let mut stream = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "-o" | "--out" => output = Some(it.next().unwrap_or_else(|| usage())),
             "--to" => target = Some(it.next().unwrap_or_else(|| usage())),
-            "--stream" => stream = true,
             "-h" | "--help" => usage(),
             other if !other.starts_with('-') && input.is_none() => {
                 input = Some(other.to_string());
@@ -62,12 +59,7 @@ fn main() {
     let Some(input) = input else { usage() };
 
     let in_bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
-    let open = if stream {
-        FileSource::open_streamed(&input)
-    } else {
-        FileSource::open(&input)
-    };
-    let mut reader = match open {
+    let mut reader = match FileSource::open(&input) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sact-convert: {input}: {e}");

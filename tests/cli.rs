@@ -115,6 +115,44 @@ fn unknown_arguments_fail_cleanly() {
         .output()
         .expect("run sac");
     assert!(!out.status.success());
+
+    // Unknown options are rejected even next to a readable trace.
+    let path = tmpfile("unknown-options.trace");
+    std::fs::write(&path, "# trace: tiny\nR 0x40 1 0 3 9\n").unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        ["stats", "--bogus", file],
+        ["stats", "--stream", file],
+        ["simulate", "--stream", file],
+    ] {
+        let out = sac().args(args).output().expect("run sac");
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A file carrying a binary magic is decoded as that format: a bad
+/// header is reported as such, not retried as a text trace.
+#[test]
+fn binary_header_errors_are_reported_not_parsed_as_text() {
+    let path = tmpfile("version9.sact");
+    let mut bytes = b"SACT".to_vec();
+    bytes.extend_from_slice(&9u32.to_le_bytes()); // version
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // namelen
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // count
+    std::fs::write(&path, bytes).unwrap();
+    for cmd in ["stats", "simulate"] {
+        let out = sac()
+            .args([cmd, path.to_str().unwrap()])
+            .output()
+            .expect("run sac");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unsupported version 9"), "{cmd}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Both `sac trace` and `sact-convert` validate their output path

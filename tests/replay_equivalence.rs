@@ -13,7 +13,7 @@ use software_assisted_caches::experiments::runner::ReplayBatch;
 use software_assisted_caches::experiments::{Config, Suite};
 use software_assisted_caches::obs::{CountingProbe, ObsConfig, TracingProbe};
 use software_assisted_caches::simcache::{CacheSim, Metrics};
-use software_assisted_caches::trace::io::{read_text, write_binary, ChunkedReader};
+use software_assisted_caches::trace::io::{read_text, write_binary, TraceReader};
 use software_assisted_caches::trace::Trace;
 
 fn golden() -> Trace {
@@ -53,7 +53,7 @@ fn batched(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
 fn streamed(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
     let mut bytes = Vec::new();
     write_binary(trace, &mut bytes).expect("in-memory SACT write");
-    let mut reader = ChunkedReader::new(&bytes[..]).expect("valid SACT header");
+    let mut reader = TraceReader::new(&bytes[..]).expect("valid SACT header");
     let mut batch = ReplayBatch::new();
     for (label, cfg) in cells {
         batch.push(label.clone(), cfg);
@@ -66,7 +66,9 @@ fn streamed(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
 fn streamed_small_chunks(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
     let mut bytes = Vec::new();
     write_binary(trace, &mut bytes).expect("in-memory SACT write");
-    let mut reader = ChunkedReader::with_chunk_size(&bytes[..], 7).expect("valid SACT header");
+    let mut reader = TraceReader::new(&bytes[..])
+        .expect("valid SACT header")
+        .with_chunk_size(7);
     let mut batch = ReplayBatch::new();
     for (label, cfg) in cells {
         batch.push(label.clone(), cfg);
@@ -318,19 +320,17 @@ fn generated_suite_trace_replays_identically_on_all_paths() {
 /// split SAC2 runs mid-stream.
 #[test]
 fn sact2_streamed_replay_matches_all_other_paths() {
-    use software_assisted_caches::trace::io::{write_binary2, TraceReader};
+    use software_assisted_caches::trace::io::{write_binary2, DEFAULT_CHUNK};
 
     for trace in [golden(), random_trace(0x5AC2_2026, 4_000)] {
         let cells = configs();
         let mut bytes2 = Vec::new();
         write_binary2(&trace, &mut bytes2).expect("in-memory SAC2 write");
 
-        for chunk_entries in [usize::MAX, 7] {
-            let mut reader = if chunk_entries == usize::MAX {
-                TraceReader::new(&bytes2[..]).expect("valid SAC2 header")
-            } else {
-                TraceReader::with_chunk_size(&bytes2[..], chunk_entries).expect("valid SAC2 header")
-            };
+        for chunk_entries in [DEFAULT_CHUNK, 7] {
+            let mut reader = TraceReader::new(&bytes2[..])
+                .expect("valid SAC2 header")
+                .with_chunk_size(chunk_entries);
             assert_eq!(reader.format(), "SAC2");
             let mut batch = ReplayBatch::new();
             for (label, cfg) in &cells {

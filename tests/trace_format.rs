@@ -7,32 +7,64 @@
 //!   fixture decodes to the committed golden text trace (so the wire
 //!   format itself is frozen, not just the codec pair).
 //! * **Fuzz-style robustness** — seeded `SplitMix64` generators feed
-//!   truncated, bit-flipped and garbage streams to both decoders. Every
-//!   outcome must be a clean [`ReadError`] or a correct trace — never a
-//!   panic, an allocation blow-up, or a silently wrong length.
+//!   truncated, bit-flipped and garbage streams to every entry point,
+//!   in memory and through a file (memory-mapped where the platform
+//!   allows). Every outcome must be a clean [`ReadError`] or a correct
+//!   trace — never a panic, an allocation blow-up, or a silently wrong
+//!   length — and the two byte stores must agree exactly.
 //! * **Cross-format confusion** — a header of one format stapled to the
 //!   body of the other must be rejected, not misdecoded.
 
 use software_assisted_caches::trace::io::{
-    read_any, read_binary, read_binary2, write_binary, write_binary2, ChunkSource, ChunkedReader,
-    ReadError, Sact2Reader, TraceReader,
+    read_any, read_binary, read_binary2, write_binary, write_binary2, ChunkSource, FileSource,
+    ReadError, TraceReader, DEFAULT_CHUNK,
 };
 use software_assisted_caches::trace::rng::SplitMix64;
 use software_assisted_caches::trace::{io as trace_io, Trace};
 use software_assisted_caches::workloads;
 
-/// Decodes `bytes` through every reader entry point; panics only if a
-/// decoder panics (the property under test), returns how many decoded.
+/// Decodes `bytes` through every reader entry point, in memory and from
+/// a file; panics if a decoder panics (the property under test) or if
+/// the file-backed outcome differs from the in-memory one, returns how
+/// many decoded.
 fn decode_all_entry_points(bytes: &[u8]) -> Vec<Result<usize, ReadError>> {
-    vec![
+    let mut outcomes = vec![
         read_binary(bytes).map(|t| t.len()),
         read_binary2(bytes).map(|t| t.len()),
         read_any(bytes).map(|t| t.len()),
-        // The chunked paths exercise the streaming state machines.
-        drain(ChunkedReader::with_chunk_size(bytes, 17)),
-        drain(Sact2Reader::with_chunk_size(bytes, 17)),
-        drain(TraceReader::with_chunk_size(bytes, 17)),
-    ]
+    ];
+    let path = temp_input(bytes);
+    // A chunk size of 17 splits SAC2 runs across chunk boundaries.
+    for chunk in [DEFAULT_CHUNK, 17] {
+        let in_memory = drain(TraceReader::new(bytes).map(|r| r.with_chunk_size(chunk)));
+        let from_file = drain(FileSource::open(&path).map(|r| r.with_chunk_size(chunk)));
+        assert_eq!(
+            outcome(&from_file),
+            outcome(&in_memory),
+            "file and in-memory decodes differ at chunk size {chunk}"
+        );
+        outcomes.extend([in_memory, from_file]);
+    }
+    std::fs::remove_file(path).unwrap();
+    outcomes
+}
+
+/// A decode outcome in comparable form: the length, or the error text.
+fn outcome(r: &Result<usize, ReadError>) -> Result<usize, String> {
+    r.as_ref().map(|&n| n).map_err(ToString::to_string)
+}
+
+/// Writes `bytes` to a fresh temp file (unique across test threads).
+fn temp_input(bytes: &[u8]) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "sac-trace-format-{}-{}.bin",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    path
 }
 
 fn drain<S: ChunkSource>(r: Result<S, ReadError>) -> Result<usize, ReadError> {
