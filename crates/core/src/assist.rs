@@ -74,35 +74,22 @@ impl AssistPolicy {
         }
     }
 
-    /// FIFO victim way: smallest insertion stamp, invalid ways first.
-    fn assist_victim_way(&self) -> usize {
-        let ways = self.assist.geometry().ways() as usize;
-        let mut best = 0;
-        let mut best_key = (u64::MAX, u64::MAX);
-        for way in 0..ways {
-            let e = self.assist.entry(0, way);
-            let key = if e.valid { (1, e.lru) } else { (0, 0) };
-            if key < best_key {
-                best_key = key;
-                best = way;
-            }
-        }
-        best
-    }
-
-    /// Inserts a line into the assist cache; the FIFO evictee is
-    /// promoted to the main cache unless it is marked spatial-only (the
-    /// `prefetched` field doubles as the HP spatial-only bit here).
-    /// Returns any write-buffer stall.
+    /// Inserts a line, stamped with its insertion order, into the assist
+    /// cache; the FIFO evictee (smallest insertion stamp, invalid ways
+    /// first) is promoted to the main cache unless it is marked
+    /// spatial-only (the `prefetched` field doubles as the HP
+    /// spatial-only bit here). Returns any write-buffer stall.
     fn assist_insert<P: Probe>(
         &mut self,
         sys: &mut MemorySystem,
         probe: &mut P,
         entry: Entry,
     ) -> u64 {
-        let way = self.assist_victim_way();
         let line = entry.line;
+        let way = self.assist.victim_way(line);
         let evicted = self.assist.install(line, way, entry);
+        // install() refreshes lru; keep the FIFO insertion stamp.
+        self.assist.entry_mut(line, way).lru = entry.lru;
         if !evicted.valid {
             return 0;
         }
@@ -196,12 +183,7 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
             prefetched: a.spatial() && !a.temporal(),
             lru: self.fifo_clock,
         };
-        // install() refreshes lru; restore FIFO stamping by using the
-        // insertion order we just assigned.
         let wb_stall = self.assist_insert(sys, probe, entry);
-        if let Some(idx) = self.assist.peek(line) {
-            self.assist.entry_at_mut(idx).lru = self.fifo_clock;
-        }
         sys.metrics_mut().stall_cycles += wb_stall;
         cost += wb_stall;
         (cost, 0)

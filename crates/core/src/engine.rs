@@ -2,11 +2,11 @@
 
 use crate::config::{Replacement, SoftCacheConfig};
 use crate::fillbuf::{FillBuffer, FillSlot};
-use crate::vline::virtual_block;
+use crate::vline::aligned_block;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, MemorySystem, Metrics, TagArray,
-    DIRTY_TRANSFER_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, Evict, MemorySystem, Metrics,
+    TagArray, DIRTY_TRANSFER_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_trace::Access;
 
@@ -28,16 +28,29 @@ const MAX_INFLIGHT: usize = 4;
 pub struct SoftPolicy {
     cfg: SoftCacheConfig,
     main: TagArray,
+    /// The main array's replacement order (from `cfg.replacement`).
+    main_evict: Evict,
     bounce: Option<TagArray>,
     inflight: Vec<InflightPrefetch>,
+    /// No in-flight prefetch arrives before this cycle (`u64::MAX` when
+    /// none is in flight). A lower bound: dropping a prefetch leaves it
+    /// in place until the next delivery pass recomputes it.
+    next_ready: u64,
     prefetched_resident: u32,
     fillbuf: FillBuffer,
+    /// `fetch_cost[n]` is the miss penalty `t_lat + n·LS/w_b` of `n`
+    /// physical lines, for every `n` up to the largest virtual line.
+    fetch_cost: Box<[u64]>,
+    /// Bus cycles to transfer one physical line.
+    line_transfer: u64,
+    /// Physical lines per default virtual line (`cfg.vline_span()`).
+    vline_span: u64,
     // Scratch buffers reused across misses (the miss path used to
-    // allocate two Vecs per miss, which dominated system time on long
+    // allocate Vecs per miss, which dominated system time on long
     // sweeps). Taken with `mem::take` for the duration of a miss and
     // restored afterwards, keeping their capacity.
     needed_buf: Vec<u64>,
-    fill_sets_buf: Vec<u64>,
+    stale_buf: Vec<u64>,
 }
 
 impl SoftPolicy {
@@ -56,23 +69,31 @@ impl SoftPolicy {
         } else {
             cfg.virtual_line_bytes
         };
+        let max_span = cfg.vline_span().max(max_vline / ls);
         SoftPolicy {
             cfg,
             main: TagArray::new(cfg.geometry),
+            main_evict: match cfg.replacement {
+                Replacement::Lru => Evict::Lru,
+                Replacement::PreferNonTemporal => Evict::NonTemporalFirst,
+            },
             bounce,
             inflight: Vec::with_capacity(MAX_INFLIGHT),
+            next_ready: u64::MAX,
             prefetched_resident: 0,
             fillbuf: FillBuffer::for_geometry(cfg.geometry, max_vline),
+            fetch_cost: (0..=max_span)
+                .map(|n| cfg.memory.fetch_cycles(n, ls))
+                .collect(),
+            line_transfer: cfg.memory.transfer_cycles(ls),
+            vline_span: cfg.vline_span(),
             needed_buf: Vec::new(),
-            fill_sets_buf: Vec::new(),
+            stale_buf: Vec::new(),
         }
     }
 
     fn main_victim_way(&self, line: u64) -> usize {
-        match self.cfg.replacement {
-            Replacement::Lru => self.main.victim_way(line),
-            Replacement::PreferNonTemporal => self.main.victim_way_prefer_nontemporal(line),
-        }
+        self.main.victim(line, self.main_evict)
     }
 
     /// Sends an entry to the write buffer if dirty, else drops it. The
@@ -90,62 +111,72 @@ impl SoftPolicy {
         }
     }
 
-    /// Selects the bounce-back way to receive a new entry.
+    /// The bounce-back replacement order for an incoming entry.
     ///
     /// Prefetched insertions above the residency cap preferentially
     /// replace other prefetched lines (§4.4); everything else is plain
     /// LRU with invalid ways first.
-    fn bounce_victim_way(bb: &TagArray, line: u64, prefetched: bool, over_cap: bool) -> usize {
-        let ways = bb.geometry().ways() as usize;
-        let mut best = 0usize;
-        let mut best_key = (u64::MAX, u64::MAX);
-        for way in 0..ways {
-            let e = bb.entry(line, way);
-            let key = if !e.valid {
-                (0, 0)
-            } else if prefetched && over_cap && e.prefetched {
-                (1, e.lru)
-            } else {
-                (2, e.lru)
-            };
-            if key < best_key {
-                best_key = key;
-                best = way;
-            }
+    fn bounce_evict(&self, entry: &Entry) -> Evict {
+        if entry.prefetched && self.prefetched_resident >= self.cfg.max_prefetched {
+            Evict::PrefetchedFirst
+        } else {
+            Evict::Lru
         }
-        best
     }
 
     /// Inserts a main-cache victim (or an arriving prefetched line) into
     /// the bounce-back cache, bouncing temporal evictees back to the main
-    /// cache. `fill_sets` holds the main-cache sets being filled by the
-    /// current miss: bouncing into one of them would ping-pong with the
+    /// cache. `filling` holds the lines the current miss is fetching:
+    /// bouncing into one of their main-cache sets would ping-pong with the
     /// incoming data, so such lines are discarded instead (§2.2).
+    ///
+    /// `lru_hint` is `(line, way)` from an earlier pass over `line`'s
+    /// bounce-back set that nothing has changed since: `way` is that
+    /// set's LRU way, so a plain-LRU insertion into the same set takes it
+    /// without another pass.
     fn bounce_insert<P: Probe>(
         &mut self,
         sys: &mut MemorySystem,
         probe: &mut P,
-        mut entry: Entry,
-        fill_sets: &[u64],
+        entry: Entry,
+        filling: &[u64],
+        lru_hint: Option<(u64, usize)>,
     ) {
         if !self.cfg.admit_nontemporal && !entry.temporal && !entry.prefetched {
             // Temporal-only admission (ablation of §2.2).
             self.discard(sys, probe, entry);
             return;
         }
-        let Some(mut bb) = self.bounce.take() else {
+        let evict = self.bounce_evict(&entry);
+        let Some(bb) = &self.bounce else {
             self.discard(sys, probe, entry);
             return;
         };
-        let over_cap = entry.prefetched && self.prefetched_resident >= self.cfg.max_prefetched;
-        let way = Self::bounce_victim_way(&bb, entry.line, entry.prefetched, over_cap);
+        let set_of = |l| bb.geometry().set_of_line(l);
+        let way = match lru_hint {
+            Some((l, way)) if evict == Evict::Lru && set_of(l) == set_of(entry.line) => way,
+            _ => bb.victim(entry.line, evict),
+        };
+        self.bounce_install(sys, probe, entry, way, filling);
+    }
+
+    /// Installs an admitted entry at bounce-back way `way` (chosen by
+    /// [`Self::bounce_evict`]) and disposes of the evictee.
+    fn bounce_install<P: Probe>(
+        &mut self,
+        sys: &mut MemorySystem,
+        probe: &mut P,
+        mut entry: Entry,
+        way: usize,
+        filling: &[u64],
+    ) {
         if entry.prefetched {
             self.prefetched_resident += 1;
         }
         let line = entry.line;
         entry.lru = 0; // install refreshes it
+        let bb = self.bounce.as_mut().expect("a bounce-back way was chosen");
         let evicted = bb.install(line, way, entry);
-        self.bounce = Some(bb);
         if !evicted.valid {
             return;
         }
@@ -153,7 +184,7 @@ impl SoftPolicy {
             self.prefetched_resident = self.prefetched_resident.saturating_sub(1);
         }
         if self.cfg.use_temporal && evicted.temporal {
-            self.bounce_back(sys, probe, evicted, fill_sets);
+            self.bounce_back(sys, probe, evicted, filling);
         } else {
             self.discard(sys, probe, evicted);
         }
@@ -166,12 +197,13 @@ impl SoftPolicy {
         sys: &mut MemorySystem,
         probe: &mut P,
         mut evicted: Entry,
-        fill_sets: &[u64],
+        filling: &[u64],
     ) {
-        let dest_set = self.cfg.geometry.set_of_line(evicted.line);
+        let geom = self.cfg.geometry;
+        let dest_set = geom.set_of_line(evicted.line);
         // No ping-pong with the pending miss: a bounce aimed at a slot the
         // miss is filling is discarded (write-buffered when dirty).
-        if fill_sets.contains(&dest_set) {
+        if filling.iter().any(|&l| geom.set_of_line(l) == dest_set) {
             self.discard(sys, probe, evicted);
             return;
         }
@@ -214,12 +246,7 @@ impl SoftPolicy {
                 continue;
             }
             let p = self.inflight.remove(i);
-            if self.main.peek(p.line).is_some()
-                || self
-                    .bounce
-                    .as_ref()
-                    .is_some_and(|bb| bb.peek(p.line).is_some())
-            {
+            if self.main.peek(p.line).is_some() {
                 continue;
             }
             let entry = Entry {
@@ -230,8 +257,23 @@ impl SoftPolicy {
                 prefetched: true,
                 lru: 0,
             };
-            self.bounce_insert(sys, probe, entry, &[]);
+            // One pass over the bounce-back set: already there, or the
+            // way the arrival takes.
+            let evict = self.bounce_evict(&entry);
+            let bb = self
+                .bounce
+                .as_ref()
+                .expect("prefetches need a bounce-back cache");
+            if let Err(way) = bb.lookup(p.line, evict) {
+                self.bounce_install(sys, probe, entry, way, &[]);
+            }
         }
+        self.next_ready = self
+            .inflight
+            .iter()
+            .map(|p| p.ready_at)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Issues prefetches for `degree` consecutive lines starting at
@@ -248,10 +290,7 @@ impl SoftPolicy {
             return;
         }
         let degree = self.cfg.prefetch_degree as u64;
-        let transfer = self
-            .cfg
-            .memory
-            .transfer_cycles(self.cfg.geometry.line_bytes());
+        let transfer = self.line_transfer;
         for k in 0..degree {
             let l = line + k;
             if self.main.peek(l).is_some()
@@ -268,10 +307,9 @@ impl SoftPolicy {
                 probe.on_event(&Event::PrefetchIssue { line: l });
             }
             sys.record_fetch_traffic(1);
-            self.inflight.push(InflightPrefetch {
-                line: l,
-                ready_at: ready_at + k * transfer,
-            });
+            let ready_at = ready_at + k * transfer;
+            self.next_ready = self.next_ready.min(ready_at);
+            self.inflight.push(InflightPrefetch { line: l, ready_at });
         }
     }
 
@@ -342,37 +380,35 @@ impl SoftPolicy {
         }
         if was_prefetched {
             // Progressive prefetch: fetch the consecutive physical line.
-            let ready = sys.now()
-                + cost
-                + self
-                    .cfg
-                    .memory
-                    .fetch_cycles(1, self.cfg.geometry.line_bytes());
+            let ready = sys.now() + cost + self.fetch_cost[1];
             self.issue_prefetch(sys, probe, line + 1, ready);
         }
         cost
     }
 
     /// Handles a full miss: virtual-line fill plus bounce-back
-    /// maintenance. Returns the access cost.
+    /// maintenance. `bb_lru` is the LRU way of `line`'s bounce-back set,
+    /// from the pass that found `line` absent there. Returns the access
+    /// cost.
     fn full_miss<P: Probe>(
         &mut self,
         sys: &mut MemorySystem,
         probe: &mut P,
         line: u64,
         a: &Access,
+        bb_lru: Option<usize>,
     ) -> u64 {
         let geom = self.cfg.geometry;
         sys.metrics_mut().misses += 1;
         let block = if self.cfg.use_spatial && a.spatial() {
-            let vbytes = if self.cfg.variable_vlines && a.spatial_level() > 0 {
+            let span = if self.cfg.variable_vlines && a.spatial_level() > 0 {
                 // §3.2 extension: the reference's own level picks the
                 // virtual line size (2^L physical lines, capped at 8).
-                geom.line_bytes() << a.spatial_level().min(3)
+                1 << a.spatial_level().min(3)
             } else {
-                self.cfg.virtual_line_bytes
+                self.vline_span
             };
-            virtual_block(line, geom.line_bytes(), vbytes)
+            aligned_block(line, span)
         } else {
             line..line + 1
         };
@@ -386,13 +422,7 @@ impl SoftPolicy {
                 .clone()
                 .filter(|&l| l == line || self.main.peek(l).is_none()),
         );
-        let mut fill_sets = std::mem::take(&mut self.fill_sets_buf);
-        fill_sets.clear();
-        fill_sets.extend(needed.iter().map(|&l| geom.set_of_line(l)));
-        let penalty = self
-            .cfg
-            .memory
-            .fetch_cycles(needed.len() as u64, geom.line_bytes());
+        let penalty = self.fetch_cost[needed.len()];
         sys.record_fetch_traffic(needed.len() as u64);
         if P::ENABLED && block.end - block.start > 1 {
             probe.on_event(&Event::VlineFill {
@@ -413,12 +443,15 @@ impl SoftPolicy {
             });
         }
         let mut dirty_victims = 0u64;
+        // The bounce-back cache is untouched until the first insertion,
+        // which may reuse the miss's pass over it.
+        let mut lru_hint = bb_lru.map(|way| (line, way));
         for &l in &needed {
             let slot = self.fillbuf.pop().expect("one slot per request");
             debug_assert_eq!(slot.line, l, "in-order arrival");
             let way = slot.way;
             let dirty = l == line && a.kind().is_write();
-            let displaced = self.main.fill(l, way, a.addr(), dirty);
+            let displaced = self.main.fill(l, way, dirty);
             if P::ENABLED {
                 probe.on_event(&Event::LineFill {
                     line: l,
@@ -442,14 +475,13 @@ impl SoftPolicy {
                 }
             }
             if l == line {
-                let idx = self.main.peek(line).expect("just filled");
-                Self::note_temporal(&self.cfg, self.main.entry_at_mut(idx), a);
+                Self::note_temporal(&self.cfg, self.main.entry_mut(l, way), a);
             }
             if displaced.valid {
                 if displaced.dirty {
                     dirty_victims += 1;
                 }
-                self.bounce_insert(sys, probe, displaced, &fill_sets);
+                self.bounce_insert(sys, probe, displaced, &needed, lru_hint.take());
             }
         }
 
@@ -457,20 +489,34 @@ impl SoftPolicy {
         // the requests have gone out; a physical line found there keeps
         // the bounce-back copy and invalidates the incoming one. The
         // demanded line itself can never be there (it would have hit).
-        if let Some(bb) = &self.bounce {
-            for &l in &needed {
-                if l != line && bb.peek(l).is_some() {
-                    let gone = self.main.invalidate(l);
-                    if P::ENABLED {
-                        if let Some(e) = gone {
-                            probe.on_event(&Event::MainEvict {
-                                line: e.line,
-                                dirty: e.dirty,
-                            });
-                        }
+        // One pass over the bounce-back entries collects the fetched
+        // lines it holds (only a fetched line can be stale: a line of the
+        // block that was already in the main cache is not in the
+        // bounce-back cache); they are invalidated in request order.
+        if let Some(bb) = self.bounce.as_ref().filter(|_| needed.len() > 1) {
+            let mut stale = std::mem::take(&mut self.stale_buf);
+            stale.clear();
+            stale.extend(
+                bb.entries()
+                    .iter()
+                    .filter(|e| e.valid && e.line != line && block.contains(&e.line))
+                    .map(|e| e.line)
+                    .filter(|l| needed.contains(l)),
+            );
+            stale.sort_unstable();
+            stale.dedup();
+            for &l in &stale {
+                let gone = self.main.invalidate(l);
+                if P::ENABLED {
+                    if let Some(e) = gone {
+                        probe.on_event(&Event::MainEvict {
+                            line: e.line,
+                            dirty: e.dirty,
+                        });
                     }
                 }
             }
+            self.stale_buf = stale;
         }
 
         // Dirty-victim transfers hide under the miss penalty; any excess
@@ -482,11 +528,10 @@ impl SoftPolicy {
         // Software-assisted prefetch: also fetch the line following the
         // virtual line (§4.4).
         if self.cfg.use_spatial && a.spatial() {
-            let ready = sys.now() + penalty + self.cfg.memory.transfer_cycles(geom.line_bytes());
+            let ready = sys.now() + penalty + self.line_transfer;
             self.issue_prefetch(sys, probe, block.end, ready);
         }
         self.needed_buf = needed;
-        self.fill_sets_buf = fill_sets;
         penalty + residual
     }
 }
@@ -499,7 +544,7 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
 
     #[inline]
     fn before_access(&mut self, sys: &mut MemorySystem, probe: &mut P) {
-        if !self.inflight.is_empty() {
+        if sys.now() >= self.next_ready {
             self.settle_prefetch(sys, probe);
         }
     }
@@ -530,16 +575,20 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
         a: &Access,
     ) -> (u64, u64) {
         let mut cost = stall;
-        // Bounce-back hit: swap with the conflicting main line.
-        let bb_entry = self
+        // One pass over the bounce-back set: a hit swaps with the
+        // conflicting main line; a miss learns the set's LRU way.
+        let bb_lru = match self
             .bounce
             .as_mut()
-            .and_then(|bb| bb.take(line))
-            .map(|(way, e)| (Some(way), e));
-        if let Some((way, entry)) = bb_entry {
-            cost += self.bounce_hit(sys, probe, entry, way, a);
-            return (cost, SWAP_LOCK_CYCLES);
-        }
+            .map(|bb| bb.take_or_victim(line, Evict::Lru))
+        {
+            Some(Ok((way, entry))) => {
+                cost += self.bounce_hit(sys, probe, entry, Some(way), a);
+                return (cost, SWAP_LOCK_CYCLES);
+            }
+            Some(Err(way)) => Some(way),
+            None => None,
+        };
 
         // Hit on an in-flight prefetched line: wait for it, then treat
         // it as a bounce-back hit without a vacated way.
@@ -559,7 +608,7 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
             return (cost, SWAP_LOCK_CYCLES);
         }
 
-        cost += self.full_miss(sys, probe, line, a);
+        cost += self.full_miss(sys, probe, line, a, bb_lru);
         (cost, 0)
     }
 
@@ -569,6 +618,7 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
             wbs += bb.invalidate_all();
         }
         self.inflight.clear();
+        self.next_ready = u64::MAX;
         self.prefetched_resident = 0;
         wbs
     }
@@ -745,7 +795,7 @@ mod tests {
         c.access(&read(8)); // 4 → BB
         c.access(&read(12)); // 8 → BB; BB full (2): evicts 0 → BOUNCE to main
                              // 0 bounced into set 0 displacing 12... no: 12 is being filled.
-                             // fill_sets=[0] so the bounce is cancelled. Use a non-conflicting
+                             // set 0 is being filled, so the bounce is cancelled. Use a non-conflicting
                              // filler instead.
         let m = c.metrics();
         assert_eq!(m.bounces, 0, "bounce into the fill target is cancelled");

@@ -116,18 +116,6 @@ impl FillBuffer {
     pub fn total_pushes(&self) -> u64 {
         self.total_pushes
     }
-
-    /// Invalidates the pending entry for `line` (the §2.2 coherence case:
-    /// the line turned out to live in the bounce-back cache, so the
-    /// incoming copy must be dropped). Returns whether an entry matched.
-    pub fn cancel(&mut self, line: u64) -> bool {
-        if let Some(pos) = self.slots.iter().position(|s| s.line == line) {
-            self.slots.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,18 +160,6 @@ mod tests {
         f.push(slot(2));
         assert_eq!(f.peak(), 2);
         assert_eq!(f.total_pushes(), 3);
-    }
-
-    #[test]
-    fn cancel_drops_the_matching_entry() {
-        let mut f = FillBuffer::new(4);
-        f.push(slot(0));
-        f.push(slot(1));
-        f.push(slot(2));
-        assert!(f.cancel(1));
-        assert!(!f.cancel(7));
-        assert_eq!(f.pop().unwrap().line, 0);
-        assert_eq!(f.pop().unwrap().line, 2);
     }
 
     #[test]

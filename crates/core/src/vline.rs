@@ -26,8 +26,19 @@ pub fn virtual_block(line: u64, line_bytes: u64, vline_bytes: u64) -> std::ops::
         vline_bytes >= line_bytes && vline_bytes.is_multiple_of(line_bytes),
         "virtual line must be a multiple of the physical line"
     );
-    let span = vline_bytes / line_bytes;
-    let start = line - line % span;
+    aligned_block(line, vline_bytes / line_bytes)
+}
+
+/// The aligned block of `span` physical lines containing `line` (the
+/// arithmetic of [`virtual_block`], for callers that hold the span).
+#[inline]
+pub(crate) fn aligned_block(line: u64, span: u64) -> std::ops::Range<u64> {
+    // Every paper span is a power of two: mask instead of dividing.
+    let start = if span.is_power_of_two() {
+        line & !(span - 1)
+    } else {
+        line - line % span
+    };
     start..start + span
 }
 
@@ -48,6 +59,17 @@ mod tests {
     #[test]
     fn single_line_block_when_disabled() {
         assert_eq!(virtual_block(7, 32, 32), 7..8);
+    }
+
+    #[test]
+    fn odd_spans_align_like_power_of_two_spans() {
+        for span in 1..=9u64 {
+            for l in 0..40u64 {
+                let b = aligned_block(l, span);
+                assert_eq!(b.start, l / span * span);
+                assert_eq!(b.end - b.start, span);
+            }
+        }
     }
 
     #[test]

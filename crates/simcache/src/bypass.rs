@@ -103,7 +103,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
             sys.metrics_mut().misses += 1;
             cost += sys.fetch_lines(1);
             let way = self.tags.victim_way(line);
-            let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+            let old = self.tags.fill(line, way, a.kind().is_write());
             if P::ENABLED {
                 let victim = old.valid.then_some(Victim {
                     line: old.line,
@@ -177,7 +177,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                         probe.on_event(&Event::LineFill { line, demand: true });
                     }
                     let way = buffer.victim_way(line);
-                    buffer.fill(line, way, a.addr(), false);
+                    buffer.fill(line, way, false);
                 }
             }
         }

@@ -91,7 +91,7 @@ pub fn classify_misses(trace: &Trace, geom: CacheGeometry) -> MissClasses {
         if real.probe(line).is_none() {
             out.total_misses += 1;
             let way = real.victim_way(line);
-            real.fill(line, way, a.addr(), false);
+            real.fill(line, way, false);
         }
     }
     out.conflict = out

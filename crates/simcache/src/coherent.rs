@@ -425,7 +425,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         if let Some(idx) = self.cores[cpu].tags.probe(line) {
             self.hit(cpu, idx, line, bit, is_write, stall);
         } else {
-            self.miss(cpu, a.addr(), line, bit, is_write, stall);
+            self.miss(cpu, line, bit, is_write, stall);
         }
         self.cores[cpu].metrics.debug_check_invariants();
         self.global.debug_check_invariants();
@@ -463,7 +463,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         self.charge(cpu, cost);
     }
 
-    fn miss(&mut self, cpu: usize, addr: u64, line: u64, bit: u32, is_write: bool, stall: u64) {
+    fn miss(&mut self, cpu: usize, line: u64, bit: u32, is_write: bool, stall: u64) {
         self.cores[cpu].metrics.misses += 1;
         self.global.misses += 1;
         let snoop = self.snoop_remotes(cpu, line, is_write, bit);
@@ -502,9 +502,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         } else {
             Proto::fill_read(snoop.holders_after > 0)
         };
-        let old = self.cores[cpu]
-            .tags
-            .fill(line, way, addr, new_state.is_dirty());
+        let old = self.cores[cpu].tags.fill(line, way, new_state.is_dirty());
         // A fresh mask: the new copy has touched only this word.
         self.cores[cpu].words[vidx] = 1 << bit;
         if old.valid && old.dirty {

@@ -125,9 +125,9 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
         let primary_is_rehashed =
             primary.valid && self.geom.set_of_line(primary.line) != self.geom.set_of_line(line);
         let evicted = if !primary.valid || primary_is_rehashed {
-            self.tags.fill(line, 0, a.addr(), a.kind().is_write())
+            self.tags.fill(line, 0, a.kind().is_write())
         } else {
-            let old_primary = self.tags.fill(line, 0, a.addr(), a.kind().is_write());
+            let old_primary = self.tags.fill(line, 0, a.kind().is_write());
             self.tags.install_as(
                 self.rehash_line(old_primary.line),
                 old_primary.line,

@@ -81,7 +81,7 @@ pub use metrics::{ChunkDelta, Metrics};
 pub use prefetch::{NextLinePrefetchCache, PrefetchPolicy};
 pub use standard::{StandardCache, StandardPolicy};
 pub use stream::{StreamBufferCache, StreamPolicy};
-pub use tagarray::{Entry, TagArray};
+pub use tagarray::{Entry, Evict, TagArray};
 pub use victim::{VictimCache, VictimPolicy};
 pub use writebuf::{SnoopWriteBuffer, WriteBuffer};
 

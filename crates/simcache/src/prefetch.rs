@@ -105,7 +105,7 @@ impl PrefetchPolicy {
         // 3 cycles to access the buffer, plus any residual fetch latency.
         let cost = AUX_HIT_CYCLES.max(ready_at.saturating_sub(now));
         let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+        let old = self.tags.fill(line, way, a.kind().is_write());
         let mut extra = 0;
         if old.valid {
             if P::ENABLED {
@@ -171,7 +171,7 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         sys.metrics_mut().misses += 1;
         cost += sys.fetch_lines(1);
         let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+        let old = self.tags.fill(line, way, a.kind().is_write());
         if P::ENABLED {
             let victim = old.valid.then_some(Victim {
                 line: old.line,

@@ -52,7 +52,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         sys.metrics_mut().misses += 1;
         let mut cost = stall + sys.fetch_lines(1);
         let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+        let old = self.tags.fill(line, way, a.kind().is_write());
         if P::ENABLED {
             let victim = old.valid.then_some(Victim {
                 line: old.line,

@@ -72,7 +72,7 @@ impl StreamPolicy {
         a: &Access,
     ) -> (Entry, u64) {
         let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+        let old = self.tags.fill(line, way, a.kind().is_write());
         let stall = if old.valid && old.dirty {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: old.line });

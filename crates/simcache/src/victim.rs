@@ -1,8 +1,8 @@
 //! Jouppi's victim cache (the Figure 3b baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray, AUX_HIT_CYCLES,
-    SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Evict, MemoryModel, MemorySystem, TagArray,
+    AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -68,39 +68,44 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
         stall: u64,
         a: &Access,
     ) -> (u64, u64) {
-        if let Some((vway, mut ventry)) = self.victim.take(line) {
-            // Victim-cache hit: swap with the conflicting main line.
-            sys.metrics_mut().aux_hits += 1;
-            sys.metrics_mut().swaps += 1;
-            if P::ENABLED {
-                probe.on_event(&Event::AuxHit {
-                    line,
-                    source: AuxSource::Victim,
-                });
-                probe.on_event(&Event::Swap { line });
-            }
-            if a.kind().is_write() {
-                ventry.dirty = true;
-            }
-            let way = self.main.victim_way(line);
-            let displaced = self.main.install(line, way, ventry);
-            if displaced.valid {
+        // One pass over the fully associative victim array answers both
+        // "is the line here" and "which way takes the next main victim".
+        let vway = match self.victim.take_or_victim(line, Evict::Lru) {
+            Ok((vway, mut ventry)) => {
+                // Victim-cache hit: swap with the conflicting main line.
+                sys.metrics_mut().aux_hits += 1;
+                sys.metrics_mut().swaps += 1;
                 if P::ENABLED {
-                    probe.on_event(&Event::MainEvict {
-                        line: displaced.line,
-                        dirty: displaced.dirty,
+                    probe.on_event(&Event::AuxHit {
+                        line,
+                        source: AuxSource::Victim,
                     });
+                    probe.on_event(&Event::Swap { line });
                 }
-                self.victim.install(displaced.line, vway, displaced);
+                if a.kind().is_write() {
+                    ventry.dirty = true;
+                }
+                let way = self.main.victim_way(line);
+                let displaced = self.main.install(line, way, ventry);
+                if displaced.valid {
+                    if P::ENABLED {
+                        probe.on_event(&Event::MainEvict {
+                            line: displaced.line,
+                            dirty: displaced.dirty,
+                        });
+                    }
+                    self.victim.install(displaced.line, vway, displaced);
+                }
+                return (stall + AUX_HIT_CYCLES, SWAP_LOCK_CYCLES);
             }
-            return (stall + AUX_HIT_CYCLES, SWAP_LOCK_CYCLES);
-        }
+            Err(vway) => vway,
+        };
         // Miss in both: fetch from memory; the main victim moves to the
         // victim cache while the request is in flight.
         sys.metrics_mut().misses += 1;
         let mut cost = stall + sys.fetch_lines(1);
         let way = self.main.victim_way(line);
-        let displaced = self.main.fill(line, way, a.addr(), a.kind().is_write());
+        let displaced = self.main.fill(line, way, a.kind().is_write());
         if P::ENABLED {
             let victim = displaced.valid.then_some(Victim {
                 line: displaced.line,
@@ -115,7 +120,8 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
             probe.on_event(&Event::LineFill { line, demand: true });
         }
         if displaced.valid {
-            let vway = self.victim.victim_way(displaced.line);
+            // The victim array has one set and the fill left it alone, so
+            // `vway` is still its LRU way.
             let evicted = self.victim.install(displaced.line, vway, displaced);
             if evicted.valid && evicted.dirty {
                 if P::ENABLED {

@@ -275,33 +275,6 @@ fn fill_buffer_preserves_fifo_order_against_a_model() {
 }
 
 #[test]
-fn fill_buffer_cancel_removes_exactly_one_matching_entry() {
-    for_each_case(|case, rng| {
-        let mut fifo = FillBuffer::new(8);
-        // Distinct lines so cancellation is unambiguous.
-        let mut lines: Vec<u64> = Vec::new();
-        for i in 0..(1 + rng.below(7)) {
-            let line = i * 1000 + rng.below(999);
-            fifo.push(FillSlot {
-                line,
-                set: line % 256,
-                way: 0,
-            });
-            lines.push(line);
-        }
-        let victim = rng.index(lines.len());
-        assert!(fifo.cancel(lines[victim]), "case {case}");
-        assert!(
-            !fifo.cancel(u64::MAX),
-            "case {case}: missing lines do not match"
-        );
-        lines.remove(victim);
-        let drained: Vec<u64> = std::iter::from_fn(|| fifo.pop().map(|s| s.line)).collect();
-        assert_eq!(drained, lines, "case {case}: order of survivors preserved");
-    });
-}
-
-#[test]
 fn write_buffer_never_goes_back_in_time() {
     for_each_case(|case, rng| {
         let mut wb = WriteBuffer::new(4, 3);
