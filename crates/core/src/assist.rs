@@ -68,7 +68,7 @@ impl AssistPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
             }
-            sys.writeback()
+            sys.writeback(entry.line)
         } else {
             0
         }

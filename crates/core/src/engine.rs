@@ -105,7 +105,7 @@ impl SoftPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
             }
-            let stall = sys.writeback();
+            let stall = sys.writeback(entry.line);
             sys.metrics_mut().stall_cycles += stall;
             sys.charge(stall);
         }

@@ -18,10 +18,6 @@
 //! Replay is chunked: every configuration of a sweep row advances
 //! through the trace in one pass, each engine consuming a chunk while it
 //! is hot in cache.
-//! `--cell-jobs N` additionally shards each replay cell's engines across
-//! N worker threads (deterministic: partial metrics fold in engine
-//! order); the default is 1, as cross-cell sharding via `--jobs` already
-//! saturates full sweeps.
 //! `--store DIR` attaches a content-addressed on-disk result store:
 //! suite cells found in DIR (same trace content, config and engine
 //! version) are served without replay, fresh cells are persisted, so a
@@ -31,7 +27,7 @@
 //! every organization is lockstep-diffed against the standard baseline
 //! over the shared mixed trace and one reconciled divergence report per
 //! pair goes to stdout (single-threaded, so byte-identical at any
-//! `--jobs` / `--cell-jobs` setting).
+//! `--jobs` setting).
 //! `--coherence` runs the standalone multi-core pass instead of figures:
 //! the private-vs-shared sweep (miss ratio and AMAT at 2 and 4 CPUs,
 //! plus the false-sharing fraction) over two deterministic kernels and
@@ -118,13 +114,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--cell-jobs" => {
-                let n = cli::positive("--cell-jobs", iter.next()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                runner::set_cell_jobs(n);
-            }
             "--diff" => diff_pairs = true,
             "--coherence" => coherence_pass = true,
             "--protocol" => {
@@ -183,6 +172,9 @@ fn main() {
                             std::process::exit(2);
                         }
                     }
+                } else if a.starts_with("--") {
+                    eprintln!("unknown option {a}");
+                    std::process::exit(2);
                 } else {
                     wanted.push(a);
                 }
@@ -235,8 +227,8 @@ fn main() {
     // against the standard baseline over the shared mixed trace, one
     // reconciled divergence report per pair on stdout. The pass is
     // single-threaded by construction, so the output is byte-identical
-    // at any `--jobs` / `--cell-jobs` setting — which is exactly what
-    // the CI determinism leg diffs.
+    // at any `--jobs` setting — which is exactly what the CI determinism
+    // leg diffs.
     if diff_pairs {
         run_diff_pairs(small);
         return;
@@ -244,8 +236,8 @@ fn main() {
 
     // `--coherence` is a standalone pass like `--diff`: the
     // private-vs-shared multi-CPU sweep, built sequentially so the
-    // emitted table is byte-identical at any `--jobs` / `--cell-jobs`
-    // setting — the property the CI coherence-determinism leg diffs.
+    // emitted table is byte-identical at any `--jobs` setting — the
+    // property the CI coherence-determinism leg diffs.
     if coherence_pass {
         registry::reset_global();
         println!("{}", sac_experiments::coherence::coherence_table(protocol));

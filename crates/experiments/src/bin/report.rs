@@ -12,22 +12,34 @@
 //! count, `--sequential` is `--jobs 1`, default all cores); the tables
 //! are bit-identical either way. A run summary goes to stderr.
 
-use sac_experiments::{figures, runner, Suite};
+use sac_experiments::{cli, figures, runner, Suite};
+use std::path::PathBuf;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    if args.iter().any(|a| a == "--sequential") {
-        runner::set_jobs(1);
+    let mut small = false;
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--small" => small = true,
+            "--sequential" => runner::set_jobs(1),
+            "--jobs" => match cli::positive("--jobs", args.next()) {
+                Ok(n) => runner::set_jobs(n),
+                Err(e) => die(&e),
+            },
+            "--csv" => match args.next() {
+                Some(dir) => csv_dir = Some(PathBuf::from(dir)),
+                None => die("--csv needs a directory path"),
+            },
+            _ => die(&format!("unknown option {a}")),
+        }
     }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) => runner::set_jobs(n),
-            None => {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }
+    // Create the CSV directory before the sweep, so an unwritable path
+    // fails in milliseconds rather than after the whole report.
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            die(&format!("--csv: cannot create {}: {e}", dir.display()));
         }
     }
 
@@ -84,14 +96,9 @@ fn main() {
         figures::ablation_associativity(&suite),
         figures::ablation_bus_width(&suite),
     ];
-    let csv_dir = std::env::args()
-        .skip_while(|a| a != "--csv")
-        .nth(1)
-        .map(std::path::PathBuf::from);
     for t in &tables {
         println!("{}", t.to_markdown());
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let slug: String = t
                 .title()
                 .chars()
@@ -106,4 +113,10 @@ fn main() {
     }
 
     eprint!("{}", runner::summary(start.elapsed()));
+}
+
+/// Exits with status 2 after printing a usage error.
+fn die(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }

@@ -41,10 +41,6 @@ use crate::Config;
 /// The configured worker count: 0 means "not set, use all cores".
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// The figure sequence number cells record under (0 = suite
-/// generation); see [`set_figure_seq`].
-static FIGURE_SEQ: AtomicUsize = AtomicUsize::new(0);
-
 /// Whether batch replays record one span per chunk (`--trace-chunks`).
 static CHUNK_SPANS: AtomicBool = AtomicBool::new(false);
 
@@ -79,13 +75,13 @@ thread_local! {
     };
 }
 
-/// Sets the figure sequence number for subsequent cells (the `figures`
-/// bin bumps it per figure; 0 is reserved for suite generation) and
-/// resets the calling thread's item context. The sequence number is
-/// the first component of every span key, so exported artifacts sort
-/// by figure regardless of worker scheduling.
+/// Sets the calling thread's figure sequence number for subsequent
+/// cells (the `figures` bin bumps it per figure; 0 is reserved for suite
+/// generation) and resets its item context. [`par_map`] hands the
+/// number on to its workers. The sequence number is the first component
+/// of every span key, so exported artifacts sort by figure regardless of
+/// worker scheduling.
 pub fn set_figure_seq(seq: u32) {
-    FIGURE_SEQ.store(seq as usize, Ordering::SeqCst);
     CTX.with(|c| {
         c.set(SweepCtx {
             worker: c.get().worker,
@@ -97,11 +93,6 @@ pub fn set_figure_seq(seq: u32) {
     });
 }
 
-/// The current figure sequence number.
-pub fn figure_seq() -> u32 {
-    FIGURE_SEQ.load(Ordering::SeqCst) as u32
-}
-
 /// Enables one span per replay chunk (high volume; `--trace-chunks`).
 pub fn set_chunk_spans(on: bool) {
     CHUNK_SPANS.store(on, Ordering::SeqCst);
@@ -111,12 +102,12 @@ fn chunk_spans() -> bool {
     CHUNK_SPANS.load(Ordering::SeqCst)
 }
 
-/// Binds the calling thread to item `i` of the current figure's grid.
-fn claim_item(worker: u32, item: u32, queue_wait: Duration) {
+/// Binds the calling thread to item `item` of figure `figure`'s grid.
+fn claim_item(worker: u32, figure: u32, item: u32, queue_wait: Duration) {
     CTX.with(|c| {
         c.set(SweepCtx {
             worker,
-            figure: figure_seq(),
+            figure,
             item,
             slot: 0,
             queue_wait_us: queue_wait.as_micros() as u64,
@@ -195,17 +186,18 @@ where
 {
     let n = items.len();
     let workers = workers.max(1).min(n);
+    // Every item records under the caller's figure sequence number.
+    let saved = CTX.with(|c| c.get());
     if workers <= 1 {
         // Sequential path: items still claim `(item, slot)` contexts so
         // recorded cells carry the same deterministic span keys as the
         // parallel path; the caller's context is restored afterwards.
         let start = Instant::now();
-        let saved = CTX.with(|c| c.get());
         let out = items
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                claim_item(saved.worker, i as u32, start.elapsed());
+                claim_item(saved.worker, saved.figure, i as u32, start.elapsed());
                 f(i, t)
             })
             .collect();
@@ -229,7 +221,7 @@ where
                 if i >= n {
                     break;
                 }
-                claim_item(w as u32 + 1, i as u32, sweep_start.elapsed());
+                claim_item(w as u32 + 1, saved.figure, i as u32, sweep_start.elapsed());
                 if tx.send((i, f(i, &items[i]))).is_err() {
                     break;
                 }
@@ -252,24 +244,6 @@ where
 /// size of the streaming SACT decoder): 64 KB of `Access`es, small enough
 /// to stay hot in L1/L2 while every engine of the batch consumes it.
 pub const REPLAY_CHUNK: usize = sac_trace::io::DEFAULT_CHUNK;
-
-/// Worker count for intra-cell parallelism: how many threads one
-/// [`ReplayBatch::replay`] may shard its engines across. 0/1 = off.
-static CELL_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the intra-cell worker count (the `--cell-jobs N` flag): a batch
-/// replaying an in-memory trace shards its engines across up to `n`
-/// threads, each group advancing through the same chunks; results fold
-/// back in engine push order, so the output is bit-identical to the
-/// single-threaded batch. `0`/`1` disables sharding.
-pub fn set_cell_jobs(n: usize) {
-    CELL_JOBS.store(n, Ordering::SeqCst);
-}
-
-/// The intra-cell worker count batch replays will use.
-pub fn cell_jobs() -> usize {
-    CELL_JOBS.load(Ordering::SeqCst).max(1)
-}
 
 /// A batch of independent engines replaying one trace in a single pass.
 ///
@@ -437,61 +411,11 @@ impl ReplayBatch {
     }
 
     /// Feeds a whole in-memory trace chunk by chunk and finishes.
-    ///
-    /// With [`cell_jobs`] > 1 the batch shards its engines across that
-    /// many threads, each group advancing through the same chunk
-    /// sequence in parallel — `--jobs`-style parallelism *inside* one
-    /// sweep cell. Engines are independent and results fold back in
-    /// push order, so the metrics are bit-identical to the
-    /// single-threaded batch. Sharding is skipped while span tracing is
-    /// on (the span layer attributes a batch to one worker track).
     pub fn replay(mut self, trace: &Trace) -> Vec<Metrics> {
-        let workers = cell_jobs().min(self.engines.len());
-        if workers > 1 && !span::enabled() {
-            return self.replay_sharded(trace, workers);
-        }
         for chunk in trace.as_slice().chunks(REPLAY_CHUNK) {
             self.feed(chunk);
         }
         self.finish()
-    }
-
-    /// The intra-cell parallel path of [`ReplayBatch::replay`]: splits
-    /// the engines into `workers` contiguous groups, replays each group
-    /// over the full chunk sequence on its own scoped thread, then
-    /// records cells and
-    /// collects metrics **in engine push order** on the calling thread,
-    /// so the ledger and the returned vector are deterministic.
-    fn replay_sharded(self, trace: &Trace, workers: usize) -> Vec<Metrics> {
-        let per = self.engines.len().div_ceil(workers);
-        let mut rest = self.engines;
-        let mut groups: Vec<ReplayBatch> = Vec::with_capacity(workers);
-        while !rest.is_empty() {
-            let tail = rest.split_off(per.min(rest.len()));
-            groups.push(ReplayBatch {
-                engines: rest,
-                span: None,
-            });
-            rest = tail;
-        }
-        let done: Vec<ReplayBatch> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|mut b| {
-                    scope.spawn(move || {
-                        for chunk in trace.as_slice().chunks(REPLAY_CHUNK) {
-                            b.feed(chunk);
-                        }
-                        b
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cell shard panicked"))
-                .collect()
-        });
-        done.into_iter().flat_map(ReplayBatch::finish).collect()
     }
 
     /// Streams a serialized trace through the batch without
@@ -534,9 +458,7 @@ pub fn replay_trace(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
 ///
 /// The generation is recorded in the ledger under `trace_label` with its
 /// own wall time, the total minus the engines' replay time, next to the
-/// engines' cells. The engines run on the calling thread whatever
-/// [`cell_jobs`] says, since chunks exist only as the generator makes
-/// them; the output is the same either way.
+/// engines' cells.
 ///
 /// # Errors
 ///

@@ -26,6 +26,55 @@ fn figures_rejects_unknown_ids() {
 }
 
 #[test]
+fn figures_rejects_unknown_options_before_running() {
+    // A mistyped or retired flag must not be taken for a figure id.
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--bogus", "fig04b"])
+        .output()
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --bogus"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+}
+
+/// Runs `report` with `args` and asserts it exits 2 with `message` on
+/// stderr before printing any table.
+fn assert_report_usage_error(args: &[&str], message: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .output()
+        .expect("run report");
+    assert_eq!(out.status.code(), Some(2), "report {args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(message), "report {args:?}: {err}");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+}
+
+#[test]
+fn report_rejects_bad_arguments_before_running() {
+    assert_report_usage_error(
+        &["--small", "--jobs", "0"],
+        "--jobs needs a positive integer",
+    );
+    assert_report_usage_error(&["--small", "--bogus"], "unknown option --bogus");
+    assert_report_usage_error(&["--small", "--csv"], "--csv needs a directory path");
+}
+
+#[test]
+fn report_rejects_unwritable_csv_dir_before_running() {
+    // A path whose parent is a regular file can never become a directory.
+    let blocker = std::env::temp_dir().join(format!("sac-csv-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").expect("blocker file");
+    let dir = blocker.join("csv");
+    assert_report_usage_error(
+        &["--small", "--csv", dir.to_str().expect("utf-8 temp path")],
+        "--csv: cannot create",
+    );
+    std::fs::remove_file(&blocker).ok();
+}
+
+#[test]
 fn report_emits_markdown_and_csv() {
     let dir = std::env::temp_dir().join(format!("sac-report-{}", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_report"))

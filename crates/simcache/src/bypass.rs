@@ -121,7 +121,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                 if P::ENABLED {
                     probe.on_event(&Event::Writeback { line: old.line });
                 }
-                let wb_stall = sys.writeback();
+                let wb_stall = sys.writeback(old.line);
                 sys.metrics_mut().stall_cycles += wb_stall;
                 cost += wb_stall;
             }
@@ -138,7 +138,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                     });
                 }
                 cost += MAIN_HIT_CYCLES;
-                let wb_stall = sys.buffer_store();
+                let wb_stall = sys.buffer_store(line);
                 sys.metrics_mut().stall_cycles += wb_stall;
                 cost += wb_stall;
             }

@@ -9,7 +9,7 @@
 //! update-based [`crate::Dragon`] as the comparison point. Per-line
 //! protocol state lives in a [`LineState`] sidecar indexed like the
 //! [`TagArray`], dirty victims drain through per-core
-//! [`SnoopWriteBuffer`]s whose pending entries answer remote snoops
+//! [`WriteBuffer`]s whose pending entries answer remote snoops
 //! (write-buffer forwarding), and every access is accounted twice — in
 //! the owning core's [`Metrics`] and in a global block kept in lockstep —
 //! so per-CPU totals reconcile with the system totals counter for
@@ -39,7 +39,7 @@
 
 use crate::{
     BusTx, CacheGeometry, Clock, CoherenceProtocol, FillSource, LineState, MemoryModel, Mesi,
-    Metrics, SnoopBus, SnoopWriteBuffer, TagArray, WriteHitAction, MAIN_HIT_CYCLES,
+    Metrics, SnoopBus, TagArray, WriteBuffer, WriteHitAction, MAIN_HIT_CYCLES,
 };
 use sac_obs::{CoherenceOp, Event, NoopProbe, Probe};
 use sac_trace::{Access, Trace, MAX_CPUS, WORD_BYTES};
@@ -119,7 +119,7 @@ struct Core<P: Probe> {
     /// to 63) touched since the slot was filled. Drives the
     /// false-sharing classifier.
     words: Vec<u64>,
-    wb: SnoopWriteBuffer,
+    wb: WriteBuffer,
     metrics: Metrics,
     probe: P,
 }
@@ -189,7 +189,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 tags: TagArray::new(geom),
                 state: vec![LineState::Invalid; geom.lines() as usize],
                 words: vec![0; geom.lines() as usize],
-                wb: SnoopWriteBuffer::new(8, retire),
+                wb: WriteBuffer::new(8, retire),
                 metrics: Metrics::new(),
                 probe,
             })
@@ -350,7 +350,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 let _ = self
                     .bus
                     .transaction_cycles(BusTx::Flush, FillSource::Memory);
-                let _ = self.cores[c].wb.push_line(now, line);
+                let _ = self.cores[c].wb.push(now, line);
                 self.cores[c].metrics.writebacks += 1;
                 self.global.writebacks += 1;
                 if P::ENABLED {
@@ -508,7 +508,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         if old.valid && old.dirty {
             self.cores[cpu].metrics.writebacks += 1;
             self.global.writebacks += 1;
-            let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
+            let wb_stall = self.cores[cpu].wb.push(now, old.line);
             self.cores[cpu].metrics.stall_cycles += wb_stall;
             self.global.stall_cycles += wb_stall;
             cost += wb_stall;

@@ -152,7 +152,7 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: evicted.line });
             }
-            let wb_stall = sys.writeback();
+            let wb_stall = sys.writeback(evicted.line);
             sys.metrics_mut().stall_cycles += wb_stall;
             cost += wb_stall;
         }

@@ -83,7 +83,7 @@ pub use standard::{StandardCache, StandardPolicy};
 pub use stream::{StreamBufferCache, StreamPolicy};
 pub use tagarray::{Entry, Evict, TagArray};
 pub use victim::{VictimCache, VictimPolicy};
-pub use writebuf::{SnoopWriteBuffer, WriteBuffer};
+pub use writebuf::WriteBuffer;
 
 /// Access cost of a main-cache hit, in cycles.
 pub const MAIN_HIT_CYCLES: u64 = 1;

@@ -148,22 +148,23 @@ impl MemorySystem {
         self.bus.line_transfer_cycles()
     }
 
-    /// Sends one dirty line to the write buffer, counting the write-back;
-    /// returns the stall (0 unless the buffer was full). The caller
+    /// Sends the dirty line `line` to the write buffer, counting the
+    /// write-back; returns the stall (0 unless the buffer was full). The caller
     /// decides whether the stall is charged to `stall_cycles` — the
     /// organizations differ on whether write-buffer pressure hides under
     /// the miss penalty.
     #[inline]
-    pub fn writeback(&mut self) -> u64 {
+    pub fn writeback(&mut self, line: u64) -> u64 {
         self.metrics.writebacks += 1;
-        self.wb.push(self.clock.now())
+        self.wb.push(self.clock.now(), line)
     }
 
-    /// Pushes a bypassed store into the write buffer *without* counting a
-    /// write-back (no cache line is being retired); returns the stall.
+    /// Pushes a bypassed store to `line` into the write buffer *without*
+    /// counting a write-back (no cache line is being retired); returns the
+    /// stall.
     #[inline]
-    pub fn buffer_store(&mut self) -> u64 {
-        self.wb.push(self.clock.now())
+    pub fn buffer_store(&mut self, line: u64) -> u64 {
+        self.wb.push(self.clock.now(), line)
     }
 
     /// Whether a write-buffer push right now would stall (§2.2: a bounce
@@ -387,8 +388,8 @@ mod tests {
     #[test]
     fn writeback_counts_and_buffer_store_does_not() {
         let mut sys = MemorySystem::new(MemoryModel::default(), 32);
-        assert_eq!(sys.writeback(), 0);
-        assert_eq!(sys.buffer_store(), 0);
+        assert_eq!(sys.writeback(0x40), 0);
+        assert_eq!(sys.buffer_store(0x80), 0);
         assert_eq!(sys.metrics().writebacks, 1);
         assert!(!sys.write_buffer_full());
     }

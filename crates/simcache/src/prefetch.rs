@@ -118,7 +118,7 @@ impl PrefetchPolicy {
                 if P::ENABLED {
                     probe.on_event(&Event::Writeback { line: old.line });
                 }
-                extra += sys.writeback();
+                extra += sys.writeback(old.line);
             }
         }
         cost + extra
@@ -189,7 +189,7 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: old.line });
             }
-            let wb_stall = sys.writeback();
+            let wb_stall = sys.writeback(old.line);
             sys.metrics_mut().stall_cycles += wb_stall;
             cost += wb_stall;
         }

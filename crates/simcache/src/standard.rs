@@ -72,7 +72,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
             }
             // The 2-cycle transfer hides under the miss penalty; only
             // write-buffer pressure shows up as stall.
-            let wb_stall = sys.writeback();
+            let wb_stall = sys.writeback(old.line);
             sys.metrics_mut().stall_cycles += wb_stall;
             cost += wb_stall;
         }

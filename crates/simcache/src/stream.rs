@@ -77,7 +77,7 @@ impl StreamPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: old.line });
             }
-            sys.writeback()
+            sys.writeback(old.line)
         } else {
             0
         };

@@ -280,11 +280,13 @@ fn write_buffer_never_goes_back_in_time() {
         let mut wb = WriteBuffer::new(4, 3);
         let mut now = 0u64;
         let pushes = 1 + rng.below(39);
-        for _ in 0..pushes {
+        for line in 0..pushes {
             now += rng.below(50);
-            let stall = wb.push(now);
+            let stall = wb.push(now, line);
             // A stall is bounded by the full drain of the buffer.
             assert!(stall <= 4 * 3, "case {case}");
+            // The line just pushed is pending once the stall is over.
+            assert!(wb.snoop(now + stall, line), "case {case}");
         }
     });
 }
