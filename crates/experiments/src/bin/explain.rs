@@ -39,8 +39,12 @@
 //! multi-core memory system instead of a single engine: per-CPU metrics,
 //! coherence counters (invalidations with their false-sharing split,
 //! upgrades, cache-to-cache fills, write-buffer forwards, updates) and
-//! shared-bus totals are printed after the SWMR invariant and the
-//! per-CPU ↔ global metrics reconciliation are verified.
+//! shared-bus totals are printed after the SWMR invariant is verified
+//! (the global metrics are the per-CPU blocks merged). The coherent
+//! system runs Standard caches and no probe, so with `--cpus` above 1
+//! an explicit `--config` other than `standard`, `--diff`,
+//! `--diff-json`, `--timeline`, `--obs-json`, `--store` and
+//! `--bench-guard` are rejected (exit 2) before anything is written.
 //!
 //! `--store DIR` opens a content-addressed result store: if DIR already
 //! holds this cell (same trace content, config, engine version) the
@@ -85,6 +89,7 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut config_name = "soft".to_string();
+    let mut config_explicit = false;
     let mut trace_name = "mixed".to_string();
     let mut len = 500_000usize;
     let mut obs_json: Option<String> = None;
@@ -108,7 +113,10 @@ fn main() {
                 .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
         };
         match a.as_str() {
-            "--config" => config_name = value("--config"),
+            "--config" => {
+                config_name = value("--config");
+                config_explicit = true;
+            }
             "--trace" => trace_name = value("--trace"),
             "--len" => len = cli::positive("--len", iter.next()).unwrap_or_else(|e| fail(&e)),
             "--obs-json" => obs_json = Some(value("--obs-json")),
@@ -136,14 +144,41 @@ fn main() {
             "--store" => store_dir = Some(value("--store")),
             "--bench-guard" => bench_guard = Some(value("--bench-guard")),
             "--bench-guard-pct" => {
+                // NaN or infinity would disarm the gate, a negative value
+                // would trip it on noise.
                 guard_pct = value("--bench-guard-pct")
                     .parse()
-                    .unwrap_or_else(|_| fail("--bench-guard-pct needs a number"))
+                    .ok()
+                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
+                    .unwrap_or_else(|| fail("--bench-guard-pct needs a finite number >= 0"))
             }
             "--small" => len = 50_000,
             other => fail(&format!(
                 "unknown argument {other:?} (see the module docs for usage)"
             )),
+        }
+    }
+
+    // The coherent run uses Standard caches and no probe: refuse the
+    // options it would otherwise ignore, before any file is created.
+    if cpus > 1 {
+        let ignored = [
+            (config_explicit && config_name != "standard", "--config"),
+            (diff_name.is_some(), "--diff"),
+            (diff_json.is_some(), "--diff-json"),
+            (timeline, "--timeline"),
+            (obs_json.is_some(), "--obs-json"),
+            (store_dir.is_some(), "--store"),
+            (bench_guard.is_some(), "--bench-guard"),
+        ];
+        if let Some((_, flag)) = ignored.iter().find(|(set, _)| *set) {
+            fail(&format!(
+                "{flag} is not supported with --cpus above 1 (the coherent run \
+                 uses Standard caches and no probe)"
+            ));
+        }
+        if cpus > sac_trace::MAX_CPUS {
+            fail(&format!("--cpus: at most {} CPUs", sac_trace::MAX_CPUS));
         }
     }
 
@@ -190,13 +225,10 @@ fn main() {
 
     // The multi-CPU path: shard the chosen trace round-robin over the
     // CPUs and run the coherent system instead of a single engine. The
-    // run is verified (SWMR + per-CPU↔global reconciliation) inside
-    // `run_coherent` before anything is printed; the uniprocessor
-    // explainer below is untouched when `--cpus` is 1 or absent.
+    // run's SWMR invariant is verified inside `run_coherent` before
+    // anything is printed; the uniprocessor explainer below is
+    // untouched when `--cpus` is 1 or absent.
     if cpus > 1 {
-        if cpus > sac_trace::MAX_CPUS {
-            fail(&format!("--cpus: at most {} CPUs", sac_trace::MAX_CPUS));
-        }
         let (geom, mem) = config.shape();
         let tagged = coherence::shard_round_robin(&trace, cpus);
         let label = format!("explain/{trace_name}/{}cpu", cpus);

@@ -3,9 +3,9 @@
 //!
 //! Three reusable pieces:
 //!
-//! * [`run_coherent`] — one fully-verified run: the SWMR invariant is
-//!   checked after the replay, the per-CPU metrics are reconciled
-//!   exactly against the global counters, and the coherence totals land
+//! * [`run_coherent`] — one verified run: the SWMR invariant is checked
+//!   after the replay (the global counters are the per-CPU blocks merged,
+//!   so they reconcile by construction), and the coherence totals land
 //!   in the global [`registry`] (`coherence.*`) so they ride along in
 //!   `figures --bench-json` snapshots.
 //! * [`shard_round_robin`] / [`privatize`] — turn a uniprocessor
@@ -74,16 +74,14 @@ pub struct CoherentSummary {
 }
 
 /// Runs `trace` through a [`CoherentSystem`] of `cpus` private caches
-/// under `protocol`, verifying the SWMR invariant and the per-CPU ↔
-/// global metrics reconciliation before returning, and accumulating the
-/// coherence totals into the global metrics registry
+/// under `protocol`, verifying the SWMR invariant before returning, and
+/// accumulating the coherence totals into the global metrics registry
 /// (`coherence.invalidations` / `.upgrades` / `.c2c_fills` /
 /// `.bus_occupancy`).
 ///
 /// # Errors
 ///
-/// Returns the SWMR violation or the reconciliation mismatch — either
-/// would be an engine bug, not a user error.
+/// Returns the SWMR violation — an engine bug, not a user error.
 ///
 /// # Panics
 ///
@@ -98,22 +96,12 @@ pub fn run_coherent(
     trace: &Trace,
 ) -> Result<CoherentSummary, String> {
     // The two protocol arms monomorphize separately; a tiny closure
-    // keeps the verification and summary assembly shared.
-    let finish = |label: &str,
-                  protocol: Protocol,
-                  metrics: Metrics,
+    // keeps the summary assembly shared.
+    let finish = |metrics: Metrics,
                   per_cpu: Vec<Metrics>,
                   per_cpu_coherence: Vec<CpuCoherence>,
                   bus_transactions: u64,
-                  bus_occupancy: u64|
-     -> Result<CoherentSummary, String> {
-        let merged = Metrics::merged(per_cpu.iter());
-        if merged != metrics {
-            return Err(format!(
-                "{label}: per-CPU metrics do not reconcile with the global block\n\
-                 merged: {merged}\nglobal: {metrics}"
-            ));
-        }
+                  bus_occupancy: u64| {
         let s = CoherentSummary {
             label: label.to_string(),
             protocol,
@@ -128,36 +116,32 @@ pub fn run_coherent(
         registry::global_counter_add("coherence.upgrades", t.upgrades);
         registry::global_counter_add("coherence.c2c_fills", t.c2c_fills);
         registry::global_counter_add("coherence.bus_occupancy", bus_occupancy);
-        Ok(s)
+        s
     };
     match protocol {
         Protocol::Mesi => {
             let mut sys: CoherentSystem<Mesi> = CoherentSystem::new(geom, mem, cpus);
             sys.run(trace);
             sys.check_swmr().map_err(|e| format!("{label}: {e}"))?;
-            finish(
-                label,
-                protocol,
+            Ok(finish(
                 *sys.metrics(),
                 (0..cpus).map(|c| *sys.core_metrics(c)).collect(),
                 sys.stats().per_cpu().to_vec(),
                 sys.bus().transactions(),
                 sys.bus().occupancy_cycles(),
-            )
+            ))
         }
         Protocol::Dragon => {
             let mut sys: CoherentSystem<Dragon> = CoherentSystem::new(geom, mem, cpus);
             sys.run(trace);
             sys.check_swmr().map_err(|e| format!("{label}: {e}"))?;
-            finish(
-                label,
-                protocol,
+            Ok(finish(
                 *sys.metrics(),
                 (0..cpus).map(|c| *sys.core_metrics(c)).collect(),
                 sys.stats().per_cpu().to_vec(),
                 sys.bus().transactions(),
                 sys.bus().occupancy_cycles(),
-            )
+            ))
         }
     }
 }
@@ -312,8 +296,7 @@ fn sweep_rows() -> Vec<(String, Trace)> {
 ///
 /// # Panics
 ///
-/// Panics if a run breaks the SWMR or reconciliation invariants (engine
-/// bug).
+/// Panics if a run breaks the SWMR invariant (engine bug).
 pub fn coherence_table(protocol: Protocol) -> Table {
     let geom = CacheGeometry::standard();
     let mem = MemoryModel::default();

@@ -1,4 +1,4 @@
-//! Smoke tests for the `figures` and `report` binaries.
+//! Smoke tests for the `figures`, `report` and `explain` binaries.
 
 use std::process::Command;
 
@@ -378,4 +378,85 @@ fn figures_rejects_unwritable_store_dir_before_running() {
     assert!(err.contains("cannot create store"), "{err}");
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
     std::fs::remove_file(&blocker).ok();
+}
+
+#[test]
+fn explain_cpus_rejects_options_the_coherent_run_would_ignore() {
+    let tmp = std::env::temp_dir();
+    let pid = std::process::id();
+    let obs = tmp.join(format!("sac-cpus-obs-{pid}.jsonl"));
+    let diff = tmp.join(format!("sac-cpus-diff-{pid}.jsonl"));
+    let store = tmp.join(format!("sac-cpus-store-{pid}"));
+    let cases: [(Vec<&str>, &str); 7] = [
+        (vec!["--config", "victim"], "--config"),
+        (vec!["--config", "soft"], "--config"),
+        (vec!["--diff", "victim"], "--diff"),
+        (
+            vec!["--diff", "victim", "--diff-json", diff.to_str().unwrap()],
+            "--diff",
+        ),
+        (vec!["--timeline"], "--timeline"),
+        (vec!["--obs-json", obs.to_str().unwrap()], "--obs-json"),
+        (vec!["--store", store.to_str().unwrap()], "--store"),
+    ];
+    for (extra, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(["--small", "--cpus", "2"])
+            .args(&extra)
+            .output()
+            .expect("run explain");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains("--cpus"),
+            "{extra:?}: {err}"
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{extra:?}");
+    }
+    for path in [&obs, &diff, &store] {
+        assert!(!path.exists(), "{} must not be created", path.display());
+    }
+    // The bench guard would otherwise be skipped and exit 0.
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args([
+            "--small",
+            "--cpus",
+            "2",
+            "--bench-guard",
+            "/nonexistent.json",
+        ])
+        .output()
+        .expect("run explain");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--bench-guard"));
+}
+
+#[test]
+fn explain_cpus_accepts_the_standard_config() {
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args([
+            "--small", "--len", "2000", "--cpus", "2", "--config", "standard",
+        ])
+        .output()
+        .expect("run explain");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("coherence explain/mixed/2cpu"));
+}
+
+#[test]
+fn explain_rejects_a_bench_guard_pct_that_disarms_or_trips_the_gate() {
+    for pct in ["nan", "inf", "-inf", "-1", "five"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(["--small", "--len", "2000", "--bench-guard-pct", pct])
+            .output()
+            .expect("run explain");
+        assert_eq!(out.status.code(), Some(2), "--bench-guard-pct {pct}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--bench-guard-pct"), "{pct}: {err}");
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{pct}");
+    }
 }

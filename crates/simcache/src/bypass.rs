@@ -8,9 +8,10 @@
 //! recovering the spatial locality of bypassed streams.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy, TagArray,
+    MAIN_HIT_CYCLES,
 };
-use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
+use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
 
 /// How non-temporal references bypass the cache.
@@ -27,17 +28,17 @@ pub enum BypassMode {
     },
 }
 
-/// The bypassing policy: temporal references allocate normally, everything
-/// else goes around the cache (optionally through a line buffer).
+/// The bypassing policy: temporal references allocate normally in a
+/// [`StandardPolicy`] main array, everything else goes around the cache
+/// (optionally through a line buffer).
 ///
 /// Both paths probe the main cache first, so the unified hit fast path of
 /// the [`CacheEngine`] applies to bypassed references too and coherence is
 /// preserved.
 #[derive(Debug, Clone)]
 pub struct BypassPolicy {
-    geom: CacheGeometry,
+    main: StandardPolicy,
     mode: BypassMode,
-    tags: TagArray,
     buffer: Option<TagArray>,
 }
 
@@ -56,9 +57,8 @@ impl BypassPolicy {
             }
         };
         BypassPolicy {
-            geom,
+            main: StandardPolicy::new(geom),
             mode,
-            tags: TagArray::new(geom),
             buffer,
         }
     }
@@ -72,21 +72,19 @@ impl BypassPolicy {
 impl<P: Probe> CachePolicy<P> for BypassPolicy {
     #[inline]
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        CachePolicy::<P>::geometry(&self.main)
     }
 
     #[inline]
     fn probe_main(&mut self, line: u64) -> Option<usize> {
         // The main cache may still hold the line (a temporal reference
         // brought it in): hits are served normally either way.
-        self.tags.probe(line)
+        CachePolicy::<P>::probe_main(&mut self.main, line)
     }
 
     #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
-        if a.kind().is_write() {
-            self.tags.entry_at_mut(idx).dirty = true;
-        }
+        CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
     fn miss(
@@ -97,36 +95,11 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
         stall: u64,
         a: &Access,
     ) -> (u64, u64) {
-        let mut cost = stall;
         if a.temporal() {
             // Normal write-back write-allocate path.
-            sys.metrics_mut().misses += 1;
-            cost += sys.fetch_lines(1);
-            let way = self.tags.victim_way(line);
-            let old = self.tags.fill(line, way, a.kind().is_write());
-            if P::ENABLED {
-                let victim = old.valid.then_some(Victim {
-                    line: old.line,
-                    dirty: old.dirty,
-                });
-                probe.on_event(&Event::Miss {
-                    line,
-                    set: self.geom.set_of_line(line),
-                    is_write: a.kind().is_write(),
-                    victim,
-                });
-                probe.on_event(&Event::LineFill { line, demand: true });
-            }
-            if old.valid && old.dirty {
-                if P::ENABLED {
-                    probe.on_event(&Event::Writeback { line: old.line });
-                }
-                let wb_stall = sys.writeback(old.line);
-                sys.metrics_mut().stall_cycles += wb_stall;
-                cost += wb_stall;
-            }
-            return (cost, 0);
+            return self.main.miss(sys, probe, line, stall, a);
         }
+        let mut cost = stall;
         match (&mut self.buffer, a.kind().is_write()) {
             (_, true) => {
                 // Stores bypass through the write buffer.
@@ -185,7 +158,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
     }
 
     fn flush(&mut self) -> u64 {
-        let mut wbs = self.tags.invalidate_all();
+        let mut wbs = CachePolicy::<P>::flush(&mut self.main);
         if let Some(buffer) = &mut self.buffer {
             wbs += buffer.invalidate_all();
         }

@@ -1,19 +1,19 @@
 //! The multi-core coherent memory system: private caches on a shared
 //! snoop bus.
 //!
-//! [`CoherentSystem`] attaches one private standard cache per CPU to a
-//! shared [`SnoopBus`] and a shared cycle [`Clock`], and drives a
-//! cpu-tagged interleaved trace (see
-//! [`sac_trace::interleave_round_robin`]) through them under a snooping
-//! coherence protocol — the invalidation-based [`Mesi`] by default, the
-//! update-based [`crate::Dragon`] as the comparison point. Per-line
-//! protocol state lives in a [`LineState`] sidecar indexed like the
-//! [`TagArray`], dirty victims drain through per-core
-//! [`WriteBuffer`]s whose pending entries answer remote snoops
-//! (write-buffer forwarding), and every access is accounted twice — in
-//! the owning core's [`Metrics`] and in a global block kept in lockstep —
-//! so per-CPU totals reconcile with the system totals counter for
-//! counter.
+//! [`CoherentSystem`] gives each CPU a private Standard cache — a
+//! [`StandardPolicy`] over its own [`MemorySystem`], which holds that
+//! core's write buffer and [`Metrics`] — and drives a cpu-tagged
+//! interleaved trace (see [`sac_trace::interleave_round_robin`]) through
+//! them under a snooping coherence protocol: the invalidation-based
+//! [`Mesi`] by default, the update-based [`crate::Dragon`] as the
+//! comparison point. Transactions are priced on one shared [`SnoopBus`],
+//! and one shared cycle [`Clock`] is handed to the acting core's memory
+//! system for each access. Per-line protocol state lives in a
+//! [`LineState`] sidecar indexed like the core's tag array, and dirty
+//! victims drain through the per-core write buffers, whose pending
+//! entries answer remote snoops (write-buffer forwarding). Each core
+//! keeps one set of books; [`CoherentSystem::metrics`] is their merge.
 //!
 //! **Timing.** A hit costs [`MAIN_HIT_CYCLES`]. A miss pays the arrival
 //! stall plus one bus transaction: `t_lat + LS/w_b` when memory supplies
@@ -22,10 +22,11 @@
 //! pays an address-only BusUpgr ([`crate::SNOOP_CYCLES`]); a dirty
 //! owner's flush in response to a remote transaction is hidden behind
 //! the requester's fill and charged to bus occupancy only, with the
-//! write-back itself going through the owner's write buffer. A
-//! single-CPU [`CoherentSystem`] therefore reproduces the uniprocessor
-//! [`crate::StandardCache`] timing exactly (no sharer ever exists, so
-//! no coherence transaction is ever priced) — a property the unit tests
+//! write-back itself going through the owner's write buffer. The fill
+//! and its dirty-victim write-back are [`StandardPolicy`]'s own, so a
+//! single-CPU [`CoherentSystem`] reproduces the uniprocessor
+//! [`crate::StandardCache`] exactly (no sharer ever exists, so no
+//! coherence transaction is ever priced) — a property the unit tests
 //! pin down.
 //!
 //! **False sharing.** Each core keeps, per tag-array slot, a bitmask of
@@ -38,13 +39,15 @@
 //! invalidated, so an invalid slot always carries an empty mask.
 
 use crate::{
-    BusTx, CacheGeometry, Clock, CoherenceProtocol, FillSource, LineState, MemoryModel, Mesi,
-    Metrics, SnoopBus, TagArray, WriteBuffer, WriteHitAction, MAIN_HIT_CYCLES,
+    BusTx, CacheGeometry, CachePolicy, Clock, CoherenceProtocol, FillSource, LineState,
+    MemoryModel, MemorySystem, Mesi, Metrics, SnoopBus, StandardPolicy, WriteHitAction,
+    MAIN_HIT_CYCLES,
 };
 use sac_obs::{CoherenceOp, Event, NoopProbe, Probe};
 use sac_trace::{Access, Trace, MAX_CPUS, WORD_BYTES};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Per-CPU coherence counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,20 +110,22 @@ impl CoherenceStats {
     }
 }
 
-/// One CPU's private cache: tag array, protocol-state sidecar, write
-/// buffer, metrics and probe.
+/// One CPU's private cache: a Standard cache over the core's own
+/// memory system, its protocol-state and word-mask sidecars, and its
+/// probe.
 #[derive(Debug, Clone)]
 struct Core<P: Probe> {
-    tags: TagArray,
+    cache: StandardPolicy,
+    /// The core's write buffer and metrics; its clock is the shared one
+    /// while the core acts.
+    sys: MemorySystem,
     /// Protocol state per tag-array slot, same global indexing as the
-    /// [`TagArray`]; kept in sync with the entries' valid/dirty bits.
+    /// tag array; kept in sync with the entries' valid/dirty bits.
     state: Vec<LineState>,
     /// Per slot, same indexing: the words (word-in-line index, clamped
     /// to 63) touched since the slot was filled. Drives the
     /// false-sharing classifier.
     words: Vec<u64>,
-    wb: WriteBuffer,
-    metrics: Metrics,
     probe: P,
 }
 
@@ -156,7 +161,9 @@ pub struct CoherentSystem<Proto: CoherenceProtocol = Mesi, P: Probe = NoopProbe>
     bus: SnoopBus,
     clock: Clock,
     cores: Vec<Core<P>>,
-    global: Metrics,
+    /// The per-CPU metrics merged, computed on demand and dropped by the
+    /// next access.
+    merged: OnceLock<Metrics>,
     stats: CoherenceStats,
     _proto: PhantomData<Proto>,
 }
@@ -182,15 +189,13 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
     pub fn with_probes(geom: CacheGeometry, mem: MemoryModel, probes: Vec<P>) -> Self {
         assert!(!probes.is_empty(), "need at least one CPU");
         assert!(probes.len() <= MAX_CPUS, "at most {MAX_CPUS} CPUs");
-        let retire = mem.transfer_cycles(geom.line_bytes());
         let cores = probes
             .into_iter()
             .map(|probe| Core {
-                tags: TagArray::new(geom),
+                cache: StandardPolicy::new(geom),
+                sys: MemorySystem::new(mem, geom.line_bytes()),
                 state: vec![LineState::Invalid; geom.lines() as usize],
                 words: vec![0; geom.lines() as usize],
-                wb: WriteBuffer::new(8, retire),
-                metrics: Metrics::new(),
                 probe,
             })
             .collect::<Vec<_>>();
@@ -200,7 +205,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             bus: SnoopBus::new(mem, geom.line_bytes()),
             clock: Clock::new(),
             cores,
-            global: Metrics::new(),
+            merged: OnceLock::new(),
             stats,
             _proto: PhantomData,
         }
@@ -221,20 +226,15 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         self.geom
     }
 
-    /// The global metrics (all CPUs' work combined).
+    /// The global metrics: every CPU's private metrics merged.
     pub fn metrics(&self) -> &Metrics {
-        &self.global
+        self.merged
+            .get_or_init(|| Metrics::merged(self.cores.iter().map(|c| c.sys.metrics())))
     }
 
     /// One CPU's private metrics.
     pub fn core_metrics(&self, cpu: usize) -> &Metrics {
-        &self.cores[cpu].metrics
-    }
-
-    /// The per-CPU metrics merged — by construction equal to
-    /// [`CoherentSystem::metrics`], which the invariant tests assert.
-    pub fn merged_core_metrics(&self) -> Metrics {
-        Metrics::merged(self.cores.iter().map(|c| &c.metrics))
+        self.cores[cpu].sys.metrics()
     }
 
     /// The coherence counters.
@@ -288,20 +288,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         }
     }
 
-    /// Charges an access cost to `cpu` and the global books, advancing
-    /// the shared clock past it.
-    fn charge(&mut self, cpu: usize, cost: u64) {
-        self.cores[cpu].metrics.mem_cycles += cost;
-        self.global.mem_cycles += cost;
-        self.clock.complete(cost);
-    }
-
     /// Number of remote caches currently holding a valid copy of `line`.
     fn remote_holders(&self, cpu: usize, line: u64) -> usize {
         self.cores
             .iter()
             .enumerate()
-            .filter(|&(c, core)| c != cpu && core.tags.peek(line).is_some())
+            .filter(|&(c, core)| c != cpu && core.cache.tags.peek(line).is_some())
             .count()
     }
 
@@ -321,12 +313,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             supplier: None,
         };
         let mut owner_supplier = None;
-        let now = self.clock.now();
+        let clock = *self.cores[requester].sys.clock_mut();
         for c in 0..self.cores.len() {
             if c == requester {
                 continue;
             }
-            let Some(ridx) = self.cores[c].tags.peek(line) else {
+            let Some(ridx) = self.cores[c].cache.tags.peek(line) else {
                 continue;
             };
             let state = self.cores[c].state[ridx];
@@ -350,15 +342,15 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 let _ = self
                     .bus
                     .transaction_cycles(BusTx::Flush, FillSource::Memory);
-                let _ = self.cores[c].wb.push(now, line);
-                self.cores[c].metrics.writebacks += 1;
-                self.global.writebacks += 1;
+                let owner = &mut self.cores[c];
+                *owner.sys.clock_mut() = clock;
+                let _ = owner.sys.writeback(line);
                 if P::ENABLED {
-                    self.cores[c].probe.on_event(&Event::Writeback { line });
+                    owner.probe.on_event(&Event::Writeback { line });
                 }
             }
             if r.next == LineState::Invalid {
-                self.cores[c].tags.invalidate(line);
+                self.cores[c].cache.tags.invalidate(line);
                 self.cores[c].state[ridx] = LineState::Invalid;
                 let words = std::mem::take(&mut self.cores[c].words[ridx]);
                 let false_sharing = words >> writer_bit & 1 == 0;
@@ -374,7 +366,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 }
             } else {
                 self.cores[c].state[ridx] = r.next;
-                self.cores[c].tags.entry_at_mut(ridx).dirty = r.next.is_dirty();
+                self.cores[c].cache.tags.entry_at_mut(ridx).dirty = r.next.is_dirty();
                 out.holders_after += 1;
             }
         }
@@ -392,12 +384,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             if c == writer {
                 continue;
             }
-            let Some(ridx) = self.cores[c].tags.peek(line) else {
+            let Some(ridx) = self.cores[c].cache.tags.peek(line) else {
                 continue;
             };
             let next = Proto::snoop_update(self.cores[c].state[ridx]);
             self.cores[c].state[ridx] = next;
-            self.cores[c].tags.entry_at_mut(ridx).dirty = next.is_dirty();
+            self.cores[c].cache.tags.entry_at_mut(ridx).dirty = next.is_dirty();
         }
         self.stats.per_cpu[writer].updates += 1;
         self.emit(writer, line, CoherenceOp::Update);
@@ -411,30 +403,33 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             "trace names cpu {cpu} but the system has {} CPUs",
             self.cores.len()
         );
+        self.merged.take();
         let is_write = a.kind().is_write();
-        self.cores[cpu].metrics.record_ref(is_write);
-        self.global.record_ref(is_write);
-        let stall = self.clock.arrive(a.gap());
-        self.cores[cpu].metrics.stall_cycles += stall;
-        self.global.stall_cycles += stall;
         let line = self.geom.line_of(a.addr());
         let bit = self.word_bit(a.addr(), line);
+        let core = &mut self.cores[cpu];
+        *core.sys.clock_mut() = self.clock;
+        core.sys.metrics_mut().record_ref(is_write);
+        let stall = core.sys.arrive(a.gap());
+        core.sys.metrics_mut().stall_cycles += stall;
         if P::ENABLED {
-            self.cores[cpu].probe.on_ref(a.addr(), line, is_write);
+            core.probe.on_ref(a.addr(), line, is_write);
         }
-        if let Some(idx) = self.cores[cpu].tags.probe(line) {
-            self.hit(cpu, idx, line, bit, is_write, stall);
-        } else {
-            self.miss(cpu, line, bit, is_write, stall);
-        }
-        self.cores[cpu].metrics.debug_check_invariants();
-        self.global.debug_check_invariants();
+        let cost = match CachePolicy::<P>::probe_main(&mut core.cache, line) {
+            Some(idx) => self.hit(cpu, idx, line, bit, is_write),
+            None => self.miss(cpu, line, bit, is_write),
+        };
+        let sys = &mut self.cores[cpu].sys;
+        sys.charge(stall + cost);
+        self.clock = *sys.clock_mut();
+        sys.metrics().debug_check_invariants();
     }
 
-    fn hit(&mut self, cpu: usize, idx: usize, line: u64, bit: u32, is_write: bool, stall: u64) {
-        self.cores[cpu].metrics.main_hits += 1;
-        self.global.main_hits += 1;
-        let mut cost = stall + MAIN_HIT_CYCLES;
+    /// A hit on `cpu`'s slot `idx`; returns its cost past the arrival
+    /// stall.
+    fn hit(&mut self, cpu: usize, idx: usize, line: u64, bit: u32, is_write: bool) -> u64 {
+        self.cores[cpu].sys.metrics_mut().main_hits += 1;
+        let mut cost = MAIN_HIT_CYCLES;
         if is_write {
             let state = self.cores[cpu].state[idx];
             let shared_elsewhere = self.remote_holders(cpu, line) > 0;
@@ -457,20 +452,21 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 WriteHitAction::None => {}
             }
             self.cores[cpu].state[idx] = next;
-            self.cores[cpu].tags.entry_at_mut(idx).dirty = next.is_dirty();
+            self.cores[cpu].cache.tags.entry_at_mut(idx).dirty = next.is_dirty();
         }
         self.cores[cpu].words[idx] |= 1 << bit;
-        self.charge(cpu, cost);
+        cost
     }
 
-    fn miss(&mut self, cpu: usize, line: u64, bit: u32, is_write: bool, stall: u64) {
-        self.cores[cpu].metrics.misses += 1;
-        self.global.misses += 1;
+    /// A miss of `cpu` on `line`: the snoop, the bus transaction, then
+    /// the Standard fill. Returns its cost past the arrival stall.
+    fn miss(&mut self, cpu: usize, line: u64, bit: u32, is_write: bool) -> u64 {
+        self.cores[cpu].sys.metrics_mut().misses += 1;
         let snoop = self.snoop_remotes(cpu, line, is_write, bit);
         // A pending write-buffer entry anywhere (own buffer included)
         // still holds the newest copy: it must answer before memory.
-        let now = self.clock.now();
-        let wb_forward = self.cores.iter().any(|c| c.wb.snoop(now, line));
+        let now = self.cores[cpu].sys.now();
+        let wb_forward = self.cores.iter().any(|c| c.sys.buffer_holds(now, line));
         let source = if snoop.supplier.is_some() || wb_forward {
             FillSource::CacheToCache
         } else {
@@ -481,7 +477,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         } else {
             BusTx::BusRd
         };
-        let mut cost = stall + self.bus.transaction_cycles(tx, source);
+        let mut cost = self.bus.transaction_cycles(tx, source);
         if source == FillSource::CacheToCache {
             if snoop.supplier.is_some() {
                 self.stats.per_cpu[cpu].c2c_fills += 1;
@@ -491,49 +487,22 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 self.emit(cpu, line, CoherenceOp::WbForward);
             }
         }
-        self.cores[cpu]
-            .metrics
-            .record_fetch(1, self.geom.line_bytes());
-        self.global.record_fetch(1, self.geom.line_bytes());
-        let way = self.cores[cpu].tags.victim_way(line);
-        let vidx = self.geom.set_of_line(line) as usize * self.geom.ways() as usize + way;
         let new_state = if is_write {
             Proto::fill_write(snoop.holders_after > 0)
         } else {
             Proto::fill_read(snoop.holders_after > 0)
         };
-        let old = self.cores[cpu].tags.fill(line, way, new_state.is_dirty());
+        let core = &mut self.cores[cpu];
+        core.sys.record_fetch_traffic(1);
+        let (way, wb_stall) =
+            core.cache
+                .demand_fill(&mut core.sys, &mut core.probe, line, is_write);
+        cost += wb_stall;
+        let slot = self.geom.set_of_line(line) as usize * self.geom.ways() as usize + way;
+        core.state[slot] = new_state;
+        core.cache.tags.entry_at_mut(slot).dirty = new_state.is_dirty();
         // A fresh mask: the new copy has touched only this word.
-        self.cores[cpu].words[vidx] = 1 << bit;
-        if old.valid && old.dirty {
-            self.cores[cpu].metrics.writebacks += 1;
-            self.global.writebacks += 1;
-            let wb_stall = self.cores[cpu].wb.push(now, old.line);
-            self.cores[cpu].metrics.stall_cycles += wb_stall;
-            self.global.stall_cycles += wb_stall;
-            cost += wb_stall;
-            if P::ENABLED {
-                self.cores[cpu]
-                    .probe
-                    .on_event(&Event::Writeback { line: old.line });
-            }
-        }
-        self.cores[cpu].state[vidx] = new_state;
-        if P::ENABLED {
-            let victim = old.valid.then_some(sac_obs::Victim {
-                line: old.line,
-                dirty: old.dirty,
-            });
-            self.cores[cpu].probe.on_event(&Event::Miss {
-                line,
-                set: self.geom.set_of_line(line),
-                is_write,
-                victim,
-            });
-            self.cores[cpu]
-                .probe
-                .on_event(&Event::LineFill { line, demand: true });
-        }
+        core.words[slot] = 1 << bit;
         // An update-based write miss fetches with BusRd and then
         // broadcasts the written word to the surviving copies.
         if Proto::UPDATE_BASED && is_write && snoop.holders_after > 0 {
@@ -542,7 +511,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 .transaction_cycles(BusTx::BusUpgr, FillSource::Memory);
             self.update_remotes(cpu, line);
         }
-        self.charge(cpu, cost);
+        cost
     }
 
     /// Verifies the single-writer/multiple-reader invariant over every
@@ -553,7 +522,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         let mut by_line: BTreeMap<u64, Vec<(usize, LineState)>> = BTreeMap::new();
         for (c, core) in self.cores.iter().enumerate() {
             for idx in 0..self.geom.lines() as usize {
-                let e = core.tags.entry_at(idx);
+                let e = core.cache.tags.entry_at(idx);
                 if !e.valid {
                     if core.words[idx] != 0 {
                         return Err(format!(
@@ -629,28 +598,37 @@ mod tests {
         t
     }
 
+    /// Runs `trace` on one CPU of a `Proto` system and on a
+    /// [`StandardCache`] of the same geometry: the books must be equal,
+    /// counter for counter, with no coherence activity at all.
+    fn assert_single_cpu_is_standard<Proto: CoherenceProtocol>(geom: CacheGeometry, trace: &Trace) {
+        let mut std_cache = StandardCache::new(geom, MemoryModel::default());
+        for a in trace {
+            std_cache.access(a);
+        }
+        let mut coh: CoherentSystem<Proto> = CoherentSystem::new(geom, MemoryModel::default(), 1);
+        coh.run(trace);
+        assert_eq!(
+            std_cache.metrics(),
+            coh.metrics(),
+            "{} on {geom:?}",
+            Proto::NAME
+        );
+        assert_eq!(coh.stats().totals(), CpuCoherence::default());
+        coh.check_swmr().unwrap();
+    }
+
     #[test]
     fn single_cpu_matches_standard_cache() {
         let trace = random_trace(0x5AC, 4000, 64);
-        let mut std_cache = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
-        for a in &trace {
-            std_cache.access(a);
+        for geom in [
+            CacheGeometry::standard(),
+            small_geom(),
+            CacheGeometry::new(256, 32, 2),
+        ] {
+            assert_single_cpu_is_standard::<Mesi>(geom, &trace);
+            assert_single_cpu_is_standard::<crate::Dragon>(geom, &trace);
         }
-        let mut coh: CoherentSystem<Mesi> =
-            CoherentSystem::new(CacheGeometry::standard(), MemoryModel::default(), 1);
-        coh.run(&trace);
-        let a = std_cache.metrics();
-        let b = coh.metrics();
-        assert_eq!(a.refs, b.refs);
-        assert_eq!(a.main_hits, b.main_hits);
-        assert_eq!(a.misses, b.misses);
-        assert_eq!(a.mem_cycles, b.mem_cycles, "AMAT-identical");
-        assert_eq!(a.writebacks, b.writebacks);
-        assert_eq!(a.stall_cycles, b.stall_cycles);
-        assert_eq!(a.words_fetched, b.words_fetched);
-        // And no coherence activity of any kind.
-        assert_eq!(coh.stats().totals(), CpuCoherence::default());
-        coh.check_swmr().unwrap();
     }
 
     #[test]
@@ -767,8 +745,68 @@ mod tests {
         let mut sys: CoherentSystem<Mesi> =
             CoherentSystem::new(small_geom(), MemoryModel::default(), 4);
         sys.run(&t);
-        assert_eq!(sys.merged_core_metrics(), *sys.metrics());
+        let merged = Metrics::merged((0..4).map(|c| sys.core_metrics(c)));
+        assert_eq!(merged, *sys.metrics());
+        assert_eq!(sys.metrics().refs, 4 * 2000);
         sys.check_swmr().unwrap();
+    }
+
+    /// Runs a probed `cpus`-CPU system, one [`TracingProbe`] per core,
+    /// and checks each core's event totals against its books.
+    fn assert_probes_reconcile<Proto: CoherenceProtocol>(cpus: usize) {
+        use sac_obs::{ObsConfig, TracingProbe};
+        let geom = small_geom();
+        let streams: Vec<Trace> = (0..cpus as u64)
+            .map(|s| random_trace(0x0B5 + s, 1500, 16))
+            .collect();
+        let t = interleave_round_robin("probed", &streams);
+        let probes = (0..cpus)
+            .map(|_| {
+                TracingProbe::new(ObsConfig::for_cache(
+                    geom.lines(),
+                    geom.sets(),
+                    geom.line_bytes(),
+                ))
+            })
+            .collect();
+        let mut sys: CoherentSystem<Proto, TracingProbe> =
+            CoherentSystem::with_probes(geom, MemoryModel::default(), probes);
+        sys.run(&t);
+        sys.check_swmr().unwrap();
+        let metrics: Vec<Metrics> = (0..cpus).map(|c| *sys.core_metrics(c)).collect();
+        let stats = sys.stats().clone();
+        assert!(stats.totals().c2c_fills > 0, "the run must share lines");
+        for (c, mut probe) in sys.into_probes().into_iter().enumerate() {
+            probe.finish();
+            let (o, m, s) = (probe.counts(), &metrics[c], &stats.per_cpu()[c]);
+            let at = format!("{} cpu {c} of {cpus}", Proto::NAME);
+            assert_eq!(o.refs, m.refs, "{at}");
+            assert_eq!(o.reads, m.reads, "{at}");
+            assert_eq!(o.writes, m.writes, "{at}");
+            assert_eq!(o.misses, m.misses, "{at}");
+            assert_eq!(o.line_fills, m.lines_fetched, "{at}");
+            assert_eq!(o.writebacks, m.writebacks, "{at}");
+            // One event per counted operation; false sharing is a
+            // subset of the invalidations received, not an event.
+            assert_eq!(
+                o.coherence,
+                s.invalidations_sent
+                    + s.invalidations_received
+                    + s.upgrades
+                    + s.c2c_fills
+                    + s.wb_forwards
+                    + s.updates,
+                "{at}"
+            );
+        }
+    }
+
+    #[test]
+    fn probed_runs_reconcile_events_with_metrics() {
+        for cpus in [2, 4] {
+            assert_probes_reconcile::<Mesi>(cpus);
+            assert_probes_reconcile::<crate::Dragon>(cpus);
+        }
     }
 
     #[test]

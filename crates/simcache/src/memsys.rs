@@ -31,8 +31,10 @@ use sac_trace::Access;
 /// Policies never touch a clock, a bus or a write buffer directly; they
 /// ask the memory system to fetch lines, write back victims or lock the
 /// cache, and the memory system keeps the books. A uniprocessor system
-/// owns its bus privately; the multi-core [`crate::CoherentSystem`]
-/// shares one bus across all cores instead.
+/// owns its bus privately. Each core of the multi-core
+/// [`crate::CoherentSystem`] keeps its own memory system for its write
+/// buffer and books, while the system prices transactions on one shared
+/// bus and hands one shared clock to whichever core acts.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     bus: SnoopBus,
@@ -165,6 +167,20 @@ impl MemorySystem {
     #[inline]
     pub fn buffer_store(&mut self, line: u64) -> u64 {
         self.wb.push(self.clock.now(), line)
+    }
+
+    /// The clock, mutably: [`crate::CoherentSystem`] copies its one
+    /// shared clock in before a core acts and back out after.
+    #[inline]
+    pub(crate) fn clock_mut(&mut self) -> &mut Clock {
+        &mut self.clock
+    }
+
+    /// Answers a bus snoop at cycle `now`: whether a pending write-buffer
+    /// entry still holds `line` (see [`WriteBuffer::snoop`]).
+    #[inline]
+    pub(crate) fn buffer_holds(&self, now: u64, line: u64) -> bool {
+        self.wb.snoop(now, line)
     }
 
     /// Whether a write-buffer push right now would stall (§2.2: a bounce

@@ -2,9 +2,10 @@
 //! `Stand.+Prefetching` baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray, AUX_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy,
+    AUX_HIT_CYCLES,
 };
-use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
+use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
 
 #[derive(Debug, Clone, Copy)]
@@ -15,14 +16,14 @@ struct PrefetchSlot {
     valid: bool,
 }
 
-/// The next-line prefetch policy: a standard LRU array plus an N-entry
-/// prefetch buffer, run by the shared [`CacheEngine`]. Every demand miss
-/// on line `L` also fetches `L+1` into the buffer (prefetch-on-miss); a
-/// buffer hit promotes the line into the main cache.
+/// The next-line prefetch policy: a [`StandardPolicy`] main array plus
+/// an N-entry prefetch buffer, run by the shared [`CacheEngine`]. Every
+/// demand miss on line `L` also fetches `L+1` into the buffer
+/// (prefetch-on-miss); a buffer hit promotes the line into the main
+/// cache.
 #[derive(Debug, Clone)]
 pub struct PrefetchPolicy {
-    geom: CacheGeometry,
-    tags: TagArray,
+    main: StandardPolicy,
     buffer: Vec<PrefetchSlot>,
     lru_clock: u64,
 }
@@ -36,8 +37,7 @@ impl PrefetchPolicy {
     pub fn new(geom: CacheGeometry, buffer_lines: u32) -> Self {
         assert!(buffer_lines > 0, "prefetch buffer needs at least one line");
         PrefetchPolicy {
-            geom,
-            tags: TagArray::new(geom),
+            main: StandardPolicy::new(geom),
             buffer: vec![
                 PrefetchSlot {
                     line: 0,
@@ -62,7 +62,7 @@ impl PrefetchPolicy {
         line: u64,
         ready_at: u64,
     ) {
-        if self.tags.peek(line).is_some() || self.buffer_find(line).is_some() {
+        if self.main.tags.peek(line).is_some() || self.buffer_find(line).is_some() {
             return;
         }
         sys.metrics_mut().prefetches += 1;
@@ -104,43 +104,36 @@ impl PrefetchPolicy {
         let now = sys.now();
         // 3 cycles to access the buffer, plus any residual fetch latency.
         let cost = AUX_HIT_CYCLES.max(ready_at.saturating_sub(now));
-        let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.kind().is_write());
-        let mut extra = 0;
-        if old.valid {
-            if P::ENABLED {
-                probe.on_event(&Event::MainEvict {
-                    line: old.line,
-                    dirty: old.dirty,
-                });
-            }
+        // The write-back stall is charged to the access, not booked as
+        // processor stall: it hides under the fetch.
+        let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
+        if P::ENABLED && old.valid {
+            probe.on_event(&Event::MainEvict {
+                line: old.line,
+                dirty: old.dirty,
+            });
             if old.dirty {
-                if P::ENABLED {
-                    probe.on_event(&Event::Writeback { line: old.line });
-                }
-                extra += sys.writeback(old.line);
+                probe.on_event(&Event::Writeback { line: old.line });
             }
         }
-        cost + extra
+        cost + wb_stall
     }
 }
 
 impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
     #[inline]
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        CachePolicy::<P>::geometry(&self.main)
     }
 
     #[inline]
     fn probe_main(&mut self, line: u64) -> Option<usize> {
-        self.tags.probe(line)
+        CachePolicy::<P>::probe_main(&mut self.main, line)
     }
 
     #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
-        if a.kind().is_write() {
-            self.tags.entry_at_mut(idx).dirty = true;
-        }
+        CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
     fn miss(
@@ -151,7 +144,6 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         stall: u64,
         a: &Access,
     ) -> (u64, u64) {
-        let mut cost = stall;
         if let Some(slot) = self.buffer_find(line) {
             sys.metrics_mut().aux_hits += 1;
             sys.metrics_mut().useful_prefetches += 1;
@@ -162,37 +154,13 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
                 });
                 probe.on_event(&Event::PrefetchUse { line });
             }
-            cost += self.promote(sys, probe, slot, a);
+            let cost = stall + self.promote(sys, probe, slot, a);
             // Classic prefetch-on-miss: buffer hits do not re-arm the
             // prefetcher (the software-assisted design's *progressive*
             // prefetch, which does re-arm, is its advantage — §4.4).
             return (cost, 0);
         }
-        sys.metrics_mut().misses += 1;
-        cost += sys.fetch_lines(1);
-        let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.kind().is_write());
-        if P::ENABLED {
-            let victim = old.valid.then_some(Victim {
-                line: old.line,
-                dirty: old.dirty,
-            });
-            probe.on_event(&Event::Miss {
-                line,
-                set: self.geom.set_of_line(line),
-                is_write: a.kind().is_write(),
-                victim,
-            });
-            probe.on_event(&Event::LineFill { line, demand: true });
-        }
-        if old.valid && old.dirty {
-            if P::ENABLED {
-                probe.on_event(&Event::Writeback { line: old.line });
-            }
-            let wb_stall = sys.writeback(old.line);
-            sys.metrics_mut().stall_cycles += wb_stall;
-            cost += wb_stall;
-        }
+        let (cost, _) = self.main.miss(sys, probe, line, stall, a);
         // Prefetch the next line, queued behind the demand fetch.
         let ready = sys.now() + cost + sys.line_transfer_cycles();
         self.issue_prefetch(sys, probe, line + 1, ready);
@@ -203,7 +171,7 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         for slot in &mut self.buffer {
             slot.valid = false;
         }
-        self.tags.invalidate_all()
+        CachePolicy::<P>::flush(&mut self.main)
     }
 }
 

@@ -1,16 +1,20 @@
 //! The Standard baseline: a plain write-back, write-allocate LRU cache.
 
-use crate::{CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray};
+use crate::{CacheEngine, CacheGeometry, CachePolicy, Entry, MemoryModel, MemorySystem, TagArray};
 use sac_obs::{Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
 
 /// The policy of the paper's *Standard* cache: a bare LRU tag array over
 /// the shared memory system. On a miss it fetches one line, fills it and
 /// writes back the dirty victim.
+///
+/// Every "Standard plus one structure" baseline — bypassing, next-line
+/// prefetching, stream buffers, the victim cache — holds one of these as
+/// its main array, and so does each core of the [`crate::CoherentSystem`].
 #[derive(Debug, Clone)]
 pub struct StandardPolicy {
-    geom: CacheGeometry,
-    tags: TagArray,
+    pub(crate) geom: CacheGeometry,
+    pub(crate) tags: TagArray,
 }
 
 impl StandardPolicy {
@@ -20,6 +24,69 @@ impl StandardPolicy {
             geom,
             tags: TagArray::new(geom),
         }
+    }
+
+    /// The one LRU fill: puts `line` in its set's LRU way and sends a
+    /// dirty victim to the write buffer. Returns the filled way, the
+    /// displaced entry and the write-buffer stall. Events and the
+    /// stall's accounting are the caller's: every organization charges
+    /// the stall to the access, but only some book it as `stall_cycles`.
+    ///
+    /// Always inlined, like [`Self::demand_fill`]: as calls they cost
+    /// the miss paths built on them a few percent.
+    #[inline(always)]
+    pub(crate) fn fill_lru(
+        &mut self,
+        sys: &mut MemorySystem,
+        line: u64,
+        dirty: bool,
+    ) -> (usize, Entry, u64) {
+        let way = self.tags.victim_way(line);
+        let old = self.tags.fill(line, way, dirty);
+        let wb_stall = if old.valid && old.dirty {
+            sys.writeback(old.line)
+        } else {
+            0
+        };
+        (way, old, wb_stall)
+    }
+
+    /// The demand fill that ends every Standard miss: [`Self::fill_lru`]
+    /// with the `Miss`/`LineFill`/`Writeback` events, booking the
+    /// write-buffer stall in `stall_cycles`. The caller has counted the
+    /// miss and paid for the fetch. Returns the filled way and the stall,
+    /// which the caller adds to the access cost.
+    #[inline(always)]
+    pub(crate) fn demand_fill<P: Probe>(
+        &mut self,
+        sys: &mut MemorySystem,
+        probe: &mut P,
+        line: u64,
+        is_write: bool,
+    ) -> (usize, u64) {
+        let (way, old, wb_stall) = self.fill_lru(sys, line, is_write);
+        if P::ENABLED {
+            let victim = old.valid.then_some(Victim {
+                line: old.line,
+                dirty: old.dirty,
+            });
+            probe.on_event(&Event::Miss {
+                line,
+                set: self.geom.set_of_line(line),
+                is_write,
+                victim,
+            });
+            probe.on_event(&Event::LineFill { line, demand: true });
+        }
+        if old.valid && old.dirty {
+            if P::ENABLED {
+                probe.on_event(&Event::Writeback { line: old.line });
+            }
+            // The 2-cycle transfer hides under the miss penalty; only
+            // write-buffer pressure shows up as stall.
+            sys.metrics_mut().stall_cycles += wb_stall;
+        }
+        (way, wb_stall)
     }
 }
 
@@ -50,33 +117,9 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         a: &Access,
     ) -> (u64, u64) {
         sys.metrics_mut().misses += 1;
-        let mut cost = stall + sys.fetch_lines(1);
-        let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.kind().is_write());
-        if P::ENABLED {
-            let victim = old.valid.then_some(Victim {
-                line: old.line,
-                dirty: old.dirty,
-            });
-            probe.on_event(&Event::Miss {
-                line,
-                set: self.geom.set_of_line(line),
-                is_write: a.kind().is_write(),
-                victim,
-            });
-            probe.on_event(&Event::LineFill { line, demand: true });
-        }
-        if old.valid && old.dirty {
-            if P::ENABLED {
-                probe.on_event(&Event::Writeback { line: old.line });
-            }
-            // The 2-cycle transfer hides under the miss penalty; only
-            // write-buffer pressure shows up as stall.
-            let wb_stall = sys.writeback(old.line);
-            sys.metrics_mut().stall_cycles += wb_stall;
-            cost += wb_stall;
-        }
-        (cost, 0)
+        let cost = stall + sys.fetch_lines(1);
+        let (_, wb_stall) = self.demand_fill(sys, probe, line, a.kind().is_write());
+        (cost + wb_stall, 0)
     }
 
     fn flush(&mut self) -> u64 {

@@ -9,7 +9,7 @@
 //! comparing `useful_prefetches` across buffer counts.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Entry, MemoryModel, MemorySystem, TagArray,
+    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy,
     MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
@@ -25,12 +25,11 @@ struct StreamBuf {
     lru: u64,
 }
 
-/// The stream-buffer policy: a standard LRU array beside `N` FIFO stream
-/// buffers of `K` entries, run by the shared [`CacheEngine`].
+/// The stream-buffer policy: a [`StandardPolicy`] main array beside `N`
+/// FIFO stream buffers of `K` entries, run by the shared [`CacheEngine`].
 #[derive(Debug, Clone)]
 pub struct StreamPolicy {
-    geom: CacheGeometry,
-    tags: TagArray,
+    main: StandardPolicy,
     buffers: Vec<StreamBuf>,
     depth: usize,
     lru_clock: u64,
@@ -46,8 +45,7 @@ impl StreamPolicy {
     pub fn new(geom: CacheGeometry, buffers: u32, depth: u32) -> Self {
         assert!(buffers > 0 && depth > 0, "need at least one buffer entry");
         StreamPolicy {
-            geom,
-            tags: TagArray::new(geom),
+            main: StandardPolicy::new(geom),
             buffers: (0..buffers)
                 .map(|_| StreamBuf {
                     entries: VecDeque::new(),
@@ -60,35 +58,11 @@ impl StreamPolicy {
         }
     }
 
-    /// Fills `line` into the main array; returns the displaced entry and
-    /// any write-buffer stall for its writeback. The stall folds into the
-    /// access cost only — it hides under the fetch, so it is not counted
-    /// as processor stall.
-    fn fill_main<P: Probe>(
-        &mut self,
-        sys: &mut MemorySystem,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) -> (Entry, u64) {
-        let way = self.tags.victim_way(line);
-        let old = self.tags.fill(line, way, a.kind().is_write());
-        let stall = if old.valid && old.dirty {
-            if P::ENABLED {
-                probe.on_event(&Event::Writeback { line: old.line });
-            }
-            sys.writeback(old.line)
-        } else {
-            0
-        };
-        (old, stall)
-    }
-
     /// Starts a fresh stream at `line + 1` in the LRU buffer.
     fn allocate_stream<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64) {
         self.lru_clock += 1;
         let lru_clock = self.lru_clock;
-        let fetch = sys.memory().fetch_cycles(1, self.geom.line_bytes());
+        let fetch = sys.memory().fetch_cycles(1, self.main.geom.line_bytes());
         let transfer = sys.line_transfer_cycles();
         let now = sys.now();
         let depth = self.depth;
@@ -115,19 +89,17 @@ impl StreamPolicy {
 impl<P: Probe> CachePolicy<P> for StreamPolicy {
     #[inline]
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        CachePolicy::<P>::geometry(&self.main)
     }
 
     #[inline]
     fn probe_main(&mut self, line: u64) -> Option<usize> {
-        self.tags.probe(line)
+        CachePolicy::<P>::probe_main(&mut self.main, line)
     }
 
     #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
-        if a.kind().is_write() {
-            self.tags.entry_at_mut(idx).dirty = true;
-        }
+        CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
     fn miss(
@@ -160,15 +132,21 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
             cost += MAIN_HIT_CYCLES.max(ready.saturating_sub(sys.now()));
             let next = self.buffers[bi].next_line;
             self.buffers[bi].next_line += 1;
-            let arrive = sys.now() + cost + sys.memory().fetch_cycles(1, self.geom.line_bytes());
+            let arrive =
+                sys.now() + cost + sys.memory().fetch_cycles(1, self.main.geom.line_bytes());
             self.buffers[bi].entries.push_back((next, arrive));
             sys.metrics_mut().prefetches += 1;
             sys.record_fetch_traffic(1);
             if P::ENABLED {
                 probe.on_event(&Event::PrefetchIssue { line: next });
             }
-            let (old, wb_stall) = self.fill_main(sys, probe, line, a);
+            // The write-back stall folds into the access cost only: it
+            // hides under the fetch, so it is not processor stall.
+            let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
             if P::ENABLED && old.valid {
+                if old.dirty {
+                    probe.on_event(&Event::Writeback { line: old.line });
+                }
                 probe.on_event(&Event::MainEvict {
                     line: old.line,
                     dirty: old.dirty,
@@ -179,16 +157,19 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
         }
         sys.metrics_mut().misses += 1;
         cost += sys.fetch_lines(1);
-        let (old, wb_stall) = self.fill_main(sys, probe, line, a);
+        let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
         cost += wb_stall;
         if P::ENABLED {
+            if old.valid && old.dirty {
+                probe.on_event(&Event::Writeback { line: old.line });
+            }
             let victim = old.valid.then_some(Victim {
                 line: old.line,
                 dirty: old.dirty,
             });
             probe.on_event(&Event::Miss {
                 line,
-                set: self.geom.set_of_line(line),
+                set: self.main.geom.set_of_line(line),
                 is_write: a.kind().is_write(),
                 victim,
             });
@@ -202,7 +183,7 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
         for b in &mut self.buffers {
             b.entries.clear();
         }
-        self.tags.invalidate_all()
+        CachePolicy::<P>::flush(&mut self.main)
     }
 }
 

@@ -1,22 +1,22 @@
 //! Jouppi's victim cache (the Figure 3b baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Evict, MemoryModel, MemorySystem, TagArray,
-    AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Evict, MemoryModel, MemorySystem, StandardPolicy,
+    TagArray, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
 
-/// The victim-cache policy: an LRU main array backed by a small
-/// fully-associative victim array, run by the shared [`CacheEngine`].
+/// The victim-cache policy: a [`StandardPolicy`] main array backed by a
+/// small fully-associative victim array, run by the shared
+/// [`CacheEngine`].
 ///
 /// A victim-cache hit is the auxiliary path of the generic miss hook: it
 /// costs [`AUX_HIT_CYCLES`] and swaps the line with the conflicting main
 /// line, locking both arrays [`SWAP_LOCK_CYCLES`] further cycles.
 #[derive(Debug, Clone)]
 pub struct VictimPolicy {
-    geom: CacheGeometry,
-    main: TagArray,
+    main: StandardPolicy,
     victim: TagArray,
 }
 
@@ -35,8 +35,7 @@ impl VictimPolicy {
             victim_lines,
         );
         VictimPolicy {
-            geom,
-            main: TagArray::new(geom),
+            main: StandardPolicy::new(geom),
             victim: TagArray::new(vgeom),
         }
     }
@@ -45,19 +44,17 @@ impl VictimPolicy {
 impl<P: Probe> CachePolicy<P> for VictimPolicy {
     #[inline]
     fn geometry(&self) -> CacheGeometry {
-        self.geom
+        CachePolicy::<P>::geometry(&self.main)
     }
 
     #[inline]
     fn probe_main(&mut self, line: u64) -> Option<usize> {
-        self.main.probe(line)
+        CachePolicy::<P>::probe_main(&mut self.main, line)
     }
 
     #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
-        if a.kind().is_write() {
-            self.main.entry_at_mut(idx).dirty = true;
-        }
+        CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
     fn miss(
@@ -85,8 +82,8 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
                 if a.kind().is_write() {
                     ventry.dirty = true;
                 }
-                let way = self.main.victim_way(line);
-                let displaced = self.main.install(line, way, ventry);
+                let way = self.main.tags.victim_way(line);
+                let displaced = self.main.tags.install(line, way, ventry);
                 if displaced.valid {
                     if P::ENABLED {
                         probe.on_event(&Event::MainEvict {
@@ -104,8 +101,8 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
         // victim cache while the request is in flight.
         sys.metrics_mut().misses += 1;
         let mut cost = stall + sys.fetch_lines(1);
-        let way = self.main.victim_way(line);
-        let displaced = self.main.fill(line, way, a.kind().is_write());
+        let way = self.main.tags.victim_way(line);
+        let displaced = self.main.tags.fill(line, way, a.kind().is_write());
         if P::ENABLED {
             let victim = displaced.valid.then_some(Victim {
                 line: displaced.line,
@@ -113,7 +110,7 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
             });
             probe.on_event(&Event::Miss {
                 line,
-                set: self.geom.set_of_line(line),
+                set: self.main.geom.set_of_line(line),
                 is_write: a.kind().is_write(),
                 victim,
             });
@@ -136,7 +133,7 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
     }
 
     fn flush(&mut self) -> u64 {
-        self.main.invalidate_all() + self.victim.invalidate_all()
+        CachePolicy::<P>::flush(&mut self.main) + self.victim.invalidate_all()
     }
 }
 
