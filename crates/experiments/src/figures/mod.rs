@@ -12,8 +12,10 @@
 //! means, geometric means) happen after aggregation, in row order, for
 //! the same reason.
 
+use crate::suite::trace_options;
 use crate::{runner, Config, Suite, Table};
 use sac_core::SoftCacheConfig;
+use sac_loopir::TraceOptions;
 use sac_simcache::{BypassMode, CacheGeometry, MemoryModel, Metrics};
 use sac_trace::stats::{
     ReuseBand, ReuseHistogram, TagClass, TagFractions, VectorBand, VectorLengths,
@@ -396,14 +398,29 @@ pub fn fig09b(suite: &Suite) -> Table {
 }
 
 /// Figure 10a: software control on the most time-consuming Perfect Club
-/// subroutines, fully instrumented and traced alone.
+/// subroutines, fully instrumented and traced alone. Each kernel's trace
+/// is used by this figure only, so it streams through one batch of the
+/// four variants while it is generated instead of being held in a suite.
 pub fn fig10a() -> Table {
-    let suite = Suite::kernels();
-    amat_table(
-        "Figure 10a — most time-consuming Perfect Club subroutines (AMAT, cycles)",
-        &suite,
-        &soft_variants(),
-    )
+    let title = "Figure 10a — most time-consuming Perfect Club subroutines (AMAT, cycles)";
+    let configs = soft_variants();
+    let labels: Vec<&str> = configs.iter().map(|(l, _)| *l).collect();
+    let mut t = Table::new(title, &labels);
+    let prefix = short(title);
+    let rows = runner::par_map(&sac_workloads::perfect_kernels(), |i, p| {
+        let name = p.name();
+        let cells: Vec<(String, Config)> = configs
+            .iter()
+            .map(|(label, cfg)| (format!("{prefix}/{name}/{label}"), *cfg))
+            .collect();
+        let opts = trace_options(i, false);
+        let ms = replay_program(format!("{prefix}/{name}/trace"), &cells, p, &opts);
+        (name.to_string(), ms.iter().map(Metrics::amat).collect())
+    });
+    for (name, row) in rows {
+        t.push_row(name, row);
+    }
+    t
 }
 
 /// Figure 10b: influence of memory latency — the AMAT advantage of the
@@ -445,17 +462,17 @@ pub fn fig10b(suite: &Suite) -> Table {
     t
 }
 
-/// Replays `cells` over `program`'s default trace while it is generated
-/// ([`runner::replay_generated`]); the generation records as
+/// Replays `cells` over `program`'s trace under `opts` while it is
+/// generated ([`runner::replay_generated`]); the generation records as
 /// `trace_label`.
 fn replay_program(
     trace_label: String,
     cells: &[(String, Config)],
     program: &sac_loopir::Program,
+    opts: &TraceOptions,
 ) -> Vec<Metrics> {
-    let opts = sac_loopir::TraceOptions::default();
     runner::replay_generated(trace_label, cells, |batch| {
-        program.trace_into(&opts, |chunk| batch.feed(chunk))
+        program.trace_into(opts, |chunk| batch.feed(chunk))
     })
     .unwrap_or_else(|e| panic!("{} failed to trace: {e}", program.name()))
 }
@@ -483,7 +500,8 @@ pub fn fig11a(small: bool) -> Table {
             (format!("Figure 11a/B={b}/Stand."), Config::standard()),
             (format!("Figure 11a/B={b}/Soft."), Config::soft()),
         ];
-        let ms = replay_program(format!("Figure 11a/B={b}/trace"), &cells, &p);
+        let trace_label = format!("Figure 11a/B={b}/trace");
+        let ms = replay_program(trace_label, &cells, &p, &TraceOptions::default());
         (format!("B={b}"), vec![ms[0].amat(), ms[1].amat()])
     });
     for (label, row) in rows {
@@ -522,7 +540,7 @@ pub fn fig11b(small: bool) -> Table {
                 ),
             ];
             let trace_label = format!("Figure 11b/ld={ld}/copy={copying}/trace");
-            replay_program(trace_label, &cells, &p)
+            replay_program(trace_label, &cells, &p, &TraceOptions::default())
         };
         let nc = replay_for(false);
         let cp = replay_for(true);

@@ -55,11 +55,6 @@ impl Suite {
         Suite::from_programs(sac_workloads::benchset_small())
     }
 
-    /// The Figure 10a kernel set (ADM, MDG, BDN, DYF, ARC, FLO, TRF).
-    pub fn kernels() -> Self {
-        Suite::from_programs(sac_workloads::perfect_kernels())
-    }
-
     /// The paper-scale suite with the variable-virtual-line level
     /// analysis enabled (§3.2 extension experiments).
     pub fn paper_leveled() -> Self {
@@ -77,11 +72,7 @@ impl Suite {
 
     fn from_programs_with(programs: Vec<sac_loopir::Program>, levels: bool) -> Self {
         let entries = runner::par_map(&programs, |i, p| {
-            let opts = TraceOptions {
-                seed: 0x5AC0 + i as u64,
-                gaps: true,
-                levels,
-            };
+            let opts = trace_options(i, levels);
             let trace = runner::timed_cell(format!("suite/{}/trace", p.name()), || {
                 p.trace(&opts)
                     .unwrap_or_else(|e| panic!("workload {} failed to trace: {e}", p.name()))
@@ -188,6 +179,17 @@ impl Suite {
     /// Total references across the suite.
     pub fn total_refs(&self) -> usize {
         self.entries.iter().map(|(_, t)| t.len()).sum()
+    }
+}
+
+/// The trace options of the `index`-th program of a benchmark set: each
+/// program gets its own gap-model seed, so every figure that traces the
+/// same set (held in a [`Suite`] or streamed) sees the same references.
+pub(crate) fn trace_options(index: usize, levels: bool) -> TraceOptions {
+    TraceOptions {
+        seed: 0x5AC0 + index as u64,
+        gaps: true,
+        levels,
     }
 }
 

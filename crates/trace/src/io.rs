@@ -908,15 +908,21 @@ pub fn read_text<R: Read>(r: R) -> Result<Trace, ReadError> {
         };
         let addr_s = parts.next().ok_or_else(|| err("missing address"))?;
         let addr = parse_u64(addr_s).ok_or_else(|| err("bad address"))?;
-        let temporal = parts.next() == Some("1");
-        let spatial = {
-            let s = parts.next().ok_or_else(|| err("missing spatial bit"))?;
-            s == "1"
+        let mut bit = |what: &str| match parts.next() {
+            Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(other) => Err(err(&format!("bad {what} bit {other:?}"))),
+            None => Err(err(&format!("missing {what} bit"))),
         };
+        let temporal = bit("temporal")?;
+        let spatial = bit("spatial")?;
         let gap: u32 = parts
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err("bad gap"))?;
+        if gap > u32::from(u16::MAX) {
+            return Err(err(&format!("gap {gap} > 65535")));
+        }
         let instr: u32 = parts
             .next()
             .and_then(|s| s.parse().ok())
@@ -1162,6 +1168,41 @@ mod tests {
         assert!(err.to_string().contains("line 1"));
         let err = read_text(&b"R 0x40 1 0 3\n"[..]).unwrap_err();
         assert!(matches!(err, ReadError::BadEntry(_)));
+    }
+
+    #[test]
+    fn text_gap_above_u16_is_rejected_not_clamped() {
+        let ok = read_text(&b"R 0x10 0 0 65535 3\n"[..]).unwrap();
+        assert_eq!(ok.as_slice()[0].gap(), 65535);
+        let err = read_text(&b"# c\nR 0x10 0 0 65535 3\nR 0x10 0 0 70000 3\n"[..]).unwrap_err();
+        assert!(matches!(err, ReadError::BadEntry(_)));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("line 3") && msg.contains("gap 70000 > 65535"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn text_tag_bits_other_than_0_or_1_are_rejected() {
+        for (line, what) in [
+            ("R 0x10 banana 7 1 3", "bad temporal bit"),
+            ("R 0x10 2 0 1 3", "bad temporal bit"),
+            ("W 0x10 1 7 1 3", "bad spatial bit"),
+            ("W 0x10 0 yes 1 3", "bad spatial bit"),
+            ("R 0x10", "missing temporal bit"),
+            ("R 0x10 1", "missing spatial bit"),
+        ] {
+            let err = read_text(format!("R 0x8 1 1 0 0\n{line}\n").as_bytes()).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 2") && msg.contains(what),
+                "{line}: {msg}"
+            );
+        }
+        let t = read_text(&b"R 0x10 0 1 1 3\nW 0x18 1 0 1 3\n"[..]).unwrap();
+        let tags: Vec<_> = t.iter().map(|a| (a.temporal(), a.spatial())).collect();
+        assert_eq!(tags, [(false, true), (true, false)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reuse-distance distribution (paper Figure 1a).
 
 use super::wordmap::WordMap;
-use crate::Trace;
+use crate::{Access, Trace};
 use std::fmt;
 
 /// The reuse-distance bands plotted in Figure 1a.
@@ -9,7 +9,8 @@ use std::fmt;
 /// A reference's *reuse distance* is the number of references issued between
 /// it and the next reference to the same data word; a word referenced for
 /// the last time falls into [`ReuseBand::NoReuse`] ("0 corresponds to data
-/// referenced only once" in the paper's caption).
+/// referenced only once" in the paper's caption). Variants are declared
+/// in plot order, so `band as usize` indexes the histogram's counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReuseBand {
     /// The word is never referenced again.
@@ -86,23 +87,42 @@ pub struct ReuseHistogram {
 impl ReuseHistogram {
     /// Computes the histogram for a trace (word granularity, forward
     /// distances).
+    ///
+    /// A backward pass records, for each word, the index of its next
+    /// reference. When the trace's words span fewer than two words per
+    /// reference (every generated workload: arrays are laid out
+    /// contiguously), that record is a dense `u32` table indexed by
+    /// `word - lo`, at most 8 bytes per reference and one load and store
+    /// per reference. Sparser traces (external trace files scattered over
+    /// the address space) fall back to a hashed [`WordMap`].
     pub fn of(trace: &Trace) -> Self {
-        // Backward pass records, for each reference, the index of the next
-        // reference to the same word.
-        let n = trace.len();
-        // Sized for the common case of many reuses per word; grows if the
-        // trace turns out to be mostly-unique addresses.
-        let mut next_use = WordMap::with_capacity(n / 4);
+        let accesses = trace.as_slice();
         let mut counts = [0u64; 5];
-        // Iterate backward so `next_use` holds the *next* use when visited.
-        for (i, a) in trace.iter().enumerate().rev() {
-            let i = i as u64;
-            let dist = next_use.insert(a.word(), i).map(|next| next - i);
-            counts[band_index(ReuseBand::classify(dist))] += 1;
+        match dense_span(accesses) {
+            Some((lo, span)) => {
+                // `u32::MAX` marks "no later use"; indices stay below it.
+                let mut next_use = vec![u32::MAX; span];
+                for (i, a) in accesses.iter().enumerate().rev() {
+                    let i = i as u32;
+                    let next = std::mem::replace(&mut next_use[(a.word() - lo) as usize], i);
+                    let dist = (next != u32::MAX).then(|| u64::from(next - i));
+                    counts[ReuseBand::classify(dist) as usize] += 1;
+                }
+            }
+            None => {
+                // Sized for the common case of many reuses per word; grows
+                // if the trace turns out to be mostly-unique addresses.
+                let mut next_use = WordMap::with_capacity(accesses.len() / 4);
+                for (i, a) in accesses.iter().enumerate().rev() {
+                    let i = i as u64;
+                    let dist = next_use.insert(a.word(), i).map(|next| next - i);
+                    counts[ReuseBand::classify(dist) as usize] += 1;
+                }
+            }
         }
         ReuseHistogram {
             counts,
-            total: n as u64,
+            total: accesses.len() as u64,
         }
     }
 
@@ -111,13 +131,13 @@ impl ReuseHistogram {
         if self.total == 0 {
             0.0
         } else {
-            self.counts[band_index(band)] as f64 / self.total as f64
+            self.counts[band as usize] as f64 / self.total as f64
         }
     }
 
     /// Raw count in the given band.
     pub fn count(&self, band: ReuseBand) -> u64 {
-        self.counts[band_index(band)]
+        self.counts[band as usize]
     }
 
     /// Total number of references analysed.
@@ -135,17 +155,24 @@ impl ReuseHistogram {
     }
 }
 
-fn band_index(band: ReuseBand) -> usize {
-    ReuseBand::ALL
-        .iter()
-        .position(|&b| b == band)
-        .expect("band")
+/// The lowest word and the length of the dense next-use table, or `None`
+/// when the words span `2 * len` or more (the table would outgrow 8 bytes
+/// per reference) or the trace is too long for `u32` indices.
+fn dense_span(accesses: &[Access]) -> Option<(u64, usize)> {
+    let len = accesses.len() as u64;
+    if len >= u64::from(u32::MAX) {
+        return None;
+    }
+    let (lo, hi) = accesses.iter().fold((u64::MAX, 0), |(lo, hi), a| {
+        (lo.min(a.word()), hi.max(a.word()))
+    });
+    let span = hi.checked_sub(lo)?;
+    (span < 2 * len).then(|| (lo, span as usize + 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Access;
 
     fn trace_of(addrs: &[u64]) -> Trace {
         addrs.iter().map(|&a| Access::read(a)).collect()

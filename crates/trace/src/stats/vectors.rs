@@ -8,8 +8,8 @@
 //! average lifetime of a cache line). Each reference is then attributed to
 //! the byte-length band of the sequence it belongs to.
 
+use super::wordmap::WordMap;
 use crate::Trace;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum stride (bytes) for a vector sequence to continue.
@@ -18,7 +18,8 @@ pub const MAX_STRIDE: u64 = 32;
 /// Maximum idle time (in references) before a sequence is cut.
 pub const IDLE_CUTOFF: u64 = 500;
 
-/// The vector-length bands plotted in Figure 1b.
+/// The vector-length bands plotted in Figure 1b. Variants are declared in
+/// plot order, so `band as usize` indexes the distribution's counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VectorBand {
     /// Sequence spans ≤ 32 bytes (no exploitable spatial run).
@@ -111,17 +112,23 @@ pub struct VectorLengths {
 impl VectorLengths {
     /// Computes the distribution for a trace.
     pub fn of(trace: &Trace) -> Self {
-        let mut states: HashMap<u32, StreamState> = HashMap::new();
+        // Instruction id → index into `states`, in first-use order.
+        let mut slots = WordMap::with_capacity(64);
+        let mut states: Vec<StreamState> = Vec::new();
         let mut counts = [0u64; 6];
         for (i, a) in trace.iter().enumerate() {
             let i = i as u64;
-            let state = states.entry(a.instr()).or_insert(StreamState {
-                last_addr: a.addr(),
-                last_index: i,
-                lo: a.addr(),
-                hi: a.addr(),
-                refs: 0,
-            });
+            let slot = slots.get_or_insert(u64::from(a.instr()), states.len() as u64) as usize;
+            if slot == states.len() {
+                states.push(StreamState {
+                    last_addr: a.addr(),
+                    last_index: i,
+                    lo: a.addr(),
+                    hi: a.addr(),
+                    refs: 0,
+                });
+            }
+            let state = &mut states[slot];
             let stride = a.addr().abs_diff(state.last_addr);
             let idle = i - state.last_index;
             if state.refs > 0 && (stride > MAX_STRIDE || idle > IDLE_CUTOFF) {
@@ -135,7 +142,8 @@ impl VectorLengths {
             state.last_index = i;
             state.refs += 1;
         }
-        for state in states.values_mut() {
+        // The counts are additive, so the flush order does not matter.
+        for state in &mut states {
             flush(state, &mut counts);
         }
         VectorLengths {
@@ -149,13 +157,13 @@ impl VectorLengths {
         if self.total == 0 {
             0.0
         } else {
-            self.counts[band_index(band)] as f64 / self.total as f64
+            self.counts[band as usize] as f64 / self.total as f64
         }
     }
 
     /// Raw count in the given band.
     pub fn count(&self, band: VectorBand) -> u64 {
-        self.counts[band_index(band)]
+        self.counts[band as usize]
     }
 
     /// Total references analysed.
@@ -179,15 +187,8 @@ fn flush(state: &mut StreamState, counts: &mut [u64; 6]) {
     }
     // Extent covers the final word too.
     let bytes = state.hi - state.lo + crate::WORD_BYTES;
-    counts[band_index(VectorBand::classify(bytes))] += state.refs;
+    counts[VectorBand::classify(bytes) as usize] += state.refs;
     state.refs = 0;
-}
-
-fn band_index(band: VectorBand) -> usize {
-    VectorBand::ALL
-        .iter()
-        .position(|&b| b == band)
-        .expect("band")
 }
 
 #[cfg(test)]

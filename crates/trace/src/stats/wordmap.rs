@@ -1,9 +1,11 @@
 //! A minimal open-addressing `u64 → u64` map for trace analysis passes.
 //!
-//! The reuse pass inserts one entry per distinct data word and performs
-//! one lookup-or-insert per reference — millions of operations on a
-//! paper-scale trace. `std::collections::HashMap`'s DoS-resistant SipHash
-//! dominates that loop; word addresses are not adversarial, so a
+//! The reuse pass's sparse fallback inserts one entry per distinct data
+//! word and performs one lookup-or-insert per reference — millions of
+//! operations on a large external trace — and the vector-length pass maps
+//! each reference's instruction id to its stream slot.
+//! `std::collections::HashMap`'s DoS-resistant SipHash dominates such
+//! loops; word addresses and instruction ids are not adversarial, so a
 //! multiply-shift (Fibonacci) hash with linear probing is both sufficient
 //! and several times faster.
 
@@ -37,28 +39,56 @@ impl WordMap {
         (h >> 32) as usize & self.mask
     }
 
-    /// Inserts `value` under `key`, returning the previous value if the
-    /// key was present (the same contract as `HashMap::insert`).
+    /// The slot holding `key` (`Ok`), or the empty slot where it would
+    /// go (`Err`).
     #[inline]
-    pub(crate) fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+    fn find(&self, key: u64) -> Result<usize, usize> {
         let stored = key.wrapping_add(1);
         debug_assert_ne!(stored, 0, "key u64::MAX unsupported");
         let mut slot = self.slot_of(key);
         loop {
-            let k = self.keys[slot];
-            if k == stored {
-                return Some(std::mem::replace(&mut self.values[slot], value));
+            match self.keys[slot] {
+                k if k == stored => return Ok(slot),
+                0 => return Err(slot),
+                _ => slot = (slot + 1) & self.mask,
             }
-            if k == 0 {
-                self.keys[slot] = stored;
-                self.values[slot] = value;
-                self.len += 1;
-                if self.len * 2 > self.keys.len() {
-                    self.grow();
-                }
-                return None;
+        }
+    }
+
+    /// Stores a new key in the empty slot [`WordMap::find`] returned.
+    #[inline]
+    fn fill(&mut self, slot: usize, key: u64, value: u64) {
+        self.keys[slot] = key.wrapping_add(1);
+        self.values[slot] = value;
+        self.len += 1;
+        if self.len * 2 > self.keys.len() {
+            self.grow();
+        }
+    }
+
+    /// Inserts `value` under `key`, returning the previous value if the
+    /// key was present (the same contract as `HashMap::insert`).
+    #[inline]
+    pub(crate) fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+        match self.find(key) {
+            Ok(slot) => Some(std::mem::replace(&mut self.values[slot], value)),
+            Err(slot) => {
+                self.fill(slot, key, value);
+                None
             }
-            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// The value under `key`, inserting `value` first if the key is
+    /// absent (`*HashMap::entry(key).or_insert(value)`).
+    #[inline]
+    pub(crate) fn get_or_insert(&mut self, key: u64, value: u64) -> u64 {
+        match self.find(key) {
+            Ok(slot) => self.values[slot],
+            Err(slot) => {
+                self.fill(slot, key, value);
+                value
+            }
         }
     }
 
@@ -112,6 +142,20 @@ mod tests {
         for k in 0..10_000u64 {
             assert_eq!(m.insert(k * 8, 0), Some(k));
         }
+    }
+
+    #[test]
+    fn get_or_insert_keeps_the_first_value() {
+        let mut m = WordMap::with_capacity(4);
+        for k in 0..100u64 {
+            assert_eq!(m.get_or_insert(k << 40, k), k);
+        }
+        for k in 0..100u64 {
+            assert_eq!(m.get_or_insert(k << 40, 999), k);
+        }
+        assert_eq!(m.len(), 100);
+        assert_eq!(m.insert(0, 7), Some(0));
+        assert_eq!(m.get_or_insert(0, 8), 7);
     }
 
     #[test]

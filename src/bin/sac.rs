@@ -344,10 +344,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let path = path.ok_or("usage: sac stats <trace-file>")?;
     let trace = load_trace(path)?;
     println!("{trace}");
+    let footprint = trace.footprint_words();
     println!(
-        "footprint: {} words ({} KB); {:.1}% loads; issue time {} cycles",
-        trace.footprint_words(),
-        trace.footprint_words() * 8 / 1024,
+        "footprint: {footprint} words ({} KB); {:.1}% loads; issue time {} cycles",
+        footprint * 8 / 1024,
         100.0 * trace.read_fraction(),
         trace.issue_cycles()
     );

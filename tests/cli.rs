@@ -75,6 +75,34 @@ fn trace_stats_simulate_pipeline() {
 }
 
 #[test]
+fn stats_output_matches_the_pinned_goldens() {
+    // MV's words are contiguous (the dense reuse table); golden.trace's
+    // are spread far apart (the hashed fallback).
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let mv = tmpfile("stats-golden-mv.sact");
+    let out = sac()
+        .args(["trace", "MV", "--small", "-o"])
+        .arg(&mv)
+        .output()
+        .expect("run sac trace");
+    assert!(out.status.success());
+    for (input, golden) in [
+        (mv.clone(), "stats_mv_small_golden.txt"),
+        (data.join("golden.trace"), "stats_golden_trace_golden.txt"),
+    ] {
+        let out = sac()
+            .arg("stats")
+            .arg(&input)
+            .output()
+            .expect("run sac stats");
+        assert!(out.status.success());
+        let want = std::fs::read_to_string(data.join(golden)).expect("read golden");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{golden}");
+    }
+    std::fs::remove_file(&mv).ok();
+}
+
+#[test]
 fn text_format_round_trips_through_simulate() {
     let path = tmpfile("mv.txt");
     let out = sac()
