@@ -1,14 +1,14 @@
 //! Probe-layer overhead: the same engines over the same traces with no
 //! probe attached (the default `NoopProbe`, which must be
 //! indistinguishable from the pre-probe engines — its hooks const-fold
-//! away), the minimal `CountingProbe`, and the full `TracingProbe`
+//! away), the bare `EventCounts` fold, and the full `TracingProbe`
 //! telemetry stack. The noop/plain pair is the zero-cost claim; the
 //! tracing rows document what full instrumentation costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sac_core::{SoftCache, SoftCacheConfig};
 use sac_experiments::explain::{hit_heavy_trace, miss_heavy_trace};
-use sac_obs::{CountingProbe, ObsConfig, Probe, TracingProbe};
+use sac_obs::{EventCounts, ObsConfig, Probe, TracingProbe};
 use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, Metrics, StandardCache, VictimCache};
 use sac_trace::Trace;
 use std::hint::black_box;
@@ -64,7 +64,7 @@ fn probe_overhead(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("standard/counting", name),
             trace,
-            |b, t| b.iter(|| run_standard(CountingProbe::default(), black_box(t))),
+            |b, t| b.iter(|| run_standard(EventCounts::default(), black_box(t))),
         );
         group.bench_with_input(BenchmarkId::new("standard/tracing", name), trace, |b, t| {
             b.iter(|| run_standard(tracing(), black_box(t)))
@@ -80,7 +80,7 @@ fn probe_overhead(c: &mut Criterion) {
             b.iter(|| run_victim(sac_obs::NoopProbe, black_box(t)))
         });
         group.bench_with_input(BenchmarkId::new("victim/counting", name), trace, |b, t| {
-            b.iter(|| run_victim(CountingProbe::default(), black_box(t)))
+            b.iter(|| run_victim(EventCounts::default(), black_box(t)))
         });
         group.bench_with_input(BenchmarkId::new("victim/tracing", name), trace, |b, t| {
             b.iter(|| run_victim(tracing(), black_box(t)))

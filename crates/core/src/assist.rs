@@ -22,8 +22,8 @@
 use crate::config::SoftCacheConfig;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, MemorySystem, Metrics, TagArray,
-    MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, MemorySystem, Metrics, ProbedSim,
+    TagArray, MAIN_HIT_CYCLES,
 };
 use sac_trace::Access;
 
@@ -280,6 +280,12 @@ impl<P: Probe> CacheSim for AssistCache<P> {
 
     fn metrics(&self) -> &Metrics {
         self.engine.metrics()
+    }
+}
+
+impl<P: Probe> ProbedSim<P> for AssistCache<P> {
+    fn into_probe(self: Box<Self>) -> P {
+        self.engine.into_probe()
     }
 }
 

@@ -4,7 +4,7 @@ use sac_core::{AssistCache, SoftCache, SoftCacheConfig};
 use sac_obs::Probe;
 use sac_simcache::{
     BypassCache, BypassMode, CacheGeometry, CacheSim, ColumnAssociativeCache, MemoryModel, Metrics,
-    NextLinePrefetchCache, StandardCache, StreamBufferCache, VictimCache,
+    NextLinePrefetchCache, ProbedSim, StandardCache, StreamBufferCache, VictimCache,
 };
 use sac_trace::Trace;
 use std::fmt;
@@ -249,12 +249,13 @@ impl Config {
         }
     }
 
-    /// Builds the configured engine with an observer probe attached.
-    /// Every organization runs on the shared policy engine, so any
-    /// [`Probe`] composes with any configuration; the probed engine
-    /// replays exactly like its unprobed twin (same chunked fast path,
-    /// same metrics).
-    pub fn build_probed<P: Probe + 'static>(&self, probe: P) -> Box<dyn CacheSim> {
+    /// Builds the configured engine with an observer probe attached; the
+    /// probe comes back out through [`ProbedSim::into_probe`]. Every
+    /// organization runs on the shared policy engine, so any [`Probe`]
+    /// composes with any configuration; the probed engine replays
+    /// exactly like its unprobed twin (same chunked fast path, same
+    /// metrics).
+    pub fn build_probed<P: Probe + 'static>(&self, probe: P) -> Box<dyn ProbedSim<P>> {
         match *self {
             Config::Standard { geom, mem } => Box::new(StandardCache::with_probe(geom, mem, probe)),
             Config::Victim { geom, mem, lines } => {
@@ -362,7 +363,7 @@ mod tests {
 
     #[test]
     fn probed_build_matches_unprobed() {
-        use sac_obs::CountingProbe;
+        use sac_obs::EventCounts;
         let t = trace();
         for c in [
             Config::standard(),
@@ -371,9 +372,11 @@ mod tests {
         ] {
             let (geom, _) = c.shape();
             assert_eq!(geom, CacheGeometry::standard(), "{c}");
-            let mut probed = c.build_probed(CountingProbe::default());
+            let mut probed = c.build_probed(EventCounts::default());
             probed.run(&t);
-            assert_eq!(*probed.metrics(), c.run(&t), "{c}");
+            let m = *probed.metrics();
+            assert_eq!(m, c.run(&t), "{c}");
+            m.reconcile_events(&probed.into_probe()).unwrap();
         }
     }
 

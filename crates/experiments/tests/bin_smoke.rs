@@ -460,3 +460,69 @@ fn explain_rejects_a_bench_guard_pct_that_disarms_or_trips_the_gate() {
         assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{pct}");
     }
 }
+
+/// The telemetry outputs (probe JSONL, timeline JSONL and table, the
+/// lockstep diff report and its JSONL) are pinned byte for byte against
+/// goldens in the workspace's `tests/data`.
+#[test]
+fn telemetry_outputs_match_their_goldens() {
+    let data = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let dir = std::env::temp_dir().join(format!("sac-telemetry-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run binary");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let explain = env!("CARGO_BIN_EXE_explain");
+    run(
+        figures,
+        &[
+            "--jobs",
+            "1",
+            "--small",
+            "fig04b",
+            "--obs-json",
+            "obs_small_golden.jsonl",
+            "--timeline-json",
+            "timeline_small_golden.jsonl",
+        ],
+    );
+    let diff_all = run(figures, &["--small", "--diff"]);
+    std::fs::write(dir.join("diff_all_small_golden.txt"), diff_all).expect("write");
+    run(
+        explain,
+        &[
+            "--small",
+            "--config",
+            "standard",
+            "--diff",
+            "soft",
+            "--diff-json",
+            "explain_diff_small_golden.jsonl",
+        ],
+    );
+    let timeline = run(explain, &["--small", "--config", "soft", "--timeline"]);
+    std::fs::write(dir.join("explain_soft_timeline_golden.txt"), timeline).expect("write");
+    for name in [
+        "obs_small_golden.jsonl",
+        "timeline_small_golden.jsonl",
+        "diff_all_small_golden.txt",
+        "explain_diff_small_golden.jsonl",
+        "explain_soft_timeline_golden.txt",
+    ] {
+        let got = std::fs::read(dir.join(name)).expect("output written");
+        let want = std::fs::read(data.join(name)).expect("golden present");
+        assert!(got == want, "{name} differs from tests/data/{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

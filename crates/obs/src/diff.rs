@@ -13,11 +13,11 @@
 //! [`Probe::on_ref`] of the reference that triggered it, so those events
 //! fold into the previous reference's outcome — or, at a chunk boundary
 //! (where the previous outcome was already finalized by
-//! [`Probe::on_chunk`]), carry forward into the next one. Both rules are
-//! deterministic and preserve totals: summing all outcomes reproduces
-//! the side's event-backed `Metrics` counters exactly
-//! ([`SideState::totals`]), which is what the differential layer's
-//! reconciliation rests on.
+//! [`Probe::on_chunk`]), carry forward into the next one; events after
+//! the last reference (a trailing flush) join the totals at
+//! [`SideState::finish`]. The rules are deterministic and preserve
+//! totals: [`SideState::totals`] reconciles exactly against the side's
+//! `Metrics`, which is what the differential layer rests on.
 //!
 //! The probe is handed to the engine by value (`build_probed` boxes it
 //! into the simulator), so its state lives behind an `Rc<RefCell<..>>`
@@ -26,7 +26,8 @@
 //! runs single-threaded.
 
 use crate::{
-    AuxSource, Event, FillOrigin, LineLifetime, MissCause, Probe, ShadowClassifier, ShadowOutcome,
+    AuxSource, Event, EventCounts, FillOrigin, LineLifetime, MissCause, Probe, ShadowClassifier,
+    ShadowOutcome,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,119 +58,26 @@ impl OutcomeClass {
     }
 }
 
-/// Per-event-kind counts of one reference (or, accumulated, of a run).
-/// Field names match the [`crate::ObsCounts`] they mirror; `writebacks`
-/// includes flush bulk write-backs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// `Miss` events.
-    pub misses: u64,
-    /// `AuxHit` events.
-    pub aux_hits: u64,
-    /// `Bypass` events.
-    pub bypasses: u64,
-    /// `LineFill` events.
-    pub line_fills: u64,
-    /// `VlineFill` events.
-    pub vline_fills: u64,
-    /// `MainEvict` events.
-    pub main_evicts: u64,
-    /// `BounceBack` events.
-    pub bounces: u64,
-    /// `Swap` events.
-    pub swaps: u64,
-    /// `PrefetchIssue` events.
-    pub prefetch_issues: u64,
-    /// `PrefetchUse` events.
-    pub prefetch_uses: u64,
-    /// `Writeback` events plus `Flush` writeback counts.
-    pub writebacks: u64,
-    /// `Flush` events.
-    pub flushes: u64,
-    /// `Coherence` events (multi-core snooping only; always zero in
-    /// uniprocessor runs).
-    pub coherence: u64,
-}
-
-impl EventCounts {
-    /// Accumulates another count set.
-    pub fn merge(&mut self, o: &EventCounts) {
-        self.misses += o.misses;
-        self.aux_hits += o.aux_hits;
-        self.bypasses += o.bypasses;
-        self.line_fills += o.line_fills;
-        self.vline_fills += o.vline_fills;
-        self.main_evicts += o.main_evicts;
-        self.bounces += o.bounces;
-        self.swaps += o.swaps;
-        self.prefetch_issues += o.prefetch_issues;
-        self.prefetch_uses += o.prefetch_uses;
-        self.writebacks += o.writebacks;
-        self.flushes += o.flushes;
-        self.coherence += o.coherence;
-    }
-
-    /// One event, counted.
-    fn record(&mut self, event: &Event) {
-        match *event {
-            Event::Miss { .. } => self.misses += 1,
-            Event::AuxHit { .. } => self.aux_hits += 1,
-            Event::Bypass { .. } => self.bypasses += 1,
-            Event::LineFill { .. } => self.line_fills += 1,
-            Event::VlineFill { .. } => self.vline_fills += 1,
-            Event::MainEvict { .. } => self.main_evicts += 1,
-            Event::BounceBack { .. } => self.bounces += 1,
-            Event::Swap { .. } => self.swaps += 1,
-            Event::PrefetchIssue { .. } => self.prefetch_issues += 1,
-            Event::PrefetchUse { .. } => self.prefetch_uses += 1,
-            Event::Writeback { .. } => self.writebacks += 1,
-            Event::Flush { writebacks } => {
-                self.writebacks += writebacks;
-                self.flushes += 1;
-            }
-            Event::Coherence { .. } => self.coherence += 1,
-        }
-    }
-}
-
 /// The folded outcome of one reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefOutcome {
     /// The referenced line.
     pub line: u64,
-    /// Whether the reference was a store.
-    pub is_write: bool,
     /// How it was served.
     pub class: OutcomeClass,
-    /// Every event it generated (plus carried-over maintenance; see the
-    /// module docs).
+    /// The reference itself (`writes` is 1 for a store) and every event
+    /// it generated (plus carried-over maintenance; see the module
+    /// docs), misses classified.
     pub counts: EventCounts,
     /// The fill origin of the line's current main-array residency at the
     /// end of the reference, when it is resident in the shadow.
     pub origin: Option<FillOrigin>,
 }
 
-/// Running totals over all finalized outcomes of one side, for
-/// reconciliation against the side's `Metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeTotals {
-    /// References finalized.
-    pub refs: u64,
-    /// Loads among them.
-    pub reads: u64,
-    /// Stores among them.
-    pub writes: u64,
-    /// References classed [`OutcomeClass::MainHit`].
-    pub main_hits: u64,
-    /// Accumulated event counts.
-    pub counts: EventCounts,
-}
-
 /// A reference whose outcome is still open (events may yet arrive).
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     line: u64,
-    is_write: bool,
     /// 3C verdict of the side's shadow classifier, captured at `on_ref`
     /// so a later `Miss` event classifies without re-touching.
     shadow: ShadowOutcome,
@@ -188,7 +96,7 @@ pub struct SideState {
     /// maintenance); they carry forward into the next outcome.
     orphan: EventCounts,
     outcomes: Vec<RefOutcome>,
-    totals: OutcomeTotals,
+    totals: EventCounts,
     refs_seen: u64,
     /// Most recent fold: (cumulative refs, cumulative mem_cycles).
     last_fold: (u64, u64),
@@ -202,7 +110,7 @@ impl SideState {
             pending: None,
             orphan: EventCounts::default(),
             outcomes: Vec::new(),
-            totals: OutcomeTotals::default(),
+            totals: EventCounts::default(),
             refs_seen: 0,
             last_fold: (0, 0),
         }
@@ -210,21 +118,10 @@ impl SideState {
 
     fn finalize_pending(&mut self) {
         if let Some(p) = self.pending.take() {
-            let class = p.class.unwrap_or(OutcomeClass::MainHit);
-            self.totals.refs += 1;
-            if p.is_write {
-                self.totals.writes += 1;
-            } else {
-                self.totals.reads += 1;
-            }
-            if class == OutcomeClass::MainHit {
-                self.totals.main_hits += 1;
-            }
-            self.totals.counts.merge(&p.counts);
+            self.totals.merge(&p.counts);
             self.outcomes.push(RefOutcome {
                 line: p.line,
-                is_write: p.is_write,
-                class,
+                class: p.class.unwrap_or(OutcomeClass::MainHit),
                 counts: p.counts,
                 origin: self.lifetime.origin_of(p.line),
             });
@@ -236,12 +133,13 @@ impl SideState {
         self.refs_seen += 1;
         let shadow = self.classifier.touch(line);
         self.lifetime.touch(line, self.refs_seen);
+        let mut counts = std::mem::take(&mut self.orphan);
+        counts.record_ref(is_write);
         self.pending = Some(Pending {
             line,
-            is_write,
             shadow,
             class: None,
-            counts: std::mem::take(&mut self.orphan),
+            counts,
         });
     }
 
@@ -288,7 +186,7 @@ impl SideState {
         }
         match &mut self.pending {
             Some(p) => {
-                p.counts.record(event);
+                p.counts.record(event, Some(p.shadow));
                 // The first class-bearing event decides the outcome; an
                 // engine emits at most one of these per reference.
                 if p.class.is_none() {
@@ -300,7 +198,9 @@ impl SideState {
                     };
                 }
             }
-            None => self.orphan.record(event),
+            None => {
+                self.orphan.record(event, None);
+            }
         }
     }
 
@@ -316,9 +216,10 @@ impl SideState {
         std::mem::take(&mut self.outcomes)
     }
 
-    /// Running totals over every finalized outcome, for reconciliation
-    /// against the side's `Metrics`.
-    pub fn totals(&self) -> OutcomeTotals {
+    /// The sum of every finalized outcome's counts (after
+    /// [`SideState::finish`], plus events that arrived after the last
+    /// reference), for reconciliation against the side's `Metrics`.
+    pub fn totals(&self) -> EventCounts {
         self.totals
     }
 
@@ -338,10 +239,13 @@ impl SideState {
         self.last_fold
     }
 
-    /// Folds still-open state (a pending outcome, resident lifetimes).
-    /// Call once, after the run.
+    /// Folds still-open state (a pending outcome, events with no
+    /// reference left to carry them such as a trailing flush, resident
+    /// lifetimes). Call once, after the run.
     pub fn finish(&mut self) {
         self.finalize_pending();
+        let orphan = std::mem::take(&mut self.orphan);
+        self.totals.merge(&orphan);
         let at = self.refs_seen;
         self.lifetime.finish(at);
     }
@@ -441,14 +345,14 @@ mod tests {
         assert_eq!(t.refs, 3);
         assert_eq!(t.reads, 2);
         assert_eq!(t.writes, 1);
-        assert_eq!(t.main_hits, 1);
-        assert_eq!(t.counts.misses, 1);
-        assert_eq!(t.counts.aux_hits, 1);
+        assert_eq!(t.misses, 1);
+        assert_eq!(t.compulsory, 1);
+        assert_eq!(t.aux_hits, 1);
         let mut sum = EventCounts::default();
         for o in &outcomes {
             sum.merge(&o.counts);
         }
-        assert_eq!(sum, t.counts);
+        assert_eq!(sum, t);
         assert_eq!(state.borrow().last_fold(), (3, 100));
     }
 
@@ -465,7 +369,7 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].counts.bounces, 0);
         assert_eq!(outcomes[1].counts.bounces, 1);
-        assert_eq!(state.borrow().totals().counts.bounces, 1);
+        assert_eq!(state.borrow().totals().bounces, 1);
     }
 
     #[test]

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod classify;
+mod counts;
 mod diff;
 mod event;
 mod hist;
@@ -60,14 +61,16 @@ mod tracing;
 pub const SCHEMA_VERSION: u32 = 3;
 
 pub use classify::{ShadowClassifier, ShadowOutcome};
-pub use diff::{EventCounts, OutcomeClass, OutcomeProbe, OutcomeTotals, RefOutcome, SideState};
+pub use counts::EventCounts;
+pub use diff::{OutcomeClass, OutcomeProbe, RefOutcome, SideState};
 pub use event::{AuxSource, CoherenceOp, Event, MissCause, Victim};
 pub use hist::{Log2Histogram, SetHeatmap, WordUse};
 pub use lifetime::{FillOrigin, LifetimeSummary, LineLifetime, LineStats};
-pub use probe::{CountingProbe, NoopProbe, Probe};
+pub use probe::{NoopProbe, Probe};
 pub use registry::{MetricsRegistry, ProgressGauge};
 pub use ring::{EventRing, TimedEvent};
+pub use span::json_escape;
 pub use timeline::{
     Phase, Timeline, Window, WindowDelta, DEFAULT_PHASE_THRESHOLD, DEFAULT_WINDOW_REFS,
 };
-pub use tracing::{ObsConfig, ObsCounts, TracingProbe};
+pub use tracing::{ObsConfig, TracingProbe};

@@ -65,28 +65,6 @@ impl Probe for NoopProbe {
     fn on_chunk(&mut self, _refs: u64, _mem_cycles: u64) {}
 }
 
-/// A minimal active probe counting hooks, for tests and benches that
-/// need `ENABLED = true` without the full telemetry stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingProbe {
-    /// References observed via [`Probe::on_ref`].
-    pub refs: u64,
-    /// Events observed via [`Probe::on_event`].
-    pub events: u64,
-}
-
-impl Probe for CountingProbe {
-    #[inline]
-    fn on_ref(&mut self, _addr: u64, _line: u64, _is_write: bool) {
-        self.refs += 1;
-    }
-
-    #[inline]
-    fn on_event(&mut self, _event: &Event) {
-        self.events += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,11 +72,11 @@ mod tests {
     #[test]
     fn noop_is_disabled_and_counting_is_enabled() {
         const { assert!(!NoopProbe::ENABLED) };
-        const { assert!(CountingProbe::ENABLED) };
-        let mut c = CountingProbe::default();
+        const { assert!(crate::EventCounts::ENABLED) };
+        let mut c = crate::EventCounts::default();
         c.on_ref(0, 0, false);
         c.on_event(&Event::Swap { line: 1 });
         c.on_event(&Event::Swap { line: 2 });
-        assert_eq!((c.refs, c.events), (1, 2));
+        assert_eq!((c.refs, c.swaps), (1, 2));
     }
 }

@@ -417,8 +417,9 @@ pub fn check_nesting(spans: &[Span], mode: TraceMode) -> Result<(), String> {
     Ok(())
 }
 
-/// Escapes a string for a JSON literal.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for the body of a JSON string literal (the caller
+/// adds the quotes): the workspace's one JSON string escaper.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -629,5 +630,8 @@ mod tests {
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("\t\r"), "\\t\\r");
     }
 }

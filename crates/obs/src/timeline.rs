@@ -20,12 +20,13 @@
 //! windows are exact.
 //!
 //! **Reconciliation invariant.** Windows partition the run: every
-//! reference, miss, bounce and writeback lands in exactly one window,
-//! and `mem_cycles` is the difference of the engine's cumulative total
-//! between consecutive folds. Summing all windows therefore reproduces
-//! the engine's global `Metrics` counters *exactly* — not
-//! approximately — and `explain --timeline` verifies this on every
-//! invocation (tested for all eight organizations).
+//! reference and event lands in exactly one window's [`EventCounts`]
+//! (events after the last fold, such as a trailing flush, join the last
+//! window), and `mem_cycles` is the difference of the engine's
+//! cumulative total between consecutive folds. Summing all windows
+//! therefore reproduces the engine's global `Metrics` counters
+//! *exactly* — not approximately — and `explain --timeline` verifies
+//! this on every invocation (tested for all eight organizations).
 //!
 //! **Phase detection.** An online change detector: each closed window's
 //! miss rate is compared against the running mean miss rate of the
@@ -33,35 +34,16 @@
 //! starts a new phase. Phases are summarized alongside the window table
 //! and exported in the JSONL.
 
-use crate::{Event, Probe, ShadowClassifier, ShadowOutcome};
+use crate::{json_escape, Event, EventCounts, Probe, ShadowClassifier, ShadowOutcome};
 use std::io::{self, Write};
 
 /// The additive per-window counters. Summing the deltas of all windows
-/// of a run reproduces the corresponding global `Metrics` counters
-/// exactly (the reconciliation invariant).
+/// of a run reproduces the engine's global `Metrics` exactly (the
+/// reconciliation invariant).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowDelta {
-    /// References in the window.
-    pub refs: u64,
-    /// Loads.
-    pub reads: u64,
-    /// Stores.
-    pub writes: u64,
-    /// References that went to memory.
-    pub misses: u64,
-    /// Misses an infinite cache would also take.
-    pub compulsory: u64,
-    /// Misses a same-size fully-associative cache would also take.
-    pub capacity: u64,
-    /// Misses only the real set mapping takes.
-    pub conflict: u64,
-    /// Bounce-back re-injections.
-    pub bounces: u64,
-    /// Dirty lines written back (including flush writebacks).
-    pub writebacks: u64,
-    /// Coherence operations (invalidations, upgrades, cache-to-cache
-    /// fills, …) attributed to the window; zero in uniprocessor runs.
-    pub coherence: u64,
+    /// The window's references and events, misses classified.
+    pub counts: EventCounts,
     /// Memory cycles attributed to the window (difference of the
     /// engine's cumulative total between the folds bounding it).
     pub mem_cycles: u64,
@@ -70,35 +52,27 @@ pub struct WindowDelta {
 impl WindowDelta {
     /// Accumulates another delta (used by [`Timeline::totals`]).
     pub fn merge(&mut self, other: &WindowDelta) {
-        self.refs += other.refs;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.misses += other.misses;
-        self.compulsory += other.compulsory;
-        self.capacity += other.capacity;
-        self.conflict += other.conflict;
-        self.bounces += other.bounces;
-        self.writebacks += other.writebacks;
-        self.coherence += other.coherence;
+        self.counts.merge(&other.counts);
         self.mem_cycles += other.mem_cycles;
     }
 
     /// Window miss rate (misses over references; 0 when empty).
     pub fn miss_rate(&self) -> f64 {
-        if self.refs == 0 {
+        let c = &self.counts;
+        if c.refs == 0 {
             0.0
         } else {
-            self.misses as f64 / self.refs as f64
+            c.misses as f64 / c.refs as f64
         }
     }
 
     /// The window's AMAT contribution: memory cycles per reference in
     /// the window (0 when empty).
     pub fn amat(&self) -> f64 {
-        if self.refs == 0 {
+        if self.counts.refs == 0 {
             0.0
         } else {
-            self.mem_cycles as f64 / self.refs as f64
+            self.mem_cycles as f64 / self.counts.refs as f64
         }
     }
 }
@@ -216,7 +190,7 @@ impl Timeline {
 
     /// Closes the pending window at the current fold.
     fn close_window(&mut self) {
-        debug_assert!(self.pending.refs > 0);
+        debug_assert!(self.pending.counts.refs > 0);
         self.pending.mem_cycles = self.last_fold.1 - self.cycles_at_open;
         let delta = self.pending;
         let rate = delta.miss_rate();
@@ -226,8 +200,8 @@ impl Timeline {
         let phase_idx = match &mut self.current_phase {
             Some(p) if (rate - p.miss_rate()).abs() <= self.phase_threshold => {
                 p.windows += 1;
-                p.refs += delta.refs;
-                p.misses += delta.misses;
+                p.refs += delta.counts.refs;
+                p.misses += delta.counts.misses;
                 p.mem_cycles += delta.mem_cycles;
                 self.phases.len()
             }
@@ -239,8 +213,8 @@ impl Timeline {
                     start_window: index,
                     windows: 1,
                     start_ref: self.pending_start_ref,
-                    refs: delta.refs,
-                    misses: delta.misses,
+                    refs: delta.counts.refs,
+                    misses: delta.counts.misses,
                     mem_cycles: delta.mem_cycles,
                 });
                 self.phases.len()
@@ -259,13 +233,16 @@ impl Timeline {
 
     /// Closes the trailing partial window and the current phase. Call
     /// once, after the run; [`Timeline::totals`], window iteration and
-    /// rendering expect a finished timeline.
+    /// rendering expect a finished timeline. Events that arrived after
+    /// the last reference (a trailing flush) join the last window.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
-        if self.pending.refs > 0 {
+        if self.pending.counts.refs > 0 {
             self.close_window();
+        } else if let Some(last) = self.windows.last_mut() {
+            last.delta.merge(&self.pending);
         }
         if let Some(p) = self.current_phase.take() {
             self.phases.push(p);
@@ -299,8 +276,9 @@ impl Timeline {
     /// Writes the timeline as JSONL: one object per window, then one
     /// `"kind": "phase"` object per phase.
     pub fn write_jsonl(&self, label: &str, out: &mut impl Write) -> io::Result<()> {
+        let label = json_escape(label);
         for w in &self.windows {
-            let d = &w.delta;
+            let (d, c) = (&w.delta, &w.delta.counts);
             writeln!(
                 out,
                 "{{\"kind\": \"window\", \"schema_version\": {}, \"label\": \"{label}\", \"window\": {}, \
@@ -312,18 +290,18 @@ impl Timeline {
                 w.index,
                 w.start_ref,
                 w.phase,
-                d.refs,
-                d.reads,
-                d.writes,
-                d.misses,
+                c.refs,
+                c.reads,
+                c.writes,
+                c.misses,
                 d.miss_rate(),
                 d.amat(),
-                d.compulsory,
-                d.capacity,
-                d.conflict,
-                d.bounces,
-                d.writebacks,
-                d.coherence,
+                c.compulsory,
+                c.capacity,
+                c.conflict,
+                c.bounces,
+                c.writebacks,
+                c.coherence,
                 d.mem_cycles
             )?;
         }
@@ -359,19 +337,19 @@ impl Timeline {
             "  win      start     refs  miss%    amat   comp    cap   conf  bounce  wrback  ph\n",
         );
         for w in &self.windows {
-            let d = &w.delta;
+            let (d, c) = (&w.delta, &w.delta.counts);
             out.push_str(&format!(
                 "  {:>3} {:>10} {:>8} {:>6.2} {:>7.3} {:>6} {:>6} {:>6} {:>7} {:>7} {:>3}\n",
                 w.index,
                 w.start_ref,
-                d.refs,
+                c.refs,
                 100.0 * d.miss_rate(),
                 d.amat(),
-                d.compulsory,
-                d.capacity,
-                d.conflict,
-                d.bounces,
-                d.writebacks,
+                c.compulsory,
+                c.capacity,
+                c.conflict,
+                c.bounces,
+                c.writebacks,
                 w.phase
             ));
         }
@@ -395,32 +373,13 @@ impl Probe for Timeline {
     #[inline]
     fn on_ref(&mut self, _addr: u64, line: u64, is_write: bool) {
         self.refs_seen += 1;
-        self.pending.refs += 1;
-        if is_write {
-            self.pending.writes += 1;
-        } else {
-            self.pending.reads += 1;
-        }
+        self.pending.counts.record_ref(is_write);
         self.last_outcome = Some(self.classifier.touch(line));
     }
 
     #[inline]
     fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::Miss { .. } => {
-                self.pending.misses += 1;
-                match self.last_outcome {
-                    Some(o) if o.first_touch => self.pending.compulsory += 1,
-                    Some(o) if !o.fa_hit => self.pending.capacity += 1,
-                    _ => self.pending.conflict += 1,
-                }
-            }
-            Event::BounceBack { .. } => self.pending.bounces += 1,
-            Event::Writeback { .. } => self.pending.writebacks += 1,
-            Event::Flush { writebacks } => self.pending.writebacks += writebacks,
-            Event::Coherence { .. } => self.pending.coherence += 1,
-            _ => {}
-        }
+        self.pending.counts.record(event, self.last_outcome);
     }
 
     #[inline]
@@ -471,13 +430,16 @@ mod tests {
         drive(&mut t, 1000, 100, 5, 10);
         assert_eq!(t.windows().len(), 10);
         let totals = t.totals();
-        assert_eq!(totals.refs, 1000);
-        assert_eq!(totals.misses, 200);
-        assert_eq!(totals.reads + totals.writes, totals.refs);
+        assert_eq!(totals.counts.refs, 1000);
+        assert_eq!(totals.counts.misses, 200);
+        assert_eq!(
+            totals.counts.reads + totals.counts.writes,
+            totals.counts.refs
+        );
         // Cycles: 200 misses * 10 + 800 hits * 1.
         assert_eq!(totals.mem_cycles, 2800);
         for w in t.windows() {
-            assert_eq!(w.delta.refs, 100);
+            assert_eq!(w.delta.counts.refs, 100);
             assert_eq!(w.delta.mem_cycles, 280);
         }
         assert_eq!(t.windows()[3].start_ref, 300);
@@ -489,19 +451,19 @@ mod tests {
         // Chunks of 64: folds at 64, 128, 192, 256 — the first fold at
         // or past each 100-ref boundary closes the window.
         drive(&mut t, 256, 64, 4, 8);
-        let widths: Vec<u64> = t.windows().iter().map(|w| w.delta.refs).collect();
+        let widths: Vec<u64> = t.windows().iter().map(|w| w.delta.counts.refs).collect();
         assert_eq!(widths, vec![128, 128]);
-        assert_eq!(t.totals().refs, 256);
+        assert_eq!(t.totals().counts.refs, 256);
     }
 
     #[test]
     fn trailing_partial_window_is_kept() {
         let mut t = Timeline::new(100, 64);
         drive(&mut t, 250, 50, 2, 6);
-        let widths: Vec<u64> = t.windows().iter().map(|w| w.delta.refs).collect();
+        let widths: Vec<u64> = t.windows().iter().map(|w| w.delta.counts.refs).collect();
         assert_eq!(widths, vec![100, 100, 50]);
-        assert_eq!(t.totals().refs, 250);
-        assert_eq!(t.totals().misses, 125);
+        assert_eq!(t.totals().counts.refs, 250);
+        assert_eq!(t.totals().counts.misses, 125);
     }
 
     #[test]
@@ -572,13 +534,13 @@ mod tests {
         }
         t.finish();
         let totals = t.totals();
-        assert_eq!(totals.misses, 100);
+        assert_eq!(totals.counts.misses, 100);
         assert_eq!(
-            totals.compulsory + totals.capacity + totals.conflict,
-            totals.misses
+            totals.counts.compulsory + totals.counts.capacity + totals.counts.conflict,
+            totals.counts.misses
         );
-        assert_eq!(totals.compulsory, 4, "first touch of each line");
-        assert_eq!(totals.capacity, 96, "working set exceeds shadow FA");
+        assert_eq!(totals.counts.compulsory, 4, "first touch of each line");
+        assert_eq!(totals.counts.capacity, 96, "working set exceeds shadow FA");
     }
 
     #[test]
@@ -591,8 +553,8 @@ mod tests {
         t.on_chunk(1, 7);
         t.finish();
         let totals = t.totals();
-        assert_eq!(totals.writebacks, 4);
-        assert_eq!(totals.bounces, 1);
+        assert_eq!(totals.counts.writebacks, 4);
+        assert_eq!(totals.counts.bounces, 1);
         assert_eq!(totals.mem_cycles, 7);
     }
 

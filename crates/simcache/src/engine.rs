@@ -70,6 +70,15 @@ pub trait CacheSim {
     }
 }
 
+/// A [`CacheSim`] with a probe attached that can be taken back after
+/// the run — what `Config::build_probed` returns, so one constructor
+/// serves callers that drive the engine boxed and callers that need the
+/// probe afterwards.
+pub trait ProbedSim<P>: CacheSim {
+    /// Consumes the engine and returns its probe.
+    fn into_probe(self: Box<Self>) -> P;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

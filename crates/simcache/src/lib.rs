@@ -73,7 +73,7 @@ pub use coherence::{CoherenceProtocol, Dragon, LineState, Mesi, SnoopReaction, W
 pub use coherent::{CoherenceStats, CoherentSystem, CpuCoherence};
 pub use colassoc::{ColAssocPolicy, ColumnAssociativeCache};
 pub use config::{CacheGeometry, MemoryModel};
-pub use engine::CacheSim;
+pub use engine::{CacheSim, ProbedSim};
 pub use fused::{LineRun, LineRuns};
 pub use lockstep::run_lockstep;
 pub use memsys::{CacheEngine, CachePolicy, MemorySystem};

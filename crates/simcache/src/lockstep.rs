@@ -14,14 +14,15 @@ use sac_trace::Access;
 
 /// Replays `trace` through both engines in `chunk`-sized lockstep
 /// steps, invoking `after_chunk(a_metrics, b_metrics)` after each pair
-/// of folds (cumulative totals, not per-chunk deltas).
+/// of folds (cumulative totals, not per-chunk deltas). Either engine
+/// may be unsized (`dyn CacheSim`, or a boxed probed engine).
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero.
-pub fn run_lockstep(
-    a: &mut dyn CacheSim,
-    b: &mut dyn CacheSim,
+pub fn run_lockstep<A: CacheSim + ?Sized, B: CacheSim + ?Sized>(
+    a: &mut A,
+    b: &mut B,
     trace: &[Access],
     chunk: usize,
     mut after_chunk: impl FnMut(&Metrics, &Metrics),

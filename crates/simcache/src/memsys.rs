@@ -17,7 +17,7 @@
 
 use crate::clock::Clock;
 use crate::{
-    CacheGeometry, CacheSim, ChunkDelta, MemoryModel, Metrics, SnoopBus, WriteBuffer,
+    CacheGeometry, CacheSim, ChunkDelta, MemoryModel, Metrics, ProbedSim, SnoopBus, WriteBuffer,
     MAIN_HIT_CYCLES,
 };
 use sac_obs::{Event, NoopProbe, Probe};
@@ -376,6 +376,12 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
 
     fn metrics(&self) -> &Metrics {
         self.sys.metrics()
+    }
+}
+
+impl<Pol: CachePolicy<P>, P: Probe> ProbedSim<P> for CacheEngine<Pol, P> {
+    fn into_probe(self: Box<Self>) -> P {
+        self.probe
     }
 }
 

@@ -11,7 +11,7 @@
 use software_assisted_caches::experiments::explain::explain_config;
 use software_assisted_caches::experiments::runner::ReplayBatch;
 use software_assisted_caches::experiments::{Config, Suite};
-use software_assisted_caches::obs::{CountingProbe, ObsConfig, TracingProbe};
+use software_assisted_caches::obs::{EventCounts, ObsConfig, TracingProbe};
 use software_assisted_caches::simcache::{CacheSim, Metrics};
 use software_assisted_caches::trace::io::{read_text, write_binary, TraceReader};
 use software_assisted_caches::trace::Trace;
@@ -93,7 +93,7 @@ fn golden_trace_replays_identically_on_all_paths() {
 /// Attaching a probe must not change a single counter: the probe layer
 /// observes the engines, it never steers them. Checked for every
 /// organization, with both the full `TracingProbe` and the tiny
-/// `CountingProbe`, over the whole trace and in 7-entry chunks.
+/// `EventCounts`, over the whole trace and in 7-entry chunks.
 #[test]
 fn probed_replay_is_metric_identical_to_unprobed() {
     let trace = golden();
@@ -103,7 +103,7 @@ fn probed_replay_is_metric_identical_to_unprobed() {
         for chunk in [trace.len(), 7] {
             let plain = chunked(&mut *config.build(), &trace, chunk);
             let counting = chunked(
-                &mut *config.build_probed(CountingProbe::default()),
+                &mut *config.build_probed(EventCounts::default()),
                 &trace,
                 chunk,
             );
@@ -190,7 +190,7 @@ fn per_access(engine: &mut dyn CacheSim, trace: &Trace) -> Metrics {
 }
 
 /// `run_chunk` over `trace` in `chunk`-entry pieces.
-fn chunked(engine: &mut dyn CacheSim, trace: &Trace, chunk: usize) -> Metrics {
+fn chunked<S: CacheSim + ?Sized>(engine: &mut S, trace: &Trace, chunk: usize) -> Metrics {
     for piece in trace.as_slice().chunks(chunk) {
         engine.run_chunk(piece);
     }
@@ -207,7 +207,7 @@ fn oracle(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
 
 /// `run_chunk` over the whole trace and over 7- and 33-entry chunks
 /// must reproduce the oracle for every organization — unprobed, and
-/// with `probes` also under `CountingProbe` and `TracingProbe`.
+/// with `probes` also under `EventCounts` and `TracingProbe`.
 fn assert_chunk_loop_matches_oracle(traces: &[(String, Trace)], probes: bool) {
     let cells = configs();
     for (tname, trace) in traces {
@@ -218,7 +218,7 @@ fn assert_chunk_loop_matches_oracle(traces: &[(String, Trace)], probes: bool) {
                 let at = format!("{tname}/{label} chunk={chunk}");
                 assert_eq!(chunked(&mut *config.build(), trace, chunk), *want, "{at}");
                 if probes {
-                    let counting = &mut *config.build_probed(CountingProbe::default());
+                    let counting = &mut *config.build_probed(EventCounts::default());
                     assert_eq!(chunked(counting, trace, chunk), *want, "{at}+counting");
                     let tracing = &mut *config.build_probed(TracingProbe::new(obs()));
                     assert_eq!(chunked(tracing, trace, chunk), *want, "{at}+tracing");

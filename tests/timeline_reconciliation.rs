@@ -5,7 +5,9 @@
 //! committed golden trace and on seeded random traces — and attaching
 //! the `Timeline` probe must not perturb the simulation itself.
 
-use software_assisted_caches::experiments::explain::{explain_timeline, run_probed};
+use software_assisted_caches::experiments::explain::{
+    explain_timeline, run_probed, verify_timeline,
+};
 use software_assisted_caches::experiments::Config;
 use software_assisted_caches::obs::Timeline;
 use software_assisted_caches::simcache::{BypassMode, CacheGeometry, MemoryModel};
@@ -97,19 +99,7 @@ fn golden_trace_windows_reconcile_for_all_organizations() {
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         let unprobed = config.run(&trace);
         assert_eq!(probed, unprobed, "{label}: probe perturbed the run");
-        let t = tl.totals();
-        assert_eq!(t.refs, unprobed.refs, "{label}: refs");
-        assert_eq!(t.reads, unprobed.reads, "{label}: reads");
-        assert_eq!(t.writes, unprobed.writes, "{label}: writes");
-        assert_eq!(t.misses, unprobed.misses, "{label}: misses");
-        assert_eq!(t.bounces, unprobed.bounces, "{label}: bounces");
-        assert_eq!(t.writebacks, unprobed.writebacks, "{label}: writebacks");
-        assert_eq!(t.mem_cycles, unprobed.mem_cycles, "{label}: mem_cycles");
-        assert_eq!(
-            t.compulsory + t.capacity + t.conflict,
-            t.misses,
-            "{label}: 3C mix must partition the misses"
-        );
+        verify_timeline(&label, &tl, &unprobed).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -126,11 +116,11 @@ fn golden_trace_windows_are_exact_and_partition_the_run() {
         assert_eq!(w.index, i);
         assert_eq!(w.start_ref, 64 * i as u64);
         if i + 1 < windows.len() {
-            assert_eq!(w.delta.refs, 64, "window {i} is exactly one width");
+            assert_eq!(w.delta.counts.refs, 64, "window {i} is exactly one width");
         }
     }
-    assert_eq!(windows.last().unwrap().delta.refs, 280 % 64);
-    let sum: u64 = windows.iter().map(|w| w.delta.refs).sum();
+    assert_eq!(windows.last().unwrap().delta.counts.refs, 280 % 64);
+    let sum: u64 = windows.iter().map(|w| w.delta.counts.refs).sum();
     assert_eq!(sum, m.refs);
     assert!(!tl.phases().is_empty());
 }
@@ -147,7 +137,7 @@ fn random_traces_reconcile_for_all_organizations() {
                 let label = format!("rand{seed}/{name}/w{window}");
                 let (tl, m) = explain_timeline(&label, &config, &trace, window)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_eq!(tl.totals().refs, trace.len() as u64, "{label}");
+                assert_eq!(tl.totals().counts.refs, trace.len() as u64, "{label}");
                 assert_eq!(m, config.run(&trace), "{label}: probe perturbed the run");
             }
         }
@@ -164,10 +154,14 @@ fn misaligned_chunks_still_reconcile() {
     let tl = Timeline::new(100, 64);
     let (m, mut tl) = run_probed(&Config::soft(), &trace, tl, 33);
     tl.finish();
-    software_assisted_caches::experiments::explain::verify_timeline("misaligned", &tl, &m)
+    verify_timeline("misaligned", &tl, &m)
         .expect("window sums reconcile even with misaligned folds");
     let windows = tl.windows();
     for w in &windows[..windows.len() - 1] {
-        assert_eq!(w.delta.refs % 33, 0, "windows close only at chunk folds");
+        assert_eq!(
+            w.delta.counts.refs % 33,
+            0,
+            "windows close only at chunk folds"
+        );
     }
 }
