@@ -58,6 +58,18 @@ fn bench(c: &mut Criterion) {
             refs
         })
     });
+    // The paper suite's sparse kernel streamed: innermost bodies mix
+    // stepped affine references with per-emission indirect ones.
+    let spmv_full = sac_workloads::spmv::program(sac_workloads::spmv::Params::default());
+    c.bench_function("compiler/trace_spmv/streamed", |b| {
+        b.iter(|| {
+            let mut refs = 0;
+            black_box(&spmv_full)
+                .trace_into(&fig11, |chunk| refs += black_box(chunk).len())
+                .expect("traces");
+            refs
+        })
+    });
 }
 
 criterion_group! {

@@ -1,7 +1,7 @@
 //! The trace-emitting interpreter (the paper's source-level tracer).
 
 use crate::analysis_impl::{analyze, Tags};
-use crate::program::{ArrayId, Bound, Program, Stmt, Subscript, TableId};
+use crate::program::{ArrayId, Bound, Program, RefStmt, Stmt, Subscript, TableId};
 use sac_trace::io::DEFAULT_CHUNK;
 use sac_trace::{Access, GapModel, Trace};
 use std::fmt;
@@ -89,14 +89,27 @@ impl Program {
     /// Interprets the program, emitting one tagged trace entry per
     /// executed reference.
     ///
+    /// The trace is allocated once at its exact length, counted by a
+    /// first pass over the loop bounds; if that count fails (a
+    /// data-dependent bound reads past its table) or the allocation is
+    /// refused, the trace grows as it is filled instead.
+    ///
     /// # Errors
     ///
     /// Returns [`TraceError`] if a subscript or table lookup evaluates out
     /// of range — this always indicates a bug in the workload definition.
     pub fn trace(&self, opts: &TraceOptions) -> Result<Trace, TraceError> {
-        let mut trace = Trace::with_capacity(self.name(), 1024);
-        self.trace_into(opts, |chunk| trace.extend(chunk.iter().copied()))?;
-        Ok(trace)
+        let lowered = Lowered::new(self, opts.levels);
+        let mut entries = Vec::new();
+        if let Ok(len) = lowered.count() {
+            // A refused reservation only means the trace grows as it fills.
+            let _ = entries.try_reserve_exact(len);
+        }
+        lowered.emit(opts, |chunk| entries.extend_from_slice(chunk))?;
+        Ok(entries
+            .into_iter()
+            .collect::<Trace>()
+            .with_name(self.name()))
     }
 
     /// Interprets the program like [`Program::trace`], but hands the
@@ -112,24 +125,9 @@ impl Program {
     pub fn trace_into(
         &self,
         opts: &TraceOptions,
-        mut sink: impl FnMut(&[Access]),
+        sink: impl FnMut(&[Access]),
     ) -> Result<(), TraceError> {
-        let mut interp = Interp {
-            p: self,
-            refs: Vec::with_capacity(self.ref_count() as usize),
-            dims: Vec::new(),
-            terms: Vec::new(),
-            gaps: opts.gaps.then(|| GapModel::seeded(opts.seed)),
-            buf: Vec::with_capacity(DEFAULT_CHUNK),
-            sink: &mut sink,
-        };
-        interp.lower(opts.levels);
-        let mut env = vec![0i64; self.var_count()];
-        let result = interp.run(self.stmts(), &mut env);
-        if !interp.buf.is_empty() {
-            (interp.sink)(&interp.buf);
-        }
-        result
+        Lowered::new(self, opts.levels).emit(opts, sink)
     }
 
     /// Interprets the program with default options.
@@ -148,8 +146,14 @@ impl Program {
 struct LoweredRef {
     base: u64,
     array: ArrayId,
-    /// This reference's subscripts in [`Interp::dims`].
+    /// This reference's subscripts in [`Lowered::dims`].
     dims: Range<usize>,
+    /// Whether any subscript reads a table.
+    indirect: bool,
+    /// How many words the address moves when the variable of the
+    /// innermost loop around this reference grows by one: the sum of each
+    /// subscript's `step_coef × stride`. Zero outside innermost bodies.
+    word_coef: i64,
     /// The entry with its kind, tags, level and instruction id filled in;
     /// emitting stamps the address and gap on a copy.
     template: Access,
@@ -159,74 +163,102 @@ struct LoweredRef {
 /// read through `table` when the subscript is indirect.
 struct LoweredDim {
     /// This subscript's `(var index, coef value)` terms in
-    /// [`Interp::terms`].
+    /// [`Lowered::terms`].
     terms: Range<usize>,
     constant: i64,
     table: Option<TableId>,
+    /// The coefficient of the innermost enclosing loop's variable (zero
+    /// outside innermost bodies).
+    step_coef: i64,
     extent: i64,
     /// Column-major stride: the product of the preceding extents.
     stride: i64,
 }
 
-struct Interp<'a, F> {
+/// A loop header: the variable, its bounds and its step.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    var: usize,
+    lo: &'a Bound,
+    hi: &'a Bound,
+    step: i64,
+}
+
+/// One statement of the lowered tree, stored in pre-order.
+#[derive(Clone, Copy)]
+enum Op<'a> {
+    /// A loop whose body holds another loop; the body is the ops after
+    /// this one up to the second field.
+    Loop(Head<'a>, usize),
+    /// An innermost loop, whose body is references and CALLs only; the
+    /// range holds its references' ids in body order in
+    /// [`Lowered::bodies`].
+    Inner(Head<'a>, usize, usize),
+    /// A reference outside every innermost body.
+    Ref(usize),
+}
+
+/// A program lowered for interpretation: its statement tree, and every
+/// reference site resolved once.
+struct Lowered<'a> {
     p: &'a Program,
+    ops: Vec<Op<'a>>,
+    /// Reference ids of the innermost bodies, back to back.
+    bodies: Vec<usize>,
     /// Indexed by [`crate::RefId`].
     refs: Vec<LoweredRef>,
     dims: Vec<LoweredDim>,
     terms: Vec<(usize, i64)>,
-    /// `None` when every gap is 1.
-    gaps: Option<GapModel>,
-    buf: Vec<Access>,
-    sink: &'a mut F,
 }
 
-impl<F: FnMut(&[Access])> Interp<'_, F> {
-    /// Resolves every reference site: tags, level, array base, and the
-    /// terms, extent and stride of each subscript.
-    fn lower(&mut self, levels: bool) {
-        let p = self.p;
+/// What a walk over the lowered tree does with references: emit them or
+/// count them.
+trait Visit {
+    /// One execution of reference `id`, outside any innermost body.
+    fn single(&mut self, l: &Lowered<'_>, id: usize, env: &[i64]) -> Result<(), TraceError>;
+
+    /// `trip >= 1` iterations of an innermost loop whose variable starts
+    /// at `lo`, over the references `body`. The walk sets the variable to
+    /// its last value afterwards.
+    fn inner(
+        &mut self,
+        l: &Lowered<'_>,
+        head: Head<'_>,
+        lo: i64,
+        trip: u64,
+        body: &[usize],
+        env: &mut [i64],
+    ) -> Result<(), TraceError>;
+}
+
+impl<'a> Lowered<'a> {
+    /// Resolves every reference site (tags, level, array base, and the
+    /// terms, extent, stride and stepping coefficient of each subscript)
+    /// and flattens the statement tree.
+    fn new(p: &'a Program, levels: bool) -> Self {
+        let mut l = Lowered {
+            p,
+            ops: Vec::new(),
+            bodies: Vec::new(),
+            refs: Vec::with_capacity(p.ref_count() as usize),
+            dims: Vec::new(),
+            terms: Vec::new(),
+        };
         let tags = analyze(p);
         let levels = levels.then(|| crate::analysis_impl::analyze_levels(p));
-        p.for_each_ref(|r| {
+        let template = |r: &RefStmt| {
             let id = r.id().index();
-            debug_assert_eq!(id, self.refs.len(), "references number in program order");
-            let decl = p.array_decl(r.array());
-            let start = self.dims.len();
-            let mut stride = 1;
-            for (k, sub) in r.subscripts().iter().enumerate() {
-                let (expr, table) = match sub {
-                    Subscript::Affine(e) => (e, None),
-                    Subscript::Indirect { table, index } => (index, Some(*table)),
-                };
-                let terms_start = self.terms.len();
-                self.terms
-                    .extend(expr.terms().iter().map(|&(v, c)| (v.index(), c.value())));
-                // Subscripts past the declared rank index an extent of 1.
-                let extent = decl.dims().get(k).copied().unwrap_or(1);
-                self.dims.push(LoweredDim {
-                    terms: terms_start..self.terms.len(),
-                    constant: expr.constant_term(),
-                    table,
-                    extent,
-                    stride,
-                });
-                stride *= extent;
-            }
-            let level = levels.as_ref().map_or(0, |l| l[id]);
-            self.refs.push(LoweredRef {
-                base: decl.base(),
-                array: r.array(),
-                dims: start..self.dims.len(),
-                template: Access::new(0, r.kind())
-                    .with_temporal(tags[id].temporal)
-                    .with_spatial(tags[id].spatial)
-                    .with_spatial_level(level)
-                    .with_instr(r.id().0),
-            });
-        });
+            Access::new(0, r.kind())
+                .with_temporal(tags[id].temporal)
+                .with_spatial(tags[id].spatial)
+                .with_spatial_level(levels.as_ref().map_or(0, |l| l[id]))
+                .with_instr(r.id().0)
+        };
+        l.lower_stmts(p.stmts(), &template);
+        l
     }
 
-    fn run(&mut self, stmts: &[Stmt], env: &mut Vec<i64>) -> Result<(), TraceError> {
+    fn lower_stmts(&mut self, stmts: &'a [Stmt], template: &impl Fn(&RefStmt) -> Access) {
         for s in stmts {
             match s {
                 Stmt::For {
@@ -237,17 +269,146 @@ impl<F: FnMut(&[Access])> Interp<'_, F> {
                     body,
                     ..
                 } => {
-                    let lo = self.eval_bound(lo, env)?;
-                    let hi = self.eval_bound(hi, env)?;
-                    let mut v = lo;
-                    while (*step > 0 && v < hi) || (*step < 0 && v > hi) {
-                        env[var.index()] = v;
-                        self.run(body, env)?;
-                        v += step;
+                    let head = Head {
+                        var: var.index(),
+                        lo,
+                        hi,
+                        step: *step,
+                    };
+                    if body.iter().any(|s| matches!(s, Stmt::For { .. })) {
+                        // The body's end is patched in once it is lowered.
+                        let at = self.ops.len();
+                        self.ops.push(Op::Loop(head, at));
+                        self.lower_stmts(body, template);
+                        self.ops[at] = Op::Loop(head, self.ops.len());
+                    } else {
+                        let start = self.bodies.len();
+                        for s in body {
+                            if let Stmt::Ref(r) = s {
+                                self.lower_ref(r, Some(head.var), template(r));
+                                self.bodies.push(r.id().index());
+                            }
+                        }
+                        self.ops.push(Op::Inner(head, start, self.bodies.len()));
                     }
                 }
-                Stmt::Ref(r) => self.emit(r.id().index(), env)?,
+                Stmt::Ref(r) => {
+                    self.lower_ref(r, None, template(r));
+                    self.ops.push(Op::Ref(r.id().index()));
+                }
                 Stmt::Call => {}
+            }
+        }
+    }
+
+    /// Lowers one reference; `stepped` is the variable of the innermost
+    /// loop around it, if it sits in an innermost body.
+    fn lower_ref(&mut self, r: &RefStmt, stepped: Option<usize>, template: Access) {
+        debug_assert_eq!(
+            r.id().index(),
+            self.refs.len(),
+            "references number in program order"
+        );
+        let decl = self.p.array_decl(r.array());
+        let start = self.dims.len();
+        let mut stride = 1;
+        let mut word_coef = 0;
+        for (k, sub) in r.subscripts().iter().enumerate() {
+            let (expr, table) = match sub {
+                Subscript::Affine(e) => (e, None),
+                Subscript::Indirect { table, index } => (index, Some(*table)),
+            };
+            let terms_start = self.terms.len();
+            self.terms
+                .extend(expr.terms().iter().map(|&(v, c)| (v.index(), c.value())));
+            let step_coef = self.terms[terms_start..]
+                .iter()
+                .filter(|&&(v, _)| Some(v) == stepped)
+                .map(|&(_, c)| c)
+                .sum::<i64>();
+            // Subscripts past the declared rank index an extent of 1.
+            let extent = decl.dims().get(k).copied().unwrap_or(1);
+            self.dims.push(LoweredDim {
+                terms: terms_start..self.terms.len(),
+                constant: expr.constant_term(),
+                table,
+                step_coef,
+                extent,
+                stride,
+            });
+            word_coef += step_coef * stride;
+            stride *= extent;
+        }
+        self.refs.push(LoweredRef {
+            base: decl.base(),
+            array: r.array(),
+            dims: start..self.dims.len(),
+            indirect: self.dims[start..].iter().any(|d| d.table.is_some()),
+            word_coef,
+            template,
+        });
+    }
+
+    /// The number of references the program emits, from the loop bounds
+    /// alone.
+    fn count(&self) -> Result<usize, TraceError> {
+        let mut count = Count(0);
+        let mut env = vec![0i64; self.p.var_count()];
+        self.walk(0..self.ops.len(), &mut env, &mut count)?;
+        Ok(count.0)
+    }
+
+    /// Emits the program's entries to `sink` in [`DEFAULT_CHUNK`] chunks.
+    fn emit(&self, opts: &TraceOptions, mut sink: impl FnMut(&[Access])) -> Result<(), TraceError> {
+        let mut emitter = Emitter {
+            gaps: opts.gaps.then(|| GapModel::seeded(opts.seed)),
+            buf: Vec::with_capacity(DEFAULT_CHUNK),
+            sink: &mut sink,
+            cursors: Vec::new(),
+        };
+        let mut env = vec![0i64; self.p.var_count()];
+        let result = self.walk(0..self.ops.len(), &mut env, &mut emitter);
+        if !emitter.buf.is_empty() {
+            (emitter.sink)(&emitter.buf);
+        }
+        result
+    }
+
+    /// Interprets `ops` in order, handing references to `v`.
+    fn walk(
+        &self,
+        ops: Range<usize>,
+        env: &mut [i64],
+        v: &mut impl Visit,
+    ) -> Result<(), TraceError> {
+        let mut i = ops.start;
+        while i < ops.end {
+            match self.ops[i] {
+                Op::Loop(head, end) => {
+                    let lo = self.eval_bound(head.lo, env)?;
+                    let hi = self.eval_bound(head.hi, env)?;
+                    let mut x = lo;
+                    while (head.step > 0 && x < hi) || (head.step < 0 && x > hi) {
+                        env[head.var] = x;
+                        self.walk(i + 1..end, env, v)?;
+                        x += head.step;
+                    }
+                    i = end;
+                }
+                Op::Inner(head, start, end) => {
+                    let lo = self.eval_bound(head.lo, env)?;
+                    let hi = self.eval_bound(head.hi, env)?;
+                    let trip = trip_count(lo, hi, head.step);
+                    if trip > 0 {
+                        v.inner(self, head, lo, trip, &self.bodies[start..end], env)?;
+                        env[head.var] = lo + (trip - 1) as i64 * head.step;
+                    }
+                    i += 1;
+                }
+                Op::Ref(id) => {
+                    v.single(self, id, env)?;
+                    i += 1;
+                }
             }
         }
         Ok(())
@@ -272,41 +433,211 @@ impl<F: FnMut(&[Access])> Interp<'_, F> {
         Ok(values[pos as usize])
     }
 
-    /// Emits one execution of reference `id`: evaluates and bounds-checks
-    /// its subscripts in order, then stamps the address and a sampled gap
-    /// on its template.
+    /// The address of one execution of reference `id`: evaluates and
+    /// bounds-checks its subscripts in order, reading the table of an
+    /// indirect one.
     #[inline]
-    fn emit(&mut self, id: usize, env: &[i64]) -> Result<(), TraceError> {
+    fn address(&self, id: usize, env: &[i64]) -> Result<u64, TraceError> {
         let r = &self.refs[id];
         let mut linear: i64 = 0;
         for (k, d) in self.dims[r.dims.clone()].iter().enumerate() {
-            let mut v = d.constant;
-            for &(var, coef) in &self.terms[d.terms.clone()] {
-                v += coef * env[var];
-            }
+            let mut v = self.affine_value(d, env);
             if let Some(table) = d.table {
                 v = self.lookup(table, v)?;
             }
             if v < 0 || v >= d.extent {
-                return Err(TraceError::OutOfBounds {
-                    array: self.p.array_decl(r.array).name().to_string(),
-                    dim: k,
-                    value: v,
-                    extent: d.extent,
-                });
+                return Err(self.out_of_bounds(r, k, v));
             }
             linear += v * d.stride;
         }
-        let access = r
-            .template
-            .with_addr(r.base + linear as u64 * sac_trace::WORD_BYTES);
+        Ok(r.base + linear as u64 * sac_trace::WORD_BYTES)
+    }
+
+    /// The address of affine reference `id` at the first iteration of
+    /// its innermost loop, or `None` if a subscript leaves its extent at
+    /// the first iteration or after `span` more steps of the loop
+    /// variable. An affine subscript is monotone in the loop variable, so
+    /// in range at both ends means in range at every iteration between.
+    fn first_address(&self, id: usize, env: &[i64], span: i64) -> Option<u64> {
+        let r = &self.refs[id];
+        let mut linear: i64 = 0;
+        for d in &self.dims[r.dims.clone()] {
+            let first = self.affine_value(d, env);
+            let last = first + d.step_coef * span;
+            if first < 0 || first >= d.extent || last < 0 || last >= d.extent {
+                return None;
+            }
+            linear += first * d.stride;
+        }
+        Some(r.base + linear as u64 * sac_trace::WORD_BYTES)
+    }
+
+    #[inline]
+    fn affine_value(&self, d: &LoweredDim, env: &[i64]) -> i64 {
+        let mut v = d.constant;
+        for &(var, coef) in &self.terms[d.terms.clone()] {
+            v += coef * env[var];
+        }
+        v
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, r: &LoweredRef, dim: usize, value: i64) -> TraceError {
+        TraceError::OutOfBounds {
+            array: self.p.array_decl(r.array).name().to_string(),
+            dim,
+            value,
+            extent: self.dims[r.dims.start + dim].extent,
+        }
+    }
+}
+
+/// The iterations of `for (x = lo; step > 0 ? x < hi : x > hi; x += step)`.
+fn trip_count(lo: i64, hi: i64, step: i64) -> u64 {
+    let (span, step) = match step {
+        s if s > 0 => (i128::from(hi) - i128::from(lo), i128::from(s)),
+        s if s < 0 => (i128::from(lo) - i128::from(hi), -i128::from(s)),
+        _ => return 0,
+    };
+    if span <= 0 {
+        0
+    } else {
+        ((span + step - 1) / step) as u64
+    }
+}
+
+/// Counts references without computing addresses or gaps.
+struct Count(usize);
+
+impl Visit for Count {
+    fn single(&mut self, _: &Lowered<'_>, _: usize, _: &[i64]) -> Result<(), TraceError> {
+        self.0 = self.0.saturating_add(1);
+        Ok(())
+    }
+
+    fn inner(
+        &mut self,
+        _: &Lowered<'_>,
+        _: Head<'_>,
+        _: i64,
+        trip: u64,
+        body: &[usize],
+        _: &mut [i64],
+    ) -> Result<(), TraceError> {
+        let refs = usize::try_from(trip)
+            .unwrap_or(usize::MAX)
+            .saturating_mul(body.len());
+        self.0 = self.0.saturating_add(refs);
+        Ok(())
+    }
+}
+
+/// One reference of an innermost body while its loop steps.
+enum Cursor {
+    /// An affine reference: the next entry, whose address moves by
+    /// `delta` bytes (wrapping) per iteration.
+    Step { next: Access, delta: u64 },
+    /// A reference evaluated and checked per emission: an indirect one,
+    /// or any reference of a loop instance that failed its endpoint check.
+    Checked(usize),
+}
+
+/// Emits entries with sampled gaps into chunks for a sink.
+struct Emitter<'s, F> {
+    /// `None` when every gap is 1.
+    gaps: Option<GapModel>,
+    buf: Vec<Access>,
+    sink: &'s mut F,
+    /// Scratch for the innermost loop being stepped.
+    cursors: Vec<Cursor>,
+}
+
+impl<F: FnMut(&[Access])> Emitter<'_, F> {
+    /// Stamps a sampled gap on `access` and appends it, handing the
+    /// buffer to the sink when it is full.
+    #[inline]
+    fn push(&mut self, access: Access) {
         let gap = self.gaps.as_mut().map_or(1, GapModel::sample);
         self.buf.push(access.with_gap(gap));
         if self.buf.len() == DEFAULT_CHUNK {
             (self.sink)(&self.buf);
             self.buf.clear();
         }
+    }
+
+    /// Runs `trip` iterations of an innermost loop over its cursors.
+    fn step(
+        &mut self,
+        l: &Lowered<'_>,
+        head: Head<'_>,
+        lo: i64,
+        trip: u64,
+        cursors: &mut [Cursor],
+        env: &mut [i64],
+    ) -> Result<(), TraceError> {
+        let mut x = lo;
+        for _ in 0..trip {
+            env[head.var] = x;
+            for c in cursors.iter_mut() {
+                let access = match c {
+                    Cursor::Step { next, delta } => {
+                        let access = *next;
+                        *next = access.with_addr(access.addr().wrapping_add(*delta));
+                        access
+                    }
+                    Cursor::Checked(id) => l.refs[*id].template.with_addr(l.address(*id, env)?),
+                };
+                self.push(access);
+            }
+            x += head.step;
+        }
         Ok(())
+    }
+}
+
+impl<F: FnMut(&[Access])> Visit for Emitter<'_, F> {
+    fn single(&mut self, l: &Lowered<'_>, id: usize, env: &[i64]) -> Result<(), TraceError> {
+        let addr = l.address(id, env)?;
+        self.push(l.refs[id].template.with_addr(addr));
+        Ok(())
+    }
+
+    /// Steps the affine references' addresses through the loop after
+    /// checking their subscripts at the first and last iteration. If a
+    /// check fails, every reference of this loop instance runs checked
+    /// instead, which fails at the same entry with the same error.
+    fn inner(
+        &mut self,
+        l: &Lowered<'_>,
+        head: Head<'_>,
+        lo: i64,
+        trip: u64,
+        body: &[usize],
+        env: &mut [i64],
+    ) -> Result<(), TraceError> {
+        env[head.var] = lo;
+        let span = (trip - 1) as i64 * head.step;
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        for &id in body {
+            let r = &l.refs[id];
+            if r.indirect {
+                cursors.push(Cursor::Checked(id));
+            } else if let Some(addr) = l.first_address(id, env, span) {
+                let delta = r.word_coef * head.step * sac_trace::WORD_BYTES as i64;
+                cursors.push(Cursor::Step {
+                    next: r.template.with_addr(addr),
+                    delta: delta as u64,
+                });
+            } else {
+                cursors.clear();
+                cursors.extend(body.iter().map(|&id| Cursor::Checked(id)));
+                break;
+            }
+        }
+        let result = self.step(l, head, lo, trip, &mut cursors, env);
+        self.cursors = cursors;
+        result
     }
 }
 

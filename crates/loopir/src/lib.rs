@@ -77,7 +77,7 @@ mod validate;
 
 pub mod analysis {
     //! Locality analysis: the paper's tagging rules.
-    pub use crate::analysis_impl::{analyze, Tags};
+    pub use crate::analysis_impl::{analyze, analyze_levels, Tags};
 }
 
 pub use analysis_impl::Tags;

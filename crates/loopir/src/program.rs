@@ -12,6 +12,14 @@ pub struct ArrayId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub(crate) usize);
 
+impl TableId {
+    /// The table's declaration index (the `table` of
+    /// [`crate::TraceError::TableOutOfBounds`]).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Identifier of a static reference (one load/store site). Doubles as the
 /// instruction id recorded in trace entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -9,7 +9,12 @@
 //! [`SplitMix64`] generator instead of `proptest`; each property runs
 //! over `CASES` seeds and failures report the offending seed.
 
-use sac_loopir::{aff, idx, indirect, AffineExpr, Bound, Program, Tags, TraceError, TraceOptions};
+mod oracle;
+
+use sac_loopir::{
+    aff, idx, indirect, AffineExpr, ArrayId, BodyBuilder, Bound, Program, Subscript, TableId, Tags,
+    TraceError, TraceOptions, VarId,
+};
 use sac_trace::io::DEFAULT_CHUNK;
 use sac_trace::rng::SplitMix64;
 use sac_trace::Access;
@@ -466,4 +471,590 @@ fn table_errors_match_after_the_same_references() {
     assert_eq!(result, Err(want.clone()));
     assert_eq!(p.trace(&STREAM_OPTIONS[0]), Err(want));
     assert_eq!(chunks.concat().len(), 5);
+}
+
+// Wide programs, checked entry by entry against the naive oracle in
+// `oracle/mod.rs`. The generator covers what the nests above leave out:
+// non-zero and negative lower bounds, steps of ±1..3 over ranges they do
+// not divide, zero-trip loops, triangular and table-driven bounds, 2-D
+// arrays, innermost bodies mixing affine and indirect subscripts,
+// references between loops and outside every loop, and subscripts that
+// read a variable after its loop has finished.
+
+/// Every loop variable stays within `[-VAR_LIMIT, VAR_LIMIT]`, so a
+/// subscript reading a variable outside its loop can be sized for.
+const VAR_LIMIT: i64 = 24;
+
+/// The deepest loop nest the generator builds.
+const MAX_DEPTH: usize = 4;
+
+/// An inclusive range of values.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: i64,
+    hi: i64,
+}
+
+impl Span {
+    fn new(lo: i64, hi: i64) -> Span {
+        Span { lo, hi }
+    }
+
+    fn point(k: i64) -> Span {
+        Span::new(k, k)
+    }
+
+    fn scaled(self, c: i64) -> Span {
+        let (a, b) = (self.lo * c, self.hi * c);
+        Span::new(a.min(b), a.max(b))
+    }
+
+    fn plus(self, o: Span) -> Span {
+        Span::new(self.lo + o.lo, self.hi + o.hi)
+    }
+
+    fn union(self, o: Span) -> Span {
+        Span::new(self.lo.min(o.lo), self.hi.max(o.hi))
+    }
+}
+
+/// `Σ coef · var + constant` over variable indices.
+#[derive(Debug, Clone)]
+struct Lin {
+    terms: Vec<(usize, i64)>,
+    constant: i64,
+}
+
+#[derive(Debug, Clone)]
+enum WideBound {
+    Affine(Lin),
+    /// `tables[table][index]`.
+    Table(usize, Lin),
+}
+
+#[derive(Debug, Clone)]
+enum WideSub {
+    Affine(Lin),
+    /// `tables[table][index]`.
+    Indirect(usize, Lin),
+}
+
+#[derive(Debug, Clone)]
+enum WideStmt {
+    Loop {
+        depth: usize,
+        lo: WideBound,
+        hi: WideBound,
+        step: i64,
+        body: Vec<WideStmt>,
+    },
+    /// A reference to its own array, whose extents are `extents`.
+    Ref {
+        write: bool,
+        subs: Vec<WideSub>,
+        extents: Vec<i64>,
+    },
+    Call,
+}
+
+#[derive(Debug, Clone)]
+struct WideSpec {
+    tables: Vec<Vec<i64>>,
+    body: Vec<WideStmt>,
+    /// Repetitions of a driver loop around the body, if any.
+    reps: Option<i64>,
+}
+
+struct WideGen {
+    rng: SplitMix64,
+    tables: Vec<Vec<i64>>,
+}
+
+impl WideGen {
+    fn lin_span(&self, lin: &Lin, scope: &[Span]) -> Span {
+        lin.terms
+            .iter()
+            .map(|&(v, c)| {
+                let span = scope
+                    .get(v)
+                    .copied()
+                    .unwrap_or(Span::new(-VAR_LIMIT, VAR_LIMIT));
+                span.scaled(c)
+            })
+            .fold(Span::point(lin.constant), Span::plus)
+    }
+
+    /// Terms over the enclosing loop variables (`scope`), plus now and
+    /// then one variable whose loop is not open here.
+    fn gen_terms(&mut self, scope: &[Span]) -> Vec<(usize, i64)> {
+        let mut terms: Vec<(usize, i64)> = (0..scope.len())
+            .map(|v| (v, self.rng.range_i64(-2, 2)))
+            .filter(|&(_, c)| c != 0)
+            .collect();
+        if scope.len() < MAX_DEPTH && self.rng.chance(0.15) {
+            let v = scope.len() + self.rng.index(MAX_DEPTH - scope.len());
+            terms.push((v, if self.rng.chance(0.5) { 1 } else { -1 }));
+        }
+        terms
+    }
+
+    /// An index into a new table that covers the index's range, so the
+    /// index is in bounds; the table is one entry short with probability
+    /// `short`, to provoke table errors now and then.
+    fn gen_table_index(&mut self, scope: &[Span], values: Span, short: f64) -> (usize, Lin) {
+        let mut index = Lin {
+            terms: self.gen_terms(scope),
+            constant: 0,
+        };
+        let span = self.lin_span(&index, scope);
+        index.constant = -span.lo;
+        let mut len = (span.hi - span.lo + 1) as usize;
+        if len > 1 && self.rng.chance(short) {
+            len -= 1;
+        }
+        let table = (0..len)
+            .map(|_| self.rng.range_i64(values.lo, values.hi))
+            .collect();
+        self.tables.push(table);
+        (self.tables.len() - 1, index)
+    }
+
+    fn gen_ref(&mut self, scope: &[Span]) -> WideStmt {
+        let rank = if self.rng.chance(0.3) { 2 } else { 1 };
+        let mut subs = Vec::new();
+        let mut extents = Vec::new();
+        for _ in 0..rank {
+            if self.rng.chance(0.2) {
+                let extent = self.rng.range_i64(1, 10);
+                let (table, index) = self.gen_table_index(scope, Span::new(0, extent - 1), 0.1);
+                subs.push(WideSub::Indirect(table, index));
+                extents.push(extent);
+            } else {
+                let mut lin = Lin {
+                    terms: self.gen_terms(scope),
+                    constant: 0,
+                };
+                let span = self.lin_span(&lin, scope);
+                let slack = self.rng.range_i64(0, 2);
+                lin.constant = slack - span.lo;
+                extents.push(span.hi - span.lo + slack + 1 + self.rng.range_i64(0, 2));
+                subs.push(WideSub::Affine(lin));
+            }
+        }
+        WideStmt::Ref {
+            write: self.rng.chance(0.4),
+            subs,
+            extents,
+        }
+    }
+
+    /// A loop over variable `v{depth}`, where `depth` counts the open
+    /// loops. Bounds are drawn again until the variable's range stays
+    /// within `±VAR_LIMIT`.
+    fn gen_loop(&mut self, scope: &[Span]) -> WideStmt {
+        let depth = scope.len();
+        let step = self.rng.range_i64(1, 3) * if self.rng.chance(0.4) { -1 } else { 1 };
+        let (lo, hi, span) = loop {
+            let (lo, hi) = match self.rng.index(4) {
+                // Triangular: the start follows an enclosing variable.
+                0 if depth > 0 => {
+                    let lin = Lin {
+                        terms: vec![(
+                            self.rng.index(depth),
+                            if self.rng.chance(0.5) { 1 } else { -1 },
+                        )],
+                        constant: self.rng.range_i64(-2, 2),
+                    };
+                    let end = if self.rng.chance(0.5) {
+                        Lin {
+                            terms: Vec::new(),
+                            constant: self.rng.range_i64(-4, 8),
+                        }
+                    } else {
+                        let len = self.rng.range_i64(-1, 7) * step.signum();
+                        Lin {
+                            terms: lin.terms.clone(),
+                            constant: lin.constant + len,
+                        }
+                    };
+                    (WideBound::Affine(lin), WideBound::Affine(end))
+                }
+                // Data-dependent bounds, as in a CSR row loop.
+                1 => {
+                    let (table, index) = self.gen_table_index(scope, Span::new(-3, 9), 0.05);
+                    let next = Lin {
+                        terms: index.terms.clone(),
+                        constant: index.constant + 1,
+                    };
+                    // One more entry so `index + 1` stays in the table.
+                    let extra = self.rng.range_i64(-3, 9);
+                    self.tables[table].push(extra);
+                    (
+                        WideBound::Table(table, index),
+                        WideBound::Table(table, next),
+                    )
+                }
+                _ => {
+                    let start = self.rng.range_i64(-3, 4);
+                    let len = self.rng.range_i64(-1, 8) * step.signum();
+                    (
+                        WideBound::Affine(Lin {
+                            terms: Vec::new(),
+                            constant: start,
+                        }),
+                        WideBound::Affine(Lin {
+                            terms: Vec::new(),
+                            constant: start + len,
+                        }),
+                    )
+                }
+            };
+            let bound_span = |g: &Self, b: &WideBound| match b {
+                WideBound::Affine(lin) => g.lin_span(lin, scope),
+                WideBound::Table(t, _) => g.tables[*t]
+                    .iter()
+                    .map(|&v| Span::point(v))
+                    .reduce(Span::union)
+                    .expect("bound tables have at least two entries"),
+            };
+            let span = bound_span(self, &lo).union(bound_span(self, &hi));
+            if span.lo >= -VAR_LIMIT && span.hi <= VAR_LIMIT {
+                break (lo, hi, span);
+            }
+        };
+        let mut inner = scope.to_vec();
+        inner.push(span);
+        WideStmt::Loop {
+            depth,
+            lo,
+            hi,
+            step,
+            body: self.gen_body(&inner),
+        }
+    }
+
+    fn gen_body(&mut self, scope: &[Span]) -> Vec<WideStmt> {
+        let items = 1 + self.rng.index(4);
+        (0..items)
+            .map(|_| {
+                if scope.len() < MAX_DEPTH && self.rng.chance(0.4 / (1 + scope.len()) as f64 + 0.1)
+                {
+                    self.gen_loop(scope)
+                } else if self.rng.chance(0.1) {
+                    WideStmt::Call
+                } else {
+                    self.gen_ref(scope)
+                }
+            })
+            .collect()
+    }
+}
+
+fn gen_wide(seed: u64) -> WideSpec {
+    let mut g = WideGen {
+        rng: SplitMix64::seed_from_u64(seed),
+        tables: Vec::new(),
+    };
+    let body = g.gen_body(&[]);
+    let reps = g.rng.chance(0.3).then(|| g.rng.range_i64(1, 40));
+    WideSpec {
+        tables: g.tables,
+        body,
+        reps,
+    }
+}
+
+/// The extents of every reference's array, in program order.
+fn wide_extents(stmts: &[WideStmt], out: &mut Vec<Vec<i64>>) {
+    for s in stmts {
+        match s {
+            WideStmt::Loop { body, .. } => wide_extents(body, out),
+            WideStmt::Ref { extents, .. } => out.push(extents.clone()),
+            WideStmt::Call => {}
+        }
+    }
+}
+
+/// The declarations a [`WideSpec`] is built against.
+struct WideDecls {
+    vars: Vec<VarId>,
+    arrays: Vec<ArrayId>,
+    tables: Vec<TableId>,
+}
+
+impl WideDecls {
+    fn lin(&self, l: &Lin) -> AffineExpr {
+        let terms: Vec<_> = l.terms.iter().map(|&(v, c)| (self.vars[v], c)).collect();
+        aff(&terms, l.constant)
+    }
+
+    fn bound(&self, b: &WideBound) -> Bound {
+        match b {
+            WideBound::Affine(l) => Bound::Affine(self.lin(l)),
+            WideBound::Table(t, l) => Bound::Table {
+                table: self.tables[*t],
+                index: self.lin(l),
+            },
+        }
+    }
+
+    /// Appends `s`; `next` is the array of the next reference.
+    fn stmt(&self, s: &WideStmt, b: &mut BodyBuilder, next: &mut usize) {
+        match s {
+            WideStmt::Loop {
+                depth,
+                lo,
+                hi,
+                step,
+                body,
+            } => b.for_step(
+                self.vars[*depth],
+                self.bound(lo),
+                self.bound(hi),
+                *step,
+                |b| body.iter().for_each(|s| self.stmt(s, b, next)),
+            ),
+            WideStmt::Ref { write, subs, .. } => {
+                let subs = subs
+                    .iter()
+                    .map(|sub| match sub {
+                        WideSub::Affine(l) => Subscript::Affine(self.lin(l)),
+                        WideSub::Indirect(t, l) => indirect(self.tables[*t], self.lin(l)),
+                    })
+                    .collect();
+                let array = self.arrays[*next];
+                *next += 1;
+                if *write {
+                    b.write_subs(array, subs);
+                } else {
+                    b.read_subs(array, subs);
+                }
+            }
+            WideStmt::Call => b.call(),
+        }
+    }
+}
+
+/// Builds `spec`, with dimension `dim` of reference `r`'s array set to
+/// `extent` when `shrink` is `Some((r, dim, extent))`.
+fn build_wide(spec: &WideSpec, shrink: Option<(usize, usize, i64)>) -> Program {
+    let mut p = Program::new("wide");
+    let vars = (0..MAX_DEPTH).map(|i| p.var(format!("v{i}"))).collect();
+    let rep = p.var("rep");
+    let tables = spec.tables.iter().map(|t| p.table(t.clone())).collect();
+    let mut extents = Vec::new();
+    wide_extents(&spec.body, &mut extents);
+    let arrays = extents
+        .iter_mut()
+        .enumerate()
+        .map(|(r, e)| {
+            if let Some((_, dim, extent)) = shrink.filter(|s| s.0 == r) {
+                e[dim] = extent;
+            }
+            p.array(format!("A{r}"), e)
+        })
+        .collect();
+    let decls = WideDecls {
+        vars,
+        arrays,
+        tables,
+    };
+    p.body(|b| {
+        let mut next = 0;
+        let mut nest =
+            |b: &mut BodyBuilder| spec.body.iter().for_each(|s| decls.stmt(s, b, &mut next));
+        match spec.reps {
+            Some(r) => b.for_driver(rep, 0, r, nest),
+            None => nest(b),
+        }
+    });
+    p
+}
+
+const WIDE_CASES: u64 = 256;
+
+/// Runs `f` over `WIDE_CASES` generated wide programs, naming the seed
+/// on failure.
+fn for_each_wide(mut f: impl FnMut(&WideSpec)) {
+    for case in 0..WIDE_CASES {
+        let spec = gen_wide(0x51DE + case);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&spec)));
+        if let Err(e) = result {
+            eprintln!("failing wide case {case}: {spec:?}");
+            std::panic::resume_unwind(e);
+        }
+    }
+}
+
+/// Shape counts over the generated programs, for the coverage check.
+#[derive(Debug, Default)]
+struct Shapes {
+    nonzero_start: usize,
+    negative_step: usize,
+    undivided_range: usize,
+    zero_trip: usize,
+    triangular: usize,
+    table_bound: usize,
+    two_d: usize,
+    mixed_innermost: usize,
+    outside_innermost: usize,
+    stale_var: usize,
+}
+
+impl Shapes {
+    fn add(&mut self, stmts: &[WideStmt], depth: usize) {
+        let has_loop = stmts.iter().any(|s| matches!(s, WideStmt::Loop { .. }));
+        let mut affine_ref = false;
+        let mut indirect_ref = false;
+        for s in stmts {
+            match s {
+                WideStmt::Loop {
+                    lo, hi, step, body, ..
+                } => {
+                    self.negative_step += usize::from(*step < 0);
+                    match (lo, hi) {
+                        (WideBound::Affine(a), WideBound::Affine(b))
+                            if a.terms.is_empty() && b.terms.is_empty() =>
+                        {
+                            let len = (b.constant - a.constant) * step.signum();
+                            self.nonzero_start += usize::from(a.constant != 0);
+                            self.zero_trip += usize::from(len <= 0);
+                            self.undivided_range += usize::from(len > 0 && len % step != 0);
+                        }
+                        (WideBound::Affine(a), _) => {
+                            self.triangular += usize::from(!a.terms.is_empty())
+                        }
+                        (WideBound::Table(..), _) => self.table_bound += 1,
+                    }
+                    self.add(body, depth + 1);
+                }
+                WideStmt::Ref { subs, .. } => {
+                    self.two_d += usize::from(subs.len() == 2);
+                    self.outside_innermost += usize::from(has_loop || depth == 0);
+                    let mut indirect = false;
+                    for sub in subs {
+                        let lin = match sub {
+                            WideSub::Affine(l) => l,
+                            WideSub::Indirect(_, l) => {
+                                indirect = true;
+                                l
+                            }
+                        };
+                        self.stale_var += usize::from(lin.terms.iter().any(|&(v, _)| v >= depth));
+                    }
+                    indirect_ref |= indirect;
+                    affine_ref |= !indirect;
+                }
+                WideStmt::Call => {}
+            }
+        }
+        self.mixed_innermost += usize::from(!has_loop && depth > 0 && affine_ref && indirect_ref);
+    }
+}
+
+#[test]
+fn wide_generator_covers_every_shape() {
+    let mut shapes = Shapes::default();
+    for_each_wide(|spec| shapes.add(&spec.body, 0));
+    let counts = [
+        shapes.nonzero_start,
+        shapes.negative_step,
+        shapes.undivided_range,
+        shapes.zero_trip,
+        shapes.triangular,
+        shapes.table_bound,
+        shapes.two_d,
+        shapes.mixed_innermost,
+        shapes.outside_innermost,
+        shapes.stale_var,
+    ];
+    assert!(counts.iter().all(|&n| n >= 20), "{shapes:?}");
+}
+
+/// Every wide program traces to the oracle's entries under every option
+/// set, streamed and materialized, or fails with its error after its
+/// prefix.
+#[test]
+fn wide_programs_match_the_oracle() {
+    let (mut traced, mut failed) = (0, 0);
+    for_each_wide(|spec| {
+        let p = build_wide(spec, None);
+        for opts in &STREAM_OPTIONS {
+            match oracle::check(&p, opts) {
+                Ok(()) => traced += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    });
+    // Most programs are in bounds; short tables make some fail.
+    assert!(traced > 2 * failed, "{traced} traced, {failed} failed");
+    assert!(failed > 0, "no program failed");
+}
+
+/// Shrinks one array so its reference leaves the extent exactly at the
+/// first, a middle or the last iteration of an innermost loop (an
+/// emission whose subscript exceeds every earlier one of that reference
+/// in that dimension), and checks the error and the prefix against the
+/// oracle.
+#[test]
+fn extent_errors_at_first_middle_and_last_iterations_match_the_oracle() {
+    // Entries at a first, middle and last (but not only) iteration.
+    let mut hits = [0usize; 3];
+    for_each_wide(|spec| {
+        let p = build_wide(spec, None);
+        let opts = &STREAM_OPTIONS[0];
+        let mut entries = Vec::new();
+        if oracle::run(&p, opts, |a, site| entries.push((a, site))).is_err() {
+            return;
+        }
+        let mut extents = Vec::new();
+        wide_extents(&spec.body, &mut extents);
+        for (class, hit) in hits.iter_mut().enumerate() {
+            let mut highs: Vec<[i64; 2]> = vec![[-1; 2]; extents.len()];
+            let target = entries.iter().enumerate().find_map(|(at, (a, site))| {
+                let r = a.instr() as usize;
+                let word = ((a.addr() - p.arrays()[r].base()) / 8) as i64;
+                let e0 = extents[r][0];
+                let values = [word % e0, word / e0];
+                let at_class = match (site.first, site.last) {
+                    (true, false) => class == 0,
+                    (false, false) => class == 1,
+                    (false, true) => class == 2,
+                    (true, true) => false,
+                };
+                let mut found = None;
+                for dim in 0..extents[r].len() {
+                    let v = values[dim];
+                    if v > highs[r][dim] {
+                        highs[r][dim] = v;
+                        if found.is_none() && v >= 1 && site.innermost && at_class {
+                            found = Some((at, r, dim, v));
+                        }
+                    }
+                }
+                found
+            });
+            let Some((at, r, dim, value)) = target else {
+                continue;
+            };
+            let shrunk = build_wide(spec, Some((r, dim, value)));
+            let (prefix, result) = oracle::trace(&shrunk, opts);
+            let want = TraceError::OutOfBounds {
+                array: format!("A{r}"),
+                dim,
+                value,
+                extent: value,
+            };
+            assert_eq!(result, Err(want.clone()));
+            assert_eq!(prefix.len(), at);
+            for opts in &STREAM_OPTIONS {
+                assert_eq!(oracle::check(&shrunk, opts), Err(want.clone()));
+            }
+            *hit += 1;
+        }
+    });
+    assert!(
+        hits.iter().all(|&n| n as u64 >= WIDE_CASES / 8),
+        "first/middle/last failures: {hits:?}"
+    );
 }
