@@ -118,8 +118,15 @@ pub trait CoherenceProtocol: std::fmt::Debug + Clone + Copy + Default + Send + '
     fn fill_write(shared_elsewhere: bool) -> LineState;
 
     /// Transition for a write hit on a valid local copy; `shared_elsewhere`
-    /// is whether any remote cache holds the line right now.
+    /// is whether any remote cache holds the line right now. The driver
+    /// looks that up (a tag probe in every other core) only when
+    /// [`CoherenceProtocol::write_hit_needs_sharers`] says the answer
+    /// can change the result, and passes `false` otherwise.
     fn write_hit(state: LineState, shared_elsewhere: bool) -> (LineState, WriteHitAction);
+
+    /// Whether [`CoherenceProtocol::write_hit`] from `state` reads
+    /// `shared_elsewhere`.
+    fn write_hit_needs_sharers(state: LineState) -> bool;
 
     /// Reaction of a valid remote copy to an observed BusRd.
     fn snoop_read(state: LineState) -> SnoopReaction;
@@ -156,6 +163,10 @@ impl CoherenceProtocol for Mesi {
 
     fn fill_write(_shared_elsewhere: bool) -> LineState {
         LineState::Modified
+    }
+
+    fn write_hit_needs_sharers(_state: LineState) -> bool {
+        false
     }
 
     fn write_hit(state: LineState, _shared_elsewhere: bool) -> (LineState, WriteHitAction) {
@@ -241,6 +252,10 @@ impl CoherenceProtocol for Dragon {
         }
     }
 
+    fn write_hit_needs_sharers(state: LineState) -> bool {
+        matches!(state, LineState::Shared | LineState::SharedModified)
+    }
+
     fn write_hit(state: LineState, shared_elsewhere: bool) -> (LineState, WriteHitAction) {
         match state {
             LineState::Exclusive | LineState::Modified => {
@@ -310,6 +325,36 @@ mod tests {
         assert!(!LineState::Shared.is_owner());
         assert!(!LineState::Invalid.is_valid());
         assert_eq!(LineState::SharedModified.name(), "Sm");
+    }
+
+    /// The driver skips the sharer lookup wherever a protocol says
+    /// `write_hit` ignores it; that must hold for every state.
+    fn write_hit_ignores_sharers_where_it_says<P: CoherenceProtocol>() {
+        use LineState::*;
+        for state in [Invalid, Shared, Exclusive, Modified, SharedModified] {
+            if !P::write_hit_needs_sharers(state) {
+                assert_eq!(
+                    P::write_hit(state, true),
+                    P::write_hit(state, false),
+                    "{} {state:?}",
+                    P::NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn write_hit_needs_sharers_is_exact() {
+        write_hit_ignores_sharers_where_it_says::<Mesi>();
+        write_hit_ignores_sharers_where_it_says::<Dragon>();
+        // Dragon's shared write hits do depend on the answer.
+        for state in [LineState::Shared, LineState::SharedModified] {
+            assert!(Dragon::write_hit_needs_sharers(state));
+            assert_ne!(
+                Dragon::write_hit(state, true),
+                Dragon::write_hit(state, false)
+            );
+        }
     }
 
     #[test]

@@ -432,7 +432,8 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         let mut cost = MAIN_HIT_CYCLES;
         if is_write {
             let state = self.cores[cpu].state[idx];
-            let shared_elsewhere = self.remote_holders(cpu, line) > 0;
+            let shared_elsewhere =
+                Proto::write_hit_needs_sharers(state) && self.remote_holders(cpu, line) > 0;
             let (next, action) = Proto::write_hit(state, shared_elsewhere);
             match action {
                 WriteHitAction::Upgrade => {

@@ -140,6 +140,13 @@ impl Access {
         }
     }
 
+    /// The packed flag byte both wire formats store: bit 0 write, bit 1
+    /// temporal, bit 2 spatial, bits 3-4 spatial level, bits 5-6 cpu.
+    #[inline]
+    pub(crate) fn wire_flags(&self) -> u8 {
+        self.flags
+    }
+
     /// Sets the temporal tag (builder style).
     pub fn with_temporal(mut self, temporal: bool) -> Self {
         if temporal {

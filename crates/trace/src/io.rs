@@ -64,6 +64,10 @@ const MAGIC: &[u8; 4] = b"SACT";
 const MAGIC2: &[u8; 4] = b"SAC2";
 const VERSION: u32 = 1;
 
+/// Longest header name field (padding included) readers accept, and so
+/// writers produce.
+const MAX_NAME: usize = 1 << 20;
+
 /// Longest run one `SAC2` op byte may cover: bounds the writer's pending
 /// run buffer without measurably costing density (one extra op byte and
 /// length varint per 64 Ki entries).
@@ -114,64 +118,68 @@ impl From<io::Error> for ReadError {
 /// Propagates I/O errors from the writer.
 pub fn write_binary<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     let mut w = SactWriter::new(w, trace.name(), trace.len() as u64)?;
-    for a in trace {
-        w.push(a)?;
+    for chunk in trace.as_slice().chunks(DEFAULT_CHUNK) {
+        w.push_chunk(chunk)?;
     }
     w.finish().map(|_| ())
 }
 
-/// An incremental `SACT` encoder — the fixed-width sibling of
-/// [`Sact2Writer`], so `sact-convert` can stream in either direction
-/// without materializing the trace.
-pub struct SactWriter<W: Write> {
+/// Capacity of an encoder's output buffer: the encoders write to their
+/// inner writer in blocks of about this size, and in `finish`.
+const OUT_BYTES: usize = 64 << 10;
+
+/// The output side both encoders share: the announced entry count and
+/// the reused byte buffer in front of the inner writer.
+struct Out<W: Write> {
     w: W,
+    buf: Vec<u8>,
     announced: u64,
     pushed: u64,
 }
 
-impl<W: Write> SactWriter<W> {
-    /// Writes the header and readies the encoder for exactly `count`
-    /// accesses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn new(mut w: W, name: &str, count: u64) -> io::Result<Self> {
-        write_header(&mut w, MAGIC, name, count, true)?;
-        Ok(SactWriter {
+impl<W: Write> Out<W> {
+    /// Buffers the header for a stream of exactly `count` entries.
+    fn new(w: W, magic: &[u8; 4], name: &str, count: u64, align: bool) -> io::Result<Self> {
+        let mut buf = Vec::with_capacity(OUT_BYTES);
+        write_header(&mut buf, magic, name, count, align)?;
+        Ok(Out {
             w,
+            buf,
             announced: count,
             pushed: 0,
         })
     }
 
-    /// Encodes one access as a fixed 16-byte entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` when pushed past the announced count;
-    /// propagates I/O errors.
-    pub fn push(&mut self, a: &Access) -> io::Result<()> {
-        if self.pushed == self.announced {
+    /// Counts `n` more entries, refusing any past the announced count.
+    fn admit(&mut self, n: usize) -> io::Result<()> {
+        if n as u64 > self.announced - self.pushed {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("more than the announced {} entries", self.announced),
             ));
         }
-        self.pushed += 1;
-        self.w.write_all(&a.addr().to_le_bytes())?;
-        self.w.write_all(&a.instr().to_le_bytes())?;
-        self.w.write_all(&(a.gap() as u16).to_le_bytes())?;
-        self.w.write_all(&[flags_byte(a), 0])
+        self.pushed += n as u64;
+        Ok(())
     }
 
-    /// Returns the writer after checking the announced count was met.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` when fewer accesses than announced were
-    /// pushed.
-    pub fn finish(self) -> io::Result<W> {
+    /// Drains the buffer first when `n` more bytes would overfill it.
+    #[inline]
+    fn make_room(&mut self, n: usize) -> io::Result<()> {
+        if self.buf.len() + n > OUT_BYTES {
+            self.drain()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the buffered bytes to the inner writer.
+    fn drain(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Checks the announced count was met.
+    fn check_count(&self) -> io::Result<()> {
         if self.pushed != self.announced {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -181,12 +189,92 @@ impl<W: Write> SactWriter<W> {
                 ),
             ));
         }
+        Ok(())
+    }
+
+    /// Writes what is buffered and returns the inner writer.
+    fn finish(mut self) -> io::Result<W> {
+        self.drain()?;
         Ok(self.w)
     }
 }
 
-/// Writes the common `magic/version/namelen/name/count` header shared by
-/// both binary formats.
+/// The `SACT` encoder — the fixed-width sibling of [`Sact2Writer`], and
+/// with it the only code that writes either wire format.
+///
+/// Entries are encoded into one reused 64 KiB buffer that goes to the
+/// inner writer when it fills and in [`SactWriter::finish`]; so a write
+/// error may surface from either, and an encoder dropped unfinished
+/// writes nothing past its last full buffer.
+pub struct SactWriter<W: Write> {
+    out: Out<W>,
+}
+
+impl<W: Write> SactWriter<W> {
+    /// Buffers the header and readies the encoder for exactly `count`
+    /// accesses.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput` for a name longer than readers accept.
+    pub fn new(w: W, name: &str, count: u64) -> io::Result<Self> {
+        Ok(SactWriter {
+            out: Out::new(w, MAGIC, name, count, true)?,
+        })
+    }
+
+    /// Encodes one access as a fixed 16-byte entry: a one-entry
+    /// [`SactWriter::push_chunk`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`SactWriter::push_chunk`].
+    pub fn push(&mut self, a: &Access) -> io::Result<()> {
+        self.push_chunk(std::slice::from_ref(a))
+    }
+
+    /// Encodes a chunk of accesses, 16 bytes each.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput`, encoding none of the chunk, when it would
+    /// pass the announced count; propagates I/O errors.
+    pub fn push_chunk(&mut self, chunk: &[Access]) -> io::Result<()> {
+        self.out.admit(chunk.len())?;
+        for a in chunk {
+            self.out.make_room(ENTRY_BYTES)?;
+            self.out.buf.extend_from_slice(&sact_entry(a));
+        }
+        Ok(())
+    }
+
+    /// Writes the buffered entries and returns the writer, after
+    /// checking the announced count was met.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput` when fewer accesses than announced were
+    /// pushed; propagates I/O errors.
+    pub fn finish(self) -> io::Result<W> {
+        self.out.check_count()?;
+        self.out.finish()
+    }
+}
+
+/// One access as its 16-byte `SACT` entry.
+#[inline]
+fn sact_entry(a: &Access) -> [u8; ENTRY_BYTES] {
+    let mut e = [0u8; ENTRY_BYTES];
+    e[0..8].copy_from_slice(&a.addr().to_le_bytes());
+    e[8..12].copy_from_slice(&a.instr().to_le_bytes());
+    e[12..14].copy_from_slice(&(a.gap() as u16).to_le_bytes());
+    e[14] = a.wire_flags();
+    e
+}
+
+/// Appends the common `magic/version/namelen/name/count` header shared
+/// by both binary formats to an encoder's buffer; a name longer than
+/// readers accept is an `InvalidInput` error.
 ///
 /// For `SACT` (`align` true) the name field is NUL-padded so the entry
 /// section starts 8-byte aligned in the file: the header is `magic(4) +
@@ -199,36 +287,33 @@ impl<W: Write> SactWriter<W> {
 /// copying path. `SAC2` is a byte stream with nothing to align, so its
 /// header is written unpadded — the committed golden fixture freezes
 /// those wire bytes.
-fn write_header<W: Write>(
-    w: &mut W,
+fn write_header(
+    buf: &mut Vec<u8>,
     magic: &[u8; 4],
     name: &str,
     count: u64,
     align: bool,
 ) -> io::Result<()> {
-    w.write_all(magic)?;
-    w.write_all(&VERSION.to_le_bytes())?;
     let name = name.as_bytes();
     let pad = if align {
         (8 - (20 + name.len()) % 8) % 8
     } else {
         0
     };
-    w.write_all(&((name.len() + pad) as u32).to_le_bytes())?;
-    w.write_all(name)?;
-    w.write_all(&[0u8; 7][..pad])?;
-    w.write_all(&count.to_le_bytes())
-}
-
-/// The packed on-disk flag byte of an access (both binary formats use
-/// the same layout).
-#[inline]
-fn flags_byte(a: &Access) -> u8 {
-    u8::from(a.kind().is_write())
-        | (u8::from(a.temporal()) << 1)
-        | (u8::from(a.spatial()) << 2)
-        | (a.spatial_level() << 3)
-        | (a.cpu() << 5)
+    let namelen = name.len() + pad;
+    if namelen > MAX_NAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("trace name of {} bytes exceeds {MAX_NAME}", name.len()),
+        ));
+    }
+    buf.extend_from_slice(magic);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(namelen as u32).to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&[0u8; 7][..pad]);
+    buf.extend_from_slice(&count.to_le_bytes());
+    Ok(())
 }
 
 /// Rebuilds an [`Access`] from its on-disk parts.
@@ -268,6 +353,18 @@ fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     buf.push(v as u8);
+}
+
+/// Writes a LEB128 varint into `e` at `at`; returns the offset past it.
+#[inline]
+fn put_varint(e: &mut [u8; MAX_SAC2_ENTRY], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        e[at] = (v as u8) | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    e[at] = v as u8;
+    at + 1
 }
 
 /// Size of one SACT entry on disk, in bytes.
@@ -317,14 +414,18 @@ pub fn drain_to_trace<S: ChunkSource>(reader: &mut S) -> Result<Trace, ReadError
     Ok(trace)
 }
 
-/// An incremental `SAC2` encoder: announce the entry count up front,
-/// [`Sact2Writer::push`] each access, then [`Sact2Writer::finish`].
-/// Buffers at most one run ([`MAX_RUN`] entries), so converting a trace
-/// never materializes it.
+/// The `SAC2` encoder: announce the entry count up front,
+/// [`Sact2Writer::push_chunk`] the accesses, then
+/// [`Sact2Writer::finish`].
+///
+/// The open run (at most [`MAX_RUN`] entries) is encoded into a reused
+/// run buffer; when it ends, its flag byte, length and entries go into
+/// the 64 KiB output buffer, which reaches the inner writer when it
+/// fills and in `finish`. Converting a trace therefore never
+/// materializes it, and as for [`SactWriter`], write errors surface
+/// from `push_chunk` or `finish`.
 pub struct Sact2Writer<W: Write> {
-    w: W,
-    announced: u64,
-    pushed: u64,
+    out: Out<W>,
     prev_addr: u64,
     prev_instr: u32,
     run_flags: u8,
@@ -332,19 +433,20 @@ pub struct Sact2Writer<W: Write> {
     run: Vec<u8>,
 }
 
+/// Most bytes one `SAC2` entry encodes to: an address delta (10), a
+/// gap (3) and an instr delta (5).
+const MAX_SAC2_ENTRY: usize = 18;
+
 impl<W: Write> Sact2Writer<W> {
-    /// Writes the header and readies the encoder for exactly `count`
+    /// Buffers the header and readies the encoder for exactly `count`
     /// accesses.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the writer.
-    pub fn new(mut w: W, name: &str, count: u64) -> io::Result<Self> {
-        write_header(&mut w, MAGIC2, name, count, false)?;
+    /// Returns `InvalidInput` for a name longer than readers accept.
+    pub fn new(w: W, name: &str, count: u64) -> io::Result<Self> {
         Ok(Sact2Writer {
-            w,
-            announced: count,
-            pushed: 0,
+            out: Out::new(w, MAGIC2, name, count, false)?,
             prev_addr: 0,
             prev_instr: 0,
             run_flags: 0,
@@ -353,74 +455,86 @@ impl<W: Write> Sact2Writer<W> {
         })
     }
 
-    /// Encodes one access.
+    /// Encodes one access: a one-entry [`Sact2Writer::push_chunk`].
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` when pushed past the announced count;
-    /// propagates I/O errors.
+    /// As for [`Sact2Writer::push_chunk`].
     pub fn push(&mut self, a: &Access) -> io::Result<()> {
-        if self.pushed == self.announced {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("more than the announced {} entries", self.announced),
-            ));
+        self.push_chunk(std::slice::from_ref(a))
+    }
+
+    /// Encodes a chunk of accesses. Runs carry across chunks: the
+    /// bytes do not depend on how a trace is split.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput`, encoding none of the chunk, when it would
+    /// pass the announced count; propagates I/O errors.
+    pub fn push_chunk(&mut self, chunk: &[Access]) -> io::Result<()> {
+        self.out.admit(chunk.len())?;
+        for a in chunk {
+            let flags = a.wire_flags();
+            if flags != self.run_flags || self.run_len == MAX_RUN {
+                self.end_run()?;
+                self.run_flags = flags;
+            }
+            self.run_len += 1;
+            let (addr, instr) = (a.addr(), a.instr());
+            let mut e = [0u8; MAX_SAC2_ENTRY];
+            let n = put_varint(
+                &mut e,
+                0,
+                zigzag_encode(addr.wrapping_sub(self.prev_addr) as i64),
+            );
+            let n = put_varint(&mut e, n, u64::from(a.gap()));
+            let n = put_varint(
+                &mut e,
+                n,
+                zigzag_encode(i64::from(instr.wrapping_sub(self.prev_instr) as i32)),
+            );
+            self.run.extend_from_slice(&e[..n]);
+            self.prev_addr = addr;
+            self.prev_instr = instr;
         }
-        let flags = flags_byte(a);
-        if self.run_len > 0 && (flags != self.run_flags || self.run_len == MAX_RUN) {
-            self.flush_run()?;
-        }
-        self.run_flags = flags;
-        self.run_len += 1;
-        self.pushed += 1;
-        let addr = a.addr();
-        push_varint(
-            &mut self.run,
-            zigzag_encode(addr.wrapping_sub(self.prev_addr) as i64),
-        );
-        self.prev_addr = addr;
-        push_varint(&mut self.run, a.gap() as u64);
-        let instr = a.instr();
-        push_varint(
-            &mut self.run,
-            zigzag_encode(instr.wrapping_sub(self.prev_instr) as i32 as i64),
-        );
-        self.prev_instr = instr;
         Ok(())
     }
 
-    fn flush_run(&mut self) -> io::Result<()> {
+    /// Moves the open run, behind its flag byte and length, into the
+    /// output buffer; a run longer than the buffer goes straight to the
+    /// inner writer.
+    fn end_run(&mut self) -> io::Result<()> {
         if self.run_len == 0 {
             return Ok(());
         }
-        let mut head = Vec::with_capacity(11);
-        head.push(self.run_flags);
-        push_varint(&mut head, self.run_len);
-        self.w.write_all(&head)?;
-        self.w.write_all(&self.run)?;
+        // Flag byte plus a length varint of at most 3 bytes (MAX_RUN).
+        const HEAD: usize = 4;
+        let out = &mut self.out;
+        out.make_room(HEAD + self.run.len())?;
+        out.buf.push(self.run_flags);
+        push_varint(&mut out.buf, self.run_len);
+        if self.run.len() > OUT_BYTES - HEAD {
+            out.drain()?;
+            out.w.write_all(&self.run)?;
+        } else {
+            out.buf.extend_from_slice(&self.run);
+        }
         self.run.clear();
         self.run_len = 0;
         Ok(())
     }
 
-    /// Flushes the pending run and returns the writer.
+    /// Ends the open run, writes the buffered bytes and returns the
+    /// writer, after checking the announced count was met.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` when fewer accesses than announced were
     /// pushed (the stream would be undecodable); propagates I/O errors.
     pub fn finish(mut self) -> io::Result<W> {
-        if self.pushed != self.announced {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "{} entries pushed, {} announced",
-                    self.pushed, self.announced
-                ),
-            ));
-        }
-        self.flush_run()?;
-        Ok(self.w)
+        self.out.check_count()?;
+        self.end_run()?;
+        self.out.finish()
     }
 }
 
@@ -431,8 +545,8 @@ impl<W: Write> Sact2Writer<W> {
 /// Propagates I/O errors from the writer.
 pub fn write_binary2<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
     let mut w = Sact2Writer::new(w, trace.name(), trace.len() as u64)?;
-    for a in trace {
-        w.push(a)?;
+    for chunk in trace.as_slice().chunks(DEFAULT_CHUNK) {
+        w.push_chunk(chunk)?;
     }
     w.finish().map(|_| ())
 }
@@ -673,6 +787,8 @@ pub fn read_path<P: AsRef<std::path::Path>>(path: P) -> Result<Trace, ReadError>
 /// expensive work before the final write (`figures --bench-json`,
 /// `sact-convert`, `sac trace`) call this up front, so a typo'd
 /// directory fails immediately instead of after minutes of simulation.
+/// The binary encoders buffer their own output, so only text writers
+/// need a `BufWriter` on top.
 ///
 /// # Errors
 ///
@@ -682,19 +798,6 @@ pub fn create_output<P: AsRef<std::path::Path>>(path: P) -> io::Result<std::fs::
     let path = path.as_ref();
     std::fs::File::create(path)
         .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
-}
-
-/// As [`create_output`], wrapped in a `BufWriter` — the open-and-buffer
-/// step every CLI writer shares (`sac trace`, `sact-convert`), so the
-/// validation and the "cannot write <path>" error live in one place.
-///
-/// # Errors
-///
-/// As for [`create_output`].
-pub fn create_output_buffered<P: AsRef<std::path::Path>>(
-    path: P,
-) -> io::Result<io::BufWriter<std::fs::File>> {
-    create_output(path).map(io::BufWriter::new)
 }
 
 /// A source of decoded trace chunks — what the replay layer consumes,
@@ -974,7 +1077,7 @@ fn read_header(r: &mut &[u8]) -> Result<(String, u64), ReadError> {
         )));
     }
     let namelen = read_u32(r)? as usize;
-    if namelen > 1 << 20 {
+    if namelen > MAX_NAME {
         return Err(ReadError::BadHeader(format!("name length {namelen}")));
     }
     let mut name = vec![0u8; namelen];
@@ -1360,6 +1463,66 @@ mod tests {
                 "cut {cut}: {err}"
             );
         }
+
+        // A multi-chunk file of one-entry runs, every entry five bytes
+        // (flag, length 1, and one-byte address, gap and instr deltas),
+        // cut at every offset in its last 32 bytes: the error names the
+        // entry the cut falls in.
+        let n = 3 * DEFAULT_CHUNK as u64 + 5;
+        let t: Trace = (0..n)
+            .map(|i| Access::read(i * 8).with_temporal(i % 2 == 0))
+            .collect::<Trace>()
+            .with_name("");
+        let mut buf = Vec::new();
+        write_binary2(&t, &mut buf).unwrap();
+        let body = buf.len() - 5 * n as usize;
+        assert_eq!(body, 4 + 4 + 4 + 8, "unnamed SAC2 header");
+        for cut in buf.len() - 32..buf.len() {
+            let err = read_binary2(&buf[..cut]).unwrap_err().to_string();
+            let entry = (cut - body) / 5;
+            assert_eq!(
+                err,
+                format!("bad trace entry: entry {entry}: input truncated"),
+                "cut {cut}"
+            );
+        }
+        assert_eq!(read_binary2(&buf[..]).unwrap(), t);
+    }
+
+    /// An over-long and an overflowing varint, as the last entry's
+    /// address delta, at every distance from the end of the input up to
+    /// 16 trailing bytes: the errors read as they always have, wherever
+    /// the varint sits.
+    #[test]
+    fn sact2_bad_varints_near_the_end_keep_their_errors() {
+        let longer = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81];
+        let overflows = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        for (varint, text) in [
+            (longer, "varint longer than 10 bytes"),
+            (overflows, "varint overflows u64"),
+        ] {
+            for trailing in 0..=16 {
+                let mut buf = Vec::new();
+                buf.extend_from_slice(MAGIC2);
+                buf.extend_from_slice(&VERSION.to_le_bytes());
+                buf.extend_from_slice(&0u32.to_le_bytes());
+                buf.extend_from_slice(&3u64.to_le_bytes());
+                buf.extend_from_slice(&[0, 3]); // flags 0, a run of 3
+                buf.extend_from_slice(&[16, 1, 0, 16, 1, 0]); // two entries
+                buf.extend_from_slice(&varint);
+                buf.extend(std::iter::repeat_n(0u8, trailing));
+                let err = read_binary2(&buf[..]).unwrap_err().to_string();
+                assert_eq!(
+                    err,
+                    format!("bad trace entry: entry 2: {text}"),
+                    "{trailing} trailing bytes"
+                );
+                let mut reader = TraceReader::new(&buf[..]).unwrap().with_chunk_size(2);
+                assert_eq!(reader.next_chunk().unwrap().unwrap().len(), 2);
+                let err = reader.next_chunk().unwrap_err().to_string();
+                assert_eq!(err, format!("bad trace entry: entry 2: {text}"));
+            }
+        }
     }
 
     #[test]
@@ -1490,11 +1653,7 @@ mod tests {
         buf.extend_from_slice(name);
         buf.extend_from_slice(&(t.len() as u64).to_le_bytes());
         for a in &t {
-            buf.extend_from_slice(&a.addr().to_le_bytes());
-            buf.extend_from_slice(&a.instr().to_le_bytes());
-            buf.extend_from_slice(&(a.gap() as u16).to_le_bytes());
-            buf.push(flags_byte(a));
-            buf.push(0);
+            buf.extend_from_slice(&sact_entry(a));
         }
         let path = tmp_file("mapped_unpadded.sact", &buf);
 

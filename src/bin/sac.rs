@@ -21,7 +21,7 @@ use software_assisted_caches::trace::stats::{
 use software_assisted_caches::trace::{self as trace_mod, io as trace_io, Trace};
 use software_assisted_caches::workloads;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 
 const BENCHMARKS: [&str; 9] = [
@@ -238,7 +238,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // policy as `sact-convert` and `figures --bench-json`): a typo'd
     // directory fails immediately, not after generating the trace.
     let path = out.unwrap_or_else(|| format!("{}.sact", program.name()));
-    let mut w = trace_io::create_output_buffered(&path).map_err(|e| e.to_string())?;
+    let mut w = BufWriter::new(trace_io::create_output(&path).map_err(|e| e.to_string())?);
     // `--cpus N` generates N independently seeded streams of the same
     // kernel (seeds seed, seed+1, ..., seed+N-1) and interleaves them
     // round-robin with per-access cpu tags — deterministic input for the
@@ -272,6 +272,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         "text" => trace_io::write_text(&trace, &mut w).map_err(|e| e.to_string())?,
         other => return Err(format!("unknown format '{other}' (bin|sact2|text)")),
     }
+    // Dropping the `BufWriter` would discard a failed final write.
+    w.flush().map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("wrote {} references to {path}", trace.len());
     Ok(())
 }
@@ -281,34 +283,35 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// shorter traces write in well under a second and stay silent.
 const TRACE_PROGRESS_MIN_REFS: usize = 4_000_000;
 
-/// Streams `trace` through the incremental binary writer of the chosen
-/// format — output is byte-identical to `write_binary`/`write_binary2`
-/// — ticking an entries-written progress gauge on large traces.
+/// Streams `trace` through the binary encoder of the chosen format, one
+/// [`trace_io::DEFAULT_CHUNK`] slice at a time — output is
+/// byte-identical to `write_binary`/`write_binary2` — ticking an
+/// entries-written progress gauge per chunk on large traces.
 fn write_with_progress(trace: &Trace, w: &mut impl Write, sact2: bool) -> std::io::Result<()> {
     let mut progress = (trace.len() >= TRACE_PROGRESS_MIN_REFS)
         .then(|| ProgressGauge::new("trace.entries_written_pct", trace.len() as u64));
     let mut written = 0u64;
-    let tick = |written: u64, progress: &mut Option<ProgressGauge>| {
-        if let Some(p) = progress {
+    let mut tick = |n: usize| {
+        written += n as u64;
+        if let Some(p) = &mut progress {
             if let Some(pct) = p.update(written) {
                 eprintln!("sac trace: {pct}% of references written");
             }
         }
     };
+    let chunks = trace.as_slice().chunks(trace_io::DEFAULT_CHUNK);
     if sact2 {
         let mut enc = trace_io::Sact2Writer::new(w, trace.name(), trace.len() as u64)?;
-        for a in trace {
-            enc.push(a)?;
-            written += 1;
-            tick(written, &mut progress);
+        for chunk in chunks {
+            enc.push_chunk(chunk)?;
+            tick(chunk.len());
         }
         enc.finish()?;
     } else {
         let mut enc = trace_io::SactWriter::new(w, trace.name(), trace.len() as u64)?;
-        for a in trace {
-            enc.push(a)?;
-            written += 1;
-            tick(written, &mut progress);
+        for chunk in chunks {
+            enc.push_chunk(chunk)?;
+            tick(chunk.len());
         }
         enc.finish()?;
     }

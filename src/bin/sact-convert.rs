@@ -24,6 +24,7 @@ use sac_trace::io::{
     self as trace_io, ChunkSource, FileSource, ReadError, Sact2Writer, SactWriter,
 };
 use std::io::Write;
+use std::path::Path;
 use std::process::exit;
 
 /// Inputs at or above this size report entries-read progress (gauge
@@ -85,9 +86,17 @@ fn main() {
         format!("{stem}.{}", if to_sact2 { "sact2" } else { "sact" })
     });
 
+    // The input is mapped: truncating it for the output would destroy it
+    // (and fault the mapping).
+    if same_file(Path::new(&input), Path::new(&out_path)) {
+        eprintln!(
+            "sact-convert: output {out_path} is the input file {input}; refusing to overwrite it"
+        );
+        exit(1);
+    }
     // Validate the output path before decoding anything (shared helper;
     // same policy as `figures --bench-json` and `sac trace`).
-    let out = match trace_io::create_output_buffered(&out_path) {
+    let out = match trace_io::create_output(&out_path) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("sact-convert: {e}");
@@ -117,6 +126,22 @@ fn main() {
     }
 }
 
+/// Whether `a` and `b` name one existing file: the same canonical path,
+/// or (on Unix) the same device and inode reached through another path,
+/// such as a hard link.
+fn same_file(a: &Path, b: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        if let (Ok(ma), Ok(mb)) = (std::fs::metadata(a), std::fs::metadata(b)) {
+            if (ma.dev(), ma.ino()) == (mb.dev(), mb.ino()) {
+                return true;
+            }
+        }
+    }
+    matches!((a.canonicalize(), b.canonicalize()), (Ok(x), Ok(y)) if x == y)
+}
+
 /// Streams every chunk of `reader` into the chosen writer; returns the
 /// number of entries converted. With a progress gauge attached, ticks
 /// it once per chunk on the entries decoded so far.
@@ -139,9 +164,7 @@ fn convert<S: ChunkSource, W: Write>(
     if to_sact2 {
         let mut enc = Sact2Writer::new(&mut w, &name, total)?;
         while let Some(chunk) = reader.next_chunk().map_err(boxed)? {
-            for a in chunk {
-                enc.push(a)?;
-            }
+            enc.push_chunk(chunk)?;
             done += chunk.len() as u64;
             tick(done);
         }
@@ -149,9 +172,7 @@ fn convert<S: ChunkSource, W: Write>(
     } else {
         let mut enc = SactWriter::new(&mut w, &name, total)?;
         while let Some(chunk) = reader.next_chunk().map_err(boxed)? {
-            for a in chunk {
-                enc.push(a)?;
-            }
+            enc.push_chunk(chunk)?;
             done += chunk.len() as u64;
             tick(done);
         }

@@ -184,7 +184,7 @@ fn binary_header_errors_are_reported_not_parsed_as_text() {
 }
 
 /// Both `sac trace` and `sact-convert` validate their output path
-/// through the one shared helper (`trace::io::create_output_buffered`),
+/// through the one shared helper (`trace::io::create_output`),
 /// up front: an unwritable destination fails immediately with the same
 /// "cannot write <path>" message from either tool, before any trace is
 /// generated or decoded.
@@ -220,6 +220,50 @@ fn unwritable_output_path_fails_up_front_with_the_shared_message() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot write"), "{err}");
     assert!(err.contains(bad), "{err}");
+    std::fs::remove_file(&input).ok();
+}
+
+/// `sact-convert` maps its input, so an output path naming the same file
+/// (directly, through a `..` detour, or through a hard link) is refused
+/// before the output is created: exit 1, both paths named, input intact.
+#[test]
+fn sact_convert_refuses_to_overwrite_its_input() {
+    let input = tmpfile("convert-self.sact2");
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden.sact2");
+    std::fs::copy(fixture, &input).expect("copy the fixture");
+    let before = std::fs::read(&input).expect("read the copy");
+    let detour = input
+        .parent()
+        .expect("temp file has a parent")
+        .join("..")
+        .join(input.parent().unwrap().file_name().unwrap())
+        .join(input.file_name().unwrap());
+    let link = tmpfile("convert-self-link.sact2");
+    std::fs::remove_file(&link).ok();
+    let mut outputs = vec![input.clone(), detour];
+    if std::fs::hard_link(&input, &link).is_ok() {
+        outputs.push(link.clone());
+    }
+    for out_path in &outputs {
+        let out = Command::new(env!("CARGO_BIN_EXE_sact-convert"))
+            .arg(&input)
+            .args(["--to", "sact2", "-o"])
+            .arg(out_path)
+            .output()
+            .expect("run sact-convert");
+        assert_eq!(out.status.code(), Some(1), "{}", out_path.display());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("is the input file"), "{err}");
+        assert!(err.contains(out_path.to_str().unwrap()), "{err}");
+        assert!(err.contains(input.to_str().unwrap()), "{err}");
+        assert_eq!(
+            std::fs::read(&input).expect("input still readable"),
+            before,
+            "input changed by {}",
+            out_path.display()
+        );
+    }
+    std::fs::remove_file(&link).ok();
     std::fs::remove_file(&input).ok();
 }
 

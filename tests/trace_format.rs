@@ -14,14 +14,21 @@
 //!   length — and the two byte stores must agree exactly.
 //! * **Cross-format confusion** — a header of one format stapled to the
 //!   body of the other must be rejected, not misdecoded.
+//! * **Encoder equivalence** — per-access `push`, `push_chunk` at any
+//!   split and `write_binary*` produce the bytes a naive encoder written
+//!   from the format description produces, in both formats, over traces
+//!   larger than the encoders' output buffer and runs up to the `SAC2`
+//!   cap; a failing writer's error surfaces from `push_chunk` or
+//!   `finish`, and the announced count is enforced both ways.
 
 use software_assisted_caches::trace::io::{
     read_any, read_binary, read_binary2, write_binary, write_binary2, ChunkSource, FileSource,
     ReadError, TraceReader, DEFAULT_CHUNK,
 };
 use software_assisted_caches::trace::rng::SplitMix64;
-use software_assisted_caches::trace::{io as trace_io, Trace};
+use software_assisted_caches::trace::{io as trace_io, Access, Trace};
 use software_assisted_caches::workloads;
+use std::io::Write;
 
 /// Decodes `bytes` through every reader entry point, in memory and from
 /// a file; panics if a decoder panics (the property under test) or if
@@ -93,9 +100,7 @@ fn every_workload_round_trips_through_both_formats() {
                 trace_io::Sact2Writer::new(&mut v2, reader.name(), reader.total()).unwrap();
             let mut src = TraceReader::new(&v1[..]).unwrap();
             while let Some(chunk) = src.next_chunk().unwrap() {
-                for a in chunk {
-                    enc.push(a).unwrap();
-                }
+                enc.push_chunk(chunk).unwrap();
             }
             enc.finish().unwrap();
         }
@@ -170,7 +175,6 @@ fn enc_sact2(t: &Trace, v: &mut Vec<u8>) -> std::io::Result<()> {
 }
 
 fn fuzz_trace(rng: &mut SplitMix64, len: usize) -> Trace {
-    use software_assisted_caches::trace::Access;
     let mut t = Trace::new("fuzz");
     for _ in 0..len {
         let addr = rng.next_u64() >> (rng.next_u64() % 40);
@@ -297,4 +301,302 @@ fn sact2_header_count_overflow_is_rejected_without_allocation() {
     buf.extend_from_slice(&u64::MAX.to_le_bytes());
     let err = read_binary2(&buf[..]).unwrap_err();
     assert!(matches!(err, ReadError::BadEntry(_) | ReadError::Io(_)));
+}
+
+// ---- Encoder equivalence ----
+
+/// Both buffered encoders behind one interface, so each property runs
+/// over both formats.
+trait Encoder<W: Write>: Sized {
+    fn start(w: W, name: &str, count: u64) -> std::io::Result<Self>;
+    fn push(&mut self, a: &Access) -> std::io::Result<()>;
+    fn push_chunk(&mut self, chunk: &[Access]) -> std::io::Result<()>;
+    fn finish(self) -> std::io::Result<W>;
+}
+
+macro_rules! encoder {
+    ($ty:ident) => {
+        impl<W: Write> Encoder<W> for trace_io::$ty<W> {
+            fn start(w: W, name: &str, count: u64) -> std::io::Result<Self> {
+                trace_io::$ty::new(w, name, count)
+            }
+            fn push(&mut self, a: &Access) -> std::io::Result<()> {
+                trace_io::$ty::push(self, a)
+            }
+            fn push_chunk(&mut self, chunk: &[Access]) -> std::io::Result<()> {
+                trace_io::$ty::push_chunk(self, chunk)
+            }
+            fn finish(self) -> std::io::Result<W> {
+                trace_io::$ty::finish(self)
+            }
+        }
+    };
+}
+encoder!(SactWriter);
+encoder!(Sact2Writer);
+
+/// Encodes `t` one `push` per access.
+fn per_access<E: Encoder<Vec<u8>>>(t: &Trace) -> Vec<u8> {
+    let mut enc = E::start(Vec::new(), t.name(), t.len() as u64).unwrap();
+    for a in t {
+        enc.push(a).unwrap();
+    }
+    enc.finish().unwrap()
+}
+
+/// Encodes `t` one `push_chunk` per `split` accesses.
+fn chunked<E: Encoder<Vec<u8>>>(t: &Trace, split: usize) -> Vec<u8> {
+    let mut enc = E::start(Vec::new(), t.name(), t.len() as u64).unwrap();
+    for chunk in t.as_slice().chunks(split) {
+        enc.push_chunk(chunk).unwrap();
+    }
+    enc.finish().unwrap()
+}
+
+/// Random runs of one flag byte: `mean_run` sets how long a run lasts,
+/// `spread` how far apart consecutive addresses land (0 = strided).
+fn run_trace(rng: &mut SplitMix64, len: usize, mean_run: u64, spread: u32) -> Trace {
+    let mut t = Trace::new("runs");
+    let (mut addr, mut flags) = (0x1000u64, 0u64);
+    for _ in 0..len {
+        if rng.below(mean_run) == 0 {
+            flags = rng.below(1 << 7);
+        }
+        addr = if spread == 0 {
+            addr.wrapping_add(8)
+        } else {
+            addr.wrapping_add(rng.next_u64() >> (64 - spread))
+        };
+        let a = if flags & 1 == 0 {
+            Access::read(addr)
+        } else {
+            Access::write(addr)
+        };
+        t.push(
+            a.with_temporal(flags & 2 != 0)
+                .with_spatial(flags & 4 != 0)
+                .with_spatial_level(((flags >> 3) & 3) as u8)
+                .with_cpu(((flags >> 5) & 3) as u8)
+                .with_gap(rng.below(70_000) as u32)
+                .with_instr(rng.next_u64() as u32 >> rng.below(32)),
+        );
+    }
+    t
+}
+
+/// The traces the equivalence properties run over: the empty trace,
+/// random ones larger than the 64 KiB output buffer with runs from one
+/// entry to thousands (so runs straddle chunk and buffer boundaries),
+/// and single-flag traces that reach the 65,536-entry run cap, strided
+/// (a run's body is larger than the buffer) and scattered.
+fn equivalence_traces() -> Vec<Trace> {
+    let mut rng = SplitMix64::seed_from_u64(0x5AC7_0005);
+    let mut traces = vec![Trace::new("empty")];
+    for (len, mean_run, spread) in [
+        (1, 1, 40),
+        (9_000, 1, 64),
+        (30_000, 3, 20),
+        (20_000, 300, 12),
+        (25_000, 5_000, 40),
+    ] {
+        traces.push(run_trace(&mut rng, len, mean_run, spread));
+    }
+    let strided: Trace = (0..140_000u64).map(|i| Access::read(i * 8)).collect();
+    traces.push(strided);
+    traces.push(run_trace(&mut rng, 70_000, u64::MAX, 48));
+    traces
+}
+
+/// The flag byte of the format description: bit 0 write, bit 1
+/// temporal, bit 2 spatial, bits 3-4 level, bits 5-6 cpu.
+fn naive_flags(a: &Access) -> u8 {
+    u8::from(a.kind().is_write())
+        | (u8::from(a.temporal()) << 1)
+        | (u8::from(a.spatial()) << 2)
+        | (a.spatial_level() << 3)
+        | (a.cpu() << 5)
+}
+
+fn naive_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn naive_header(out: &mut Vec<u8>, magic: &[u8], t: &Trace, pad: usize) {
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&((t.name().len() + pad) as u32).to_le_bytes());
+    out.extend_from_slice(t.name().as_bytes());
+    out.extend(std::iter::repeat_n(0u8, pad));
+    out.extend_from_slice(&(t.len() as u64).to_le_bytes());
+}
+
+/// `SACT` written straight from the format description (io.rs module
+/// docs): the name NUL-padded so entries start 8-byte aligned.
+fn naive_sact(t: &Trace) -> Vec<u8> {
+    let mut out = Vec::new();
+    naive_header(&mut out, b"SACT", t, (8 - (20 + t.name().len()) % 8) % 8);
+    for a in t {
+        out.extend_from_slice(&a.addr().to_le_bytes());
+        out.extend_from_slice(&a.instr().to_le_bytes());
+        out.extend_from_slice(&(a.gap() as u16).to_le_bytes());
+        out.extend_from_slice(&[naive_flags(a), 0]);
+    }
+    out
+}
+
+/// `SAC2` written straight from the format description: runs of one
+/// flag byte, at most 65,536 entries each, of zigzag-varint deltas.
+fn naive_sac2(t: &Trace) -> Vec<u8> {
+    let zigzag = |v: i64| ((v << 1) ^ (v >> 63)) as u64;
+    let mut out = Vec::new();
+    naive_header(&mut out, b"SAC2", t, 0);
+    let (mut prev_addr, mut prev_instr) = (0u64, 0u32);
+    let entries = t.as_slice();
+    let mut i = 0;
+    while i < entries.len() {
+        let flags = naive_flags(&entries[i]);
+        let mut end = i;
+        while end < entries.len() && end - i < 65_536 && naive_flags(&entries[end]) == flags {
+            end += 1;
+        }
+        out.push(flags);
+        naive_varint(&mut out, (end - i) as u64);
+        for a in &entries[i..end] {
+            naive_varint(&mut out, zigzag(a.addr().wrapping_sub(prev_addr) as i64));
+            naive_varint(&mut out, u64::from(a.gap()));
+            naive_varint(
+                &mut out,
+                zigzag(i64::from(a.instr().wrapping_sub(prev_instr) as i32)),
+            );
+            (prev_addr, prev_instr) = (a.addr(), a.instr());
+        }
+        i = end;
+    }
+    out
+}
+
+fn encoders_agree<E: Encoder<Vec<u8>>>(
+    t: &Trace,
+    write: fn(&Trace, &mut Vec<u8>) -> std::io::Result<()>,
+    naive: fn(&Trace) -> Vec<u8>,
+) {
+    let want = naive(t);
+    assert!(
+        per_access::<E>(t) == want,
+        "{} entries: per-access push differs from the format description",
+        t.len()
+    );
+    for split in [1, 7, 4095, 4096, 4097, t.len().max(1)] {
+        assert!(
+            chunked::<E>(t, split) == want,
+            "{} entries: push_chunk({split}) differs from per-access push",
+            t.len()
+        );
+    }
+    let mut whole = Vec::new();
+    write(t, &mut whole).unwrap();
+    assert!(whole == want, "{} entries: write_binary* differs", t.len());
+    assert_eq!(read_any(&want[..]).unwrap(), *t);
+}
+
+#[test]
+fn every_split_encodes_the_same_bytes() {
+    let traces = equivalence_traces();
+    let longest = traces.iter().map(Trace::len).max().unwrap();
+    assert!(
+        longest > (64 << 10),
+        "some trace outgrows the output buffer"
+    );
+    for t in &traces {
+        encoders_agree::<trace_io::SactWriter<Vec<u8>>>(t, enc_sact, naive_sact);
+        encoders_agree::<trace_io::Sact2Writer<Vec<u8>>>(t, enc_sact2, naive_sac2);
+    }
+}
+
+/// A writer that accepts `left` bytes, then fails.
+struct FailAfter {
+    left: usize,
+    got: Vec<u8>,
+}
+
+impl Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return Err(std::io::Error::other("device full"));
+        }
+        let n = buf.len().min(self.left);
+        self.left -= n;
+        self.got.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Encodes `t` whole into a writer that fails after `limit` bytes;
+/// returns the bytes written, or the error from `push_chunk` or
+/// `finish`.
+fn encode_failing<E: Encoder<FailAfter>>(t: &Trace, limit: usize) -> std::io::Result<Vec<u8>> {
+    let w = FailAfter {
+        left: limit,
+        got: Vec::new(),
+    };
+    let mut enc = E::start(w, t.name(), t.len() as u64)?;
+    enc.push_chunk(t.as_slice())?;
+    Ok(enc.finish()?.got)
+}
+
+fn write_errors_surface<E: Encoder<FailAfter>>(t: &Trace) {
+    let full = encode_failing::<E>(t, usize::MAX).unwrap();
+    for limit in [0, 1, 30, 65_535, 65_536, 65_537, full.len() - 1] {
+        let err = encode_failing::<E>(t, limit).expect_err("a lost write error");
+        assert_eq!(err.to_string(), "device full", "after {limit} bytes");
+    }
+    assert!(encode_failing::<E>(t, full.len()).unwrap() == full);
+}
+
+#[test]
+fn a_failing_writer_surfaces_from_push_chunk_or_finish() {
+    let mut rng = SplitMix64::seed_from_u64(0x5AC7_0006);
+    let t = run_trace(&mut rng, 20_000, 4, 30);
+    write_errors_surface::<trace_io::SactWriter<_>>(&t);
+    write_errors_surface::<trace_io::Sact2Writer<_>>(&t);
+}
+
+fn counts_are_enforced<E: Encoder<Vec<u8>>>() {
+    let t: Trace = (0..10u64).map(|i| Access::read(i * 8)).collect();
+    let a = t.as_slice();
+    // Past the announced count inside one chunk.
+    let mut enc = E::start(Vec::new(), "x", 5).unwrap();
+    enc.push_chunk(&a[..3]).unwrap();
+    let err = enc.push_chunk(&a[3..7]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(
+        err.to_string().contains("more than the announced 5"),
+        "{err}"
+    );
+    // The refused chunk counted nothing: the last two still fit.
+    enc.push_chunk(&a[3..5]).unwrap();
+    assert!(enc.push(&a[5]).is_err());
+    enc.finish().unwrap();
+    // Finishing short.
+    let mut enc = E::start(Vec::new(), "x", 5).unwrap();
+    enc.push_chunk(&a[..4]).unwrap();
+    let err = enc.finish().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(
+        err.to_string().contains("4 entries pushed, 5 announced"),
+        "{err}"
+    );
+}
+
+#[test]
+fn encoders_enforce_the_announced_count() {
+    counts_are_enforced::<trace_io::SactWriter<_>>();
+    counts_are_enforced::<trace_io::Sact2Writer<_>>();
 }
