@@ -35,13 +35,16 @@ use std::path::{Path, PathBuf};
 /// recomputed, instead of silently serving stale numbers.
 pub const ENGINE_VERSION: u32 = 1;
 
-/// The store's on-disk format version (file layout, not simulation
-/// semantics).
-const FORMAT_HEADER: &str = "# sac result store v1";
+/// The store's on-disk format version: the file layout and the trace key
+/// construction, not simulation semantics. v2 keys traces with the
+/// word-wise [`sac_trace::Trace::content_hash`]; v1 entries, keyed with
+/// its older byte-wise FNV-1a, are refused even if the two hashes of
+/// different traces happen to collide.
+const FORMAT_HEADER: &str = "# sac result store v2";
 
-/// FNV-1a over a byte string — the same construction as
-/// [`sac_trace::Trace::content_hash`], used to fold the config's `Debug`
-/// rendering into a fixed-width filename component.
+/// FNV-1a-64 over a byte string, used to fold the config's `Debug`
+/// rendering into a fixed-width filename component (the line is a few
+/// hundred bytes, so byte-wise hashing costs nothing here).
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -112,10 +115,18 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Propagates the I/O error when the directory cannot be created,
+    /// An empty path is [`io::ErrorKind::InvalidInput`]: the store would
+    /// otherwise write its entries into the current directory. Otherwise
+    /// propagates the I/O error when the directory cannot be created,
     /// with the path named.
     pub fn open<P: AsRef<Path>>(dir: P) -> io::Result<ResultStore> {
         let dir = dir.as_ref().to_path_buf();
+        if dir.as_os_str().is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cannot open store \"\": the store path is empty",
+            ));
+        }
         std::fs::create_dir_all(&dir).map_err(|e| {
             io::Error::new(
                 e.kind(),
@@ -306,6 +317,33 @@ mod tests {
         // Restoring the original text restores the hit.
         std::fs::write(&path, full).unwrap();
         assert_eq!(store.load(9, &Config::soft()), Some(m));
+    }
+
+    #[test]
+    fn older_format_entries_read_as_misses() {
+        let store = store_in("older_format");
+        let m = sample_metrics();
+        store.save(3, &Config::standard(), &m).unwrap();
+        let path = store.entry_path(3, &Config::standard());
+        let full = std::fs::read_to_string(&path).unwrap();
+        assert!(full.starts_with("# sac result store v2\n"), "{full}");
+        // A v1 entry (byte-wise trace key) at the looked-up path, say a
+        // 64-bit collision between the two keys, is refused.
+        let v1 = full.replacen("# sac result store v2", "# sac result store v1", 1);
+        std::fs::write(&path, v1).unwrap();
+        assert!(store.load(3, &Config::standard()).is_none());
+        std::fs::write(&path, full).unwrap();
+        assert_eq!(store.load(3, &Config::standard()), Some(m));
+    }
+
+    #[test]
+    fn empty_path_is_refused() {
+        let err = ResultStore::open("").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            "cannot open store \"\": the store path is empty"
+        );
     }
 
     #[test]

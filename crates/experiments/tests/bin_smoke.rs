@@ -381,6 +381,44 @@ fn figures_rejects_unwritable_store_dir_before_running() {
 }
 
 #[test]
+fn empty_store_path_is_refused_before_running() {
+    // Run in an empty directory of its own: an accepted empty path would
+    // put its entries there.
+    let cwd = std::env::temp_dir().join(format!("sac-empty-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&cwd).ok();
+    std::fs::create_dir_all(&cwd).expect("scratch cwd");
+    let runs: [(&str, &[&str]); 2] = [
+        (env!("CARGO_BIN_EXE_figures"), &["--small", "fig06a"]),
+        (
+            env!("CARGO_BIN_EXE_explain"),
+            &["--small", "--config", "standard"],
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin)
+            .current_dir(&cwd)
+            .args(args)
+            .args(["--store", ""])
+            .output()
+            .expect("run bin");
+        assert_eq!(out.status.code(), Some(2), "{bin}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--store: cannot open store \"\": the store path is empty"),
+            "{bin}: {err}"
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{bin}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("scratch cwd")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
+#[test]
 fn explain_cpus_rejects_options_the_coherent_run_would_ignore() {
     let tmp = std::env::temp_dir();
     let pid = std::process::id();

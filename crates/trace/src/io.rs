@@ -318,7 +318,7 @@ fn write_header(
 
 /// Rebuilds an [`Access`] from its on-disk parts.
 #[inline]
-fn access_from_parts(addr: u64, instr: u32, gap: u16, flags: u8) -> Access {
+pub(crate) fn access_from_parts(addr: u64, instr: u32, gap: u16, flags: u8) -> Access {
     let kind = if flags & 1 != 0 {
         AccessKind::Write
     } else {
@@ -938,8 +938,24 @@ fn slice_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, ReadError> {
 }
 
 /// Decodes a LEB128 varint from a slice cursor with a hard 10-byte /
-/// 64-bit cap.
+/// 64-bit cap. A byte below 0x80 is a whole varint, and most SAC2 fields
+/// are one (gaps, instruction deltas, short runs, unit-stride deltas), so
+/// that case is inlined into the entry loop; everything else, errors
+/// included, takes [`slice_varint_long`].
+#[inline(always)]
 fn slice_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, ReadError> {
+    if let Some(&b) = bytes.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(u64::from(b));
+        }
+    }
+    slice_varint_long(bytes, pos)
+}
+
+/// [`slice_varint`]'s general loop, out of line.
+#[inline(never)]
+fn slice_varint_long(bytes: &[u8], pos: &mut usize) -> Result<u64, ReadError> {
     let mut val = 0u64;
     let mut shift = 0u32;
     loop {

@@ -7,6 +7,16 @@
 //! deterministic per seed, so "repetitive simulations performed with the
 //! same trace are completely identical".
 
+/// The SplitMix64 output finalizer: a bijection on `u64` that spreads
+/// every input bit over the whole word. [`crate::Trace::content_hash`]
+/// ends with it too.
+#[inline]
+pub(crate) fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded SplitMix64 generator.
 ///
 /// ```
@@ -32,10 +42,7 @@ impl SplitMix64 {
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        finalize(self.state)
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits).

@@ -75,43 +75,40 @@ impl Trace {
         &self.entries
     }
 
-    /// A stable 64-bit content hash of the reference stream (FNV-1a over
-    /// every access's fields; the name is deliberately excluded). Two
-    /// traces hash equal exactly when they drive a simulation through the
-    /// identical sequence of references, which makes this the trace
-    /// component of content-addressed result-store keys: regenerating the
-    /// same benchmark deterministically reuses stored results, while any
-    /// change to the generator invalidates them.
+    /// A stable 64-bit content hash of the reference stream (the name is
+    /// deliberately excluded). Two traces hash equal exactly when they
+    /// drive a simulation through the identical sequence of references,
+    /// up to 64-bit collisions, which makes this the trace component of
+    /// content-addressed result-store keys: regenerating the same
+    /// benchmark deterministically reuses stored results, while any change
+    /// to the generator invalidates them.
+    ///
+    /// Each entry is read through its accessors as two words, the address
+    /// and `instr | gap << 32 | flags << 48`, so every field counts and the
+    /// struct's padding byte never does. Entry `i` is folded into lane
+    /// `i % 4` by a 64×64→128-bit multiply whose halves are xored; the
+    /// four lanes are independent chains, so their multiplies overlap.
+    /// The lanes are then folded in order into the length, and the
+    /// SplitMix64 finalizer spreads the result. Only integer arithmetic on
+    /// field values is involved, so the value is the same on every
+    /// platform. Changing this function changes every result-store key
+    /// and needs a store format bump.
     pub fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        for a in &self.entries {
-            for b in a.addr().to_le_bytes() {
-                mix(b);
+        let mut lanes = LANE_SEEDS;
+        let mut quads = self.entries.chunks_exact(LANE_SEEDS.len());
+        for quad in &mut quads {
+            for (lane, a) in lanes.iter_mut().zip(quad) {
+                *lane = fold_entry(*lane, a);
             }
-            for b in a.instr().to_le_bytes() {
-                mix(b);
-            }
-            for b in (a.gap() as u16).to_le_bytes() {
-                mix(b);
-            }
-            mix(u8::from(a.kind().is_write())
-                | (u8::from(a.temporal()) << 1)
-                | (u8::from(a.spatial()) << 2)
-                | (a.spatial_level() << 3)
-                | (a.cpu() << 5));
         }
-        // Mix in the length so a trace and its prefix never collide on
-        // the trivial all-zero stream.
-        for b in (self.entries.len() as u64).to_le_bytes() {
-            mix(b);
+        for (lane, a) in lanes.iter_mut().zip(quads.remainder()) {
+            *lane = fold_entry(*lane, a);
         }
-        h
+        let mut h = self.entries.len() as u64;
+        for lane in lanes {
+            h = fold(h ^ lane, HASH_MUL);
+        }
+        crate::rng::finalize(h)
     }
 
     /// Sum of all issue gaps, i.e. the issue time of the last reference.
@@ -150,6 +147,35 @@ impl Trace {
         let reads = self.entries.iter().filter(|a| a.kind().is_read()).count();
         reads as f64 / self.entries.len() as f64
     }
+}
+
+/// Start values of [`Trace::content_hash`]'s four lanes (hex digits of
+/// pi), distinct so that entries swapped between lanes change the hash.
+const LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// The odd multiplier [`Trace::content_hash`] folds with (the golden
+/// ratio); its top byte is nonzero, so an entry's second word xored with
+/// it is never zero.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The full 128-bit product of `a` and `b`, its halves xored.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let m = u128::from(a) * u128::from(b);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// Folds one entry into a lane. The second word packs the instruction id,
+/// the gap and the 7-bit flag byte into bits 0..55.
+#[inline(always)]
+fn fold_entry(lane: u64, a: &Access) -> u64 {
+    let word = u64::from(a.instr()) | u64::from(a.gap()) << 32 | u64::from(a.wire_flags()) << 48;
+    fold(lane ^ a.addr(), word ^ HASH_MUL)
 }
 
 /// Interleaves one per-CPU reference stream per element of `streams`
@@ -230,6 +256,7 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::access_from_parts as entry;
     use crate::AccessKind;
 
     #[test]
@@ -359,5 +386,97 @@ mod tests {
         let mut prefix = Trace::new("a");
         prefix.extend(a.iter().take(99).copied());
         assert_ne!(a.content_hash(), prefix.content_hash());
+    }
+
+    /// `len` entries with every field drawn at random.
+    fn random_trace(len: usize, seed: u64) -> Vec<Access> {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let w = rng.next_u64();
+                entry(
+                    rng.next_u64(),
+                    w as u32,
+                    (w >> 32) as u16,
+                    (w >> 48) as u8 & 0x7f,
+                )
+            })
+            .collect()
+    }
+
+    fn hash(entries: &[Access]) -> u64 {
+        entries.iter().copied().collect::<Trace>().content_hash()
+    }
+
+    #[test]
+    fn content_hash_sees_every_bit_of_every_entry() {
+        // Lengths 1..=9 put the flipped entry in every lane, both in a
+        // full group of four and in every remainder shape.
+        for len in 1..=9 {
+            let base = random_trace(len, len as u64);
+            let want = hash(&base);
+            for i in 0..len {
+                let a = base[i];
+                let (addr, instr, gap, flags) =
+                    (a.addr(), a.instr(), a.gap() as u16, a.wire_flags());
+                let flips = (0..64)
+                    .map(|b| entry(addr ^ 1 << b, instr, gap, flags))
+                    .chain((0..32).map(|b| entry(addr, instr ^ 1 << b, gap, flags)))
+                    .chain((0..16).map(|b| entry(addr, instr, gap ^ 1 << b, flags)))
+                    .chain((0..7).map(|b| entry(addr, instr, gap, flags ^ 1 << b)));
+                for (n, flipped) in flips.enumerate() {
+                    assert_ne!(flipped, a);
+                    let mut t = base.clone();
+                    t[i] = flipped;
+                    assert_ne!(hash(&t), want, "len {len}, entry {i}, flip {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_sees_order_and_length() {
+        let base = random_trace(9, 99);
+        let want = hash(&base);
+        // Entries 0 and 4 share lane 0; 4 and 5 sit in adjacent lanes;
+        // 3 and 4 in the last lane and the next group's first.
+        for (i, j) in [(0, 4), (4, 8), (4, 5), (3, 4), (0, 1), (7, 8)] {
+            let mut t = base.clone();
+            t.swap(i, j);
+            assert_ne!(hash(&t), want, "swap {i} and {j}");
+        }
+        // Two entries that are their lanes' only ones trade lanes whole.
+        for len in 2..=4 {
+            let mut t = base[..len].to_vec();
+            t.swap(0, 1);
+            assert_ne!(hash(&t), hash(&base[..len]), "swap 0 and 1 of {len}");
+        }
+        for len in 0..base.len() {
+            assert_ne!(hash(&base[..len]), want, "prefix of {len}");
+        }
+        let mut longer = base.clone();
+        longer.push(base[8]);
+        assert_ne!(hash(&longer), want, "one-entry extension");
+        // The all-default stream of every length hashes apart.
+        let zeros: Vec<u64> = (0..16).map(|n| hash(&vec![entry(0, 0, 0, 0); n])).collect();
+        for (n, h) in zeros.iter().enumerate() {
+            assert!(!zeros[..n].contains(h), "{n} zero entries");
+        }
+    }
+
+    #[test]
+    fn content_hash_known_answer() {
+        // Changing this value changes every result-store key: it needs a
+        // bump of the store's format header, so older entries are refused.
+        let t: Trace = [
+            entry(0x1000, 1, 1, 0),
+            entry(0x1008, 1, 2, 0b0000_0011),
+            entry(0xffff_ffff_ffff_fff8, 0xdead_beef, u16::MAX, 0x7f),
+            entry(0, 0, 0, 0b0110_0100),
+            entry(0x2040, 7, 12, 0b0001_1101),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(t.content_hash(), 0xe351_1291_28f0_17a9);
     }
 }

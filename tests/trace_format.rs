@@ -20,6 +20,9 @@
 //!   larger than the encoders' output buffer and runs up to the `SAC2`
 //!   cap; a failing writer's error surfaces from `push_chunk` or
 //!   `finish`, and the announced count is enforced both ways.
+//! * **Varint edges** — values at the one-, two- and three-byte varint
+//!   boundaries and ten-byte address deltas at the end of a `SAC2` file
+//!   round-trip, and every cut inside them reads as a truncation.
 
 use software_assisted_caches::trace::io::{
     read_any, read_binary, read_binary2, write_binary, write_binary2, ChunkSource, FileSource,
@@ -208,6 +211,56 @@ fn truncated_streams_error_cleanly_in_both_formats() {
                 // shorter valid stream only if it decodes to nothing
                 // more than the data actually present.
                 assert!(n <= t.len());
+            }
+        }
+    }
+}
+
+/// Varints at the one-, two- and three-byte edges end a SAC2 file, and a
+/// ten-byte address delta sits in its last entry: each round-trips through
+/// every entry point, and every cut inside the last entry keeps the error
+/// text `entry 1: input truncated`.
+#[test]
+fn sac2_varint_edges_at_the_end_of_the_file() {
+    // `(first address, last address, last instruction delta)`; the
+    // deltas zigzag to 0x7f, 0x80, 0x3fff and 0x4000.
+    let mut cases: Vec<(u64, u64, i64)> = [-64, 64, -8192, 8192]
+        .into_iter()
+        .map(|d| (0x1000, 0x1008, d))
+        .collect();
+    // Address deltas of `i64::MIN` and `i64::MAX`: zigzag `u64::MAX` and
+    // `u64::MAX - 1`.
+    cases.push((0, 1 << 63, 0));
+    cases.push((0, i64::MAX as u64, 0));
+    for (from, to, di) in cases {
+        let last_instr = (100_000 + di) as u32;
+        let t: Trace = [
+            Access::read(from).with_instr(100_000),
+            Access::read(to).with_instr(last_instr),
+        ]
+        .into_iter()
+        .collect();
+        let mut buf = Vec::new();
+        write_binary2(&t, &mut buf).unwrap();
+        // The last entry is one run with the first: its address delta, gap
+        // and instruction delta, written here from the format description.
+        let mut last = Vec::new();
+        naive_varint(&mut last, naive_zigzag(to.wrapping_sub(from) as i64));
+        naive_varint(&mut last, 1);
+        naive_varint(&mut last, naive_zigzag(di));
+        assert!(buf.ends_with(&last), "{from:#x} -> {to:#x}, {di}");
+        assert_eq!(read_binary2(&buf[..]).unwrap(), t);
+        // The first outcome is the SACT reader's; the rest are SAC2's.
+        for got in decode_all_entry_points(&buf).into_iter().skip(1) {
+            assert_eq!(outcome(&got), Ok(2), "{from:#x} -> {to:#x}, {di}");
+        }
+        for cut in buf.len() - last.len()..buf.len() {
+            for got in decode_all_entry_points(&buf[..cut]).into_iter().skip(1) {
+                assert_eq!(
+                    outcome(&got),
+                    Err("bad trace entry: entry 1: input truncated".to_string()),
+                    "{from:#x} -> {to:#x}, {di}, cut {cut}"
+                );
             }
         }
     }
@@ -417,6 +470,10 @@ fn naive_flags(a: &Access) -> u8 {
         | (a.cpu() << 5)
 }
 
+fn naive_zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
 fn naive_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
@@ -451,7 +508,6 @@ fn naive_sact(t: &Trace) -> Vec<u8> {
 /// `SAC2` written straight from the format description: runs of one
 /// flag byte, at most 65,536 entries each, of zigzag-varint deltas.
 fn naive_sac2(t: &Trace) -> Vec<u8> {
-    let zigzag = |v: i64| ((v << 1) ^ (v >> 63)) as u64;
     let mut out = Vec::new();
     naive_header(&mut out, b"SAC2", t, 0);
     let (mut prev_addr, mut prev_instr) = (0u64, 0u32);
@@ -466,11 +522,14 @@ fn naive_sac2(t: &Trace) -> Vec<u8> {
         out.push(flags);
         naive_varint(&mut out, (end - i) as u64);
         for a in &entries[i..end] {
-            naive_varint(&mut out, zigzag(a.addr().wrapping_sub(prev_addr) as i64));
+            naive_varint(
+                &mut out,
+                naive_zigzag(a.addr().wrapping_sub(prev_addr) as i64),
+            );
             naive_varint(&mut out, u64::from(a.gap()));
             naive_varint(
                 &mut out,
-                zigzag(i64::from(a.instr().wrapping_sub(prev_instr) as i32)),
+                naive_zigzag(i64::from(a.instr().wrapping_sub(prev_instr) as i32)),
             );
             (prev_addr, prev_instr) = (a.addr(), a.instr());
         }

@@ -1,18 +1,49 @@
-//! Frozen tracer output: the length and `Trace::content_hash` of every
-//! program the figures trace at test scale, under three option sets, plus
-//! a digest of the gap sampler's first draws. `content_hash` covers the
-//! address, instruction id, gap, tags, level and cpu of every entry, so
-//! any change to an emitted byte fails here. The literals were recorded
+//! Frozen tracer output: the length and a byte-wise FNV-1a digest of
+//! every program the figures trace at test scale, under three option
+//! sets, plus a digest of the gap sampler's first draws. The digest covers
+//! the address, instruction id, gap, tags, level and cpu of every entry,
+//! so any change to an emitted byte fails here. The literals were recorded
 //! before the tracer was rewritten for speed and must never be
 //! regenerated to make a tracer change pass.
+//!
+//! The digest is the construction `Trace::content_hash` used when the
+//! literals were recorded; it lives here so that the store key can change
+//! without touching them. The same traces also check that today's
+//! `content_hash` tells every one of them apart.
 
 use sac_loopir::{Program, TraceOptions};
-use sac_trace::GapModel;
+use sac_trace::{GapModel, Trace};
+
+/// FNV-1a over each entry's little-endian address, instruction id and
+/// 16-bit gap, then its flag byte (bit 0 write, 1 temporal, 2 spatial,
+/// 3-4 level, 5-6 cpu), then the little-endian 64-bit length.
+fn digest(t: &Trace) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |byte: u8| {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for a in t {
+        a.addr().to_le_bytes().into_iter().for_each(&mut mix);
+        a.instr().to_le_bytes().into_iter().for_each(&mut mix);
+        (a.gap() as u16)
+            .to_le_bytes()
+            .into_iter()
+            .for_each(&mut mix);
+        mix(u8::from(a.kind().is_write())
+            | (u8::from(a.temporal()) << 1)
+            | (u8::from(a.spatial()) << 2)
+            | (a.spatial_level() << 3)
+            | (a.cpu() << 5));
+    }
+    (t.len() as u64).to_le_bytes().into_iter().for_each(mix);
+    h
+}
 
 /// `(gaps, levels)` option sets every program is traced under.
 const OPTION_SETS: [(bool, bool); 3] = [(true, false), (false, false), (true, true)];
 
-/// `(label, gaps, levels, len, content_hash)`, one row per program and
+/// `(label, gaps, levels, len, digest)`, one row per program and
 /// option set, in [`group`] order. Program `i` is traced with seed
 /// `0x5AC0 + i`.
 #[rustfmt::skip]
@@ -210,10 +241,12 @@ fn group(name: &str) -> (usize, Vec<(String, Program)>) {
 }
 
 /// Traces every program of `name` under every option set and compares
-/// with [`GOLDEN`], reporting all mismatches at once.
-fn check_group(name: &str) {
+/// with [`GOLDEN`], reporting all mismatches at once. Returns each row's
+/// `content_hash`.
+fn check_group(name: &str) -> Vec<u64> {
     let (first, programs) = group(name);
     let mut mismatches = Vec::new();
+    let mut hashes = Vec::new();
     for (k, (label, p)) in programs.iter().enumerate() {
         let i = first + k;
         for (o, (gaps, levels)) in OPTION_SETS.into_iter().enumerate() {
@@ -226,18 +259,20 @@ fn check_group(name: &str) {
                     levels,
                 })
                 .unwrap_or_else(|e| panic!("{label} failed to trace: {e}"));
-            if (t.len(), t.content_hash()) != (row.3, row.4) {
+            if (t.len(), digest(&t)) != (row.3, row.4) {
                 mismatches.push(format!(
-                    "{label} gaps={gaps} levels={levels}: len {} hash {:#018x}, golden len {} hash {:#018x}",
+                    "{label} gaps={gaps} levels={levels}: len {} digest {:#018x}, golden len {} digest {:#018x}",
                     t.len(),
-                    t.content_hash(),
+                    digest(&t),
                     row.3,
                     row.4
                 ));
             }
+            hashes.push(t.content_hash());
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    hashes
 }
 
 #[test]
@@ -257,6 +292,25 @@ fn small_benchset_traces_are_frozen() {
 #[test]
 fn perfect_kernel_traces_are_frozen() {
     check_group("kernel");
+}
+
+/// Every golden row's trace differs (their digests are pairwise
+/// distinct), so their content hashes must be too: a collision check over
+/// every traced program and option set.
+#[test]
+fn content_hash_tells_every_golden_trace_apart() {
+    let mut digests: Vec<u64> = GOLDEN.iter().map(|row| row.4).collect();
+    digests.sort_unstable();
+    digests.dedup();
+    assert_eq!(digests.len(), GOLDEN.len(), "golden traces repeat");
+    let mut hashes: Vec<u64> = ["small", "kernel", "blocked", "copying"]
+        .into_iter()
+        .flat_map(check_group)
+        .collect();
+    assert_eq!(hashes.len(), GOLDEN.len());
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(hashes.len(), GOLDEN.len(), "content_hash collides");
 }
 
 #[test]
