@@ -22,8 +22,8 @@
 use crate::config::SoftCacheConfig;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, MemorySystem, Metrics, ProbedSim,
-    TagArray, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, LaneSet, MemorySystem, Metrics,
+    ProbedSim, TagArray, WbStall, MAIN_HIT_CYCLES,
 };
 use sac_trace::Access;
 
@@ -63,14 +63,17 @@ impl AssistPolicy {
         }
     }
 
-    fn discard<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, entry: Entry) -> u64 {
+    fn discard<P: Probe, L: LaneSet>(
+        &mut self,
+        sys: &mut MemorySystem<L>,
+        probe: &mut P,
+        entry: Entry,
+    ) {
         if entry.valid && entry.dirty {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
             }
-            sys.writeback(entry.line)
-        } else {
-            0
+            sys.writeback(entry.line, WbStall::Booked);
         }
     }
 
@@ -78,20 +81,20 @@ impl AssistPolicy {
     /// cache; the FIFO evictee (smallest insertion stamp, invalid ways
     /// first) is promoted to the main cache unless it is marked
     /// spatial-only (the `prefetched` field doubles as the HP
-    /// spatial-only bit here). Returns any write-buffer stall.
-    fn assist_insert<P: Probe>(
+    /// spatial-only bit here).
+    fn assist_insert<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         entry: Entry,
-    ) -> u64 {
+    ) {
         let line = entry.line;
         let way = self.assist.victim_way(line);
         let evicted = self.assist.install(line, way, entry);
         // install() refreshes lru; keep the FIFO insertion stamp.
         self.assist.entry_mut(line, way).lru = entry.lru;
         if !evicted.valid {
-            return 0;
+            return;
         }
         if !evicted.prefetched {
             // Promote into the main cache (hidden under the miss).
@@ -132,15 +135,13 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
         }
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
-        let mut cost = stall;
+    ) {
         if let Some(idx) = self.assist.peek(line) {
             // Both arrays are probed in parallel: 1 cycle. FIFO
             // replacement: the hit does not refresh the stamp.
@@ -159,11 +160,11 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
                     source: AuxSource::Assist,
                 });
             }
-            cost += MAIN_HIT_CYCLES;
-            return (cost, 0);
+            sys.spend(MAIN_HIT_CYCLES);
+            return;
         }
         sys.metrics_mut().misses += 1;
-        cost += sys.fetch_lines(1);
+        sys.fetch(1);
         if P::ENABLED {
             probe.on_event(&Event::Miss {
                 line,
@@ -183,10 +184,7 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
             prefetched: a.spatial() && !a.temporal(),
             lru: self.fifo_clock,
         };
-        let wb_stall = self.assist_insert(sys, probe, entry);
-        sys.metrics_mut().stall_cycles += wb_stall;
-        cost += wb_stall;
-        (cost, 0)
+        self.assist_insert(sys, probe, entry);
     }
 
     fn flush(&mut self) -> u64 {

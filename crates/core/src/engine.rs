@@ -5,8 +5,8 @@ use crate::fillbuf::{FillBuffer, FillSlot};
 use crate::vline::aligned_block;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, Evict, MemorySystem, Metrics,
-    ProbedSim, TagArray, DIRTY_TRANSFER_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, Evict, LaneSet, Lanes, MemorySystem,
+    Metrics, OneLane, ProbedSim, TagArray, WbStall, SWAP_LOCK_CYCLES,
 };
 use sac_trace::Access;
 
@@ -38,11 +38,6 @@ pub struct SoftPolicy {
     next_ready: u64,
     prefetched_resident: u32,
     fillbuf: FillBuffer,
-    /// `fetch_cost[n]` is the miss penalty `t_lat + n·LS/w_b` of `n`
-    /// physical lines, for every `n` up to the largest virtual line.
-    fetch_cost: Box<[u64]>,
-    /// Bus cycles to transfer one physical line.
-    line_transfer: u64,
     /// Physical lines per default virtual line (`cfg.vline_span()`).
     vline_span: u64,
     // Scratch buffers reused across misses (the miss path used to
@@ -69,7 +64,6 @@ impl SoftPolicy {
         } else {
             cfg.virtual_line_bytes
         };
-        let max_span = cfg.vline_span().max(max_vline / ls);
         SoftPolicy {
             cfg,
             main: TagArray::new(cfg.geometry),
@@ -82,10 +76,6 @@ impl SoftPolicy {
             next_ready: u64::MAX,
             prefetched_resident: 0,
             fillbuf: FillBuffer::for_geometry(cfg.geometry, max_vline),
-            fetch_cost: (0..=max_span)
-                .map(|n| cfg.memory.fetch_cycles(n, ls))
-                .collect(),
-            line_transfer: cfg.memory.transfer_cycles(ls),
             vline_span: cfg.vline_span(),
             needed_buf: Vec::new(),
             stale_buf: Vec::new(),
@@ -100,14 +90,17 @@ impl SoftPolicy {
     /// stall is charged immediately (§2.2: bounce maintenance runs in the
     /// shadow of the access but a full write buffer stalls the processor
     /// on the spot).
-    fn discard<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, entry: Entry) {
+    fn discard<P: Probe, L: LaneSet>(
+        &mut self,
+        sys: &mut MemorySystem<L>,
+        probe: &mut P,
+        entry: Entry,
+    ) {
         if entry.valid && entry.dirty {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
             }
-            let stall = sys.writeback(entry.line);
-            sys.metrics_mut().stall_cycles += stall;
-            sys.charge(stall);
+            sys.writeback(entry.line, WbStall::Now);
         }
     }
 
@@ -134,9 +127,9 @@ impl SoftPolicy {
     /// bounce-back set that nothing has changed since: `way` is that
     /// set's LRU way, so a plain-LRU insertion into the same set takes it
     /// without another pass.
-    fn bounce_insert<P: Probe>(
+    fn bounce_insert<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         entry: Entry,
         filling: &[u64],
@@ -162,9 +155,9 @@ impl SoftPolicy {
 
     /// Installs an admitted entry at bounce-back way `way` (chosen by
     /// [`Self::bounce_evict`]) and disposes of the evictee.
-    fn bounce_install<P: Probe>(
+    fn bounce_install<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         mut entry: Entry,
         way: usize,
@@ -192,9 +185,9 @@ impl SoftPolicy {
 
     /// Bounces a temporal line from the bounce-back cache into its
     /// main-cache slot, honoring the paper's corner cases.
-    fn bounce_back<P: Probe>(
+    fn bounce_back<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         mut evicted: Entry,
         filling: &[u64],
@@ -237,7 +230,7 @@ impl SoftPolicy {
     }
 
     /// Delivers every in-flight prefetch that has arrived.
-    fn settle_prefetch<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P) {
+    fn settle_prefetch<P: Probe, L: LaneSet>(&mut self, sys: &mut MemorySystem<L>, probe: &mut P) {
         let now = sys.now();
         let mut i = 0;
         while i < self.inflight.len() {
@@ -279,9 +272,9 @@ impl SoftPolicy {
     /// Issues prefetches for `degree` consecutive lines starting at
     /// `line` (§4.4; degree > 1 is the long-latency extension). Older
     /// undelivered prefetches are displaced first.
-    fn issue_prefetch<P: Probe>(
+    fn issue_prefetch<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
         ready_at: u64,
@@ -290,7 +283,7 @@ impl SoftPolicy {
             return;
         }
         let degree = self.cfg.prefetch_degree as u64;
-        let transfer = self.line_transfer;
+        let transfer = sys.line_transfer_cycles();
         for k in 0..degree {
             let l = line + k;
             if self.main.peek(l).is_some()
@@ -322,11 +315,11 @@ impl SoftPolicy {
     }
 
     /// Handles a hit in the bounce-back cache (or on the in-flight
-    /// prefetch): swap with the conflicting main line. Returns the access
-    /// cost.
-    fn bounce_hit<P: Probe>(
+    /// prefetch): swap with the conflicting main line. Returns the
+    /// cycles the hit takes; the caller reports them.
+    fn bounce_hit<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         mut entry: Entry,
         bbway: Option<usize>,
@@ -380,7 +373,7 @@ impl SoftPolicy {
         }
         if was_prefetched {
             // Progressive prefetch: fetch the consecutive physical line.
-            let ready = sys.now() + cost + self.fetch_cost[1];
+            let ready = sys.now() + cost + sys.fetch_cycles(1);
             self.issue_prefetch(sys, probe, line + 1, ready);
         }
         cost
@@ -388,16 +381,15 @@ impl SoftPolicy {
 
     /// Handles a full miss: virtual-line fill plus bounce-back
     /// maintenance. `bb_lru` is the LRU way of `line`'s bounce-back set,
-    /// from the pass that found `line` absent there. Returns the access
-    /// cost.
-    fn full_miss<P: Probe>(
+    /// from the pass that found `line` absent there.
+    fn full_miss<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
         a: &Access,
         bb_lru: Option<usize>,
-    ) -> u64 {
+    ) {
         let geom = self.cfg.geometry;
         sys.metrics_mut().misses += 1;
         let block = if self.cfg.use_spatial && a.spatial() {
@@ -422,8 +414,7 @@ impl SoftPolicy {
                 .clone()
                 .filter(|&l| l == line || self.main.peek(l).is_none()),
         );
-        let penalty = self.fetch_cost[needed.len()];
-        sys.record_fetch_traffic(needed.len() as u64);
+        sys.fetch(needed.len() as u64);
         if P::ENABLED && block.end - block.start > 1 {
             probe.on_event(&Event::VlineFill {
                 line: block.start,
@@ -521,18 +512,16 @@ impl SoftPolicy {
 
         // Dirty-victim transfers hide under the miss penalty; any excess
         // shows up as stall (§2.1).
-        let transfer = DIRTY_TRANSFER_CYCLES * dirty_victims;
-        let residual = transfer.saturating_sub(penalty);
-        sys.metrics_mut().stall_cycles += residual;
+        sys.hide_transfers(dirty_victims);
 
         // Software-assisted prefetch: also fetch the line following the
         // virtual line (§4.4).
-        if self.cfg.use_spatial && a.spatial() {
-            let ready = sys.now() + penalty + self.line_transfer;
+        if self.cfg.prefetch && self.cfg.use_spatial && a.spatial() {
+            let penalty = sys.fetch_cycles(needed.len() as u64);
+            let ready = sys.now() + penalty + sys.line_transfer_cycles();
             self.issue_prefetch(sys, probe, block.end, ready);
         }
         self.needed_buf = needed;
-        penalty + residual
     }
 }
 
@@ -543,8 +532,10 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
     }
 
     #[inline]
-    fn before_access(&mut self, sys: &mut MemorySystem, probe: &mut P) {
-        if sys.now() >= self.next_ready {
+    fn before_access<L: LaneSet>(&mut self, sys: &mut MemorySystem<L>, probe: &mut P) {
+        // A lane engine carries no prefetch, so nothing is ever in
+        // flight: it never reads the clock here.
+        if L::SINGLE && sys.now() >= self.next_ready {
             self.settle_prefetch(sys, probe);
         }
     }
@@ -566,15 +557,13 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
         entry.prefetched = false;
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
-        let mut cost = stall;
+    ) {
         // One pass over the bounce-back set: a hit swaps with the
         // conflicting main line; a miss learns the set's LRU way.
         let bb_lru = match self
@@ -583,8 +572,10 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
             .map(|bb| bb.take_or_victim(line, Evict::Lru))
         {
             Some(Ok((way, entry))) => {
-                cost += self.bounce_hit(sys, probe, entry, Some(way), a);
-                return (cost, SWAP_LOCK_CYCLES);
+                let cycles = self.bounce_hit(sys, probe, entry, Some(way), a);
+                sys.spend(cycles);
+                sys.lock(SWAP_LOCK_CYCLES);
+                return;
             }
             Some(Err(way)) => Some(way),
             None => None,
@@ -604,12 +595,13 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
                 lru: 0,
             };
             self.prefetched_resident += 1; // bounce_hit will decrement
-            cost += self.bounce_hit(sys, probe, entry, None, a).max(wait);
-            return (cost, SWAP_LOCK_CYCLES);
+            let cycles = self.bounce_hit(sys, probe, entry, None, a);
+            sys.spend(cycles.max(wait));
+            sys.lock(SWAP_LOCK_CYCLES);
+            return;
         }
 
-        cost += self.full_miss(sys, probe, line, a, bb_lru);
-        (cost, 0)
+        self.full_miss(sys, probe, line, a, bb_lru);
     }
 
     fn flush(&mut self) -> u64 {
@@ -639,8 +631,8 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
 /// see [`Probe`]); attach one with [`SoftCache::with_probe`] to get
 /// typed miss/bounce/swap/prefetch/fill events.
 #[derive(Debug, Clone)]
-pub struct SoftCache<P: Probe = NoopProbe> {
-    engine: CacheEngine<SoftPolicy, P>,
+pub struct SoftCache<P: Probe = NoopProbe, L = OneLane> {
+    engine: CacheEngine<SoftPolicy, P, L>,
 }
 
 impl SoftCache {
@@ -652,6 +644,27 @@ impl SoftCache {
     /// [`SoftCacheConfig::validate`]).
     pub fn new(cfg: SoftCacheConfig) -> Self {
         SoftCache::with_probe(cfg, NoopProbe)
+    }
+}
+
+impl SoftCache<NoopProbe, Lanes> {
+    /// Builds one engine carrying a timing lane per entry of
+    /// `latencies`, each `cfg` at that latency. Without prefetch the
+    /// policy's only clock decision is §2.2's write-buffer-full check;
+    /// a lane that disagrees with the first one there diverges and
+    /// reports no metrics ([`CacheSim::lane_metrics`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent or enables prefetch
+    /// (prefetch ready times read the clock).
+    pub fn with_lanes(cfg: SoftCacheConfig, latencies: &[u64]) -> Self {
+        cfg.validate();
+        assert!(!cfg.prefetch, "prefetch ready times need a single lane");
+        let sys = MemorySystem::with_lanes(cfg.memory, cfg.geometry.line_bytes(), latencies);
+        SoftCache {
+            engine: CacheEngine::from_parts(SoftPolicy::new(cfg), sys, NoopProbe),
+        }
     }
 }
 
@@ -669,7 +682,9 @@ impl<P: Probe> SoftCache<P> {
             engine: CacheEngine::from_parts(SoftPolicy::new(cfg), sys, probe),
         }
     }
+}
 
+impl<P: Probe, L: LaneSet> SoftCache<P, L> {
     /// Deepest occupancy the §2.1 fill FIFO reached: how many in-flight
     /// line slots the hardware actually needed.
     pub fn fill_buffer_peak(&self) -> usize {
@@ -697,7 +712,7 @@ impl<P: Probe> SoftCache<P> {
     }
 }
 
-impl<P: Probe> CacheSim for SoftCache<P> {
+impl<P: Probe, L: LaneSet> CacheSim for SoftCache<P, L> {
     fn access(&mut self, a: &Access) {
         self.engine.access(a);
     }
@@ -712,6 +727,10 @@ impl<P: Probe> CacheSim for SoftCache<P> {
 
     fn metrics(&self) -> &Metrics {
         self.engine.metrics()
+    }
+
+    fn lane_metrics(&self) -> Vec<Option<Metrics>> {
+        self.engine.lane_metrics()
     }
 }
 

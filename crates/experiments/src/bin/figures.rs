@@ -352,6 +352,16 @@ fn main() {
 
     let total_wall = start.elapsed();
     eprint!("{}", runner::summary(total_wall));
+    // Latency lanes (DESIGN.md §11.1): engines that priced several
+    // latencies from one tag walk, the cells they carried, and the lanes
+    // that diverged and replayed alone. CI greps this line.
+    let reg = registry::snapshot();
+    eprintln!(
+        "lanes: {} engines, {} cells, {} diverged",
+        reg.counter("lanes.engines"),
+        reg.counter("lanes.cells"),
+        reg.counter("lanes.diverged")
+    );
 
     // Everything past the figures proper (obs / timeline / bench cells)
     // records under a sequence number no figure list can reach, so the

@@ -285,6 +285,62 @@ impl Config {
         }
     }
 
+    /// The configuration this one behaves exactly like, which the suite
+    /// memo and the result store key on. A Soft. configuration that
+    /// cannot form a virtual line — virtual line equal to the physical
+    /// line, no variable virtual lines, no prefetch — fetches one line
+    /// per miss whether or not it honors spatial tags, so it is keyed as
+    /// its `use_spatial = false` twin (Figure 8a's `vline=32B` is
+    /// Figure 6a's Temp.only). Every other configuration is its own.
+    pub fn canonical(&self) -> Config {
+        match *self {
+            Config::Soft(mut c)
+                if c.use_spatial
+                    && c.virtual_line_bytes == c.geometry.line_bytes()
+                    && !c.variable_vlines
+                    && !c.prefetch =>
+            {
+                c.use_spatial = false;
+                Config::Soft(c)
+            }
+            other => other,
+        }
+    }
+
+    /// The key under which configurations share one latency-lane engine
+    /// ([`Config::build_lanes`]): the configuration at latency 0, for the
+    /// organizations whose policy takes no decision from the clock but
+    /// the write-buffer-full check — Standard, and Soft. without
+    /// prefetch. `None` for every other configuration.
+    pub fn lane_key(&self) -> Option<Config> {
+        match *self {
+            Config::Standard { geom, mem } => Some(Config::Standard {
+                geom,
+                mem: mem.with_latency(0),
+            }),
+            Config::Soft(cfg) if !cfg.prefetch => Some(Config::Soft(cfg.with_latency(0))),
+            _ => None,
+        }
+    }
+
+    /// Builds one engine that replays this configuration at every
+    /// latency of `latencies` over one policy state, one timing lane per
+    /// latency; [`CacheSim::lane_metrics`] reports each lane, `None`
+    /// where a lane diverged and must be replayed alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has no [`Config::lane_key`].
+    pub fn build_lanes(&self, latencies: &[u64]) -> Box<dyn CacheSim + Send> {
+        match *self {
+            Config::Standard { geom, mem } => {
+                Box::new(StandardCache::with_lanes(geom, mem, latencies))
+            }
+            Config::Soft(cfg) => Box::new(SoftCache::with_lanes(cfg, latencies)),
+            _ => panic!("{self} cannot run latency lanes"),
+        }
+    }
+
     /// Builds the engine and runs the whole trace.
     pub fn run(&self, trace: &Trace) -> Metrics {
         let mut c = self.build();

@@ -270,11 +270,16 @@ pub const REPLAY_CHUNK: usize = sac_trace::io::DEFAULT_CHUNK;
 #[derive(Default)]
 pub struct ReplayBatch {
     engines: Vec<BatchSlot>,
+    /// Cells pushed so far (an engine with latency lanes carries several).
+    cells: usize,
     span: Option<BatchSpan>,
 }
 
+/// One engine of a batch and the cells it carries: one for a
+/// single-config engine, one per lane for a latency-lane engine.
 struct BatchSlot {
-    label: String,
+    /// `(cell index, label, config)` per lane, in lane order.
+    cells: Vec<(usize, String, Config)>,
     engine: Box<dyn CacheSim + Send>,
     wall: Duration,
     chunks: u64,
@@ -301,17 +306,31 @@ impl ReplayBatch {
     /// of [`ReplayBatch::finish`], and its cell is recorded in the ledger
     /// under `label`.
     pub fn push(&mut self, label: String, config: &Config) {
+        let index = self.cells;
+        self.push_engine(vec![(index, label, *config)], config.build());
+    }
+
+    /// Adds an engine carrying `cells`, each with the index its metrics
+    /// take among the batch's results. Only [`replay_trace`] pushes a
+    /// latency-lane engine (several cells): a lane that diverges is
+    /// replayed alone over its in-memory trace.
+    fn push_engine(
+        &mut self,
+        cells: Vec<(usize, String, Config)>,
+        engine: Box<dyn CacheSim + Send>,
+    ) {
+        self.cells += cells.len();
         self.engines.push(BatchSlot {
-            label,
-            engine: config.build(),
+            cells,
+            engine,
             wall: Duration::ZERO,
             chunks: 0,
         });
     }
 
-    /// Number of engines in the batch.
+    /// Number of cells in the batch.
     pub fn len(&self) -> usize {
-        self.engines.len()
+        self.cells
     }
 
     /// Whether the batch holds no engines.
@@ -374,19 +393,49 @@ impl ReplayBatch {
     /// Records each engine's cell in the ledger (and the batch's span,
     /// when tracing) and returns the metrics in push order.
     pub fn finish(self) -> Vec<Metrics> {
+        self.finish_over(None)
+    }
+
+    /// [`ReplayBatch::finish`], replaying any diverged lane alone over
+    /// `trace`. Each lane records as its own cell, with its share of the
+    /// engine's wall time (plus its solo replay, if it diverged); cells
+    /// are recorded and returned in index order.
+    fn finish_over(self, trace: Option<&Trace>) -> Vec<Metrics> {
         let name = match self.engines.as_slice() {
             [] => "batch".to_string(),
-            [only] => only.label.clone(),
-            [first, rest @ ..] => format!("{} (+{} cfgs)", first.label, rest.len()),
+            [only] if only.cells.len() == 1 => only.cells[0].1.clone(),
+            [first, ..] => format!("{} (+{} cfgs)", first.cells[0].1, self.cells - 1),
         };
         let engines = self.engines.len() as u64;
         let chunks = self.engines.iter().map(|s| s.chunks).max().unwrap_or(0);
-        let metrics: Vec<Metrics> = self
-            .engines
+        let mut done: Vec<(usize, String, Duration, u64, Metrics)> = Vec::with_capacity(self.cells);
+        for slot in self.engines {
+            let lanes = slot.engine.lane_metrics();
+            let share = slot.wall / lanes.len() as u32;
+            if lanes.len() > 1 {
+                let diverged = lanes.iter().filter(|m| m.is_none()).count() as u64;
+                registry::global_counter_add("lanes.engines", 1);
+                registry::global_counter_add("lanes.cells", lanes.len() as u64);
+                registry::global_counter_add("lanes.diverged", diverged);
+            }
+            for ((index, label, config), lane) in slot.cells.into_iter().zip(lanes) {
+                let (m, wall) = match lane {
+                    Some(m) => (m, share),
+                    None => {
+                        let trace = trace.expect("lane engines replay in-memory traces");
+                        let start = Instant::now();
+                        let m = config.run(trace);
+                        (m, share + start.elapsed())
+                    }
+                };
+                done.push((index, label, wall, slot.chunks, m));
+            }
+        }
+        done.sort_by_key(|&(index, ..)| index);
+        let metrics: Vec<Metrics> = done
             .into_iter()
-            .map(|slot| {
-                let m = *slot.engine.metrics();
-                record_cell_span(slot.label, slot.wall, slot.chunks, m);
+            .map(|(_, label, wall, chunks, m)| {
+                record_cell_span(label, wall, chunks, m);
                 m
             })
             .collect();
@@ -402,6 +451,7 @@ impl ReplayBatch {
                     span::now_us().saturating_sub(bs.start_us),
                 )
                 .arg("engines", engines)
+                .arg("cells", metrics.len() as u64)
                 .arg("chunks", chunks)
                 .arg("refs", refs)
                 .wall_arg("queue_wait_us", bs.queue_wait_us),
@@ -415,7 +465,7 @@ impl ReplayBatch {
         for chunk in trace.as_slice().chunks(REPLAY_CHUNK) {
             self.feed(chunk);
         }
-        self.finish()
+        self.finish_over(Some(trace))
     }
 
     /// Streams a serialized trace through the batch without
@@ -441,10 +491,39 @@ impl ReplayBatch {
 
 /// Runs a labeled configuration sweep over one trace under the ledger:
 /// one [`ReplayBatch`] pass, every engine consuming each chunk in turn.
+///
+/// Configurations that differ only in memory latency and share a
+/// [`Config::lane_key`] run as one latency-lane engine: one tag walk
+/// prices every latency. A lane whose write-buffer-full answer departs
+/// from the first lane's is replayed alone over `trace`, so every
+/// result equals [`Config::run`]. Results and ledger cells come back in
+/// `cells` order.
 pub fn replay_trace(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
+    // Lane groups in order of first appearance; configs without a lane
+    // key are groups of one.
+    let mut groups: Vec<(Option<Config>, Vec<usize>)> = Vec::new();
+    for (i, (_, config)) in cells.iter().enumerate() {
+        let key = config.lane_key();
+        match groups.iter_mut().find(|(k, _)| key.is_some() && *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
     let mut batch = ReplayBatch::new();
-    for (label, config) in cells {
-        batch.push(label.clone(), config);
+    for (_, members) in groups {
+        let group: Vec<(usize, String, Config)> = members
+            .iter()
+            .map(|&i| (i, cells[i].0.clone(), cells[i].1))
+            .collect();
+        let engine = match group.as_slice() {
+            [(_, _, config)] => config.build(),
+            [(_, _, config), ..] => {
+                let latencies: Vec<u64> = group.iter().map(|c| c.2.shape().1.latency()).collect();
+                config.build_lanes(&latencies)
+            }
+            [] => unreachable!("every group has a member"),
+        };
+        batch.push_engine(group, engine);
     }
     batch.replay(trace)
 }

@@ -110,7 +110,11 @@ impl Suite {
     /// on-disk store (written by any earlier process over the same
     /// trace content). Store hits are promoted into the memo; the
     /// `store.hits` / `store.misses` counters track disk outcomes only.
+    ///
+    /// Both tiers key on [`Config::canonical`], so configurations that
+    /// behave identically share one cell.
     pub(crate) fn cached(&self, bench: &str, config: &Config) -> Option<Metrics> {
+        let config = &config.canonical();
         let key = (bench.to_string(), format!("{config:?}"));
         if let Some(m) = self.results.lock().expect("suite cache").get(&key).copied() {
             return Some(m);
@@ -135,6 +139,7 @@ impl Suite {
     /// (if any) for later processes. A store write failure is reported
     /// but not fatal — the store is a cache, never the source of truth.
     pub(crate) fn store(&self, bench: &str, config: &Config, metrics: Metrics) {
+        let config = &config.canonical();
         let key = (bench.to_string(), format!("{config:?}"));
         self.results
             .lock()

@@ -11,11 +11,11 @@
 //! transfer from a memory fill, and keeps occupancy books that a
 //! contention analysis can read back.
 //!
-//! The uniprocessor cost arithmetic is unchanged by construction:
-//! [`SnoopBus::fetch_cycles`] computes exactly the
-//! `t_lat + n·LS/w_b` the memory system always charged, so a
-//! single-core system routed through the bus produces byte-identical
-//! figures.
+//! A memory fill is priced exactly as the uniprocessor memory system
+//! prices a one-line miss, `t_lat + LS/w_b`, so a single-core coherent
+//! system produces the uniprocessor figures. Uniprocessor fetches are
+//! priced by [`crate::MemorySystem`]'s own lane tables and never touch a
+//! bus.
 
 use crate::{MemoryModel, SNOOP_CYCLES};
 
@@ -102,17 +102,6 @@ impl SnoopBus {
         self.mem.transfer_cycles(self.line_bytes)
     }
 
-    /// Demand-fetch cost of `lines` physical lines from memory:
-    /// `t_lat + n·LS/w_b`, exactly the uniprocessor formula. The data
-    /// beats are logged as bus occupancy.
-    #[inline]
-    pub fn fetch_cycles(&mut self, lines: u64) -> u64 {
-        self.transactions += 1;
-        let transfer = (lines * self.line_bytes).div_ceil(self.mem.bus_bytes());
-        self.occupancy_cycles += transfer;
-        self.mem.latency() + transfer
-    }
-
     /// Cost of one coherence transaction, charged to the requester's
     /// access and logged as occupancy:
     ///
@@ -172,11 +161,13 @@ mod tests {
     #[test]
     fn fetch_matches_uniprocessor_formula() {
         let mut b = bus();
-        // 20-cycle latency + 32 B over a 16 B bus.
-        assert_eq!(b.fetch_cycles(1), 22);
-        assert_eq!(b.fetch_cycles(8), 20 + 16);
-        assert_eq!(b.transactions(), 2);
-        assert_eq!(b.occupancy_cycles(), 2 + 16);
+        // 20-cycle latency + 32 B over a 16 B bus, as a one-line miss
+        // of the uniprocessor memory system.
+        let fill = b.transaction_cycles(BusTx::BusRdX, FillSource::Memory);
+        assert_eq!(fill, 22);
+        assert_eq!(fill, MemoryModel::default().fetch_cycles(1, 32));
+        assert_eq!(b.transactions(), 1);
+        assert_eq!(b.occupancy_cycles(), 2);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! recovering the spatial locality of bypassed streams.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy, TagArray,
-    MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
+    TagArray, MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -87,19 +87,17 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
+    ) {
         if a.temporal() {
             // Normal write-back write-allocate path.
-            return self.main.miss(sys, probe, line, stall, a);
+            return self.main.miss(sys, probe, line, a);
         }
-        let mut cost = stall;
         match (&mut self.buffer, a.kind().is_write()) {
             (_, true) => {
                 // Stores bypass through the write buffer.
@@ -110,10 +108,8 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                         is_write: true,
                     });
                 }
-                cost += MAIN_HIT_CYCLES;
-                let wb_stall = sys.buffer_store(line);
-                sys.metrics_mut().stall_cycles += wb_stall;
-                cost += wb_stall;
+                sys.spend(MAIN_HIT_CYCLES);
+                sys.buffer_store(line);
             }
             (None, false) => {
                 // Plain bypass: a full memory round trip per word.
@@ -124,9 +120,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                         is_write: false,
                     });
                 }
-                cost +=
-                    sys.memory().latency() + sys.memory().transfer_cycles(sac_trace::WORD_BYTES);
-                sys.metrics_mut().words_fetched += 1;
+                sys.fetch_word();
             }
             (Some(buffer), false) => {
                 if buffer.probe(line).is_some() {
@@ -138,10 +132,10 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                             source: AuxSource::LineBuffer,
                         });
                     }
-                    cost += MAIN_HIT_CYCLES;
+                    sys.spend(MAIN_HIT_CYCLES);
                 } else {
                     sys.metrics_mut().bypasses += 1;
-                    cost += sys.fetch_lines(1);
+                    sys.fetch(1);
                     if P::ENABLED {
                         probe.on_event(&Event::Bypass {
                             line,
@@ -154,7 +148,6 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
                 }
             }
         }
-        (cost, 0)
     }
 
     fn flush(&mut self) -> u64 {

@@ -40,7 +40,7 @@
 
 use crate::{
     BusTx, CacheGeometry, CachePolicy, Clock, CoherenceProtocol, FillSource, LineState,
-    MemoryModel, MemorySystem, Mesi, Metrics, SnoopBus, StandardPolicy, WriteHitAction,
+    MemoryModel, MemorySystem, Mesi, Metrics, SnoopBus, StandardPolicy, WbStall, WriteHitAction,
     MAIN_HIT_CYCLES,
 };
 use sac_obs::{CoherenceOp, Event, NoopProbe, Probe};
@@ -344,7 +344,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                     .transaction_cycles(BusTx::Flush, FillSource::Memory);
                 let owner = &mut self.cores[c];
                 *owner.sys.clock_mut() = clock;
-                let _ = owner.sys.writeback(line);
+                owner.sys.writeback(line, WbStall::Free);
                 if P::ENABLED {
                     owner.probe.on_event(&Event::Writeback { line });
                 }
@@ -411,16 +411,22 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         *core.sys.clock_mut() = self.clock;
         core.sys.metrics_mut().record_ref(is_write);
         let stall = core.sys.arrive(a.gap());
-        core.sys.metrics_mut().stall_cycles += stall;
         if P::ENABLED {
             core.probe.on_ref(a.addr(), line, is_write);
         }
-        let cost = match CachePolicy::<P>::probe_main(&mut core.cache, line) {
-            Some(idx) => self.hit(cpu, idx, line, bit, is_write),
-            None => self.miss(cpu, line, bit, is_write),
-        };
+        match CachePolicy::<P>::probe_main(&mut core.cache, line) {
+            Some(idx) => {
+                let cost = self.hit(cpu, idx, line, bit, is_write);
+                self.cores[cpu].sys.book_hit(stall, cost);
+            }
+            None => {
+                self.cores[cpu].sys.open(stall);
+                let cost = self.miss(cpu, line, bit, is_write);
+                self.cores[cpu].sys.spend(cost);
+                self.cores[cpu].sys.complete();
+            }
+        }
         let sys = &mut self.cores[cpu].sys;
-        sys.charge(stall + cost);
         self.clock = *sys.clock_mut();
         sys.metrics().debug_check_invariants();
     }
@@ -460,7 +466,8 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
     }
 
     /// A miss of `cpu` on `line`: the snoop, the bus transaction, then
-    /// the Standard fill. Returns its cost past the arrival stall.
+    /// the Standard fill. Returns its bus cost; the fill's write-back
+    /// stall is the core's memory system's.
     fn miss(&mut self, cpu: usize, line: u64, bit: u32, is_write: bool) -> u64 {
         self.cores[cpu].sys.metrics_mut().misses += 1;
         let snoop = self.snoop_remotes(cpu, line, is_write, bit);
@@ -495,10 +502,9 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         };
         let core = &mut self.cores[cpu];
         core.sys.record_fetch_traffic(1);
-        let (way, wb_stall) =
-            core.cache
-                .demand_fill(&mut core.sys, &mut core.probe, line, is_write);
-        cost += wb_stall;
+        let way = core
+            .cache
+            .demand_fill(&mut core.sys, &mut core.probe, line, is_write);
         let slot = self.geom.set_of_line(line) as usize * self.geom.ways() as usize + way;
         core.state[slot] = new_state;
         core.cache.tags.entry_at_mut(slot).dirty = new_state.is_dirty();

@@ -17,7 +17,8 @@
 //! set differing from the set it sits in, so no extra state is stored.)
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, TagArray, WbStall,
+    MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -80,15 +81,13 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
         }
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
-        let mut cost = stall;
+    ) {
         let alt = self.rehash_line(line);
         if self.tags.peek_as(alt, line).is_some() {
             // Rehash hit: one extra probe cycle, then swap the slots so
@@ -102,7 +101,7 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
                 });
                 probe.on_event(&Event::Swap { line });
             }
-            cost += MAIN_HIT_CYCLES + 1;
+            sys.spend(MAIN_HIT_CYCLES + 1);
             let (_, mut hot) = self.tags.take_as(alt, line).expect("peeked");
             if a.kind().is_write() {
                 hot.dirty = true;
@@ -112,10 +111,10 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
                 // The old primary occupant retreats to the rehash slot.
                 self.tags.install_as(alt, displaced.line, 0, displaced);
             }
-            return (cost, 0);
+            return;
         }
         sys.metrics_mut().misses += 1;
-        cost += sys.fetch_lines(1);
+        sys.fetch(1);
         // Agarwal & Pudar's placement, one eviction per miss: a
         // rehashed occupant of the primary slot (the pair's
         // second-choice block) is replaced in place; otherwise the
@@ -152,11 +151,8 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: evicted.line });
             }
-            let wb_stall = sys.writeback(evicted.line);
-            sys.metrics_mut().stall_cycles += wb_stall;
-            cost += wb_stall;
+            sys.writeback(evicted.line, WbStall::Booked);
         }
-        (cost, 0)
     }
 
     fn flush(&mut self) -> u64 {

@@ -53,6 +53,14 @@ pub trait CacheSim {
         self.run_chunk(trace.as_slice());
     }
 
+    /// The metrics of every timing lane, in lane order: one entry for a
+    /// single-config engine; one per latency for a lane engine
+    /// ([`crate::Lanes`]), `None` where a lane diverged from the
+    /// reference lane and needs a solo replay.
+    fn lane_metrics(&self) -> Vec<Option<Metrics>> {
+        vec![Some(*self.metrics())]
+    }
+
     /// Drives a trace, invalidating everything every `quantum`
     /// references — the cold-cache cost of context switches.
     ///

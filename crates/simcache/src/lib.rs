@@ -76,7 +76,7 @@ pub use config::{CacheGeometry, MemoryModel};
 pub use engine::{CacheSim, ProbedSim};
 pub use fused::{LineRun, LineRuns};
 pub use lockstep::run_lockstep;
-pub use memsys::{CacheEngine, CachePolicy, MemorySystem};
+pub use memsys::{CacheEngine, CachePolicy, Lane, LaneSet, Lanes, MemorySystem, OneLane, WbStall};
 pub use metrics::{ChunkDelta, Metrics};
 pub use prefetch::{NextLinePrefetchCache, PrefetchPolicy};
 pub use standard::{StandardCache, StandardPolicy};

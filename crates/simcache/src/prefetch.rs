@@ -2,8 +2,8 @@
 //! `Stand.+Prefetching` baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy,
-    AUX_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
+    WbStall, AUX_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -55,9 +55,9 @@ impl PrefetchPolicy {
         self.buffer.iter().position(|s| s.valid && s.line == line)
     }
 
-    fn issue_prefetch<P: Probe>(
+    fn issue_prefetch<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
         ready_at: u64,
@@ -91,22 +91,23 @@ impl PrefetchPolicy {
         };
     }
 
-    fn promote<P: Probe>(
+    fn promote<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         slot: usize,
         a: &Access,
-    ) -> u64 {
+    ) {
         let line = self.buffer[slot].line;
         let ready_at = self.buffer[slot].ready_at;
         self.buffer[slot].valid = false;
-        let now = sys.now();
         // 3 cycles to access the buffer, plus any residual fetch latency.
-        let cost = AUX_HIT_CYCLES.max(ready_at.saturating_sub(now));
+        sys.spend(AUX_HIT_CYCLES.max(ready_at.saturating_sub(sys.now())));
         // The write-back stall is charged to the access, not booked as
         // processor stall: it hides under the fetch.
-        let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
+        let (_, old) = self
+            .main
+            .fill_lru(sys, line, a.kind().is_write(), WbStall::Unbooked);
         if P::ENABLED && old.valid {
             probe.on_event(&Event::MainEvict {
                 line: old.line,
@@ -116,7 +117,6 @@ impl PrefetchPolicy {
                 probe.on_event(&Event::Writeback { line: old.line });
             }
         }
-        cost + wb_stall
     }
 }
 
@@ -136,14 +136,13 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
+    ) {
         if let Some(slot) = self.buffer_find(line) {
             sys.metrics_mut().aux_hits += 1;
             sys.metrics_mut().useful_prefetches += 1;
@@ -154,17 +153,16 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
                 });
                 probe.on_event(&Event::PrefetchUse { line });
             }
-            let cost = stall + self.promote(sys, probe, slot, a);
+            self.promote(sys, probe, slot, a);
             // Classic prefetch-on-miss: buffer hits do not re-arm the
             // prefetcher (the software-assisted design's *progressive*
             // prefetch, which does re-arm, is its advantage — §4.4).
-            return (cost, 0);
+            return;
         }
-        let (cost, _) = self.main.miss(sys, probe, line, stall, a);
+        self.main.miss(sys, probe, line, a);
         // Prefetch the next line, queued behind the demand fetch.
-        let ready = sys.now() + cost + sys.line_transfer_cycles();
+        let ready = sys.now() + sys.access_cost() + sys.line_transfer_cycles();
         self.issue_prefetch(sys, probe, line + 1, ready);
-        (cost, 0)
     }
 
     fn flush(&mut self) -> u64 {

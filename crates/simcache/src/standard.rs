@@ -1,6 +1,9 @@
 //! The Standard baseline: a plain write-back, write-allocate LRU cache.
 
-use crate::{CacheEngine, CacheGeometry, CachePolicy, Entry, MemoryModel, MemorySystem, TagArray};
+use crate::{
+    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, Lanes, MemoryModel, MemorySystem,
+    OneLane, TagArray, WbStall,
+};
 use sac_obs::{Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
 
@@ -27,44 +30,43 @@ impl StandardPolicy {
     }
 
     /// The one LRU fill: puts `line` in its set's LRU way and sends a
-    /// dirty victim to the write buffer. Returns the filled way, the
-    /// displaced entry and the write-buffer stall. Events and the
-    /// stall's accounting are the caller's: every organization charges
-    /// the stall to the access, but only some book it as `stall_cycles`.
+    /// dirty victim to the write buffer, its stall accounted as `stall`
+    /// says (the organizations differ on whether write-buffer pressure
+    /// hides under the miss). Returns the filled way and the displaced
+    /// entry; events are the caller's.
     ///
     /// Always inlined, like [`Self::demand_fill`]: as calls they cost
     /// the miss paths built on them a few percent.
     #[inline(always)]
-    pub(crate) fn fill_lru(
+    pub(crate) fn fill_lru<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         line: u64,
         dirty: bool,
-    ) -> (usize, Entry, u64) {
+        stall: WbStall,
+    ) -> (usize, Entry) {
         let way = self.tags.victim_way(line);
         let old = self.tags.fill(line, way, dirty);
-        let wb_stall = if old.valid && old.dirty {
-            sys.writeback(old.line)
-        } else {
-            0
-        };
-        (way, old, wb_stall)
+        if old.valid && old.dirty {
+            sys.writeback(old.line, stall);
+        }
+        (way, old)
     }
 
     /// The demand fill that ends every Standard miss: [`Self::fill_lru`]
-    /// with the `Miss`/`LineFill`/`Writeback` events, booking the
-    /// write-buffer stall in `stall_cycles`. The caller has counted the
-    /// miss and paid for the fetch. Returns the filled way and the stall,
-    /// which the caller adds to the access cost.
+    /// with the `Miss`/`LineFill`/`Writeback` events; the 2-cycle
+    /// transfer hides under the miss penalty, only write-buffer pressure
+    /// shows up as stall. The caller has counted the miss and reported
+    /// the fetch. Returns the filled way.
     #[inline(always)]
-    pub(crate) fn demand_fill<P: Probe>(
+    pub(crate) fn demand_fill<P: Probe, L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
         is_write: bool,
-    ) -> (usize, u64) {
-        let (way, old, wb_stall) = self.fill_lru(sys, line, is_write);
+    ) -> usize {
+        let (way, old) = self.fill_lru(sys, line, is_write, WbStall::Booked);
         if P::ENABLED {
             let victim = old.valid.then_some(Victim {
                 line: old.line,
@@ -77,16 +79,11 @@ impl StandardPolicy {
                 victim,
             });
             probe.on_event(&Event::LineFill { line, demand: true });
-        }
-        if old.valid && old.dirty {
-            if P::ENABLED {
+            if old.valid && old.dirty {
                 probe.on_event(&Event::Writeback { line: old.line });
             }
-            // The 2-cycle transfer hides under the miss penalty; only
-            // write-buffer pressure shows up as stall.
-            sys.metrics_mut().stall_cycles += wb_stall;
         }
-        (way, wb_stall)
+        way
     }
 }
 
@@ -108,18 +105,16 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         }
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
+    ) {
         sys.metrics_mut().misses += 1;
-        let cost = stall + sys.fetch_lines(1);
-        let (_, wb_stall) = self.demand_fill(sys, probe, line, a.kind().is_write());
-        (cost + wb_stall, 0)
+        sys.fetch(1);
+        self.demand_fill(sys, probe, line, a.kind().is_write());
     }
 
     fn flush(&mut self) -> u64 {
@@ -147,12 +142,26 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
 /// c.access(&Access::read(8));        // hit in the same line: 1 cycle
 /// assert_eq!(c.metrics().mem_cycles, 23);
 /// ```
-pub type StandardCache<P = NoopProbe> = CacheEngine<StandardPolicy, P>;
+pub type StandardCache<P = NoopProbe, L = OneLane> = CacheEngine<StandardPolicy, P, L>;
 
 impl StandardCache {
     /// Creates the cache with the standard 8-entry write buffer.
     pub fn new(geom: CacheGeometry, mem: MemoryModel) -> Self {
         StandardCache::with_probe(geom, mem, NoopProbe)
+    }
+}
+
+impl StandardCache<NoopProbe, Lanes> {
+    /// Creates one engine carrying a timing lane per entry of
+    /// `latencies`, each `mem` with that latency: a Standard cache
+    /// makes no clock decision, so every lane's metrics equal a solo
+    /// run at its latency.
+    pub fn with_lanes(geom: CacheGeometry, mem: MemoryModel, latencies: &[u64]) -> Self {
+        CacheEngine::from_parts(
+            StandardPolicy::new(geom),
+            MemorySystem::with_lanes(mem, geom.line_bytes(), latencies),
+            NoopProbe,
+        )
     }
 }
 

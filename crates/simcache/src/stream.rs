@@ -9,8 +9,8 @@
 //! comparing `useful_prefetches` across buffer counts.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, StandardPolicy,
-    MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
+    WbStall, MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -59,10 +59,15 @@ impl StreamPolicy {
     }
 
     /// Starts a fresh stream at `line + 1` in the LRU buffer.
-    fn allocate_stream<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64) {
+    fn allocate_stream<P: Probe, L: LaneSet>(
+        &mut self,
+        sys: &mut MemorySystem<L>,
+        probe: &mut P,
+        line: u64,
+    ) {
         self.lru_clock += 1;
         let lru_clock = self.lru_clock;
-        let fetch = sys.memory().fetch_cycles(1, self.main.geom.line_bytes());
+        let fetch = sys.fetch_cycles(1);
         let transfer = sys.line_transfer_cycles();
         let now = sys.now();
         let depth = self.depth;
@@ -102,15 +107,13 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
-        let mut cost = stall;
+    ) {
         if let Some(bi) = self
             .buffers
             .iter()
@@ -129,11 +132,10 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
             self.lru_clock += 1;
             self.buffers[bi].lru = self.lru_clock;
             let (_, ready) = self.buffers[bi].entries.pop_front().expect("head checked");
-            cost += MAIN_HIT_CYCLES.max(ready.saturating_sub(sys.now()));
+            sys.spend(MAIN_HIT_CYCLES.max(ready.saturating_sub(sys.now())));
             let next = self.buffers[bi].next_line;
             self.buffers[bi].next_line += 1;
-            let arrive =
-                sys.now() + cost + sys.memory().fetch_cycles(1, self.main.geom.line_bytes());
+            let arrive = sys.now() + sys.access_cost() + sys.fetch_cycles(1);
             self.buffers[bi].entries.push_back((next, arrive));
             sys.metrics_mut().prefetches += 1;
             sys.record_fetch_traffic(1);
@@ -142,7 +144,9 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
             }
             // The write-back stall folds into the access cost only: it
             // hides under the fetch, so it is not processor stall.
-            let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
+            let (_, old) = self
+                .main
+                .fill_lru(sys, line, a.kind().is_write(), WbStall::Unbooked);
             if P::ENABLED && old.valid {
                 if old.dirty {
                     probe.on_event(&Event::Writeback { line: old.line });
@@ -152,13 +156,13 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
                     dirty: old.dirty,
                 });
             }
-            cost += wb_stall;
-            return (cost, 0);
+            return;
         }
         sys.metrics_mut().misses += 1;
-        cost += sys.fetch_lines(1);
-        let (_, old, wb_stall) = self.main.fill_lru(sys, line, a.kind().is_write());
-        cost += wb_stall;
+        sys.fetch(1);
+        let (_, old) = self
+            .main
+            .fill_lru(sys, line, a.kind().is_write(), WbStall::Unbooked);
         if P::ENABLED {
             if old.valid && old.dirty {
                 probe.on_event(&Event::Writeback { line: old.line });
@@ -176,7 +180,6 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
             probe.on_event(&Event::LineFill { line, demand: true });
         }
         self.allocate_stream(sys, probe, line);
-        (cost, 0)
     }
 
     fn flush(&mut self) -> u64 {

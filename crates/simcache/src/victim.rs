@@ -1,8 +1,8 @@
 //! Jouppi's victim cache (the Figure 3b baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Evict, MemoryModel, MemorySystem, StandardPolicy,
-    TagArray, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Evict, LaneSet, MemoryModel, MemorySystem,
+    StandardPolicy, TagArray, WbStall, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -57,14 +57,13 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss(
+    fn miss<L: LaneSet>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut MemorySystem<L>,
         probe: &mut P,
         line: u64,
-        stall: u64,
         a: &Access,
-    ) -> (u64, u64) {
+    ) {
         // One pass over the fully associative victim array answers both
         // "is the line here" and "which way takes the next main victim".
         let vway = match self.victim.take_or_victim(line, Evict::Lru) {
@@ -93,14 +92,16 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
                     }
                     self.victim.install(displaced.line, vway, displaced);
                 }
-                return (stall + AUX_HIT_CYCLES, SWAP_LOCK_CYCLES);
+                sys.spend(AUX_HIT_CYCLES);
+                sys.lock(SWAP_LOCK_CYCLES);
+                return;
             }
             Err(vway) => vway,
         };
         // Miss in both: fetch from memory; the main victim moves to the
         // victim cache while the request is in flight.
         sys.metrics_mut().misses += 1;
-        let mut cost = stall + sys.fetch_lines(1);
+        sys.fetch(1);
         let way = self.main.tags.victim_way(line);
         let displaced = self.main.tags.fill(line, way, a.kind().is_write());
         if P::ENABLED {
@@ -124,12 +125,9 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
                 if P::ENABLED {
                     probe.on_event(&Event::Writeback { line: evicted.line });
                 }
-                let wb_stall = sys.writeback(evicted.line);
-                sys.metrics_mut().stall_cycles += wb_stall;
-                cost += wb_stall;
+                sys.writeback(evicted.line, WbStall::Booked);
             }
         }
-        (cost, 0)
     }
 
     fn flush(&mut self) -> u64 {

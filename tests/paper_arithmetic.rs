@@ -11,11 +11,15 @@
 //!   8 physical lines (§2.1);
 //! - a bounce-back hit costs 3 cycles, and the swap locks both arrays 2
 //!   further cycles (§2.2);
-//! - a hit on a prefetched line costs one extra cycle (§4.4).
+//! - a hit on a prefetched line costs one extra cycle (§4.4);
+//! - across memory latencies, `t_lat` enters once per fetching miss:
+//!   two latency lanes that stall alike differ by `(L − L′) · misses`.
 
 use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
 use software_assisted_caches::simcache::{CacheSim, MemoryModel, StandardCache};
-use software_assisted_caches::trace::Access;
+use software_assisted_caches::trace::io::read_text;
+use software_assisted_caches::trace::rng::SplitMix64;
+use software_assisted_caches::trace::{Access, Trace};
 
 /// A read of physical line `line` (32-byte lines), `gap` cycles after the
 /// previous access completed.
@@ -95,4 +99,90 @@ fn prefetched_line_hit_costs_one_extra_cycle() {
     // 3 cycles plus 1 for checking the next prefetched line.
     assert_eq!(cost_of(&mut c, read(2, 200)), 3 + 1);
     assert_eq!(c.metrics().useful_prefetches, 1);
+}
+
+/// A tagged pseudo-random reference stream: loads and stores, temporal
+/// and spatial tags, issue gaps, over four times the 8 KB cache.
+fn tagged_trace(seed: u64, len: usize) -> Trace {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let addr = rng.below(1 << 15);
+            let a = if rng.chance(0.3) {
+                Access::write(addr)
+            } else {
+                Access::read(addr)
+            };
+            a.with_temporal(rng.chance(0.4))
+                .with_spatial(rng.chance(0.6))
+                .with_gap(rng.below(4) as u32)
+        })
+        .collect()
+}
+
+/// §2.1/§2.2 across latencies: `t_lat` enters an access's cost once per
+/// fetching miss and nowhere else — a bounce-back hit fetches nothing,
+/// and hits, swaps and locks do not depend on it. So of two latency
+/// lanes over the same trajectory whose `stall_cycles` are equal,
+/// `mem_cycles` differ by exactly `(L − L′) · misses`. Checked on every
+/// such pair of an 8-latency sweep, for Standard and for Soft. with 64-
+/// and 256-byte virtual lines, on the golden trace and two tagged
+/// streams.
+#[test]
+fn latency_enters_once_per_fetching_miss() {
+    let golden = read_text(include_str!("data/golden.trace").as_bytes()).expect("golden trace");
+    let traces = [
+        golden,
+        tagged_trace(0x7A7, 8_000),
+        tagged_trace(0x7A8, 8_000),
+    ];
+    let latencies = [5u64, 10, 15, 20, 25, 30, 35, 40];
+    for trace in &traces {
+        let mut engines: Vec<(&str, Box<dyn CacheSim>)> = vec![
+            (
+                "Stand.",
+                Box::new(StandardCache::with_lanes(
+                    Default::default(),
+                    MemoryModel::default(),
+                    &latencies,
+                )),
+            ),
+            (
+                "Soft.",
+                Box::new(SoftCache::with_lanes(SoftCacheConfig::soft(), &latencies)),
+            ),
+            (
+                "Soft. 256B",
+                Box::new(SoftCache::with_lanes(
+                    SoftCacheConfig::soft().with_virtual_line(256),
+                    &latencies,
+                )),
+            ),
+        ];
+        for (name, engine) in &mut engines {
+            engine.run(trace);
+            let lanes: Vec<_> = engine
+                .lane_metrics()
+                .into_iter()
+                .map(|m| m.expect("the paper's bus never lets a lane diverge"))
+                .collect();
+            let mut equal_stall_pairs = 0;
+            for (i, a) in lanes.iter().enumerate() {
+                for (j, b) in lanes.iter().enumerate().skip(i + 1) {
+                    assert_eq!(a.misses, b.misses, "{name}: one trajectory");
+                    if a.stall_cycles != b.stall_cycles {
+                        continue;
+                    }
+                    equal_stall_pairs += 1;
+                    let (la, lb) = (latencies[i] as i128, latencies[j] as i128);
+                    assert_eq!(
+                        a.mem_cycles as i128 - b.mem_cycles as i128,
+                        (la - lb) * a.misses as i128,
+                        "{name}: lat {la} vs {lb}"
+                    );
+                }
+            }
+            assert!(equal_stall_pairs > 0, "{name}: some lanes stall alike");
+        }
+    }
 }

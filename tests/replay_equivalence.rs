@@ -8,13 +8,15 @@
 //! [`CacheSim::access`]: software_assisted_caches::simcache::CacheSim::access
 //! [`CacheSim::run_chunk`]: software_assisted_caches::simcache::CacheSim::run_chunk
 
+use software_assisted_caches::core::{Replacement, SoftCacheConfig};
 use software_assisted_caches::experiments::explain::explain_config;
-use software_assisted_caches::experiments::runner::ReplayBatch;
+use software_assisted_caches::experiments::runner::{self, ReplayBatch};
 use software_assisted_caches::experiments::{Config, Suite};
 use software_assisted_caches::obs::{EventCounts, ObsConfig, TracingProbe};
-use software_assisted_caches::simcache::{CacheSim, Metrics};
+use software_assisted_caches::simcache::{CacheGeometry, CacheSim, MemoryModel, Metrics};
 use software_assisted_caches::trace::io::{read_text, write_binary, TraceReader};
-use software_assisted_caches::trace::Trace;
+use software_assisted_caches::trace::rng::SplitMix64;
+use software_assisted_caches::trace::{Access, Trace};
 
 fn golden() -> Trace {
     let text = include_str!("data/golden.trace");
@@ -341,4 +343,204 @@ fn sact2_streamed_replay_matches_all_other_paths() {
             assert_eq!(from_sact2, batched(&cells, &trace), "sact2 vs materialized");
         }
     }
+}
+
+// Latency lanes: one engine prices several memory latencies from one
+// tag walk (`runner::replay_trace`), and every lane must equal the
+// configuration replayed alone at its latency.
+
+/// A lane-eligible configuration (Standard, or Soft. without prefetch)
+/// on a random geometry and bus, at latency 20.
+fn lane_config(rng: &mut SplitMix64) -> Config {
+    let geom = CacheGeometry::new(
+        [2048u64, 4096, 8192][rng.index(3)],
+        [32u64, 64][rng.index(2)],
+        [1u32, 2][rng.index(2)],
+    );
+    // A 64-byte bus moves a line faster than it retires from the write
+    // buffer: dirty-victim transfers then outlast a short fetch, so the
+    // lanes' stall counts differ (and some lanes diverge).
+    let mem = MemoryModel::new(20, [8u64, 16, 64][rng.index(3)]);
+    if rng.chance(0.3) {
+        return Config::Standard { geom, mem };
+    }
+    let mut c = SoftCacheConfig::soft()
+        .with_geometry(geom)
+        .with_memory(mem)
+        .with_virtual_line(geom.line_bytes() << rng.below(4))
+        .with_bounce_lines([0u32, 4, 8][rng.index(3)])
+        .with_admit_nontemporal(rng.chance(0.7))
+        .with_variable_vlines(rng.chance(0.3));
+    c.use_temporal = rng.chance(0.8);
+    c.use_spatial = rng.chance(0.8);
+    if geom.ways() >= 2 && rng.chance(0.5) {
+        c.replacement = Replacement::PreferNonTemporal;
+    }
+    Config::Soft(c)
+}
+
+/// `config` at each latency, labeled, plus one non-lane organization in
+/// the middle so the batch also carries a single-config engine.
+fn latency_cells(config: Config, latencies: &[u64]) -> Vec<(String, Config)> {
+    let mut cells: Vec<(String, Config)> = latencies
+        .iter()
+        .map(|&lat| (format!("lanes/lat={lat}"), at_latency(config, lat)))
+        .collect();
+    cells.insert(
+        cells.len() / 2,
+        ("lanes/victim".into(), Config::standard_victim()),
+    );
+    cells
+}
+
+fn at_latency(config: Config, lat: u64) -> Config {
+    match config {
+        Config::Standard { geom, mem } => Config::Standard {
+            geom,
+            mem: mem.with_latency(lat),
+        },
+        Config::Soft(c) => Config::Soft(c.with_latency(lat)),
+        other => panic!("{other} has no latency lanes"),
+    }
+}
+
+/// Every cell of a `replay_trace` sweep equals its solo run, and every
+/// lane the lane engine kept in step equals it too. Returns how many
+/// lanes diverged.
+fn assert_lanes_match_solo(config: Config, latencies: &[u64], trace: &Trace, at: &str) -> usize {
+    let cells = latency_cells(config, latencies);
+    let solo = one_at_a_time(&cells, trace);
+    assert_eq!(runner::replay_trace(&cells, trace), solo, "{at}: sweep");
+    let mut engine = config.build_lanes(latencies);
+    engine.run(trace);
+    let lanes = engine.lane_metrics();
+    assert_eq!(lanes.len(), latencies.len(), "{at}");
+    assert!(
+        lanes[0].is_some(),
+        "{at}: the reference lane never diverges"
+    );
+    for (&lat, lane) in latencies.iter().zip(&lanes) {
+        if let Some(m) = lane {
+            assert_eq!(*m, at_latency(config, lat).run(trace), "{at}: lat={lat}");
+        }
+    }
+    lanes.iter().filter(|m| m.is_none()).count()
+}
+
+/// Property (seeded): random tagged traces × random lane-eligible
+/// configurations × random latency sets in `1..=40`.
+#[test]
+fn latency_lanes_match_solo_runs_on_random_traces() {
+    for seed in 0..24u64 {
+        let mut rng = SplitMix64::seed_from_u64(0x1A7E + seed);
+        let trace = random_trace(0x1A7E5 + seed, 3_000);
+        let config = lane_config(&mut rng);
+        let latencies: Vec<u64> = (0..2 + rng.index(5)).map(|_| 1 + rng.below(40)).collect();
+        assert_lanes_match_solo(config, &latencies, &trace, &format!("seed {seed}"));
+    }
+}
+
+/// The golden trace and the small suite's benchmark traces under Figure
+/// 10b's two organizations and latency sweep.
+#[test]
+fn latency_lanes_match_solo_runs_on_the_golden_traces() {
+    let mut traces = vec![("golden".to_string(), golden())];
+    let suite = Suite::small();
+    for name in ["MV", "SpMV", "TRF"] {
+        let trace = suite.trace(name).expect("benchmark in the small suite");
+        traces.push((name.to_string(), trace.clone()));
+    }
+    let latencies = [5, 10, 15, 20, 25, 30];
+    for (name, trace) in &traces {
+        for config in [Config::standard(), Config::soft()] {
+            let at = format!("{name}/{config}");
+            assert_lanes_match_solo(config, &latencies, trace, &at);
+        }
+    }
+}
+
+/// Two laps of stores over the 8 KB cache with 256-byte virtual lines.
+/// The first dirties every line, tagging the last line of each block
+/// temporal. In the second, one store per block, issued back to back,
+/// misses: its fill displaces eight dirty lines into the bounce-back
+/// cache, which evicts the previous miss's eight — seven write-backs,
+/// then the temporal line, whose bounce over a dirty line asks whether
+/// the write buffer is full. Over a 12-byte bus a line retires in 3
+/// cycles, eight in 24, while the fill takes `t_lat + 22`: at latency 1
+/// one write-back is still pending, the buffer is full and the bounce
+/// aborts; at latency 2 and above the buffer has drained and the bounce
+/// goes ahead. (When the bus width divides the line, eight retirements
+/// never outlast an eight-line fill, so lanes cannot diverge.)
+fn store_heavy_trace() -> Trace {
+    let mut refs = Vec::new();
+    for block in 0..32u64 {
+        for line in 0..8u64 {
+            let a = Access::write(block * 256 + line * 32);
+            refs.push(a.with_spatial(true).with_temporal(line == 7));
+        }
+    }
+    for block in 0..32u64 {
+        let a = Access::write(8192 + block * 256 + 7 * 32).with_gap(0);
+        refs.push(a.with_spatial(true));
+    }
+    refs.into_iter().collect()
+}
+
+/// Lanes that disagree on the write-buffer-full check diverge, and the
+/// sweep replays them alone: every result still equals its solo run.
+#[test]
+fn diverged_lanes_replay_alone_and_still_match() {
+    let trace = store_heavy_trace();
+    let soft = SoftCacheConfig::soft()
+        .with_virtual_line(256)
+        .with_memory(MemoryModel::new(20, 12));
+    let config = Config::Soft(soft);
+    let latencies = [20, 1, 2, 5, 10, 40];
+    let diverged = assert_lanes_match_solo(config, &latencies, &trace, "store-heavy");
+    assert_eq!(diverged, 1, "the latency-1 lane diverges");
+    let bounces = |lat| at_latency(config, lat).run(&trace).bounces;
+    assert!(bounces(1) < bounces(20), "aborted bounces at latency 1");
+}
+
+/// Soft. configurations that cannot form a virtual line share the memo
+/// and store key of their `use_spatial = false` twin and replay
+/// identically to it; no configuration with prefetch or variable virtual
+/// lines is merged.
+#[test]
+fn canonical_configs_replay_identically() {
+    let traces = [golden(), random_trace(0xCA70, 4_000)];
+    let figure_8a = Config::Soft(SoftCacheConfig::soft().with_virtual_line(32));
+    let temp_only = Config::Soft(SoftCacheConfig::temporal_only());
+    assert_eq!(figure_8a.canonical(), temp_only);
+    let mut merged = 0;
+    for line in [32u64, 64] {
+        for vline_lines in [1u64, 2] {
+            for bits in 0..16u32 {
+                let mut c = SoftCacheConfig::soft()
+                    .with_geometry(CacheGeometry::new(8192, line, 1))
+                    .with_virtual_line(line * vline_lines)
+                    .with_prefetch(bits & 1 != 0)
+                    .with_variable_vlines(bits & 2 != 0);
+                c.use_spatial = bits & 4 != 0;
+                c.use_temporal = bits & 8 != 0;
+                let config = Config::Soft(c);
+                let canonical = config.canonical();
+                if c.prefetch || c.variable_vlines {
+                    assert_eq!(canonical, config, "{config}: not merged");
+                }
+                if canonical == config {
+                    continue;
+                }
+                merged += 1;
+                assert_eq!(canonical.canonical(), canonical, "{config}: idempotent");
+                for trace in &traces {
+                    assert_eq!(config.run(trace), canonical.run(trace), "{config}");
+                }
+            }
+        }
+    }
+    assert_eq!(
+        merged, 4,
+        "use_spatial on, one-line virtual line, 2 lines x 2 temporal"
+    );
 }
