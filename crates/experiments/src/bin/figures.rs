@@ -2,12 +2,22 @@
 //!
 //! ```text
 //! cargo run --release -p sac-experiments --bin figures -- all
-//! cargo run --release -p sac-experiments --bin figures -- fig06a fig07b
+//! cargo run --release -p sac-experiments --bin figures -- fig06a fig07b ablations
+//! cargo run --release -p sac-experiments --bin figures -- --markdown summary all extensions ablations
+//! cargo run --release -p sac-experiments --bin figures -- --csv out/ all
 //! cargo run --release -p sac-experiments --bin figures -- --small fig11a
 //! cargo run --release -p sac-experiments --bin figures -- --jobs 4 all
 //! cargo run --release -p sac-experiments --bin figures -- --sequential fig06a
 //! cargo run --release -p sac-experiments --bin figures -- --store results/ all
 //! ```
+//!
+//! Arguments name figures of `figures::REGISTRY`: an id selects one
+//! figure, and `all` (the paper's 19), `extensions` and `ablations`
+//! expand in place to their groups; no names means `all`. An unknown name
+//! exits 2 before any trace is generated. `--markdown` prints the tables
+//! as markdown (`--markdown summary all extensions ablations` is
+//! EXPERIMENTS.md's table set), and `--csv DIR` also writes each table to
+//! `DIR/<id>.csv`.
 //!
 //! Sweeps shard their (config × workload) cells across a worker pool;
 //! `--jobs N` pins the worker count, `--sequential` is `--jobs 1`, and
@@ -56,38 +66,12 @@
 
 use sac_experiments::explain::{self, hit_heavy_trace, miss_heavy_trace, mixed_trace};
 use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
-use sac_experiments::{cli, diff, figures, runner, Config, ResultStore, Suite, Table};
+use sac_experiments::{cli, diff, figures, runner, Config, ResultStore, Suite};
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
 use sac_trace::{Access, Trace};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
-
-/// Figure ids in paper order.
-const ALL: [&str; 19] = [
-    "fig01a", "fig01b", "fig03a", "fig03b", "fig04a", "fig04b", "fig06a", "fig06b", "fig07a",
-    "fig07b", "fig08a", "fig08b", "fig09a", "fig09b", "fig10a", "fig10b", "fig11a", "fig11b",
-    "fig12",
-];
-
-const ABLATIONS: [&str; 6] = [
-    "abl-bb-size",
-    "abl-bb-ways",
-    "abl-bb-policy",
-    "abl-phys16",
-    "abl-assoc",
-    "abl-bus",
-];
-
-const EXTENSIONS: [&str; 7] = [
-    "ext-var-vlines",
-    "ext-pf-distance",
-    "ext-related",
-    "ext-related-traffic",
-    "ext-miss-classes",
-    "ext-context-switch",
-    "ext-copy-vline",
-];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,6 +85,8 @@ fn main() {
     let mut trace_logical = false;
     let mut trace_chunks = false;
     let mut diff_pairs = false;
+    let mut markdown = false;
+    let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut coherence_pass = false;
     let mut protocol = sac_experiments::coherence::Protocol::Mesi;
     let mut iter = args.into_iter();
@@ -115,6 +101,13 @@ fn main() {
                 }));
             }
             "--diff" => diff_pairs = true,
+            "--markdown" => markdown = true,
+            "--csv" => {
+                csv_dir = Some(iter.next().map(Into::into).unwrap_or_else(|| {
+                    eprintln!("--csv needs a directory path");
+                    std::process::exit(2);
+                }));
+            }
             "--coherence" => coherence_pass = true,
             "--protocol" => {
                 let name = iter.next().unwrap_or_else(|| {
@@ -181,6 +174,10 @@ fn main() {
             }
         }
     }
+    let selected = figures::select(&wanted).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     // Validate output paths up front (satellite of the telemetry work):
     // a full `figures all` run takes minutes, and discovering a typo'd
     // directory only at the final write would throw all of it away.
@@ -212,6 +209,12 @@ fn main() {
             std::process::exit(2);
         }
     });
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("--csv: cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+    }
     // The store directory is created up front for the same reason the
     // writers are: an unwritable path must fail before the run, not
     // after it.
@@ -258,16 +261,6 @@ fn main() {
         return;
     }
 
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ALL.iter().map(|s| s.to_string()).collect();
-    }
-    if wanted.iter().any(|w| w == "ablations") {
-        wanted = ABLATIONS.iter().map(|s| s.to_string()).collect();
-    }
-    if wanted.iter().any(|w| w == "extensions") {
-        wanted = EXTENSIONS.iter().map(|s| s.to_string()).collect();
-    }
-
     runner::reset_stats();
     registry::reset_global();
     let tracing = trace_writer.is_some();
@@ -278,9 +271,7 @@ fn main() {
     }
     let start = Instant::now();
 
-    let needs_suite = wanted
-        .iter()
-        .any(|w| !matches!(w.as_str(), "fig04b" | "fig10a" | "fig11a" | "fig11b"));
+    let needs_suite = selected.iter().any(|f| f.needs_suite());
     runner::set_figure_seq(0);
     let suite_span_start = tracing.then(span::now_us);
     let suite = needs_suite.then(|| {
@@ -312,41 +303,46 @@ fn main() {
     }
 
     let mut figure_walls: Vec<(String, f64)> = Vec::new();
-    for (seq, id) in wanted.iter().enumerate() {
+    for (seq, fig) in selected.iter().enumerate() {
         // Figure sequence numbers start at 1: 0 is suite generation.
         runner::set_figure_seq(seq as u32 + 1);
         let before = runner::cells_done();
         let figure_start = Instant::now();
         let span_start = tracing.then(span::now_us);
-        let table = run_one(id, suite.as_ref(), small);
-        match table {
-            Some(t) => {
-                println!("{t}");
-                let wall = figure_start.elapsed();
-                figure_walls.push((id.clone(), wall.as_secs_f64()));
-                let cells = runner::cells_done() - before;
-                eprintln!("{id}: {cells} cells in {wall:.2?}");
-                if let Some(s0) = span_start {
-                    span::record(
-                        Span::new(
-                            id.clone(),
-                            SpanLevel::Figure,
-                            SpanKey {
-                                figure: seq as u32 + 1,
-                                ..SpanKey::default()
-                            },
-                            0,
-                            s0,
-                            span::now_us().saturating_sub(s0),
-                        )
-                        .arg("cells", cells as u64),
-                    );
-                    span::sample_rss(peak_rss_bytes());
-                }
+        let t = fig.build(suite.as_ref(), small);
+        if markdown {
+            println!("{}", t.to_markdown());
+        } else {
+            println!("{t}");
+        }
+        let wall = figure_start.elapsed();
+        figure_walls.push((fig.id.to_string(), wall.as_secs_f64()));
+        let cells = runner::cells_done() - before;
+        eprintln!("{}: {cells} cells in {wall:.2?}", fig.id);
+        if let Some(s0) = span_start {
+            span::record(
+                Span::new(
+                    fig.id,
+                    SpanLevel::Figure,
+                    SpanKey {
+                        figure: seq as u32 + 1,
+                        ..SpanKey::default()
+                    },
+                    0,
+                    s0,
+                    span::now_us().saturating_sub(s0),
+                )
+                .arg("cells", cells as u64),
+            );
+            span::sample_rss(peak_rss_bytes());
+        }
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{}.csv", fig.id));
+            if let Err(e) = std::fs::write(&path, t.to_csv()) {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
             }
-            None => {
-                eprintln!("unknown figure id: {id} (valid: {ALL:?}, {ABLATIONS:?}, {EXTENSIONS:?})")
-            }
+            eprintln!("wrote {}", path.display());
         }
     }
 
@@ -723,53 +719,6 @@ fn spans_json() -> String {
     out
 }
 
-fn run_one(id: &str, suite: Option<&Suite>, small: bool) -> Option<Table> {
-    let s = || suite.expect("suite was built for suite-based figures");
-    Some(match id {
-        "fig01a" => figures::fig01a(s()),
-        "fig01b" => figures::fig01b(s()),
-        "fig03a" => figures::fig03a(s()),
-        "fig03b" => figures::fig03b(s()),
-        "fig04a" => figures::fig04a(s()),
-        "fig04b" => figures::fig04b(),
-        "fig06a" => figures::fig06a(s()),
-        "fig06b" => figures::fig06b(s()),
-        "fig07a" => figures::fig07a(s()),
-        "fig07b" => figures::fig07b(s()),
-        "fig08a" => figures::fig08a(s()),
-        "fig08b" => figures::fig08b(s()),
-        "fig09a" => figures::fig09a(s()),
-        "fig09b" => figures::fig09b(s()),
-        "fig10a" => figures::fig10a(),
-        "fig10b" => figures::fig10b(s()),
-        "fig11a" => figures::fig11a(small),
-        "fig11b" => figures::fig11b(small),
-        "fig12" => figures::fig12(s()),
-        "summary" => figures::summary(s()),
-        "ext-var-vlines" => {
-            let leveled = if small {
-                Suite::small_leveled()
-            } else {
-                Suite::paper_leveled()
-            };
-            figures::ext_variable_vlines(&leveled)
-        }
-        "ext-pf-distance" => figures::ext_prefetch_distance(s()),
-        "ext-related" => figures::ext_related_designs(s()),
-        "ext-related-traffic" => figures::ext_related_traffic(s()),
-        "ext-miss-classes" => figures::ext_miss_classes(s()),
-        "ext-context-switch" => figures::ext_context_switch(s()),
-        "ext-copy-vline" => figures::ext_copy_vline(small),
-        "abl-bb-size" => figures::ablation_bb_size(s()),
-        "abl-bb-ways" => figures::ablation_bb_ways(s()),
-        "abl-bb-policy" => figures::ablation_bb_policy(s()),
-        "abl-phys16" => figures::ablation_physical_16(s()),
-        "abl-assoc" => figures::ablation_associativity(s()),
-        "abl-bus" => figures::ablation_bus_width(s()),
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,7 +729,7 @@ mod tests {
     #[test]
     fn bench_report_labels_are_unique_and_the_schema_is_v4() {
         runner::reset_stats();
-        let report = bench_report(None, &[("fig04b".to_string(), 0.5)], 1.0, 4_096);
+        let report = bench_report(None, &[("figure".to_string(), 0.5)], 1.0, 4_096);
         let labels: Vec<String> = runner::cells().into_iter().map(|c| c.label).collect();
         assert_eq!(labels.len(), 3 * 3 * 3, "3 shapes x 3 rounds x 3 engines");
         let mut unique = labels.clone();

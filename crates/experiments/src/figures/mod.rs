@@ -11,6 +11,9 @@
 //! worker count (see `runner::set_jobs`). Cross-cell reductions (suite
 //! means, geometric means) happen after aggregation, in row order, for
 //! the same reason.
+//!
+//! [`REGISTRY`] lists every figure once, with its id, group and the input
+//! its builder takes; the `figures` binary and the tests select from it.
 
 use crate::suite::trace_options;
 use crate::{runner, Config, Suite, Table};
@@ -21,6 +24,159 @@ use sac_trace::stats::{
     ReuseBand, ReuseHistogram, TagClass, TagFractions, VectorBand, VectorLengths,
 };
 use sac_trace::GapModel;
+
+/// A figure builder, tagged by the input it needs.
+#[derive(Clone, Copy)]
+pub enum Builder {
+    /// The benchmark suite ([`Suite::paper`] or [`Suite::small`]).
+    Suite(fn(&Suite) -> Table),
+    /// The leveled suite ([`Suite::paper_leveled`] or
+    /// [`Suite::small_leveled`]), which the figure builds for itself.
+    Leveled(fn(&Suite) -> Table),
+    /// Only the scale: the figure generates its own traces, scaled down
+    /// when the flag is set.
+    Scale(fn(bool) -> Table),
+}
+
+/// The part of the evaluation a figure belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Group {
+    /// The whole-suite summary table.
+    Summary,
+    /// The paper's own 19 figures.
+    Paper,
+    /// Experiments beyond the paper.
+    Extension,
+    /// Ablations of the paper's design choices.
+    Ablation,
+}
+
+impl Group {
+    /// The command-line name that selects the whole group, if any.
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            Group::Summary => None,
+            Group::Paper => Some("all"),
+            Group::Extension => Some("extensions"),
+            Group::Ablation => Some("ablations"),
+        }
+    }
+}
+
+/// One figure of [`REGISTRY`].
+pub struct Figure {
+    /// The id that selects the figure and names its CSV export.
+    pub id: &'static str,
+    /// The group the figure belongs to.
+    pub group: Group,
+    /// Builds the table.
+    pub builder: Builder,
+}
+
+impl Figure {
+    /// Whether the builder reads the benchmark suite.
+    pub fn needs_suite(&self) -> bool {
+        matches!(self.builder, Builder::Suite(_))
+    }
+
+    /// Builds the table at paper scale, or scaled down when `small`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the figure [needs the suite](Self::needs_suite) and
+    /// `suite` is `None`.
+    pub fn build(&self, suite: Option<&Suite>, small: bool) -> Table {
+        match self.builder {
+            Builder::Suite(f) => f(suite.expect("suite figures are built over the suite")),
+            Builder::Leveled(f) => f(&if small {
+                Suite::small_leveled()
+            } else {
+                Suite::paper_leveled()
+            }),
+            Builder::Scale(f) => f(small),
+        }
+    }
+}
+
+const fn entry(id: &'static str, group: Group, builder: Builder) -> Figure {
+    Figure { id, group, builder }
+}
+
+/// Every figure, in EXPERIMENTS.md order: the summary, the paper's 19
+/// figures, the extensions, then the ablations.
+pub const REGISTRY: [Figure; 33] = {
+    use Builder::{Leveled, Scale, Suite as S};
+    use Group::{Ablation as A, Extension as E, Paper as P};
+    [
+        entry("summary", Group::Summary, S(summary)),
+        entry("fig01a", P, S(fig01a)),
+        entry("fig01b", P, S(fig01b)),
+        entry("fig03a", P, S(fig03a)),
+        entry("fig03b", P, S(fig03b)),
+        entry("fig04a", P, S(fig04a)),
+        entry("fig04b", P, Scale(|_| fig04b())),
+        entry("fig06a", P, S(fig06a)),
+        entry("fig06b", P, S(fig06b)),
+        entry("fig07a", P, S(fig07a)),
+        entry("fig07b", P, S(fig07b)),
+        entry("fig08a", P, S(fig08a)),
+        entry("fig08b", P, S(fig08b)),
+        entry("fig09a", P, S(fig09a)),
+        entry("fig09b", P, S(fig09b)),
+        entry("fig10a", P, Scale(|_| fig10a())),
+        entry("fig10b", P, S(fig10b)),
+        entry("fig11a", P, Scale(fig11a)),
+        entry("fig11b", P, Scale(fig11b)),
+        entry("fig12", P, S(fig12)),
+        entry("ext-var-vlines", E, Leveled(ext_variable_vlines)),
+        entry("ext-pf-distance", E, S(ext_prefetch_distance)),
+        entry("ext-related", E, S(ext_related_designs)),
+        entry("ext-related-traffic", E, S(ext_related_traffic)),
+        entry("ext-miss-classes", E, S(ext_miss_classes)),
+        entry("ext-context-switch", E, S(ext_context_switch)),
+        entry("ext-copy-vline", E, Scale(ext_copy_vline)),
+        entry("abl-bb-size", A, S(ablation_bb_size)),
+        entry("abl-bb-ways", A, S(ablation_bb_ways)),
+        entry("abl-bb-policy", A, S(ablation_bb_policy)),
+        entry("abl-phys16", A, S(ablation_physical_16)),
+        entry("abl-assoc", A, S(ablation_associativity)),
+        entry("abl-bus", A, S(ablation_bus_width)),
+    ]
+};
+
+/// Resolves figure names against [`REGISTRY`], in argument order: an id
+/// selects its figure and a group name (`all`, `extensions`,
+/// `ablations`) expands in place to the group's figures. No names
+/// selects `all`.
+///
+/// # Errors
+///
+/// The first unknown name, with a message listing the valid ones.
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<&'static Figure>, String> {
+    if names.is_empty() {
+        return select(&["all"]);
+    }
+    let mut selected = Vec::new();
+    for name in names.iter().map(AsRef::as_ref) {
+        let before = selected.len();
+        selected.extend(
+            REGISTRY
+                .iter()
+                .filter(|f| f.id == name || f.group.name() == Some(name)),
+        );
+        if selected.len() == before {
+            let ids: Vec<&str> = REGISTRY.iter().map(|f| f.id).collect();
+            let mut groups: Vec<&str> = REGISTRY.iter().filter_map(|f| f.group.name()).collect();
+            groups.dedup();
+            return Err(format!(
+                "unknown figure id {name:?} (valid ids: {}; groups: {})",
+                ids.join(" "),
+                groups.join(" ")
+            ));
+        }
+    }
+    Ok(selected)
+}
 
 /// The short cell-label prefix of a figure title ("Figure 6a — ..." →
 /// "Figure 6a").

@@ -8,9 +8,10 @@
 //! orderings, rough factors and crossovers are expected to match; see
 //! EXPERIMENTS.md for the recorded comparison.
 //!
-//! The `figures` binary prints any subset (`cargo run --release -p
-//! sac-experiments --bin figures -- fig06a`), and the `report` binary
-//! regenerates the full EXPERIMENTS.md results section.
+//! [`figures::REGISTRY`] lists every figure with its id and group. The
+//! `figures` binary prints any subset (`cargo run --release -p
+//! sac-experiments --bin figures -- fig06a`), and `figures --markdown
+//! summary all extensions ablations` prints EXPERIMENTS.md's tables.
 //!
 //! ```
 //! use sac_experiments::{figures, Suite};

@@ -24,8 +24,7 @@
 //! The runner also carries a lightweight observability layer: every cell
 //! records its wall time and simulated-cycle counters into a process-wide
 //! ledger, which [`summary`] folds into a [`RunSummary`] (cells done,
-//! slowest cells, aggregate speedup) for the `figures` and `report`
-//! binaries.
+//! slowest cells, aggregate speedup) for the `figures` binary.
 
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel};

@@ -1,4 +1,4 @@
-//! Smoke tests for the `figures`, `report` and `explain` binaries.
+//! Smoke tests for the `figures` and `explain` binaries.
 
 use std::process::Command;
 
@@ -17,12 +17,57 @@ fn figures_prints_a_requested_table() {
 #[test]
 fn figures_rejects_unknown_ids() {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--small", "fig99"])
+        .args(["--small", "fig04b", "fig99"])
         .output()
         .expect("run figures");
-    // Unknown ids are reported on stderr; the process still succeeds so a
-    // batch of ids is not aborted by one typo.
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown figure id"));
+    // One unknown id fails the whole run before any trace is generated,
+    // so a typo cannot pass for a complete batch.
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown figure id \"fig99\""), "{err}");
+    assert!(err.contains("valid ids: summary fig01a"), "{err}");
+    assert!(!err.contains("generating"), "{err}");
+}
+
+/// Splits `figures` stdout into its tables (each ends with a blank line).
+fn tables(stdout: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(stdout)
+        .split("\n\n")
+        .filter(|t| !t.trim().is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn figures_groups_compose_in_argument_order() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--small", "all", "ablations"])
+        .output()
+        .expect("run figures");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let tables = tables(&out.stdout);
+    assert_eq!(tables.len(), 25, "19 paper figures + 6 ablations");
+    assert!(tables[0].starts_with("Figure 1a"), "{}", tables[0]);
+    assert!(tables[19].starts_with("Ablation"), "{}", tables[19]);
+}
+
+#[test]
+fn figures_generates_no_suite_that_no_selected_figure_reads() {
+    for id in ["ext-copy-vline", "fig04b"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["--small", id])
+            .output()
+            .expect("run figures");
+        assert!(out.status.success(), "{id}");
+        assert_eq!(tables(&out.stdout).len(), 1, "{id}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("generating"), "{id}: {err}");
+    }
 }
 
 #[test]
@@ -38,50 +83,59 @@ fn figures_rejects_unknown_options_before_running() {
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
 }
 
-/// Runs `report` with `args` and asserts it exits 2 with `message` on
+/// Runs `figures` with `args` and asserts it exits 2 with `message` on
 /// stderr before printing any table.
-fn assert_report_usage_error(args: &[&str], message: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+fn assert_figures_usage_error(args: &[&str], message: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(args)
         .output()
-        .expect("run report");
-    assert_eq!(out.status.code(), Some(2), "report {args:?}");
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(2), "figures {args:?}");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains(message), "report {args:?}: {err}");
+    assert!(err.contains(message), "figures {args:?}: {err}");
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
 }
 
 #[test]
-fn report_rejects_bad_arguments_before_running() {
-    assert_report_usage_error(
-        &["--small", "--jobs", "0"],
+fn figures_rejects_bad_csv_and_jobs_arguments_before_running() {
+    assert_figures_usage_error(
+        &["--small", "--jobs", "0", "fig06a"],
         "--jobs needs a positive integer",
     );
-    assert_report_usage_error(&["--small", "--bogus"], "unknown option --bogus");
-    assert_report_usage_error(&["--small", "--csv"], "--csv needs a directory path");
+    assert_figures_usage_error(
+        &["--small", "fig06a", "--csv"],
+        "--csv needs a directory path",
+    );
 }
 
 #[test]
-fn report_rejects_unwritable_csv_dir_before_running() {
+fn figures_rejects_unwritable_csv_dir_before_running() {
     // A path whose parent is a regular file can never become a directory.
     let blocker = std::env::temp_dir().join(format!("sac-csv-blocker-{}", std::process::id()));
     std::fs::write(&blocker, b"not a directory").expect("blocker file");
     let dir = blocker.join("csv");
-    assert_report_usage_error(
-        &["--small", "--csv", dir.to_str().expect("utf-8 temp path")],
+    assert_figures_usage_error(
+        &[
+            "--small",
+            "fig06a",
+            "--csv",
+            dir.to_str().expect("utf-8 temp path"),
+        ],
         "--csv: cannot create",
     );
     std::fs::remove_file(&blocker).ok();
 }
 
 #[test]
-fn report_emits_markdown_and_csv() {
-    let dir = std::env::temp_dir().join(format!("sac-report-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_report"))
-        .args(["--small", "--csv"])
+fn figures_markdown_writes_one_csv_per_selected_id() {
+    let dir = std::env::temp_dir().join(format!("sac-csv-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--small", "--markdown", "--csv"])
         .arg(&dir)
+        .args(["summary", "all", "extensions", "ablations"])
         .output()
-        .expect("run report");
+        .expect("run figures");
     assert!(
         out.status.success(),
         "{}",
@@ -90,8 +144,43 @@ fn report_emits_markdown_and_csv() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("**Figure 6a"));
     assert!(text.contains("|---|"));
-    let csvs = std::fs::read_dir(&dir).expect("csv dir").count();
-    assert!(csvs >= 20, "expected one CSV per table, got {csvs}");
+    assert_eq!(text.lines().filter(|l| l.starts_with("**")).count(), 33);
+    let mut got: Vec<String> = std::fs::read_dir(&dir)
+        .expect("csv dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    got.sort();
+    let mut want: Vec<String> = sac_experiments::figures::REGISTRY
+        .iter()
+        .map(|f| format!("{}.csv", f.id))
+        .collect();
+    want.sort();
+    assert_eq!(got, want, "one CSV per selected id, named by the id");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn figures_exits_1_naming_the_path_when_a_csv_write_fails() {
+    // A directory where the CSV file should go makes the write fail.
+    let dir = std::env::temp_dir().join(format!("sac-csv-clash-{}", std::process::id()));
+    let clash = dir.join("fig04b.csv");
+    std::fs::create_dir_all(&clash).expect("clashing dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--small", "fig04b", "--csv"])
+        .arg(&dir)
+        .output()
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("failed to write {}", clash.display())),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,9 +1,11 @@
-//! Shape checks for every figure function: right benchmarks in the rows,
-//! right configurations in the columns, finite values. The expensive
-//! full-matrix test is `#[ignore]`d so `cargo test` stays fast; CI and
-//! `cargo test -- --ignored` run it.
+//! The figure registry's selection rules, and shape checks for every
+//! figure it lists: right benchmarks in the rows, right configurations in
+//! the columns, finite values. The expensive full-matrix test is
+//! `#[ignore]`d so `cargo test` stays fast; `cargo test -- --ignored`
+//! runs it.
 
-use sac_experiments::{figures, Suite, Table};
+use sac_experiments::figures::{self, Group};
+use sac_experiments::{Suite, Table};
 
 const BENCHES: [&str; 9] = [
     "MDG", "BDN", "DYF", "TRF", "NAS", "Slalom", "LIV", "MV", "SpMV",
@@ -36,54 +38,122 @@ fn fig11_tables_have_sweep_rows() {
     assert_eq!(b.columns().len(), 4);
 }
 
+/// The rows a figure must have.
+enum Rows {
+    /// The nine suite benchmarks.
+    Suite,
+    /// The nine suite benchmarks, then the geometric-mean row.
+    SuiteAndGeomean,
+    /// Exactly these labels.
+    Labels(&'static [&'static str]),
+    /// This many rows.
+    Count(usize),
+}
+
+/// The expected column count and rows of every registry id; `None` for
+/// an id this test does not know yet.
+fn expected_shape(id: &str) -> Option<(usize, Rows)> {
+    Some(match id {
+        "summary" => (9, Rows::SuiteAndGeomean),
+        "fig01a" => (5, Rows::Suite),
+        "fig01b" => (6, Rows::Suite),
+        "fig03a" => (4, Rows::Suite),
+        "fig03b" => (3, Rows::Suite),
+        "fig04a" => (4, Rows::Suite),
+        "fig04b" => (1, Rows::Count(9)),
+        "fig06a" => (4, Rows::Suite),
+        "fig06b" => (2, Rows::Suite),
+        "fig07a" => (4, Rows::Suite),
+        "fig07b" => (4, Rows::Suite),
+        "fig08a" => (4, Rows::Suite),
+        "fig08b" => (5, Rows::Suite),
+        "fig09a" => (4, Rows::Suite),
+        "fig09b" => (4, Rows::Suite),
+        "fig10a" => (
+            4,
+            Rows::Labels(&["ADM", "MDG", "BDN", "DYF", "ARC", "FLO", "TRF"]),
+        ),
+        "fig10b" => (6, Rows::Suite),
+        "fig11a" => (2, Rows::Count(7)),
+        "fig11b" => (4, Rows::Count(11)),
+        "fig12" => (4, Rows::Suite),
+        "ext-var-vlines" => (3, Rows::Suite),
+        "ext-pf-distance" => (4, Rows::Labels(&["lat=20", "lat=25", "lat=30", "lat=40"])),
+        "ext-related" => (5, Rows::Suite),
+        "ext-related-traffic" => (5, Rows::Suite),
+        "ext-miss-classes" => (5, Rows::Suite),
+        "ext-context-switch" => (4, Rows::Labels(&["Stand.", "Soft."])),
+        "ext-copy-vline" => (2, Rows::Count(11)),
+        "abl-bb-size" => (5, Rows::Suite),
+        "abl-bb-ways" => (4, Rows::Suite),
+        "abl-bb-policy" => (3, Rows::Suite),
+        "abl-phys16" => (2, Rows::Suite),
+        "abl-assoc" => (4, Rows::Suite),
+        "abl-bus" => (6, Rows::Suite),
+        _ => return None,
+    })
+}
+
 #[test]
 #[ignore = "runs every figure on the small suite (~a minute in debug)"]
 fn every_figure_has_the_expected_shape() {
     let suite = Suite::small();
-    let leveled = Suite::small_leveled();
-
-    for (t, cols) in [
-        (figures::fig01a(&suite), 5),
-        (figures::fig01b(&suite), 6),
-        (figures::fig03a(&suite), 4),
-        (figures::fig03b(&suite), 3),
-        (figures::fig04a(&suite), 4),
-        (figures::fig06a(&suite), 4),
-        (figures::fig06b(&suite), 2),
-        (figures::fig07a(&suite), 4),
-        (figures::fig07b(&suite), 4),
-        (figures::fig08a(&suite), 4),
-        (figures::fig08b(&suite), 5),
-        (figures::fig09a(&suite), 4),
-        (figures::fig09b(&suite), 4),
-        (figures::fig10b(&suite), 6),
-        (figures::fig12(&suite), 4),
-        (figures::ext_variable_vlines(&leveled), 3),
-        (figures::ext_related_designs(&suite), 5),
-        (figures::ext_related_traffic(&suite), 5),
-        (figures::ext_miss_classes(&suite), 5),
-        (figures::ablation_bb_size(&suite), 5),
-        (figures::ablation_bb_ways(&suite), 4),
-        (figures::ablation_bb_policy(&suite), 3),
-        (figures::ablation_physical_16(&suite), 2),
-        (figures::ablation_associativity(&suite), 4),
-        (figures::ablation_bus_width(&suite), 6),
-    ] {
-        assert_eq!(t.columns().len(), cols, "{}", t.title());
-        assert_suite_rows(&t);
+    for fig in &figures::REGISTRY {
+        let (cols, rows) = expected_shape(fig.id)
+            .unwrap_or_else(|| panic!("{}: no expected shape for this registry id", fig.id));
+        let t = fig.build(Some(&suite), true);
+        assert_eq!(t.columns().len(), cols, "{}: {}", fig.id, t.title());
+        let labels: Vec<&str> = t.rows().iter().map(|(l, _)| l.as_str()).collect();
+        match rows {
+            Rows::Suite => assert_suite_rows(&t),
+            Rows::SuiteAndGeomean => {
+                assert_eq!(labels[..9], BENCHES, "{}", fig.id);
+                assert_eq!(labels[9..], ["geomean"], "{}", fig.id);
+            }
+            Rows::Labels(want) => assert_eq!(labels, want, "{}", fig.id),
+            Rows::Count(n) => assert_eq!(labels.len(), n, "{}", fig.id),
+        }
     }
+}
 
-    // Kernel figure has its own row set.
-    let k = figures::fig10a();
-    let rows: Vec<&str> = k.rows().iter().map(|(l, _)| l.as_str()).collect();
-    assert_eq!(rows, ["ADM", "MDG", "BDN", "DYF", "ARC", "FLO", "TRF"]);
+#[test]
+fn registry_ids_are_unique_and_groups_have_their_sizes() {
+    let mut ids: Vec<&str> = figures::REGISTRY.iter().map(|f| f.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), figures::REGISTRY.len());
+    let count = |g| figures::REGISTRY.iter().filter(|f| f.group == g).count();
+    assert_eq!(
+        [
+            Group::Summary,
+            Group::Paper,
+            Group::Extension,
+            Group::Ablation
+        ]
+        .map(count),
+        [1, 19, 7, 6]
+    );
+}
 
-    // Summary: nine benchmarks + the geomean row.
-    let s = figures::summary(&suite);
-    assert_eq!(s.rows().len(), 10);
-    assert_eq!(s.rows().last().unwrap().0, "geomean");
-
-    // Mean-based tables.
-    assert_eq!(figures::ext_prefetch_distance(&suite).rows().len(), 4);
-    assert_eq!(figures::ext_context_switch(&suite).rows().len(), 2);
+#[test]
+fn select_expands_groups_in_place_and_rejects_unknown_names() {
+    let ids = |names: &[&str]| -> Vec<&str> {
+        figures::select(names)
+            .unwrap()
+            .iter()
+            .map(|f| f.id)
+            .collect()
+    };
+    let paper = ids(&["all"]);
+    assert_eq!(paper.len(), 19);
+    assert_eq!(ids(&[]), paper);
+    let mixed = ids(&["fig06a", "ablations", "summary"]);
+    assert_eq!(mixed.len(), 8);
+    assert_eq!(mixed[0], "fig06a");
+    assert_eq!(mixed[7], "summary");
+    assert_eq!(ids(&["all", "ablations"]).len(), 25);
+    let err = figures::select(&["fig04b", "fig99"]).err().unwrap();
+    assert!(err.contains("\"fig99\""), "{err}");
+    assert!(err.contains("summary fig01a"), "{err}");
+    assert!(err.contains("groups: all extensions ablations"), "{err}");
 }
