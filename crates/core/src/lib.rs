@@ -48,7 +48,6 @@
 //! assert_eq!(cache.metrics().main_hits, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod assist;

@@ -21,7 +21,6 @@
 //! assert_eq!(table.columns().len(), 4); // Stand. / Temp. / Spat. / Soft.
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -468,10 +468,10 @@ impl ReplayBatch {
     }
 
     /// Streams a serialized trace through the batch without
-    /// materializing it: each decoded chunk is consumed by every engine,
-    /// then overwritten by the next one. Accepts any [`ChunkSource`],
-    /// such as [`sac_trace::io::TraceReader`] over either wire format,
-    /// whether the bytes are memory-mapped or read into memory.
+    /// materializing it as a [`Trace`]: each decoded chunk is consumed by
+    /// every engine, then overwritten by the next one. Accepts any
+    /// [`ChunkSource`], such as [`sac_trace::io::TraceReader`] over
+    /// either wire format.
     ///
     /// # Errors
     ///

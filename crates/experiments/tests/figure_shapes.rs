@@ -2,7 +2,7 @@
 //! figure it lists: right benchmarks in the rows, right configurations in
 //! the columns, finite values. The expensive full-matrix test is
 //! `#[ignore]`d so `cargo test` stays fast; `cargo test -- --ignored`
-//! runs it.
+//! runs it, as CI's release-mode step does.
 
 use sac_experiments::figures::{self, Group};
 use sac_experiments::{Suite, Table};

@@ -64,7 +64,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analysis_impl;

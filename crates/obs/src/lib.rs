@@ -38,7 +38,6 @@
 //! size): engines pass plain line/set/address numbers, so `sac-obs`
 //! sits below both engine crates without cycles.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod classify;

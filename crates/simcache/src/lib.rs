@@ -42,7 +42,6 @@
 //! assert_eq!(cache.metrics().misses, 256);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bus;

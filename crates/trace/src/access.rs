@@ -50,10 +50,11 @@ const FLAG_SPATIAL: u8 = 1 << 2;
 /// Bits 3-4: the spatial *level* for variable-length virtual lines.
 const LEVEL_SHIFT: u8 = 3;
 const LEVEL_MASK: u8 = 0b11 << LEVEL_SHIFT;
-/// Bits 5-6: the issuing CPU of a multi-core interleaved trace. Bit 7
-/// stays reserved.
+/// Bits 5-6: the issuing CPU of a multi-core interleaved trace.
 const CPU_SHIFT: u8 = 5;
 const CPU_MASK: u8 = 0b11 << CPU_SHIFT;
+/// Bit 7 stays reserved: decoding drops it.
+const RESERVED_MASK: u8 = 1 << 7;
 
 /// Maximum number of CPUs a multi-core trace can name: the cpu id lives
 /// in two flag bits of the 16-byte wire entry (single-CPU traces carry
@@ -87,29 +88,17 @@ pub const MAX_CPUS: usize = 4;
 /// assert_eq!(a.instr(), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(C)]
 pub struct Access {
-    // The field order is the SACT wire order (addr, instr, gap, flags) and
-    // the layout is fixed with `repr(C)` so the zero-copy reader in
-    // [`crate::io`] can reinterpret an aligned little-endian SACT payload
-    // as `&[Access]` directly. Changing this layout is a wire-format
-    // change; `io::tests` pin both.
+    // The SACT wire order (addr, instr, gap, flags); `flags` holds the
+    // packed flag byte both wire formats store.
     addr: u64,
     instr: u32,
     gap: u16,
     flags: u8,
 }
 
-// Pin the wire-layout contract the zero-copy reader depends on: a future
-// field reorder or type change fails the build here instead of silently
-// corrupting traces decoded through `io::TraceReader`.
-const _: () = {
-    assert!(std::mem::size_of::<Access>() == 16);
-    assert!(std::mem::offset_of!(Access, addr) == 0);
-    assert!(std::mem::offset_of!(Access, instr) == 8);
-    assert!(std::mem::offset_of!(Access, gap) == 12);
-    assert!(std::mem::offset_of!(Access, flags) == 14);
-};
+// Pin the 16 bytes the doc above promises.
+const _: () = assert!(std::mem::size_of::<Access>() == 16);
 
 impl Access {
     /// Creates a load of the word at `addr` with no tags and a 1-cycle gap.
@@ -145,6 +134,19 @@ impl Access {
     #[inline]
     pub(crate) fn wire_flags(&self) -> u8 {
         self.flags
+    }
+
+    /// Builds an access from its wire fields, the inverse of
+    /// [`Access::wire_flags`] and the getters: `flags` is the packed
+    /// wire byte, whose reserved bit 7 is dropped.
+    #[inline]
+    pub(crate) fn from_wire(addr: u64, instr: u32, gap: u16, flags: u8) -> Self {
+        Access {
+            addr,
+            instr,
+            gap,
+            flags: flags & !RESERVED_MASK,
+        }
     }
 
     /// Sets the temporal tag (builder style).
@@ -369,6 +371,36 @@ mod tests {
     #[test]
     fn compact_layout() {
         assert_eq!(std::mem::size_of::<Access>(), 16);
+    }
+
+    /// `from_wire` equals the builder chain the decoders used before it,
+    /// kept here as the oracle: every flag byte, random fields.
+    #[test]
+    fn from_wire_equals_the_builder_chain() {
+        fn chain(addr: u64, instr: u32, gap: u16, flags: u8) -> Access {
+            let kind = if flags & 1 != 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            Access::new(addr, kind)
+                .with_temporal(flags & 2 != 0)
+                .with_spatial(flags & 4 != 0)
+                .with_spatial_level((flags >> 3) & 0b11)
+                .with_cpu((flags >> 5) & 0b11)
+                .with_gap(gap as u32)
+                .with_instr(instr)
+        }
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0xF0E1);
+        for flags in 0..=u8::MAX {
+            for _ in 0..64 {
+                let (addr, instr, gap) =
+                    (rng.next_u64(), rng.next_u64() as u32, rng.next_u64() as u16);
+                let a = Access::from_wire(addr, instr, gap, flags);
+                assert_eq!(a, chain(addr, instr, gap, flags), "flags {flags:#04x}");
+                assert_eq!(a.wire_flags(), flags & 0x7f);
+            }
+        }
     }
 
     #[test]

@@ -276,17 +276,14 @@ fn sact_entry(a: &Access) -> [u8; ENTRY_BYTES] {
 /// by both binary formats to an encoder's buffer; a name longer than
 /// readers accept is an `InvalidInput` error.
 ///
-/// For `SACT` (`align` true) the name field is NUL-padded so the entry
-/// section starts 8-byte aligned in the file: the header is `magic(4) +
-/// version(4) + namelen(4) + name + count(8)`, so the payload offset is
-/// `20 + namelen`, and padding `namelen` to `4 (mod 8)` lands the first
-/// entry on an 8-byte boundary. A page-aligned memory mapping then lets
-/// the zero-copy reader borrow the `SACT` payload as `&[Access]`
-/// directly. Readers strip the trailing NULs (see [`read_header`]);
-/// unpadded pre-existing files stay readable and merely take the
-/// copying path. `SAC2` is a byte stream with nothing to align, so its
-/// header is written unpadded — the committed golden fixture freezes
-/// those wire bytes.
+/// For `SACT` (`align` true) the name field is NUL-padded to `4 (mod
+/// 8)` bytes, so the entry section starts 8-byte aligned in the file
+/// (the payload offset is `20 + namelen`). The reader does not need the
+/// alignment; the padding stays so that `SACT` wire bytes, and every
+/// file and golden written so far, stay identical. Readers strip the
+/// trailing NULs (see [`read_header`]) and accept unpadded headers
+/// alike. `SAC2` is written unpadded — the committed golden fixture
+/// freezes those wire bytes.
 fn write_header(
     buf: &mut Vec<u8>,
     magic: &[u8; 4],
@@ -314,23 +311,6 @@ fn write_header(
     buf.extend_from_slice(&[0u8; 7][..pad]);
     buf.extend_from_slice(&count.to_le_bytes());
     Ok(())
-}
-
-/// Rebuilds an [`Access`] from its on-disk parts.
-#[inline]
-pub(crate) fn access_from_parts(addr: u64, instr: u32, gap: u16, flags: u8) -> Access {
-    let kind = if flags & 1 != 0 {
-        AccessKind::Write
-    } else {
-        AccessKind::Read
-    };
-    Access::new(addr, kind)
-        .with_temporal(flags & 2 != 0)
-        .with_spatial(flags & 4 != 0)
-        .with_spatial_level((flags >> 3) & 0b11)
-        .with_cpu((flags >> 5) & 0b11)
-        .with_gap(gap as u32)
-        .with_instr(instr)
 }
 
 /// Zigzag encoding: maps small-magnitude signed values to small
@@ -383,7 +363,7 @@ fn decode_entry(buf: &[u8]) -> Access {
     let addr = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
     let instr = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
     let gap = u16::from_le_bytes(buf[12..14].try_into().expect("2 bytes"));
-    access_from_parts(addr, instr, gap, buf[14])
+    Access::from_wire(addr, instr, gap, buf[14])
 }
 
 /// Reads a trace in the binary `SACT` format, fully materialized.
@@ -573,25 +553,6 @@ pub fn sniff_format(head: &[u8]) -> Option<&'static str> {
     }
 }
 
-/// Where a [`TraceReader`]'s input lives. Only the storage differs; the
-/// same decoder runs over both.
-enum Bytes {
-    /// A read-only memory mapping of a trace file.
-    Mapped(crate::mmap::Mapping),
-    /// An input read whole into memory: a `Read` stream, or a file the
-    /// platform cannot map.
-    Owned(Vec<u8>),
-}
-
-impl Bytes {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Bytes::Mapped(map) => map.bytes(),
-            Bytes::Owned(vec) => vec,
-        }
-    }
-}
-
 /// `SAC2` decode state that persists across chunk boundaries.
 #[derive(Default)]
 struct RunState {
@@ -603,18 +564,13 @@ struct RunState {
 }
 
 /// The chunked trace reader: sniffs the magic bytes and decodes either
-/// wire format from a byte slice, so every consumer of [`ChunkSource`]
-/// accepts `SACT` and `SAC2` transparently.
+/// wire format from one in-memory byte buffer, so every consumer of
+/// [`ChunkSource`] accepts `SACT` and `SAC2` transparently.
 ///
-/// [`TraceReader::open`] memory-maps a file where the platform allows
-/// and reads it whole otherwise; [`TraceReader::new`] reads a `Read`
-/// input to its end. `SACT` chunks whose payload is 8-byte aligned
-/// (every mapped trace written since the header started padding for
-/// alignment) and whose flag bytes carry no reserved bits are **borrowed
-/// straight from the input** — no per-entry decode, no copy. Other
-/// `SACT` chunks and all `SAC2` input (delta coding cannot be viewed in
-/// place) are decoded into one reused buffer, so steady-state decoding
-/// allocates nothing.
+/// [`TraceReader::open`] reads a file whole and [`TraceReader::new`]
+/// reads a `Read` input to its end; the same decoder then runs over
+/// the bytes whichever way they arrived. Each chunk is decoded into
+/// one reused buffer, so steady-state decoding allocates nothing.
 ///
 /// ```
 /// use sac_trace::io::{self, ChunkSource};
@@ -634,7 +590,7 @@ struct RunState {
 /// assert_eq!(seen, 10_000);
 /// ```
 pub struct TraceReader {
-    bytes: Bytes,
+    bytes: Vec<u8>,
     /// Byte offset of the next undecoded entry (`SACT`) or byte (`SAC2`).
     pos: usize,
     name: String,
@@ -644,7 +600,6 @@ pub struct TraceReader {
     decoded: Vec<Access>,
     /// `None` for `SACT`, whose entries need no state between chunks.
     sac2: Option<RunState>,
-    borrowed_chunks: u64,
 }
 
 /// [`TraceReader`] under the name path-based callers use:
@@ -658,46 +613,35 @@ impl TraceReader {
     /// # Errors
     ///
     /// Returns [`ReadError`] on I/O failure, a magic that is neither
-    /// `SACT` nor `SAC2`, a bad version, an oversized name, or a `SACT`
-    /// entry count whose byte size overflows `u64` (a malformed or
-    /// adversarial header — nothing is sized from it).
+    /// `SACT` nor `SAC2`, a bad version, an oversized name, a header cut
+    /// short, or a `SACT` entry count whose byte size overflows `u64` (a
+    /// malformed or adversarial header — nothing is sized from it).
     pub fn new<R: Read>(r: R) -> Result<Self, ReadError> {
         TraceReader::read_whole(r, None)
     }
 
-    /// Opens the trace file at `path`: memory-mapped where the platform
-    /// allows, read whole when mapping fails (an empty file, a platform
-    /// without the mapping shim).
+    /// Opens the trace file at `path` and reads it whole.
     ///
     /// # Errors
     ///
     /// As for [`TraceReader::new`]; an open failure names the path.
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, ReadError> {
-        let file = open_input(path.as_ref())?;
-        match crate::mmap::Mapping::open(&file) {
-            Ok(map) => TraceReader::from_bytes(Bytes::Mapped(map), None),
-            Err(_) => TraceReader::read_whole(file, None),
-        }
+        TraceReader::read_whole(open_input(path.as_ref())?, None)
     }
 
     /// Reads `r` to its end and parses the header, accepting only the
     /// `expect` format when one is named.
     fn read_whole<R: Read>(mut r: R, expect: Option<&str>) -> Result<Self, ReadError> {
-        let mut vec = Vec::new();
-        r.read_to_end(&mut vec)?;
-        TraceReader::from_bytes(Bytes::Owned(vec), expect)
-    }
-
-    fn from_bytes(bytes: Bytes, expect: Option<&str>) -> Result<Self, ReadError> {
-        let data = bytes.as_slice();
-        let Some(format) = sniff_format(data).filter(|f| expect.is_none_or(|e| e == *f)) else {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let Some(format) = sniff_format(&bytes).filter(|f| expect.is_none_or(|e| e == *f)) else {
             return Err(ReadError::BadHeader(format!(
                 "magic {:?} is not {}",
-                &data[..data.len().min(4)],
+                &bytes[..bytes.len().min(4)],
                 expect.unwrap_or("SACT or SAC2")
             )));
         };
-        let mut cur = &data[4..];
+        let mut cur = &bytes[4..];
         let (name, count) = read_header(&mut cur)?;
         let sac2 = (format == "SAC2").then(RunState::default);
         // A count whose byte size cannot be represented is malformed by
@@ -707,7 +651,7 @@ impl TraceReader {
                 "entry count {count} overflows the entry section size"
             )));
         }
-        let pos = data.len() - cur.len();
+        let pos = bytes.len() - cur.len();
         Ok(TraceReader {
             bytes,
             pos,
@@ -717,7 +661,6 @@ impl TraceReader {
             chunk_entries: DEFAULT_CHUNK,
             decoded: Vec::new(),
             sac2,
-            borrowed_chunks: 0,
         })
     }
 
@@ -742,13 +685,6 @@ impl TraceReader {
             "SACT"
         }
     }
-
-    /// How many chunks so far were borrowed straight from the input (as
-    /// opposed to decoded into the buffer) — diagnostics for tests
-    /// asserting the zero-copy path actually engages.
-    pub fn borrowed_chunks(&self) -> u64 {
-        self.borrowed_chunks
-    }
 }
 
 /// Opens `path` for reading with the path named in the error — the
@@ -772,8 +708,7 @@ pub fn read_any<R: Read>(r: R) -> Result<Trace, ReadError> {
     drain_to_trace(&mut TraceReader::new(r)?)
 }
 
-/// Reads a binary trace from `path`, fully materialized — memory-mapped
-/// where the platform allows, read whole otherwise.
+/// Reads a binary trace from `path`, fully materialized.
 ///
 /// # Errors
 ///
@@ -831,16 +766,16 @@ impl ChunkSource for TraceReader {
         self.remaining
     }
 
-    /// Decodes (or borrows) the next chunk. A truncated input or any
-    /// malformed run or entry is a [`ReadError::BadEntry`] naming the
-    /// entry index (`SAC2`) or the chunk's entry range (`SACT`).
+    /// Decodes the next chunk. A truncated input or any malformed run or
+    /// entry is a [`ReadError::BadEntry`] naming the entry index (`SAC2`)
+    /// or the chunk's entry range (`SACT`).
     fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError> {
         if self.remaining == 0 {
             return Ok(None);
         }
         let n = self.remaining.min(self.chunk_entries as u64) as usize;
         let start = self.total - self.remaining;
-        let bytes = self.bytes.as_slice();
+        let bytes = &self.bytes;
         self.decoded.clear();
         let Some(run) = &mut self.sac2 else {
             let need = n * ENTRY_BYTES;
@@ -853,12 +788,6 @@ impl ChunkSource for TraceReader {
             let payload = &bytes[self.pos..self.pos + need];
             self.pos += need;
             self.remaining -= n as u64;
-            if sact_flags_clean(payload) {
-                if let Some(view) = crate::mmap::cast_accesses(payload) {
-                    self.borrowed_chunks += 1;
-                    return Ok(Some(view));
-                }
-            }
             self.decoded
                 .extend(payload.chunks_exact(ENTRY_BYTES).map(decode_entry));
             return Ok(Some(&self.decoded));
@@ -902,7 +831,7 @@ impl ChunkSource for TraceReader {
                 )));
             }
             run.prev_instr = run.prev_instr.wrapping_add(di as u32);
-            self.decoded.push(access_from_parts(
+            self.decoded.push(Access::from_wire(
                 run.prev_addr,
                 run.prev_instr,
                 gap as u16,
@@ -913,18 +842,6 @@ impl ChunkSource for TraceReader {
         self.remaining -= n as u64;
         Ok(Some(&self.decoded))
     }
-}
-
-/// Whether every entry's flag byte in a raw `SACT` payload has the
-/// reserved bit (7) clear. The decoding path masks that bit away
-/// ([`access_from_parts`] rebuilds the flag byte from bits 0-6 only —
-/// tags, level and the multi-core cpu id), so a zero-copy
-/// reinterpretation of the payload is observably identical to decoding
-/// exactly when it is already zero. [`SactWriter`] never sets it; a
-/// foreign or corrupted file that does simply takes the decoding path
-/// and has the bit masked away.
-fn sact_flags_clean(payload: &[u8]) -> bool {
-    payload.chunks_exact(ENTRY_BYTES).all(|e| e[14] & 0x80 == 0)
 }
 
 /// Reads one byte from a slice cursor.
@@ -1084,39 +1001,43 @@ fn parse_u64(s: &str) -> Option<u64> {
 }
 
 /// Parses and validates the `version/namelen/name/count` header shared
-/// by both binary formats, from just past the magic bytes.
+/// by both binary formats, from just past the magic bytes. A header cut
+/// short is a [`ReadError::BadHeader`].
 fn read_header(r: &mut &[u8]) -> Result<(String, u64), ReadError> {
-    let version = read_u32(r)?;
+    let version = u32::from_le_bytes(header_bytes(r)?);
     if version != VERSION {
         return Err(ReadError::BadHeader(format!(
             "unsupported version {version}"
         )));
     }
-    let namelen = read_u32(r)? as usize;
+    let namelen = u32::from_le_bytes(header_bytes(r)?) as usize;
     if namelen > MAX_NAME {
         return Err(ReadError::BadHeader(format!("name length {namelen}")));
     }
-    let mut name = vec![0u8; namelen];
-    r.read_exact(&mut name)?;
-    let mut name = String::from_utf8(name)
+    let Some((name, rest)) = r.split_at_checked(namelen) else {
+        return Err(header_truncated());
+    };
+    *r = rest;
+    let name = std::str::from_utf8(name)
         .map_err(|e| ReadError::BadHeader(format!("name not UTF-8: {e}")))?;
-    // The writer NUL-pads the name for payload alignment; the padding is
-    // not part of the name.
-    name.truncate(name.trim_end_matches('\0').len());
-    let count = read_u64(r)?;
+    // The writer NUL-pads the name (see [`write_header`]); the padding
+    // is not part of the name.
+    let name = name.trim_end_matches('\0').to_string();
+    let count = u64::from_le_bytes(header_bytes(r)?);
     Ok((name, count))
 }
 
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, ReadError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+/// Takes the next `N` header bytes off the cursor.
+fn header_bytes<const N: usize>(r: &mut &[u8]) -> Result<[u8; N], ReadError> {
+    let Some((head, rest)) = r.split_first_chunk::<N>() else {
+        return Err(header_truncated());
+    };
+    *r = rest;
+    Ok(*head)
 }
 
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+fn header_truncated() -> ReadError {
+    ReadError::BadHeader("input truncated".into())
 }
 
 #[cfg(test)]
@@ -1475,7 +1396,7 @@ mod tests {
         for cut in 21..buf.len() {
             let err = read_binary2(&buf[..cut]).unwrap_err();
             assert!(
-                matches!(err, ReadError::BadEntry(_) | ReadError::Io(_)),
+                matches!(err, ReadError::BadHeader(_) | ReadError::BadEntry(_)),
                 "cut {cut}: {err}"
             );
         }
@@ -1601,17 +1522,9 @@ mod tests {
         }
     }
 
-    /// Whether `src` reads through a memory mapping; every file opens
-    /// mapped on the platforms with the mapping shim.
-    fn maps_file(src: &TraceReader) -> bool {
-        let mapped = matches!(src.bytes, Bytes::Mapped(_));
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        assert!(mapped, "mapping must engage on supported platforms");
-        mapped
-    }
+    // The `mapped_*` tests are named for the memory-mapped reader they
+    // once checked; each now requires a file and the same bytes in
+    // memory to decode alike through the one reader.
 
     #[test]
     fn mapped_sact_matches_streaming_and_borrows_chunks() {
@@ -1622,20 +1535,14 @@ mod tests {
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SACT");
-        let mapped = drain_to_trace(&mut src).unwrap();
-        assert_eq!(mapped.name(), t.name());
-        assert_eq!(mapped.as_slice(), t.as_slice());
-        if maps_file(&src) {
-            assert!(
-                src.borrowed_chunks() > 0,
-                "aligned clean SACT chunks must be borrowed, not copied"
-            );
-        }
+        let from_file = drain_to_trace(&mut src).unwrap();
+        assert_eq!(from_file.name(), t.name());
+        assert_eq!(from_file.as_slice(), t.as_slice());
 
         let mut owned = TraceReader::new(&buf[..]).unwrap();
         let s = drain_to_trace(&mut owned).unwrap();
-        assert_eq!(s.as_slice(), mapped.as_slice());
-        assert_eq!(s.name(), mapped.name());
+        assert_eq!(s.as_slice(), from_file.as_slice());
+        assert_eq!(s.name(), from_file.name());
         std::fs::remove_file(path).ok();
     }
 
@@ -1648,11 +1555,10 @@ mod tests {
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SAC2");
-        maps_file(&src);
-        let mapped = drain_to_trace(&mut src).unwrap();
+        let from_file = drain_to_trace(&mut src).unwrap();
         let s = read_any(&buf[..]).unwrap();
-        assert_eq!(mapped.as_slice(), t.as_slice());
-        assert_eq!(s.as_slice(), mapped.as_slice());
+        assert_eq!(from_file.as_slice(), t.as_slice());
+        assert_eq!(s.as_slice(), from_file.as_slice());
         std::fs::remove_file(path).ok();
     }
 
@@ -1677,14 +1583,7 @@ mod tests {
         let back = drain_to_trace(&mut src).unwrap();
         assert_eq!(back.name(), "sampl");
         assert_eq!(back.as_slice(), t.as_slice());
-        // A page-aligned mapping puts the payload at an odd offset.
-        if maps_file(&src) {
-            assert_eq!(
-                src.borrowed_chunks(),
-                0,
-                "misaligned payload cannot be borrowed"
-            );
-        }
+        assert_eq!(read_binary(&buf[..]).unwrap(), back);
         std::fs::remove_file(path).ok();
     }
 
@@ -1694,17 +1593,16 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
         let namelen = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        // Set a reserved bit in the first entry's flag byte; both stores
-        // must mask it away identically.
+        // Set a reserved bit in the first entry's flag byte; file and
+        // memory must mask it away identically.
         buf[20 + namelen + 14] |= 0x80;
         let path = tmp_file("mapped_dirty_flags.sact", &buf);
 
-        let mut mapped = FileSource::open(&path).unwrap();
-        let m = drain_to_trace(&mut mapped).unwrap();
+        let mut src = FileSource::open(&path).unwrap();
+        let m = drain_to_trace(&mut src).unwrap();
         let s = read_binary(&buf[..]).unwrap();
         assert_eq!(m.as_slice(), s.as_slice());
         assert_eq!(m.as_slice()[0], t.as_slice()[0], "reserved bits masked");
-        assert_eq!(mapped.borrowed_chunks(), 0, "dirty flags disable borrowing");
         std::fs::remove_file(path).ok();
     }
 
@@ -1722,6 +1620,47 @@ mod tests {
         let owned = read_binary(&buf[..]).unwrap_err();
         assert_eq!(err.to_string(), owned.to_string());
         std::fs::remove_file(path).ok();
+    }
+
+    /// A header cut at any byte, in either format, in memory or in a
+    /// file: a cut inside the magic names the bytes read, any later cut
+    /// is `input truncated`, and both are header errors.
+    #[test]
+    fn header_cut_short_is_a_header_error() {
+        let t = sample_trace();
+        // Header sizes: 20 bytes plus the name, NUL-padded for SACT.
+        for (sact2, header) in [(false, 32), (true, 26)] {
+            let mut buf = Vec::new();
+            if sact2 {
+                write_binary2(&t, &mut buf).unwrap();
+            } else {
+                write_binary(&t, &mut buf).unwrap();
+            }
+            // The header ends where the entries start: a cut there reads
+            // as a truncated entry section instead.
+            let err = TraceReader::new(&buf[..header]).map(|_| ()).err();
+            assert!(err.is_none(), "{:?}", err.map(|e| e.to_string()));
+            for cut in 0..header {
+                let bytes = &buf[..cut];
+                let want = if cut < 4 {
+                    format!("bad trace header: magic {bytes:?} is not SACT or SAC2")
+                } else {
+                    "bad trace header: input truncated".to_string()
+                };
+                let path = tmp_file(&format!("header_cut_{header}_{cut}.bin"), bytes);
+                for got in [
+                    TraceReader::new(bytes).map(|_| ()),
+                    FileSource::open(&path).map(|_| ()),
+                    read_any(bytes).map(|_| ()),
+                    read_path(&path).map(|_| ()),
+                ] {
+                    let err = got.unwrap_err();
+                    assert!(matches!(err, ReadError::BadHeader(_)), "cut {cut}: {err}");
+                    assert_eq!(err.to_string(), want, "cut {cut}");
+                }
+                std::fs::remove_file(path).ok();
+            }
+        }
     }
 
     #[test]

@@ -29,16 +29,10 @@
 //! assert!(trace.iter().any(|a| a.temporal()));
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// memory-mapping shim in [`mmap`], which carries its own scoped allow and a
-// safety argument (read-only private mapping, lifetime tied to the RAII
-// guard). Everything else in the crate remains unsafe-free.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access;
 mod gaps;
-mod mmap;
 mod trace;
 
 pub mod io;

@@ -256,7 +256,6 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::access_from_parts as entry;
     use crate::AccessKind;
 
     #[test]
@@ -402,6 +401,10 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    fn entry(addr: u64, instr: u32, gap: u16, flags: u8) -> Access {
+        Access::from_wire(addr, instr, gap, flags)
     }
 
     fn hash(entries: &[Access]) -> u64 {

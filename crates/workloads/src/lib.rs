@@ -31,7 +31,6 @@
 //! assert!(trace.len() > 64 * 64);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocked;

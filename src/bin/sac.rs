@@ -318,22 +318,23 @@ fn write_with_progress(trace: &Trace, w: &mut impl Write, sact2: bool) -> std::i
     Ok(())
 }
 
-/// Loads a trace from `path`: a binary trace when the magic bytes name
-/// either wire format (memory-mapped for zero-copy decode where the
-/// platform allows; header errors are reported as such), the text
-/// format otherwise.
+/// Loads a trace from `path`, opened once: a binary trace when the magic
+/// bytes name either wire format (header errors are reported as such),
+/// the text format otherwise. The sniffed bytes are chained back in front
+/// of the rest, so a pipe such as `/dev/stdin` reads like a file.
 fn load_trace(path: &str) -> Result<Trace, String> {
     let fail = |e: trace_io::ReadError| format!("{path}: {e}");
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let mut file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mut head = Vec::with_capacity(4);
-    (&file)
+    (&mut file)
         .take(4)
         .read_to_end(&mut head)
         .map_err(|e| format!("read {path}: {e}"))?;
+    let input = head.as_slice().chain(file);
     if trace_io::sniff_format(&head).is_some() {
-        return trace_io::read_path(path).map_err(fail);
+        return trace_io::read_any(input).map_err(fail);
     }
-    trace_io::read_text(head.chain(file)).map_err(fail)
+    trace_io::read_text(input).map_err(fail)
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {

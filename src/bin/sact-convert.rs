@@ -11,13 +11,11 @@
 //! sact-convert trace.sact -o /tmp/out.bin  # explicit output path
 //! ```
 //!
-//! The input is memory-mapped where the platform allows (`SACT` chunks
-//! are then borrowed straight from the page cache) and read whole
-//! otherwise. Conversion runs chunk-by-chunk through the same decoder
-//! the replay engine uses, so besides the input bytes the converter
-//! holds one decoded chunk and one pending `SAC2` run, and the announced
-//! entry count is carried from the input header (the writers enforce
-//! it).
+//! The input is read whole into memory. Conversion runs chunk-by-chunk
+//! through the same decoder the replay engine uses, so besides the input
+//! bytes the converter holds one decoded chunk and one pending `SAC2`
+//! run, and the announced entry count is carried from the input header
+//! (the writers enforce it).
 
 use sac_obs::ProgressGauge;
 use sac_trace::io::{
@@ -86,8 +84,8 @@ fn main() {
         format!("{stem}.{}", if to_sact2 { "sact2" } else { "sact" })
     });
 
-    // The input is mapped: truncating it for the output would destroy it
-    // (and fault the mapping).
+    // Creating the output truncates it, and a failed conversion removes
+    // it: were it the input, a decode error would destroy the trace.
     if same_file(Path::new(&input), Path::new(&out_path)) {
         eprintln!(
             "sact-convert: output {out_path} is the input file {input}; refusing to overwrite it"

@@ -37,7 +37,6 @@
 //! assert!(soft.metrics().amat() <= standard.metrics().amat());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use sac_core as core;

@@ -183,6 +183,91 @@ fn binary_header_errors_are_reported_not_parsed_as_text() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A file cut inside its header, as `sac` and `sact-convert` see it: a
+/// header error, not an I/O error.
+#[test]
+fn a_header_cut_short_is_a_header_error() {
+    let path = tmpfile("magic-only.sact");
+    std::fs::write(&path, b"SACT").unwrap();
+    let runs = [
+        sac().arg("stats").arg(&path).output(),
+        sac().arg("simulate").arg(&path).output(),
+        Command::new(env!("CARGO_BIN_EXE_sact-convert"))
+            .arg(&path)
+            .arg("-o")
+            .arg(tmpfile("magic-only.sact2"))
+            .output(),
+    ];
+    for out in runs {
+        let out = out.expect("run the tool");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad trace header: input truncated"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// `sac stats` reads its input once, so a pipe works as well as a file:
+/// SACT and SAC2 piped into `/dev/stdin` print what the path run prints.
+#[cfg(unix)]
+#[test]
+fn stats_reads_a_piped_trace_like_a_file() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let sact = tmpfile("piped.sact");
+    let sac2 = tmpfile("piped.sact2");
+    let out = sac()
+        .args(["trace", "MV", "--small", "-o"])
+        .arg(&sact)
+        .output()
+        .expect("run sac trace");
+    assert!(out.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_sact-convert"))
+        .arg(&sact)
+        .arg("-o")
+        .arg(&sac2)
+        .output()
+        .expect("run sact-convert");
+    assert!(out.status.success());
+    for path in [&sact, &sac2] {
+        let by_path = sac()
+            .arg("stats")
+            .arg(path)
+            .output()
+            .expect("run sac stats");
+        assert!(by_path.status.success());
+        let mut child = sac()
+            .args(["stats", "/dev/stdin"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn sac stats");
+        let bytes = std::fs::read(path).unwrap();
+        let mut stdin = child.stdin.take().unwrap();
+        let writer = std::thread::spawn(move || stdin.write_all(&bytes));
+        let piped = child.wait_with_output().expect("wait for sac stats");
+        writer.join().unwrap().expect("write the pipe");
+        assert!(
+            piped.status.success(),
+            "{}: {}",
+            path.display(),
+            String::from_utf8_lossy(&piped.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&piped.stdout),
+            String::from_utf8_lossy(&by_path.stdout),
+            "{}",
+            path.display()
+        );
+    }
+    std::fs::remove_file(&sact).ok();
+    std::fs::remove_file(&sac2).ok();
+}
+
 /// Both `sac trace` and `sact-convert` validate their output path
 /// through the one shared helper (`trace::io::create_output`),
 /// up front: an unwritable destination fails immediately with the same
@@ -223,9 +308,10 @@ fn unwritable_output_path_fails_up_front_with_the_shared_message() {
     std::fs::remove_file(&input).ok();
 }
 
-/// `sact-convert` maps its input, so an output path naming the same file
-/// (directly, through a `..` detour, or through a hard link) is refused
-/// before the output is created: exit 1, both paths named, input intact.
+/// `sact-convert` truncates its output before writing it, so an output
+/// path naming the input file (directly, through a `..` detour, or
+/// through a hard link) is refused before the output is created: exit
+/// 1, both paths named, input intact.
 #[test]
 fn sact_convert_refuses_to_overwrite_its_input() {
     let input = tmpfile("convert-self.sact2");

@@ -6,6 +6,11 @@
 //! allocate at all: every per-access structure is a fixed-size sidecar
 //! of the tag array. A map or growable buffer on the hot path fails
 //! this test deterministically.
+//!
+//! The one file of the workspace that allows `unsafe_code`: forwarding
+//! a `GlobalAlloc` to `System` takes an `unsafe impl`.
+
+#![allow(unsafe_code)]
 
 use software_assisted_caches::simcache::{
     CacheGeometry, CoherenceProtocol, CoherentSystem, Dragon, MemoryModel, Mesi,

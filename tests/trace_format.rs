@@ -8,10 +8,10 @@
 //!   format itself is frozen, not just the codec pair).
 //! * **Fuzz-style robustness** — seeded `SplitMix64` generators feed
 //!   truncated, bit-flipped and garbage streams to every entry point,
-//!   in memory and through a file (memory-mapped where the platform
-//!   allows). Every outcome must be a clean [`ReadError`] or a correct
-//!   trace — never a panic, an allocation blow-up, or a silently wrong
-//!   length — and the two byte stores must agree exactly.
+//!   in memory and through a file. Every outcome must be a clean
+//!   [`ReadError`] or a correct trace — never a panic, an allocation
+//!   blow-up, or a silently wrong length — and the two inputs must
+//!   agree exactly.
 //! * **Cross-format confusion** — a header of one format stapled to the
 //!   body of the other must be rejected, not misdecoded.
 //! * **Encoder equivalence** — per-access `push`, `push_chunk` at any
