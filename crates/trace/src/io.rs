@@ -16,8 +16,14 @@
 //! count   u64 LE   number of entries
 //! entries count × 16 bytes: addr u64 LE, instr u32 LE, gap u16 LE,
 //!                           flags u8 (bit0 write, bit1 temporal,
-//!                           bit2 spatial), pad u8 = 0
+//!                           bit2 spatial, bits 3-4 spatial level,
+//!                           bits 5-6 cpu id, bit7 reserved),
+//!                           pad u8 = 0
 //! ```
+//!
+//! Writers leave the reserved flag bit 0. A `SACT` reader masks it off,
+//! so an entry with bit 7 set decodes as if it were clear; a `SAC2`
+//! reader rejects a flag byte with bit 7 set (see below).
 //!
 //! # Compact binary format (`SAC2` v1)
 //!
@@ -32,9 +38,10 @@
 //! name    n bytes  UTF-8
 //! count   u64 LE   number of entries
 //! runs    until count entries have been coded:
-//!   op     1 byte   the flag byte shared by every entry of the run
-//!                   (bit0 write, bit1 temporal, bit2 spatial,
-//!                    bits 3-4 spatial level; bits 5-7 must be 0)
+//!   op     1 byte   the flag byte shared by every entry of the run,
+//!                   laid out as in SACT (bit0 write, bit1 temporal,
+//!                   bit2 spatial, bits 3-4 spatial level, bits 5-6
+//!                   cpu id; bit7 reserved, must be 0)
 //!   runlen varint   entries in this run (1 ..= 65536)
 //!   entry  runlen × (addr zigzag-varint delta from the previous
 //!                    entry's address (first entry deltas from 0),
@@ -50,7 +57,10 @@
 //! flag bytes with the reserved bits set, gaps above `u16::MAX`,
 //! instr deltas outside `i32`, zero-length runs, and runs overflowing
 //! the announced entry count — malformed input yields a [`ReadError`],
-//! never a panic or a silent wrap.
+//! never a panic or a silent wrap. One entry therefore spans at most 41
+//! input bytes: a flag byte, then a run-length varint and three field
+//! varints of up to 10 bytes each (overlong but valid encodings
+//! included).
 //!
 //! # Text format
 //!
@@ -369,15 +379,15 @@ fn decode_entry(buf: &[u8]) -> Access {
 /// Reads a trace in the binary `SACT` format, fully materialized.
 ///
 /// A `&mut` reference may be passed for `r` (any `Read` works). The
-/// input is read to its end, then decoded by [`TraceReader`]; `SAC2`
-/// input is rejected with [`ReadError::BadHeader`].
+/// input is decoded chunk by chunk through [`TraceReader`]'s bounded
+/// window; `SAC2` input is rejected with [`ReadError::BadHeader`].
 ///
 /// # Errors
 ///
 /// Returns [`ReadError`] on I/O failure, bad magic/version, or a
 /// truncated entry section.
 pub fn read_binary<R: Read>(r: R) -> Result<Trace, ReadError> {
-    drain_to_trace(&mut TraceReader::read_whole(r, Some("SACT"))?)
+    drain_to_trace(&mut TraceReader::start(r, Some("SACT"))?)
 }
 
 /// Drives any [`ChunkSource`] to completion into a materialized trace.
@@ -540,7 +550,7 @@ pub fn write_binary2<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
 /// Returns [`ReadError`] on I/O failure, a bad header, or a malformed
 /// entry section.
 pub fn read_binary2<R: Read>(r: R) -> Result<Trace, ReadError> {
-    drain_to_trace(&mut TraceReader::read_whole(r, Some("SAC2"))?)
+    drain_to_trace(&mut TraceReader::start(r, Some("SAC2"))?)
 }
 
 /// The binary wire format `head` starts with — `"SACT"` or `"SAC2"` —
@@ -564,13 +574,18 @@ struct RunState {
 }
 
 /// The chunked trace reader: sniffs the magic bytes and decodes either
-/// wire format from one in-memory byte buffer, so every consumer of
-/// [`ChunkSource`] accepts `SACT` and `SAC2` transparently.
+/// wire format from a bounded window over any [`Read`] input, so every
+/// consumer of [`ChunkSource`] accepts `SACT` and `SAC2` transparently.
 ///
-/// [`TraceReader::open`] reads a file whole and [`TraceReader::new`]
-/// reads a `Read` input to its end; the same decoder then runs over
-/// the bytes whichever way they arrived. Each chunk is decoded into
-/// one reused buffer, so steady-state decoding allocates nothing.
+/// [`TraceReader::open`] reads a file and [`TraceReader::new`] any other
+/// input (a slice, a pipe, a chained reader) through the same window.
+/// Before each chunk of `n` entries the window is refilled until it
+/// holds the chunk's worst case — `n × 16` bytes for `SACT`, `n × 41`
+/// for `SAC2` — or all that is left of the input, and the chunk is then
+/// decoded from that one slice. The reader holds that window, never the
+/// whole input; the window grows only with bytes read, never from the
+/// header's entry count. Each chunk is decoded into one reused buffer,
+/// so steady-state decoding allocates nothing.
 ///
 /// ```
 /// use sac_trace::io::{self, ChunkSource};
@@ -589,10 +604,8 @@ struct RunState {
 /// }
 /// assert_eq!(seen, 10_000);
 /// ```
-pub struct TraceReader {
-    bytes: Vec<u8>,
-    /// Byte offset of the next undecoded entry (`SACT`) or byte (`SAC2`).
-    pos: usize,
+pub struct TraceReader<R> {
+    input: Window<R>,
     name: String,
     total: u64,
     remaining: u64,
@@ -602,13 +615,89 @@ pub struct TraceReader {
     sac2: Option<RunState>,
 }
 
-/// [`TraceReader`] under the name path-based callers use:
+/// [`TraceReader`] over a file, under the name path-based callers use:
 /// `FileSource::open(path)`.
-pub type FileSource = TraceReader;
+pub type FileSource = TraceReader<std::fs::File>;
 
-impl TraceReader {
-    /// Reads `r` to its end and parses the header, with the default
-    /// chunk size ([`DEFAULT_CHUNK`] entries).
+/// Longest varint the decoder reads: 10 bytes carry 64 bits.
+const MAX_VARINT: usize = 10;
+
+/// Most input bytes one `SAC2` entry spans: a flag byte, then a
+/// run-length varint and three field varints (address, gap, instr) of
+/// at most [`MAX_VARINT`] bytes each. Every decode step, failing ones
+/// included, reads no further.
+const MAX_SAC2_INPUT: usize = 1 + 4 * MAX_VARINT;
+
+/// How many bytes a [`Window`] reads past those it was asked to hold.
+const READ_AHEAD: usize = 64 << 10;
+
+/// The bounded input a [`TraceReader`] decodes from: `buf[start..end]`
+/// holds the bytes read from `r` and not yet decoded.
+struct Window<R> {
+    r: R,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    eof: bool,
+}
+
+impl<R: Read> Window<R> {
+    fn new(r: R) -> Self {
+        Window {
+            r,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            eof: false,
+        }
+    }
+
+    /// The bytes read and not yet decoded.
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Reads until at least `need` undecoded bytes are held or the input
+    /// has ended, holding at most [`READ_AHEAD`] bytes more; interrupted
+    /// reads are retried.
+    ///
+    /// The buffer grows only when it is full of bytes read, to at most
+    /// twice those, so an input announcing more than it holds allocates
+    /// no more than it delivered. Once the decoded prefix is as long as
+    /// a span (`need` plus [`READ_AHEAD`]), the undecoded bytes (fewer
+    /// than `need`) move to the front: the buffer stays within two spans,
+    /// and moving costs less than one byte copied per byte decoded.
+    fn fill(&mut self, need: usize) -> io::Result<()> {
+        if self.end - self.start >= need || self.eof {
+            return Ok(());
+        }
+        let span = need.saturating_add(READ_AHEAD);
+        if self.start >= span {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let limit = self.start.saturating_add(span);
+        while self.end - self.start < need && !self.eof {
+            if self.end == self.buf.len() {
+                let len = self.end.saturating_mul(2).max(READ_AHEAD).min(limit);
+                self.buf.resize(len, 0);
+            }
+            let stop = self.buf.len().min(limit);
+            match self.r.read(&mut self.buf[self.end..stop]) {
+                Ok(0) => self.eof = true,
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> TraceReader<R> {
+    /// Reads and parses the header of `r`, with the default chunk size
+    /// ([`DEFAULT_CHUNK`] entries); the entries are read chunk by chunk.
     ///
     /// # Errors
     ///
@@ -616,33 +705,36 @@ impl TraceReader {
     /// `SACT` nor `SAC2`, a bad version, an oversized name, a header cut
     /// short, or a `SACT` entry count whose byte size overflows `u64` (a
     /// malformed or adversarial header — nothing is sized from it).
-    pub fn new<R: Read>(r: R) -> Result<Self, ReadError> {
-        TraceReader::read_whole(r, None)
+    pub fn new(r: R) -> Result<Self, ReadError> {
+        TraceReader::start(r, None)
     }
 
-    /// Opens the trace file at `path` and reads it whole.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TraceReader::new`]; an open failure names the path.
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, ReadError> {
-        TraceReader::read_whole(open_input(path.as_ref())?, None)
-    }
-
-    /// Reads `r` to its end and parses the header, accepting only the
-    /// `expect` format when one is named.
-    fn read_whole<R: Read>(mut r: R, expect: Option<&str>) -> Result<Self, ReadError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let Some(format) = sniff_format(&bytes).filter(|f| expect.is_none_or(|e| e == *f)) else {
+    /// Reads and parses the header of `r`, accepting only the `expect`
+    /// format when one is named.
+    fn start(r: R, expect: Option<&str>) -> Result<Self, ReadError> {
+        let mut input = Window::new(r);
+        input.fill(MAGIC.len())?;
+        let head = input.unread();
+        let Some(format) = sniff_format(head).filter(|f| expect.is_none_or(|e| e == *f)) else {
             return Err(ReadError::BadHeader(format!(
                 "magic {:?} is not {}",
-                &bytes[..bytes.len().min(4)],
+                &head[..head.len().min(4)],
                 expect.unwrap_or("SACT or SAC2")
             )));
         };
-        let mut cur = &bytes[4..];
+        // Hold the whole header (magic, version, namelen, name, count),
+        // or all of a shorter input, so `read_header` meets the header
+        // errors in their order. An oversized name length is rejected
+        // before the name is read.
+        input.fill(12)?;
+        let namelen = input.unread().get(8..12).map_or(0, |b| {
+            u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize
+        });
+        input.fill(20 + if namelen <= MAX_NAME { namelen } else { 0 })?;
+        let mut cur = &input.unread()[4..];
         let (name, count) = read_header(&mut cur)?;
+        let rest = cur.len();
+        input.start = input.end - rest;
         let sac2 = (format == "SAC2").then(RunState::default);
         // A count whose byte size cannot be represented is malformed by
         // construction; reject it before any size computation can wrap.
@@ -651,10 +743,8 @@ impl TraceReader {
                 "entry count {count} overflows the entry section size"
             )));
         }
-        let pos = bytes.len() - cur.len();
         Ok(TraceReader {
-            bytes,
-            pos,
+            input,
             name,
             total: count,
             remaining: count,
@@ -663,7 +753,20 @@ impl TraceReader {
             sac2,
         })
     }
+}
 
+impl FileSource {
+    /// Opens the trace file at `path` and reads its header.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceReader::new`]; an open failure names the path.
+    pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Self, ReadError> {
+        TraceReader::new(open_input(path.as_ref())?)
+    }
+}
+
+impl<R> TraceReader<R> {
     /// Yields at most `chunk_entries` entries per chunk from now on —
     /// small values split `SAC2` runs across chunk boundaries.
     ///
@@ -753,7 +856,7 @@ pub trait ChunkSource {
     fn next_chunk(&mut self) -> Result<Option<&[Access]>, ReadError>;
 }
 
-impl ChunkSource for TraceReader {
+impl<R: Read> ChunkSource for TraceReader<R> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -775,24 +878,31 @@ impl ChunkSource for TraceReader {
         }
         let n = self.remaining.min(self.chunk_entries as u64) as usize;
         let start = self.total - self.remaining;
-        let bytes = &self.bytes;
+        // Once the window holds the chunk's worst case, or all that is
+        // left of the input, the chunk decodes from the window alone.
+        let need = n.saturating_mul(if self.sac2.is_some() {
+            MAX_SAC2_INPUT
+        } else {
+            ENTRY_BYTES
+        });
+        self.input.fill(need)?;
+        let bytes = &self.input.buf[..self.input.end];
         self.decoded.clear();
         let Some(run) = &mut self.sac2 else {
-            let need = n * ENTRY_BYTES;
-            if bytes.len() - self.pos < need {
+            if bytes.len() - self.input.start < need {
                 return Err(ReadError::BadEntry(format!(
                     "entries {start}..{}: input truncated",
                     start + n as u64
                 )));
             }
-            let payload = &bytes[self.pos..self.pos + need];
-            self.pos += need;
+            let payload = &bytes[self.input.start..self.input.start + need];
+            self.input.start += need;
             self.remaining -= n as u64;
             self.decoded
                 .extend(payload.chunks_exact(ENTRY_BYTES).map(decode_entry));
             return Ok(Some(&self.decoded));
         };
-        let pos = &mut self.pos;
+        let pos = &mut self.input.start;
         while self.decoded.len() < n {
             let at = start + self.decoded.len() as u64;
             let ctx = |e: ReadError| match e {
@@ -1522,16 +1632,16 @@ mod tests {
         }
     }
 
-    // The `mapped_*` tests are named for the memory-mapped reader they
-    // once checked; each now requires a file and the same bytes in
-    // memory to decode alike through the one reader.
+    // File and memory parity: each `file_and_memory_*` test requires a
+    // file and the same bytes in memory to decode alike through the one
+    // reader.
 
     #[test]
-    fn mapped_sact_matches_streaming_and_borrows_chunks() {
+    fn file_and_memory_decode_sact_alike() {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
-        let path = tmp_file("mapped_sact.sact", &buf);
+        let path = tmp_file("parity_sact.sact", &buf);
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SACT");
@@ -1539,19 +1649,19 @@ mod tests {
         assert_eq!(from_file.name(), t.name());
         assert_eq!(from_file.as_slice(), t.as_slice());
 
-        let mut owned = TraceReader::new(&buf[..]).unwrap();
-        let s = drain_to_trace(&mut owned).unwrap();
+        let mut in_memory = TraceReader::new(&buf[..]).unwrap();
+        let s = drain_to_trace(&mut in_memory).unwrap();
         assert_eq!(s.as_slice(), from_file.as_slice());
         assert_eq!(s.name(), from_file.name());
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn mapped_sact2_matches_streaming() {
+    fn file_and_memory_decode_sac2_alike() {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_binary2(&t, &mut buf).unwrap();
-        let path = tmp_file("mapped_sact2.sact2", &buf);
+        let path = tmp_file("parity_sact2.sact2", &buf);
 
         let mut src = FileSource::open(&path).unwrap();
         assert_eq!(src.format(), "SAC2");
@@ -1563,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_sact_misaligned_payload_falls_back_to_decoding() {
+    fn file_and_memory_decode_an_unpadded_sact_header_alike() {
         // Hand-write an unpadded header, as files written before the
         // name field was alignment-padded: payload offset 20 + 5 = 25.
         let t = sample_trace();
@@ -1577,7 +1687,7 @@ mod tests {
         for a in &t {
             buf.extend_from_slice(&sact_entry(a));
         }
-        let path = tmp_file("mapped_unpadded.sact", &buf);
+        let path = tmp_file("parity_unpadded.sact", &buf);
 
         let mut src = FileSource::open(&path).unwrap();
         let back = drain_to_trace(&mut src).unwrap();
@@ -1588,7 +1698,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_sact_reserved_flag_bits_take_the_masking_path() {
+    fn file_and_memory_mask_a_reserved_sact_flag_bit_alike() {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
@@ -1596,7 +1706,7 @@ mod tests {
         // Set a reserved bit in the first entry's flag byte; file and
         // memory must mask it away identically.
         buf[20 + namelen + 14] |= 0x80;
-        let path = tmp_file("mapped_dirty_flags.sact", &buf);
+        let path = tmp_file("parity_dirty_flags.sact", &buf);
 
         let mut src = FileSource::open(&path).unwrap();
         let m = drain_to_trace(&mut src).unwrap();
@@ -1607,18 +1717,18 @@ mod tests {
     }
 
     #[test]
-    fn mapped_sact_truncated_payload_reports_the_entry_range() {
+    fn file_and_memory_report_a_truncated_sact_payload_alike() {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_binary(&t, &mut buf).unwrap();
         buf.truncate(buf.len() - 24); // drop 1.5 entries
-        let path = tmp_file("mapped_truncated.sact", &buf);
+        let path = tmp_file("parity_truncated.sact", &buf);
         let mut src = FileSource::open(&path).unwrap();
         let err = drain_to_trace(&mut src).unwrap_err();
         assert!(matches!(err, ReadError::BadEntry(_)), "{err}");
         assert!(err.to_string().contains("0..500"), "{err}");
-        let owned = read_binary(&buf[..]).unwrap_err();
-        assert_eq!(err.to_string(), owned.to_string());
+        let in_memory = read_binary(&buf[..]).unwrap_err();
+        assert_eq!(err.to_string(), in_memory.to_string());
         std::fs::remove_file(path).ok();
     }
 
@@ -1688,5 +1798,97 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("/nonexistent-dir-sact/in.sact"));
+    }
+    // ---- The refill window ----
+
+    /// `count = 2^40` with no entries, read in chunks of 2^30: the first
+    /// chunk's worst case is 16 GiB (`SACT`) or 41 GiB (`SAC2`), yet the
+    /// window holds only what the input delivered.
+    #[test]
+    fn a_huge_chunk_over_a_huge_count_allocates_only_what_was_read() {
+        for (magic, want) in [
+            (
+                MAGIC,
+                "bad trace entry: entries 0..1073741824: input truncated",
+            ),
+            (MAGIC2, "bad trace entry: entry 0: input truncated"),
+        ] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(magic);
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+            let mut r = TraceReader::new(&buf[..]).unwrap().with_chunk_size(1 << 30);
+            let err = r.next_chunk().map(|_| ()).unwrap_err();
+            assert!(matches!(err, ReadError::BadEntry(_)), "{err}");
+            assert_eq!(err.to_string(), want);
+            assert!(r.input.buf.len() <= READ_AHEAD, "{}", r.input.buf.len());
+            assert_eq!(r.decoded.capacity(), 0);
+        }
+    }
+
+    /// A `Read` over `bytes` that counts the bytes it hands out.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        pulled: &'a std::cell::Cell<usize>,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(out)?;
+            self.pulled.set(self.pulled.get() + n);
+            Ok(n)
+        }
+    }
+
+    /// Multi-MB inputs in both formats: after the header and after each
+    /// chunk, the reader has pulled at most the bytes decoded so far plus
+    /// one chunk's worst case plus 64 KiB.
+    #[test]
+    fn read_ahead_is_bounded_by_one_chunk() {
+        // SACT entries are 16 bytes; these SAC2 entries are one-entry
+        // runs of 5 bytes (flag, length 1, one-byte address, gap and
+        // instr deltas), so the bytes decoded follow from the entries.
+        let n = 256 * DEFAULT_CHUNK as u64 + 5;
+        let sact: Trace = (0..n).map(|i| Access::read(i * 8)).collect();
+        let sac2: Trace = (0..n)
+            .map(|i| Access::read(i * 8).with_temporal(i % 2 == 0))
+            .collect();
+        for (t, entry, worst) in [
+            (&sact, ENTRY_BYTES, ENTRY_BYTES),
+            (&sac2, 5, MAX_SAC2_INPUT),
+        ] {
+            let mut buf = Vec::new();
+            if entry == ENTRY_BYTES {
+                write_binary(t, &mut buf).unwrap();
+            } else {
+                write_binary2(t, &mut buf).unwrap();
+            }
+            let header = buf.len() - entry * t.len();
+            assert!(buf.len() > 4 << 20, "{} bytes", buf.len());
+            let pulled = std::cell::Cell::new(0);
+            let input = Counting {
+                bytes: &buf,
+                pulled: &pulled,
+            };
+            let mut r = TraceReader::new(input).unwrap();
+            let bound =
+                |decoded: usize| header + entry * decoded + DEFAULT_CHUNK * worst + (64 << 10);
+            assert!(
+                pulled.get() <= bound(0),
+                "{} after the header",
+                pulled.get()
+            );
+            let mut decoded = 0;
+            while let Some(c) = r.next_chunk().unwrap() {
+                decoded += c.len();
+                assert!(
+                    pulled.get() <= bound(decoded),
+                    "{} pulled after {decoded} entries",
+                    pulled.get()
+                );
+            }
+            assert_eq!((decoded, pulled.get()), (t.len(), buf.len()));
+        }
     }
 }

@@ -11,11 +11,12 @@
 //! sact-convert trace.sact -o /tmp/out.bin  # explicit output path
 //! ```
 //!
-//! The input is read whole into memory. Conversion runs chunk-by-chunk
-//! through the same decoder the replay engine uses, so besides the input
-//! bytes the converter holds one decoded chunk and one pending `SAC2`
-//! run, and the announced entry count is carried from the input header
-//! (the writers enforce it).
+//! Conversion runs chunk-by-chunk through the same decoder the replay
+//! engine uses, so the converter holds the decoder's bounded input
+//! window (never the whole input), one decoded chunk and one pending
+//! `SAC2` run, and the announced entry count is carried from the input
+//! header (the writers enforce it). The input may be a pipe, such as
+//! `/dev/stdin`.
 
 use sac_obs::ProgressGauge;
 use sac_trace::io::{

@@ -8,12 +8,17 @@
 //!   format itself is frozen, not just the codec pair).
 //! * **Fuzz-style robustness** — seeded `SplitMix64` generators feed
 //!   truncated, bit-flipped and garbage streams to every entry point,
-//!   in memory and through a file. Every outcome must be a clean
-//!   [`ReadError`] or a correct trace — never a panic, an allocation
-//!   blow-up, or a silently wrong length — and the two inputs must
-//!   agree exactly.
+//!   in memory, through a file and through a reader that hands out a
+//!   few bytes per call. Every outcome must be a clean [`ReadError`] or
+//!   a correct trace — never a panic, an allocation blow-up, or a
+//!   silently wrong length — and the three inputs must agree exactly,
+//!   error text included.
 //! * **Cross-format confusion** — a header of one format stapled to the
 //!   body of the other must be rejected, not misdecoded.
+//! * **Refill window** — `SAC2` files whose every varint is an overlong
+//!   10-byte encoding (41 bytes an entry, the reader's worst case) and
+//!   chunks larger than the default window decode whole, whatever the
+//!   chunk size and wherever reads end.
 //! * **Encoder equivalence** — per-access `push`, `push_chunk` at any
 //!   split and `write_binary*` produce the bytes a naive encoder written
 //!   from the format description produces, in both formats, over traces
@@ -33,30 +38,70 @@ use software_assisted_caches::trace::{io as trace_io, Access, Trace};
 use software_assisted_caches::workloads;
 use std::io::Write;
 
-/// Decodes `bytes` through every reader entry point, in memory and from
-/// a file; panics if a decoder panics (the property under test) or if
-/// the file-backed outcome differs from the in-memory one, returns how
-/// many decoded.
+/// Decodes `bytes` through every reader entry point, in memory, from a
+/// file and through [`ShortReads`]; panics if a decoder panics (the
+/// property under test) or if a file-backed or short-read outcome
+/// differs from the in-memory one, returns how many decoded.
 fn decode_all_entry_points(bytes: &[u8]) -> Vec<Result<usize, ReadError>> {
     let mut outcomes = vec![
         read_binary(bytes).map(|t| t.len()),
         read_binary2(bytes).map(|t| t.len()),
         read_any(bytes).map(|t| t.len()),
     ];
+    let short = [
+        read_binary(short_reads(bytes)).map(|t| t.len()),
+        read_binary2(short_reads(bytes)).map(|t| t.len()),
+        read_any(short_reads(bytes)).map(|t| t.len()),
+    ];
+    for (short, in_memory) in short.iter().zip(&outcomes) {
+        assert_eq!(
+            outcome(short),
+            outcome(in_memory),
+            "short-read and in-memory decodes differ"
+        );
+    }
     let path = temp_input(bytes);
     // A chunk size of 17 splits SAC2 runs across chunk boundaries.
     for chunk in [DEFAULT_CHUNK, 17] {
         let in_memory = drain(TraceReader::new(bytes).map(|r| r.with_chunk_size(chunk)));
         let from_file = drain(FileSource::open(&path).map(|r| r.with_chunk_size(chunk)));
-        assert_eq!(
-            outcome(&from_file),
-            outcome(&in_memory),
-            "file and in-memory decodes differ at chunk size {chunk}"
-        );
-        outcomes.extend([in_memory, from_file]);
+        let short = drain(TraceReader::new(short_reads(bytes)).map(|r| r.with_chunk_size(chunk)));
+        for (got, from) in [(&from_file, "file"), (&short, "short-read")] {
+            assert_eq!(
+                outcome(got),
+                outcome(&in_memory),
+                "{from} and in-memory decodes differ at chunk size {chunk}"
+            );
+        }
+        outcomes.extend([in_memory, from_file, short]);
     }
     std::fs::remove_file(path).unwrap();
     outcomes
+}
+
+/// A `Read` over `bytes` that hands out 1 to 7 bytes per call and fails
+/// its second call with `ErrorKind::Interrupted`, as a pipe may: the
+/// reader's refills end at arbitrary offsets.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    calls: usize,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls == 2 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let n = (self.calls % 7 + 1).min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn short_reads(bytes: &[u8]) -> ShortReads<'_> {
+    ShortReads { bytes, calls: 0 }
 }
 
 /// A decode outcome in comparable form: the length, or the error text.
@@ -354,6 +399,103 @@ fn sact2_header_count_overflow_is_rejected_without_allocation() {
     buf.extend_from_slice(&u64::MAX.to_le_bytes());
     let err = read_binary2(&buf[..]).unwrap_err();
     assert!(matches!(err, ReadError::BadEntry(_) | ReadError::Io(_)));
+}
+
+// ---- The refill window ----
+
+/// Decodes every chunk of `r` at `chunk` entries, checking none is
+/// longer.
+fn drain_chunks<R: std::io::Read>(
+    r: Result<TraceReader<R>, ReadError>,
+    chunk: usize,
+) -> Result<Vec<Access>, ReadError> {
+    let mut r = r?.with_chunk_size(chunk);
+    let mut got = Vec::new();
+    while let Some(c) = r.next_chunk()? {
+        assert!(c.len() <= chunk);
+        got.extend_from_slice(c);
+    }
+    Ok(got)
+}
+
+/// Appends `v` as a valid overlong varint of 10 bytes: nine carry the
+/// continuation bit whatever their value, the tenth holds bit 63.
+fn overlong_varint(out: &mut Vec<u8>, v: u64) {
+    for i in 0..9 {
+        out.push(0x80 | ((v >> (7 * i)) as u8 & 0x7f));
+    }
+    out.push((v >> 63) as u8);
+}
+
+/// Every entry a one-entry run whose four varints are all overlong
+/// 10-byte encodings: 41 bytes an entry, the worst case the reader
+/// fills its window to before a chunk. Whatever the chunk size, and
+/// with reads ending anywhere, the file decodes whole, and a cut in its
+/// last entry still names that entry.
+#[test]
+fn sac2_overlong_varints_straddle_refill_boundaries() {
+    let mut rng = SplitMix64::seed_from_u64(0x5AC7_0005);
+    let t = fuzz_trace(&mut rng, 2 * DEFAULT_CHUNK + 3);
+    let mut buf = Vec::new();
+    naive_header(&mut buf, b"SAC2", &t, 0);
+    let header = buf.len();
+    let (mut addr, mut instr) = (0u64, 0u32);
+    for a in &t {
+        buf.push(naive_flags(a));
+        overlong_varint(&mut buf, 1);
+        overlong_varint(&mut buf, naive_zigzag(a.addr().wrapping_sub(addr) as i64));
+        overlong_varint(&mut buf, u64::from(a.gap()));
+        let di = i64::from(a.instr().wrapping_sub(instr) as i32);
+        overlong_varint(&mut buf, naive_zigzag(di));
+        (addr, instr) = (a.addr(), a.instr());
+    }
+    assert_eq!(buf.len(), header + 41 * t.len());
+    for chunk in [1, 7, 1000, DEFAULT_CHUNK, 3 * DEFAULT_CHUNK] {
+        for got in [
+            drain_chunks(TraceReader::new(&buf[..]), chunk),
+            drain_chunks(TraceReader::new(short_reads(&buf)), chunk),
+        ] {
+            assert!(got.unwrap() == t.as_slice(), "chunk size {chunk}");
+        }
+    }
+    let want = format!("bad trace entry: entry {}: input truncated", t.len() - 1);
+    for cut in [buf.len() - 1, buf.len() - 20, buf.len() - 40] {
+        for got in [
+            drain_chunks(TraceReader::new(&buf[..cut]), DEFAULT_CHUNK),
+            drain_chunks(TraceReader::new(short_reads(&buf[..cut])), 1000),
+        ] {
+            assert_eq!(got.unwrap_err().to_string(), want, "cut {cut}");
+        }
+    }
+}
+
+/// A chunk size past the default window: the window grows to hold each
+/// chunk's worst case, in both formats, from memory, a file and short
+/// reads, and every chunk but the last is full.
+#[test]
+fn a_chunk_larger_than_the_default_window_decodes_whole() {
+    let mut rng = SplitMix64::seed_from_u64(0x5AC7_0006);
+    let t = fuzz_trace(&mut rng, 10 * DEFAULT_CHUNK + 11);
+    let chunk = 3 * DEFAULT_CHUNK + 1;
+    for write in [enc_sact, enc_sact2] {
+        let mut buf = Vec::new();
+        write(&t, &mut buf).unwrap();
+        let path = temp_input(&buf);
+        let mut r = FileSource::open(&path).unwrap().with_chunk_size(chunk);
+        let mut sizes = Vec::new();
+        while let Some(c) = r.next_chunk().unwrap() {
+            sizes.push(c.len());
+        }
+        assert_eq!(sizes, [chunk, chunk, chunk, DEFAULT_CHUNK + 8]);
+        for got in [
+            drain_chunks(TraceReader::new(&buf[..]), chunk),
+            drain_chunks(FileSource::open(&path), chunk),
+            drain_chunks(TraceReader::new(short_reads(&buf)), chunk),
+        ] {
+            assert!(got.unwrap() == t.as_slice());
+        }
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 // ---- Encoder equivalence ----
