@@ -59,10 +59,11 @@
 //! the CI tripwire proving the probe layer stays zero-cost when
 //! disabled. Two more legs ride along: a store-warm leg asserting a
 //! warm store lookup beats the cold replay it replaces by >10x, and the
-//! run-level span layer (spans enabled vs disabled, interleaved rounds),
-//! which fails if enabling spans costs more than 1% throughput — an
-//! upper bound on the disabled span layer's overhead, which is one
-//! relaxed atomic load per replay cell.
+//! run-level span layer (the run's span setting toggled between off and
+//! cells, interleaved rounds), which fails if recording spans costs more
+//! than 1% throughput — an upper bound on the disabled span layer's
+//! overhead, which is one read of the run's span setting per replay
+//! batch, when the batch is made.
 //!
 //! [`TracingProbe`]: sac_obs::TracingProbe
 //! [`Timeline`]: sac_obs::Timeline
@@ -74,9 +75,8 @@ use sac_experiments::explain::{
     bench_refs_per_sec, explain_config, explain_timeline, hit_heavy_trace, miss_heavy_trace,
     mixed_trace,
 };
-use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
+use sac_experiments::runner::{self, ReplayBatch, Run, Spans, REPLAY_CHUNK};
 use sac_experiments::{Config, ResultStore};
-use sac_obs::{registry, span};
 use sac_trace::Trace;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -158,6 +158,9 @@ fn main() {
             )),
         }
     }
+
+    let run = Run::default();
+    runner::install(run.clone());
 
     // The coherent run uses Standard caches and no probe: refuse the
     // options it would otherwise ignore, before any file is created.
@@ -308,7 +311,7 @@ fn main() {
         let hash = trace.content_hash();
         match store.load(hash, &config) {
             Some(m) if m == explanation.metrics => {
-                registry::global_counter_add("store.hits", 1);
+                run.counter_add("store.hits", 1);
                 eprintln!("store: verified this run against {}", store.dir().display());
             }
             Some(_) => fail(&format!(
@@ -318,7 +321,7 @@ fn main() {
                 store.dir().display()
             )),
             None => {
-                registry::global_counter_add("store.misses", 1);
+                run.counter_add("store.misses", 1);
                 store
                     .save(hash, &config, &explanation.metrics)
                     .unwrap_or_else(|e| fail(&format!("store: {e}")));
@@ -328,7 +331,7 @@ fn main() {
         // The same summary line (and registry snapshot) the figures
         // store path prints, so both binaries surface the store
         // counters identically.
-        let reg = registry::snapshot();
+        let reg = run.registry();
         eprintln!(
             "store: {} hit(s), {} miss(es), {} entr{} in {}",
             reg.counter("store.hits"),
@@ -420,23 +423,22 @@ fn run_bench_guard(path: &str, pct: f64) {
         );
     }
 
-    // Span-layer overhead guard: time the fastest shape with run-level
-    // spans enabled vs disabled as interleaved pairs and keep the most
-    // favorable per-round ratio. Enabling records a handful of cell
-    // spans per replay, so it upper-bounds the disabled path — whose
-    // only cost is one relaxed atomic load per cell — and the guard
-    // asserts even that upper bound stays within 1%.
+    // Span-layer overhead guard: time the fastest shape with the run's
+    // span setting off vs cells as interleaved pairs and keep the most
+    // favorable per-round ratio. Recording spans adds a cell span per
+    // replay, so it upper-bounds the disabled path — whose only cost is
+    // one read of the span setting per batch — and the guard asserts
+    // even that upper bound stays within 1%.
     let trace = hit_heavy_trace(BENCH_LEN);
     let mut best_ratio = 0.0f64;
     for round in 0..5 {
-        span::set_enabled(false);
+        runner::set_spans(Spans::Off);
         let off = guard_rate("span_off", &trace, round);
-        span::set_enabled(true);
+        runner::set_spans(Spans::Cells);
         let on = guard_rate("span_on", &trace, round);
         best_ratio = best_ratio.max(on / off);
     }
-    span::set_enabled(false);
-    span::reset();
+    runner::set_spans(Spans::Off);
     let overhead = 100.0 * (1.0 - best_ratio.min(1.0));
     let span_verdict = if overhead > 1.0 {
         regressed = true;

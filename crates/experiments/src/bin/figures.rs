@@ -7,7 +7,7 @@
 //! cargo run --release -p sac-experiments --bin figures -- --csv out/ all
 //! cargo run --release -p sac-experiments --bin figures -- --small fig11a
 //! cargo run --release -p sac-experiments --bin figures -- --jobs 4 all
-//! cargo run --release -p sac-experiments --bin figures -- --sequential fig06a
+//! cargo run --release -p sac-experiments --bin figures -- --jobs 1 fig06a
 //! cargo run --release -p sac-experiments --bin figures -- --store results/ all
 //! ```
 //!
@@ -20,10 +20,10 @@
 //! `DIR/<id>.csv`.
 //!
 //! Sweeps shard their (config × workload) cells across a worker pool;
-//! `--jobs N` pins the worker count, `--sequential` is `--jobs 1`, and
-//! the default uses every core. Output is bit-identical either way. A
-//! run summary (cells done, slowest cells, aggregate speedup) goes to
-//! stderr at the end.
+//! `--jobs N` pins the worker count (`--jobs 1` is the sequential
+//! path), and the default uses every core. Output is bit-identical
+//! either way. A run summary (cells done, slowest cells, aggregate
+//! speedup) goes to stderr at the end.
 //!
 //! Replay is chunked: every configuration of a sweep row advances
 //! through the trace in one pass, each engine consuming a chunk while it
@@ -65,9 +65,8 @@
 //! embedded in the `--bench-json` report.
 
 use sac_experiments::explain::{self, hit_heavy_trace, miss_heavy_trace, mixed_trace};
-use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
+use sac_experiments::runner::{ReplayBatch, Run, Spans, REPLAY_CHUNK};
 use sac_experiments::{cli, diff, figures, runner, Config, ResultStore, Suite};
-use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
 use sac_trace::{Access, Trace};
 use std::io::{BufWriter, Write};
@@ -89,11 +88,11 @@ fn main() {
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut coherence_pass = false;
     let mut protocol = sac_experiments::coherence::Protocol::Mesi;
+    let mut jobs = 0;
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--small" => {}
-            "--sequential" => runner::set_jobs(1),
             "--store" => {
                 store_dir = Some(iter.next().unwrap_or_else(|| {
                     eprintln!("--store needs a directory path");
@@ -150,28 +149,16 @@ fn main() {
                 }));
             }
             "--jobs" => {
-                let n = cli::positive("--jobs", iter.next()).unwrap_or_else(|e| {
+                jobs = cli::positive("--jobs", iter.next()).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
                 });
-                runner::set_jobs(n);
             }
-            _ => {
-                if let Some(n) = a.strip_prefix("--jobs=") {
-                    match cli::positive("--jobs", Some(n.to_string())) {
-                        Ok(n) => runner::set_jobs(n),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        }
-                    }
-                } else if a.starts_with("--") {
-                    eprintln!("unknown option {a}");
-                    std::process::exit(2);
-                } else {
-                    wanted.push(a);
-                }
+            _ if a.starts_with("--") => {
+                eprintln!("unknown option {a}");
+                std::process::exit(2);
             }
+            _ => wanted.push(a),
         }
     }
     let selected = figures::select(&wanted).unwrap_or_else(|e| {
@@ -209,6 +196,13 @@ fn main() {
             std::process::exit(2);
         }
     });
+    let spans = match (&trace_writer, trace_chunks) {
+        (None, _) => Spans::Off,
+        (Some(_), false) => Spans::Cells,
+        (Some(_), true) => Spans::Chunks,
+    };
+    let run = Run::new(jobs, spans);
+    runner::install(run.clone());
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("--csv: cannot create {}: {e}", dir.display());
@@ -242,7 +236,6 @@ fn main() {
     // emitted table is byte-identical at any `--jobs` setting — the
     // property the CI coherence-determinism leg diffs.
     if coherence_pass {
-        registry::reset_global();
         println!("{}", sac_experiments::coherence::coherence_table(protocol));
         // The sweep bumps the coherence.* registry counters; with
         // `--bench-json` they ship as a small standalone artifact so the
@@ -250,7 +243,7 @@ fn main() {
         if let Some((path, f)) = bench_writer.as_mut() {
             let report = format!(
                 "{{\n  \"schema\": \"sac-bench-coherence-v1\",\n  \"registry\": {}\n}}\n",
-                registry::snapshot().to_json(2).trim_start()
+                run.registry().to_json(2).trim_start()
             );
             if let Err(e) = f.write_all(report.as_bytes()) {
                 eprintln!("failed to write {path}: {e}");
@@ -261,24 +254,17 @@ fn main() {
         return;
     }
 
-    runner::reset_stats();
-    registry::reset_global();
-    let tracing = trace_writer.is_some();
-    if tracing {
-        span::reset();
-        span::set_enabled(true);
-        runner::set_chunk_spans(trace_chunks);
-    }
+    let tracing = spans != Spans::Off;
     let start = Instant::now();
 
     let needs_suite = selected.iter().any(|f| f.needs_suite());
     runner::set_figure_seq(0);
-    let suite_span_start = tracing.then(span::now_us);
+    let suite_span_start = tracing.then(|| run.now_us());
     let suite = needs_suite.then(|| {
         eprintln!(
             "generating {} benchmark traces on {} worker(s)...",
             if small { "small" } else { "paper-scale" },
-            runner::jobs()
+            run.jobs()
         );
         let mut suite = if small {
             Suite::small()
@@ -291,24 +277,24 @@ fn main() {
         suite
     });
     if let (Some(s0), true) = (suite_span_start, needs_suite) {
-        span::record(Span::new(
+        run.record_span(Span::new(
             "suite",
             SpanLevel::Figure,
             SpanKey::default(),
             0,
             s0,
-            span::now_us().saturating_sub(s0),
+            run.now_us().saturating_sub(s0),
         ));
-        span::sample_rss(peak_rss_bytes());
+        run.sample_rss(peak_rss_bytes());
     }
 
     let mut figure_walls: Vec<(String, f64)> = Vec::new();
     for (seq, fig) in selected.iter().enumerate() {
         // Figure sequence numbers start at 1: 0 is suite generation.
         runner::set_figure_seq(seq as u32 + 1);
-        let before = runner::cells_done();
+        let before = run.cells_done();
         let figure_start = Instant::now();
-        let span_start = tracing.then(span::now_us);
+        let span_start = tracing.then(|| run.now_us());
         let t = fig.build(suite.as_ref(), small);
         if markdown {
             println!("{}", t.to_markdown());
@@ -317,10 +303,10 @@ fn main() {
         }
         let wall = figure_start.elapsed();
         figure_walls.push((fig.id.to_string(), wall.as_secs_f64()));
-        let cells = runner::cells_done() - before;
+        let cells = run.cells_done() - before;
         eprintln!("{}: {cells} cells in {wall:.2?}", fig.id);
         if let Some(s0) = span_start {
-            span::record(
+            run.record_span(
                 Span::new(
                     fig.id,
                     SpanLevel::Figure,
@@ -330,11 +316,11 @@ fn main() {
                     },
                     0,
                     s0,
-                    span::now_us().saturating_sub(s0),
+                    run.now_us().saturating_sub(s0),
                 )
                 .arg("cells", cells as u64),
             );
-            span::sample_rss(peak_rss_bytes());
+            run.sample_rss(peak_rss_bytes());
         }
         if let Some(dir) = &csv_dir {
             let path = dir.join(format!("{}.csv", fig.id));
@@ -347,11 +333,11 @@ fn main() {
     }
 
     let total_wall = start.elapsed();
-    eprint!("{}", runner::summary(total_wall));
+    eprint!("{}", run.summary(total_wall));
     // Latency lanes (DESIGN.md §11.1): engines that priced several
     // latencies from one tag walk, the cells they carried, and the lanes
     // that diverged and replayed alone. CI greps this line.
-    let reg = registry::snapshot();
+    let reg = run.registry();
     eprintln!(
         "lanes: {} engines, {} cells, {} diverged",
         reg.counter("lanes.engines"),
@@ -382,6 +368,7 @@ fn main() {
 
     if let Some((path, f)) = bench_writer.as_mut() {
         let report = bench_report(
+            &run,
             suite.as_ref(),
             &figure_walls,
             total_wall.as_secs_f64(),
@@ -397,21 +384,21 @@ fn main() {
     if let Some((path, f)) = trace_writer.as_mut() {
         // The run span closes over everything recorded above, bench and
         // telemetry cells included.
-        span::record(Span::new(
+        run.record_span(Span::new(
             "figures",
             SpanLevel::Run,
             SpanKey::default(),
             0,
             0,
-            span::now_us(),
+            run.now_us(),
         ));
-        span::sample_rss(peak_rss_bytes());
+        run.sample_rss(peak_rss_bytes());
         let mode = if trace_logical {
             TraceMode::Logical
         } else {
             TraceMode::Wall
         };
-        let (spans, rss) = span::snapshot();
+        let (spans, rss) = run.recorded_spans();
         if let Err(e) = span::check_nesting(&spans, mode) {
             eprintln!("--trace-json: span nesting violated (tracer bug): {e}");
             std::process::exit(1);
@@ -420,7 +407,6 @@ fn main() {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-        span::set_enabled(false);
         eprintln!(
             "wrote {} pipeline span(s) ({} mode) to {path}",
             spans.len(),
@@ -431,7 +417,7 @@ fn main() {
     // The store summary is the line the CI cold/warm smoke greps for: a
     // warm run over an unchanged suite must report hits and no replays.
     if let Some(store) = &store {
-        let reg = registry::snapshot();
+        let reg = run.registry();
         eprintln!(
             "store: {} hit(s), {} miss(es), {} entr{} in {}",
             reg.counter("store.hits"),
@@ -442,7 +428,7 @@ fn main() {
         );
     }
 
-    let reg = registry::snapshot();
+    let reg = run.registry();
     if !reg.is_empty() {
         eprint!("{}", reg.render_text());
     }
@@ -603,6 +589,7 @@ const BENCH_LEN: usize = 2_000_000;
 /// micro-benchmarks over `bench_len`-reference shapes, the peak-RSS
 /// estimate and the per-figure wall-clock of the run that just finished.
 fn bench_report(
+    run: &Run,
     suite: Option<&Suite>,
     figure_walls: &[(String, f64)],
     total_wall: f64,
@@ -629,7 +616,7 @@ fn bench_report(
         ("miss_heavy", miss_heavy_trace(bench_len)),
     ];
     let mut out = String::from("{\n  \"schema\": \"sac-bench-replay-v4\",\n");
-    out.push_str(&format!("  \"jobs\": {},\n", runner::jobs()));
+    out.push_str(&format!("  \"jobs\": {},\n", run.jobs()));
     out.push_str("  \"replay\": {\n");
     // `refs_per_sec` is the rate the `explain --bench-guard` tripwire
     // re-times on the same host.
@@ -658,12 +645,12 @@ fn bench_report(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&spans_json());
+    out.push_str(&spans_json(&run.cells()));
     // The registry snapshot rides along so one artifact carries the
     // whole run's counters (cells, chunks, refs, per-track busy time).
     out.push_str(&format!(
         "  \"registry\": {}\n",
-        registry::snapshot().to_json(2).trim_start()
+        run.registry().to_json(2).trim_start()
     ));
     out.push_str("}\n");
     out
@@ -672,9 +659,8 @@ fn bench_report(
 /// Runner-level spans from the observability ledger: aggregate queue /
 /// occupancy totals plus the most expensive cells (wall time, chunk
 /// count, refs/sec throughput).
-fn spans_json() -> String {
+fn spans_json(cells: &[runner::CellStat]) -> String {
     const TOP: usize = 10;
-    let cells = runner::cells();
     let total_chunks: u64 = cells.iter().map(|c| c.chunks).sum();
     let total_wall: f64 = cells.iter().map(|c| c.wall.as_secs_f64()).sum();
     let mut slowest: Vec<_> = cells.iter().collect();
@@ -703,7 +689,7 @@ fn spans_json() -> String {
     let busy: Vec<(String, f64)> = {
         let mut per_track: std::collections::BTreeMap<String, f64> =
             std::collections::BTreeMap::new();
-        for c in &cells {
+        for c in cells {
             *per_track.entry(c.track()).or_insert(0.0) += c.wall.as_secs_f64();
         }
         per_track.into_iter().collect()
@@ -728,9 +714,10 @@ mod tests {
     /// mode or ratio fields.
     #[test]
     fn bench_report_labels_are_unique_and_the_schema_is_v4() {
-        runner::reset_stats();
-        let report = bench_report(None, &[("figure".to_string(), 0.5)], 1.0, 4_096);
-        let labels: Vec<String> = runner::cells().into_iter().map(|c| c.label).collect();
+        let run = Run::default();
+        runner::install(run.clone());
+        let report = bench_report(&run, None, &[("figure".to_string(), 0.5)], 1.0, 4_096);
+        let labels: Vec<String> = run.cells().into_iter().map(|c| c.label).collect();
         assert_eq!(labels.len(), 3 * 3 * 3, "3 shapes x 3 rounds x 3 engines");
         let mut unique = labels.clone();
         unique.sort();

@@ -15,8 +15,7 @@
 //! * [`coherence_table`] — the private-vs-shared sweep itself, over two
 //!   suite kernels and the two sharing microkernels.
 
-use crate::Table;
-use sac_obs::registry;
+use crate::{runner, Table};
 use sac_simcache::{
     CacheGeometry, CoherentSystem, CpuCoherence, Dragon, MemoryModel, Mesi, Metrics,
 };
@@ -112,10 +111,10 @@ pub fn run_coherent(
             bus_occupancy,
         };
         let t = s.coherence_totals();
-        registry::global_counter_add("coherence.invalidations", t.invalidations_received);
-        registry::global_counter_add("coherence.upgrades", t.upgrades);
-        registry::global_counter_add("coherence.c2c_fills", t.c2c_fills);
-        registry::global_counter_add("coherence.bus_occupancy", bus_occupancy);
+        runner::counter_add("coherence.invalidations", t.invalidations_received);
+        runner::counter_add("coherence.upgrades", t.upgrades);
+        runner::counter_add("coherence.c2c_fills", t.c2c_fills);
+        runner::counter_add("coherence.bus_occupancy", bus_occupancy);
         s
     };
     match protocol {

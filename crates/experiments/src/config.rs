@@ -162,52 +162,32 @@ impl Config {
     }
 
     /// Resolves a CLI configuration name (the `--config`/`--diff`
-    /// vocabulary of the `explain` binary) to its standard-geometry
-    /// configuration. `None` for unknown names; [`Config::CLI_NAMES`]
-    /// lists the accepted ones.
+    /// vocabulary of the `explain` binary and the `-c` vocabulary of
+    /// `sac simulate`) to its standard-geometry configuration: one of
+    /// [`Config::all_organizations`], `bypass-plain` (bypass without a
+    /// line buffer) or `soft-prefetch`. `None` for unknown names;
+    /// [`Config::CLI_NAMES`] lists the accepted ones.
     pub fn by_name(name: &str) -> Option<Config> {
-        let geom = CacheGeometry::standard();
-        let mem = MemoryModel::default();
-        Some(match name {
-            "standard" => Config::standard(),
-            "victim" => Config::standard_victim(),
-            "bypass" => Config::Bypass {
-                geom,
-                mem,
-                mode: BypassMode::Buffered { lines: 4 },
-            },
-            "prefetch" => Config::HwPrefetch {
-                geom,
-                mem,
-                lines: 8,
-            },
-            "stream" => Config::StreamBuffer {
-                geom,
-                mem,
-                buffers: 4,
-                depth: 4,
-            },
-            "colassoc" => Config::ColumnAssoc { geom, mem },
-            "assist" => Config::Assist {
-                geom,
-                mem,
-                lines: 16,
-            },
-            "soft" => Config::soft(),
-            "soft-prefetch" => match Config::soft() {
-                Config::Soft(mut c) => {
-                    c.prefetch = true;
-                    Config::Soft(c)
-                }
-                _ => unreachable!(),
-            },
-            _ => return None,
-        })
+        let bypass_plain = Config::Bypass {
+            geom: CacheGeometry::standard(),
+            mem: MemoryModel::default(),
+            mode: BypassMode::Plain,
+        };
+        let soft_prefetch = Config::Soft(SoftCacheConfig::soft().with_prefetch(true));
+        Config::all_organizations()
+            .into_iter()
+            .chain([
+                ("bypass-plain", bypass_plain),
+                ("soft-prefetch", soft_prefetch),
+            ])
+            .find(|&(n, _)| n == name)
+            .map(|(_, config)| config)
     }
 
-    /// The names [`Config::by_name`] accepts, for usage messages.
-    pub const CLI_NAMES: &'static str =
-        "standard | victim | bypass | prefetch | stream | colassoc | assist | soft | soft-prefetch";
+    /// The names [`Config::by_name`] accepts, for usage messages and
+    /// `sac list`.
+    pub const CLI_NAMES: &'static str = "standard | victim | bypass | prefetch | stream | \
+         colassoc | assist | soft | bypass-plain | soft-prefetch";
 
     /// The main-cache geometry and memory model of this configuration —
     /// the shape a baseline or an observer config is derived from.
@@ -446,6 +426,16 @@ mod tests {
             Config::by_name("soft-prefetch"),
             Some(Config::Soft(c)) if c.prefetch
         ));
+        assert!(matches!(
+            Config::by_name("bypass-plain"),
+            Some(Config::Bypass {
+                mode: BypassMode::Plain,
+                ..
+            })
+        ));
+        for name in Config::CLI_NAMES.split(" | ") {
+            assert!(Config::by_name(name).is_some(), "{name}");
+        }
         assert_eq!(Config::by_name("nope"), None);
     }
 

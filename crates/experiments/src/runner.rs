@@ -21,40 +21,232 @@
 //! only: the build environment is offline, so rayon/crossbeam are not
 //! available.
 //!
-//! The runner also carries a lightweight observability layer: every cell
-//! records its wall time and simulated-cycle counters into a process-wide
-//! ledger, which [`summary`] folds into a [`RunSummary`] (cells done,
-//! slowest cells, aggregate speedup) for the `figures` binary.
+//! The runner also owns the sweep's run ([`Run`]): its options (the
+//! worker count and the span setting) and its records (the cell ledger,
+//! the pipeline spans and the metrics registry). Every cell records its
+//! wall time and simulated-cycle counters into the ledger of the calling
+//! thread's run, which [`Run::summary`] folds into a [`RunSummary`]
+//! (cells done, slowest cells, aggregate speedup) for the `figures`
+//! binary.
 
-use sac_obs::registry;
-use sac_obs::span::{self, Span, SpanKey, SpanLevel};
+use sac_obs::span::{Span, SpanKey, SpanLevel};
+use sac_obs::MetricsRegistry;
 use sac_simcache::{CacheSim, Metrics};
 use sac_trace::io::{ChunkSource, ReadError};
 use sac_trace::{Access, Trace};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::Config;
 
-/// The configured worker count: 0 means "not set, use all cores".
-static JOBS: AtomicUsize = AtomicUsize::new(0);
+/// How much of the pipeline a run records as spans (DESIGN.md §13.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Spans {
+    /// No spans (the default).
+    #[default]
+    Off,
+    /// One span per cell, plus the figure and run spans a bin records.
+    Cells,
+    /// Cell spans plus one span per replay chunk (`--trace-chunks`).
+    Chunks,
+}
 
-/// Whether batch replays record one span per chunk (`--trace-chunks`).
-static CHUNK_SPANS: AtomicBool = AtomicBool::new(false);
+/// One sweep's options and records.
+///
+/// The options are the worker count and the span setting; the records
+/// are the cell ledger, the pipeline spans with their epoch and RSS
+/// samples, and the metrics registry. A clone shares the records. The
+/// thread that runs a sweep holds its run ([`install`]), and
+/// [`par_map`] hands a clone to each worker, so everything the workers
+/// record lands in the caller's run and a run on another thread sees
+/// none of it.
+#[derive(Clone)]
+pub struct Run {
+    jobs: usize,
+    spans: Spans,
+    records: Arc<Records>,
+}
+
+/// The shared half of a [`Run`]: the span clock's epoch and the log.
+struct Records {
+    epoch: Instant,
+    log: Mutex<Log>,
+}
+
+#[derive(Default)]
+struct Log {
+    cells: Vec<CellStat>,
+    spans: Vec<Span>,
+    /// `(us since the epoch, bytes)` RSS samples.
+    rss: Vec<(u64, u64)>,
+    registry: MetricsRegistry,
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run::new(0, Spans::Off)
+    }
+}
+
+impl Run {
+    /// A run with empty records whose span clock starts now. `jobs` is
+    /// the worker count: `0` means all cores, `1` the zero-thread
+    /// sequential path.
+    pub fn new(jobs: usize, spans: Spans) -> Self {
+        Run {
+            jobs,
+            spans,
+            records: Arc::new(Records {
+                epoch: Instant::now(),
+                log: Mutex::new(Log::default()),
+            }),
+        }
+    }
+
+    /// The effective worker count of this run's sweeps.
+    pub fn jobs(&self) -> usize {
+        match self.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+    }
+
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.records.log.lock().expect("run log poisoned")
+    }
+
+    /// Microseconds since the run was made (the span clock).
+    pub fn now_us(&self) -> u64 {
+        self.records.epoch.elapsed().as_micros() as u64
+    }
+
+    /// Records one completed span, unless spans are off.
+    pub fn record_span(&self, span: Span) {
+        if self.spans != Spans::Off {
+            self.log().spans.push(span);
+        }
+    }
+
+    /// Records an RSS sample (bytes) at the current span-clock offset,
+    /// unless spans are off. Exported as a Chrome counter track in wall
+    /// mode.
+    pub fn sample_rss(&self, bytes: u64) {
+        if self.spans != Spans::Off {
+            let ts = self.now_us();
+            self.log().rss.push((ts, bytes));
+        }
+    }
+
+    /// The recorded spans and RSS samples, in recording order.
+    pub fn recorded_spans(&self) -> (Vec<Span>, Vec<(u64, u64)>) {
+        let log = self.log();
+        (log.spans.clone(), log.rss.clone())
+    }
+
+    /// Adds `delta` to the registry counter `name`.
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        self.log().registry.counter_add(name, delta);
+    }
+
+    /// The run's metrics registry, with the `sweep.*` entries folded from
+    /// the ledger: `sweep.cells`, `sweep.chunks`, `sweep.refs`, per-track
+    /// `sweep.busy_us.<track>` and the `sweep.cell_wall_us` histogram.
+    pub fn registry(&self) -> MetricsRegistry {
+        let log = self.log();
+        let mut reg = log.registry.clone();
+        for c in &log.cells {
+            let wall_us = c.wall.as_micros() as u64;
+            reg.counter_add("sweep.cells", 1);
+            if c.chunks > 0 {
+                reg.counter_add("sweep.chunks", c.chunks);
+            }
+            if c.metrics.refs > 0 {
+                reg.counter_add("sweep.refs", c.metrics.refs);
+            }
+            reg.counter_add(&format!("sweep.busy_us.{}", c.track()), wall_us);
+            reg.hist_record("sweep.cell_wall_us", wall_us);
+        }
+        reg
+    }
+
+    /// A snapshot of the ledger, in recording order.
+    pub fn cells(&self) -> Vec<CellStat> {
+        self.log().cells.clone()
+    }
+
+    /// Cells in the ledger.
+    pub fn cells_done(&self) -> usize {
+        self.log().cells.len()
+    }
+
+    /// Appends one cell to the ledger, attributed to the calling
+    /// thread's worker track and queue wait; `chunks` is how many replay
+    /// chunks the engine consumed.
+    fn record_cell(&self, label: String, wall: Duration, chunks: u64, metrics: Metrics) {
+        let (worker, queue_wait_us) = CTX.with(|c| {
+            let ctx = c.borrow();
+            (ctx.worker, ctx.queue_wait_us)
+        });
+        self.log().cells.push(CellStat {
+            label,
+            wall,
+            chunks,
+            metrics,
+            worker,
+            queue_wait: Duration::from_micros(queue_wait_us),
+        });
+    }
+
+    /// Records a cell-level span from `start_us` to now under a claimed
+    /// slot: the one span-recording path of every kind of cell.
+    fn cell_span(&self, name: String, claim: Claim, start_us: u64, args: &[(&'static str, u64)]) {
+        let mut span = Span::new(
+            name,
+            SpanLevel::Cell,
+            claim.key,
+            claim.worker,
+            start_us,
+            self.now_us().saturating_sub(start_us),
+        );
+        span.args.extend_from_slice(args);
+        self.record_span(span.wall_arg("queue_wait_us", claim.queue_wait_us));
+    }
+
+    /// Folds the ledger into a [`RunSummary`] for a run that took
+    /// `elapsed`.
+    pub fn summary(&self, elapsed: Duration) -> RunSummary {
+        let cells = self.cells();
+        let totals = Metrics::merged(cells.iter().map(|c| &c.metrics));
+        let cell_wall = cells.iter().map(|c| c.wall).sum();
+        let mut slowest = cells.clone();
+        slowest.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
+        slowest.truncate(5);
+        RunSummary {
+            jobs: self.jobs(),
+            cells: cells.len(),
+            totals,
+            cell_wall,
+            elapsed,
+            slowest,
+        }
+    }
+}
 
 /// The `item` span-key component of work running outside any
 /// [`par_map`] (directly on the calling thread).
 const MAIN_ITEM: u32 = u32::MAX;
 
-/// Per-thread sweep context: which span track this thread records on
-/// (0 = main thread, `w + 1` = pool worker `w`), which (figure, item)
-/// it is executing, the per-item cell sequence counter, and how long
-/// the claimed item waited in the queue. Everything the ledger and the
-/// span layer need to attribute a cell is read from here, so recording
-/// never guesses from completion order.
-#[derive(Clone, Copy)]
+/// Per-thread sweep context: the run this thread records into, which
+/// span track it records on (0 = main thread, `w + 1` = pool worker
+/// `w`), which (figure, item) it is executing, the per-item cell
+/// sequence counter, and how long the claimed item waited in the queue.
+/// Everything the ledger and the spans need to attribute a cell is read
+/// from here, so recording never guesses from completion order.
+#[derive(Clone)]
 struct SweepCtx {
+    run: Run,
     worker: u32,
     figure: u32,
     item: u32,
@@ -63,15 +255,26 @@ struct SweepCtx {
 }
 
 thread_local! {
-    static CTX: std::cell::Cell<SweepCtx> = const {
-        std::cell::Cell::new(SweepCtx {
-            worker: 0,
-            figure: 0,
-            item: MAIN_ITEM,
-            slot: 0,
-            queue_wait_us: 0,
-        })
-    };
+    static CTX: RefCell<SweepCtx> = RefCell::new(SweepCtx {
+        run: Run::default(),
+        worker: 0,
+        figure: 0,
+        item: MAIN_ITEM,
+        slot: 0,
+        queue_wait_us: 0,
+    });
+}
+
+/// Makes `run` the calling thread's run: the sweeps this thread starts
+/// from now on record into it and use its options. A thread that never
+/// installs one has its own default run (all cores, spans off).
+pub fn install(run: Run) {
+    CTX.with(|c| c.borrow_mut().run = run);
+}
+
+/// The calling thread's run (a clone sharing its records).
+fn current() -> Run {
+    CTX.with(|c| c.borrow().run.clone())
 }
 
 /// Sets the calling thread's figure sequence number for subsequent
@@ -82,43 +285,66 @@ thread_local! {
 /// worker scheduling.
 pub fn set_figure_seq(seq: u32) {
     CTX.with(|c| {
-        c.set(SweepCtx {
-            worker: c.get().worker,
-            figure: seq,
-            item: MAIN_ITEM,
-            slot: 0,
-            queue_wait_us: 0,
-        })
+        let mut ctx = c.borrow_mut();
+        ctx.figure = seq;
+        ctx.item = MAIN_ITEM;
+        ctx.slot = 0;
+        ctx.queue_wait_us = 0;
     });
 }
 
-/// Enables one span per replay chunk (high volume; `--trace-chunks`).
-pub fn set_chunk_spans(on: bool) {
-    CHUNK_SPANS.store(on, Ordering::SeqCst);
+/// Sets the worker count of the calling thread's run (the `--jobs N`
+/// flag). `1` forces the sequential path; `0` means all cores.
+pub fn set_jobs(n: usize) {
+    CTX.with(|c| c.borrow_mut().run.jobs = n);
 }
 
-fn chunk_spans() -> bool {
-    CHUNK_SPANS.load(Ordering::SeqCst)
+/// Sets the span setting of the calling thread's run.
+pub fn set_spans(spans: Spans) {
+    CTX.with(|c| c.borrow_mut().run.spans = spans);
+}
+
+/// Clears the ledger of the calling thread's run (between repeated
+/// sweeps in one process, so they do not blend).
+pub fn reset_stats() {
+    CTX.with(|c| c.borrow().run.log().cells.clear());
+}
+
+/// A snapshot of the calling thread's ledger, in recording order.
+pub fn cells() -> Vec<CellStat> {
+    CTX.with(|c| c.borrow().run.cells())
+}
+
+/// Adds `delta` to the counter `name` of the calling thread's registry.
+pub(crate) fn counter_add(name: &str, delta: u64) {
+    CTX.with(|c| c.borrow().run.counter_add(name, delta));
 }
 
 /// Binds the calling thread to item `item` of figure `figure`'s grid.
 fn claim_item(worker: u32, figure: u32, item: u32, queue_wait: Duration) {
     CTX.with(|c| {
-        c.set(SweepCtx {
-            worker,
-            figure,
-            item,
-            slot: 0,
-            queue_wait_us: queue_wait.as_micros() as u64,
-        })
+        let mut ctx = c.borrow_mut();
+        ctx.worker = worker;
+        ctx.figure = figure;
+        ctx.item = item;
+        ctx.slot = 0;
+        ctx.queue_wait_us = queue_wait.as_micros() as u64;
     });
 }
 
-/// Claims the next cell slot on this thread: the deterministic span
-/// key plus `(worker, queue_wait_us)` attribution.
-fn claim_slot() -> (SpanKey, u32, u64) {
+/// A claimed cell slot: the deterministic span key plus the
+/// `(worker, queue_wait_us)` attribution.
+#[derive(Clone, Copy)]
+struct Claim {
+    key: SpanKey,
+    worker: u32,
+    queue_wait_us: u64,
+}
+
+/// Claims the next cell slot on this thread.
+fn claim_slot() -> Claim {
     CTX.with(|c| {
-        let mut ctx = c.get();
+        let mut ctx = c.borrow_mut();
         let key = SpanKey {
             figure: ctx.figure,
             item: ctx.item,
@@ -126,31 +352,12 @@ fn claim_slot() -> (SpanKey, u32, u64) {
             chunk: 0,
         };
         ctx.slot += 1;
-        c.set(ctx);
-        (key, ctx.worker, ctx.queue_wait_us)
+        Claim {
+            key,
+            worker: ctx.worker,
+            queue_wait_us: ctx.queue_wait_us,
+        }
     })
-}
-
-/// The calling thread's `(worker, queue_wait_us)` attribution.
-fn attribution() -> (u32, u64) {
-    CTX.with(|c| {
-        let ctx = c.get();
-        (ctx.worker, ctx.queue_wait_us)
-    })
-}
-
-/// Sets the worker count for subsequent sweeps (the `--jobs N` flag).
-/// `1` forces the sequential path; `0` resets to "all cores".
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::SeqCst);
-}
-
-/// The effective worker count for the next sweep.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
 }
 
 /// Deterministic parallel map: applies `f` to every item and returns the
@@ -173,7 +380,8 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_workers(items, jobs(), f)
+    let jobs = CTX.with(|c| c.borrow().run.jobs());
+    par_map_workers(items, jobs, f)
 }
 
 /// [`par_map`] with an explicit worker count (the testable core).
@@ -185,8 +393,9 @@ where
 {
     let n = items.len();
     let workers = workers.max(1).min(n);
-    // Every item records under the caller's figure sequence number.
-    let saved = CTX.with(|c| c.get());
+    // Every item records into the caller's run, under its figure
+    // sequence number.
+    let saved = CTX.with(|c| c.borrow().clone());
     if workers <= 1 {
         // Sequential path: items still claim `(item, slot)` contexts so
         // recorded cells carry the same deterministic span keys as the
@@ -200,7 +409,7 @@ where
                 f(i, t)
             })
             .collect();
-        CTX.with(|c| c.set(saved));
+        CTX.with(|c| *c.borrow_mut() = saved);
         return out;
     }
 
@@ -215,14 +424,18 @@ where
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                claim_item(w as u32 + 1, saved.figure, i as u32, sweep_start.elapsed());
-                if tx.send((i, f(i, &items[i]))).is_err() {
-                    break;
+            let saved = &saved;
+            scope.spawn(move || {
+                install(saved.run.clone());
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    claim_item(w as u32 + 1, saved.figure, i as u32, sweep_start.elapsed());
+                    if tx.send((i, f(i, &items[i]))).is_err() {
+                        break;
+                    }
                 }
             });
         }
@@ -266,11 +479,13 @@ pub const REPLAY_CHUNK: usize = sac_trace::io::DEFAULT_CHUNK;
 /// assert_eq!(metrics[0], Config::standard().run(&trace));
 /// assert_eq!(metrics[1], Config::soft().run(&trace));
 /// ```
-#[derive(Default)]
 pub struct ReplayBatch {
     engines: Vec<BatchSlot>,
     /// Cells pushed so far (an engine with latency lanes carries several).
     cells: usize,
+    /// The run the batch records into, and whose span setting it reads,
+    /// taken from the calling thread once, when the batch is made.
+    run: Run,
     span: Option<BatchSpan>,
 }
 
@@ -288,15 +503,24 @@ struct BatchSlot {
 /// unit a thread executes, so it records as one cell-level span (with
 /// optional per-chunk child spans).
 struct BatchSpan {
-    key: SpanKey,
-    worker: u32,
-    queue_wait_us: u64,
+    claim: Claim,
     start_us: u64,
     chunk_seq: u32,
 }
 
+impl Default for ReplayBatch {
+    fn default() -> Self {
+        ReplayBatch {
+            engines: Vec::new(),
+            cells: 0,
+            run: current(),
+            span: None,
+        }
+    }
+}
+
 impl ReplayBatch {
-    /// An empty batch.
+    /// An empty batch recording into the calling thread's run.
     pub fn new() -> Self {
         ReplayBatch::default()
     }
@@ -337,33 +561,20 @@ impl ReplayBatch {
         self.engines.is_empty()
     }
 
-    /// Opens the batch's cell-level span (claiming this thread's next
-    /// slot), if span recording is on. [`ReplayBatch::feed`] calls it on
-    /// the first chunk, so every way of driving a batch records its span.
-    fn begin_span(&mut self) {
-        if !span::enabled() {
-            return;
-        }
-        let (key, worker, queue_wait_us) = claim_slot();
-        self.span = Some(BatchSpan {
-            key,
-            worker,
-            queue_wait_us,
-            start_us: span::now_us(),
-            chunk_seq: 0,
-        });
-    }
-
     /// Drives every engine over one decoded chunk (in push order)
-    /// through its [`CacheSim::run_chunk`].
+    /// through its [`CacheSim::run_chunk`]. With spans on, the first
+    /// chunk opens the batch's cell-level span (claiming this thread's
+    /// next slot), so every way of driving a batch records its span.
     pub fn feed(&mut self, chunk: &[Access]) {
-        if self.span.is_none() {
-            self.begin_span();
+        let spans = self.run.spans;
+        if spans != Spans::Off && self.span.is_none() {
+            self.span = Some(BatchSpan {
+                claim: claim_slot(),
+                start_us: self.run.now_us(),
+                chunk_seq: 0,
+            });
         }
-        let chunk_span_start = match &self.span {
-            Some(_) if chunk_spans() => Some(span::now_us()),
-            _ => None,
-        };
+        let chunk_span_start = (spans == Spans::Chunks).then(|| self.run.now_us());
         for slot in &mut self.engines {
             let start = Instant::now();
             slot.engine.run_chunk(chunk);
@@ -371,17 +582,17 @@ impl ReplayBatch {
             slot.chunks += 1;
         }
         if let (Some(start_us), Some(bs)) = (chunk_span_start, &mut self.span) {
-            span::record(
+            self.run.record_span(
                 Span::new(
                     format!("chunk{}", bs.chunk_seq),
                     SpanLevel::Chunk,
                     SpanKey {
                         chunk: bs.chunk_seq,
-                        ..bs.key
+                        ..bs.claim.key
                     },
-                    bs.worker,
+                    bs.claim.worker,
                     start_us,
-                    span::now_us().saturating_sub(start_us),
+                    self.run.now_us().saturating_sub(start_us),
                 )
                 .arg("refs", chunk.len() as u64),
             );
@@ -413,9 +624,9 @@ impl ReplayBatch {
             let share = slot.wall / lanes.len() as u32;
             if lanes.len() > 1 {
                 let diverged = lanes.iter().filter(|m| m.is_none()).count() as u64;
-                registry::global_counter_add("lanes.engines", 1);
-                registry::global_counter_add("lanes.cells", lanes.len() as u64);
-                registry::global_counter_add("lanes.diverged", diverged);
+                self.run.counter_add("lanes.engines", 1);
+                self.run.counter_add("lanes.cells", lanes.len() as u64);
+                self.run.counter_add("lanes.diverged", diverged);
             }
             for ((index, label, config), lane) in slot.cells.into_iter().zip(lanes) {
                 let (m, wall) = match lane {
@@ -434,26 +645,22 @@ impl ReplayBatch {
         let metrics: Vec<Metrics> = done
             .into_iter()
             .map(|(_, label, wall, chunks, m)| {
-                record_cell_span(label, wall, chunks, m);
+                self.run.record_cell(label, wall, chunks, m);
                 m
             })
             .collect();
         if let Some(bs) = self.span {
             let refs: u64 = metrics.iter().map(|m| m.refs).sum();
-            span::record(
-                Span::new(
-                    name,
-                    SpanLevel::Cell,
-                    bs.key,
-                    bs.worker,
-                    bs.start_us,
-                    span::now_us().saturating_sub(bs.start_us),
-                )
-                .arg("engines", engines)
-                .arg("cells", metrics.len() as u64)
-                .arg("chunks", chunks)
-                .arg("refs", refs)
-                .wall_arg("queue_wait_us", bs.queue_wait_us),
+            self.run.cell_span(
+                name,
+                bs.claim,
+                bs.start_us,
+                &[
+                    ("engines", engines),
+                    ("cells", metrics.len() as u64),
+                    ("chunks", chunks),
+                    ("refs", refs),
+                ],
             );
         }
         metrics
@@ -553,11 +760,8 @@ pub fn replay_generated<E>(
     let start = Instant::now();
     generate(&mut batch)?;
     let replay: Duration = batch.engines.iter().map(|slot| slot.wall).sum();
-    record_cell(
-        trace_label,
-        start.elapsed().saturating_sub(replay),
-        Metrics::new(),
-    );
+    let wall = start.elapsed().saturating_sub(replay);
+    batch.run.record_cell(trace_label, wall, 0, Metrics::new());
     Ok(batch.finish())
 }
 
@@ -604,65 +808,6 @@ impl CellStat {
     }
 }
 
-fn ledger() -> &'static Mutex<Vec<CellStat>> {
-    static LEDGER: OnceLock<Mutex<Vec<CellStat>>> = OnceLock::new();
-    LEDGER.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Appends one cell to the observability ledger.
-pub fn record_cell(label: String, wall: Duration, metrics: Metrics) {
-    record_cell_span(label, wall, 0, metrics);
-}
-
-/// Appends one cell with its chunk-span information (how many replay
-/// chunks the engine consumed) to the observability ledger, attributed
-/// to the calling thread's worker track and queue wait, and bumps the
-/// run-level registry counters (`sweep.cells`, `sweep.chunks`,
-/// `sweep.refs`, per-track busy time, cell-wall histogram).
-pub fn record_cell_span(label: String, wall: Duration, chunks: u64, metrics: Metrics) {
-    let (worker, queue_wait_us) = attribution();
-    let wall_us = wall.as_micros() as u64;
-    registry::global_counter_add("sweep.cells", 1);
-    if chunks > 0 {
-        registry::global_counter_add("sweep.chunks", chunks);
-    }
-    if metrics.refs > 0 {
-        registry::global_counter_add("sweep.refs", metrics.refs);
-    }
-    let track = if worker == 0 {
-        "main".to_string()
-    } else {
-        format!("w{:02}", worker - 1)
-    };
-    registry::global_counter_add(&format!("sweep.busy_us.{track}"), wall_us);
-    registry::global_hist_record("sweep.cell_wall_us", wall_us);
-    ledger().lock().expect("ledger poisoned").push(CellStat {
-        label,
-        wall,
-        chunks,
-        metrics,
-        worker,
-        queue_wait: Duration::from_micros(queue_wait_us),
-    });
-}
-
-/// Clears the ledger (the bins call this before a run so repeated sweeps
-/// in one process do not blend).
-pub fn reset_stats() {
-    ledger().lock().expect("ledger poisoned").clear();
-}
-
-/// Cells recorded since the last [`reset_stats`].
-pub fn cells_done() -> usize {
-    ledger().lock().expect("ledger poisoned").len()
-}
-
-/// A snapshot of the ledger, in recording order (the runner-level spans
-/// the `figures --bench-json` report folds in).
-pub fn cells() -> Vec<CellStat> {
-    ledger().lock().expect("ledger poisoned").clone()
-}
-
 /// Runs one engine cell under the ledger: builds the engine, drives the
 /// trace, and records wall time + metrics under `label`.
 pub fn run_cell(label: String, config: &Config, trace: &Trace) -> Metrics {
@@ -672,41 +817,30 @@ pub fn run_cell(label: String, config: &Config, trace: &Trace) -> Metrics {
 /// Times a cell whose body yields its own [`Metrics`] (engines driven
 /// directly rather than through [`Config::run`]).
 pub fn metered_cell(label: String, f: impl FnOnce() -> Metrics) -> Metrics {
-    let span_start = span::enabled().then(span::now_us);
-    let start = Instant::now();
-    let m = f();
-    let wall = start.elapsed();
-    if let Some(start_us) = span_start {
-        let (key, worker, queue_wait_us) = claim_slot();
-        span::record(
-            Span::new(label.clone(), SpanLevel::Cell, key, worker, start_us, {
-                wall.as_micros() as u64
-            })
-            .arg("refs", m.refs)
-            .wall_arg("queue_wait_us", queue_wait_us),
-        );
-    }
-    record_cell(label, wall, m);
-    m
+    cell(label, f, |m| Some(*m))
 }
 
 /// Times a non-engine cell (trace analysis, trace generation) under the
 /// ledger with zeroed simulation counters.
 pub fn timed_cell<R>(label: String, f: impl FnOnce() -> R) -> R {
-    let span_start = span::enabled().then(span::now_us);
+    cell(label, f, |_| None)
+}
+
+/// Runs `f` as one cell of the calling thread's run: times it, records
+/// its span when spans are on (with a `refs` arg when `metrics` reads
+/// counters from the result) and appends it to the ledger.
+fn cell<R>(label: String, f: impl FnOnce() -> R, metrics: impl FnOnce(&R) -> Option<Metrics>) -> R {
+    let run = current();
+    let span_start = (run.spans != Spans::Off).then(|| run.now_us());
     let start = Instant::now();
     let r = f();
     let wall = start.elapsed();
+    let m = metrics(&r);
     if let Some(start_us) = span_start {
-        let (key, worker, queue_wait_us) = claim_slot();
-        span::record(
-            Span::new(label.clone(), SpanLevel::Cell, key, worker, start_us, {
-                wall.as_micros() as u64
-            })
-            .wall_arg("queue_wait_us", queue_wait_us),
-        );
+        let refs = m.map(|m| ("refs", m.refs));
+        run.cell_span(label.clone(), claim_slot(), start_us, refs.as_slice());
     }
-    record_cell(label, wall, Metrics::new());
+    run.record_cell(label, wall, 0, m.unwrap_or_default());
     r
 }
 
@@ -770,24 +904,6 @@ impl std::fmt::Display for RunSummary {
             }
         }
         Ok(())
-    }
-}
-
-/// Folds the ledger into a [`RunSummary`] for a run that took `elapsed`.
-pub fn summary(elapsed: Duration) -> RunSummary {
-    let cells = ledger().lock().expect("ledger poisoned");
-    let totals = Metrics::merged(cells.iter().map(|c| &c.metrics));
-    let cell_wall = cells.iter().map(|c| c.wall).sum();
-    let mut slowest: Vec<CellStat> = cells.clone();
-    slowest.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
-    slowest.truncate(5);
-    RunSummary {
-        jobs: jobs(),
-        cells: cells.len(),
-        totals,
-        cell_wall,
-        elapsed,
-        slowest,
     }
 }
 
@@ -988,23 +1104,116 @@ mod tests {
 
     #[test]
     fn ledger_folds_into_a_summary() {
-        // The ledger is process-global; other tests may add cells
-        // concurrently, so assert only on a lower bound and on the cells
-        // this test contributed.
-        let label = "test/ledger/cell".to_string();
+        let run = Run::new(2, Spans::Off);
         let m = Metrics {
             refs: 7,
             mem_cycles: 21,
             ..Metrics::default()
         };
-        record_cell(label.clone(), Duration::from_millis(5), m);
-        let s = summary(Duration::from_millis(10));
-        assert!(s.cells >= 1);
-        assert!(s.totals.refs >= 7);
-        assert!(s.cell_wall >= Duration::from_millis(5));
-        assert!(s.speedup() > 0.0);
+        run.record_cell("test/ledger/a".into(), Duration::from_millis(5), 3, m);
+        run.record_cell("test/ledger/b".into(), Duration::from_millis(2), 0, m);
+        let s = run.summary(Duration::from_millis(10));
+        assert_eq!(s.jobs, 2);
+        assert_eq!(s.cells, 2);
+        assert_eq!((s.totals.refs, s.totals.mem_cycles), (14, 42));
+        assert_eq!(s.cell_wall, Duration::from_millis(7));
+        assert_eq!(s.slowest[0].label, "test/ledger/a");
+        assert!((s.speedup() - 0.7).abs() < 1e-9);
         let text = s.to_string();
-        assert!(text.contains("sweep:"), "{text}");
-        assert!(text.contains("speedup"), "{text}");
+        assert!(text.contains("sweep: 2 cells, 14 simulated refs"), "{text}");
+        let reg = run.registry();
+        assert_eq!(reg.counter("sweep.cells"), 2);
+        assert_eq!(reg.counter("sweep.chunks"), 3);
+        assert_eq!(reg.counter("sweep.refs"), 14);
+        assert_eq!(reg.counter("sweep.busy_us.main"), 7_000);
+        assert_eq!(reg.hist("sweep.cell_wall_us").unwrap().total(), 2);
+    }
+
+    /// Pool workers record every cell and every `lanes.*` and `store.*`
+    /// counter into the caller's run; a run installed on another thread
+    /// at the same time sees none of it.
+    #[test]
+    fn par_map_records_into_the_callers_run() {
+        use crate::{ResultStore, Suite};
+        use sac_simcache::{CacheGeometry, MemoryModel};
+        use std::sync::Barrier;
+
+        let barrier = Arc::new(Barrier::new(2));
+        let other = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let run = Run::new(4, Spans::Off);
+                install(run.clone());
+                timed_cell("other/cell".into(), || ());
+                barrier.wait();
+                barrier.wait();
+                run
+            })
+        };
+        let run = Run::new(4, Spans::Off);
+        install(run.clone());
+        barrier.wait();
+
+        let dir = std::env::temp_dir()
+            .join("sac-store-tests")
+            .join(format!("runner-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cold = Suite::small();
+        cold.attach_store(ResultStore::open(&dir).unwrap());
+        let mut warm = Suite::small();
+        warm.attach_store(ResultStore::open(&dir).unwrap());
+        let names: Vec<String> = cold.names().into_iter().map(String::from).collect();
+        let trace: Trace = (0..4_000u64)
+            .map(|i| Access::read(i * 40 % 65_536))
+            .collect();
+        let geom = CacheGeometry::standard();
+        par_map(&names, |i, name| {
+            let cells: Vec<(String, Config)> = [5, 10, 20]
+                .map(|latency| {
+                    let mem = MemoryModel::default().with_latency(latency);
+                    (
+                        format!("lanes/{i}/{latency}"),
+                        Config::Standard { geom, mem },
+                    )
+                })
+                .into();
+            replay_trace(&cells, &trace);
+            let config = Config::standard();
+            assert!(cold.cached(name, &config).is_none());
+            cold.store(name, &config, Metrics::default());
+            assert!(warm.cached(name, &config).is_some());
+        });
+        barrier.wait();
+        let other = other.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let benches = names.len() as u64;
+        let cells = run.cells();
+        // Two suites' trace generation, then three lane cells per item.
+        assert_eq!(cells.len() as u64, 2 * benches + 3 * benches);
+        let lane_cells: Vec<&CellStat> = cells
+            .iter()
+            .filter(|c| c.label.starts_with("lanes/"))
+            .collect();
+        assert_eq!(lane_cells.len() as u64, 3 * benches);
+        assert!(
+            lane_cells.iter().all(|c| c.worker >= 1),
+            "recorded on workers"
+        );
+        let reg = run.registry();
+        assert_eq!(reg.counter("lanes.engines"), benches);
+        assert_eq!(reg.counter("lanes.cells"), 3 * benches);
+        assert_eq!(reg.counter("lanes.diverged"), 0);
+        assert_eq!(reg.counter("store.misses"), benches);
+        assert_eq!(reg.counter("store.hits"), benches);
+        assert_eq!(reg.counter("sweep.cells"), 5 * benches);
+
+        let labels: Vec<String> = other.cells().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels, ["other/cell"]);
+        let reg = other.registry();
+        for key in ["lanes.engines", "lanes.cells", "store.hits", "store.misses"] {
+            assert_eq!(reg.counter(key), 0, "{key}");
+        }
+        assert_eq!(reg.counter("sweep.cells"), 1);
     }
 }

@@ -3,7 +3,6 @@
 use crate::store::ResultStore;
 use crate::{runner, Config};
 use sac_loopir::TraceOptions;
-use sac_obs::registry;
 use sac_simcache::Metrics;
 use sac_trace::Trace;
 use std::collections::HashMap;
@@ -123,12 +122,12 @@ impl Suite {
         let hash = *handle.hashes.get(bench)?;
         match handle.store.load(hash, config) {
             Some(m) => {
-                registry::global_counter_add("store.hits", 1);
+                runner::counter_add("store.hits", 1);
                 self.results.lock().expect("suite cache").insert(key, m);
                 Some(m)
             }
             None => {
-                registry::global_counter_add("store.misses", 1);
+                runner::counter_add("store.misses", 1);
                 None
             }
         }

@@ -1,12 +1,11 @@
 //! The parallel sweep runner's core promise: figure output is
-//! bit-identical whatever the worker count. Everything lives in one
-//! `#[test]` because the jobs setting is process-global and the test
-//! harness runs `#[test]`s concurrently.
+//! bit-identical whatever the worker count.
 
-use sac_experiments::{figures, runner, Suite, Table};
+use sac_experiments::runner::{self, Run, Spans};
+use sac_experiments::{figures, Suite, Table};
 
 fn figures_under(jobs: usize) -> (Suite, Vec<Table>) {
-    runner::set_jobs(jobs);
+    runner::install(Run::new(jobs, Spans::Off));
     // Regenerate the suite under this worker count too: trace generation
     // is itself sharded, so determinism must hold there as well.
     let suite = Suite::small();
@@ -35,7 +34,6 @@ fn figures_under(jobs: usize) -> (Suite, Vec<Table>) {
 fn parallel_and_sequential_sweeps_are_bit_identical() {
     let (suite_seq, seq) = figures_under(1);
     let (suite_par, par) = figures_under(4);
-    runner::set_jobs(0);
 
     for (name, trace) in suite_seq.entries() {
         assert_eq!(

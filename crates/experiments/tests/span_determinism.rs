@@ -2,22 +2,18 @@
 //! *logical* Chrome trace of a sweep is byte-identical at any worker
 //! count, because span keys come from `(figure, item, slot, chunk)`
 //! indices rather than scheduling, and logical timestamps are
-//! synthesized purely from key order. Everything lives in one `#[test]`
-//! because the jobs setting, the span store, and the figure sequence
-//! are process-global and the test harness runs `#[test]`s
-//! concurrently.
+//! synthesized purely from key order.
 
-use sac_experiments::{figures, runner, Suite};
+use sac_experiments::runner::{self, Run, Spans};
+use sac_experiments::{figures, Suite};
 use sac_obs::span::{self, TraceMode};
 
 /// Runs a representative sweep (suite generation, a batch-replay grid
 /// figure, a per-row trace-generation figure) under `jobs` workers with
 /// span recording on, and returns the logical Chrome trace.
 fn logical_trace_under(jobs: usize) -> String {
-    runner::set_jobs(jobs);
-    span::reset();
-    span::set_enabled(true);
-    runner::set_chunk_spans(true);
+    let run = Run::new(jobs, Spans::Chunks);
+    runner::install(run.clone());
 
     runner::set_figure_seq(0);
     let suite = Suite::small();
@@ -26,9 +22,7 @@ fn logical_trace_under(jobs: usize) -> String {
     runner::set_figure_seq(2);
     let _ = figures::fig11a(true);
 
-    span::set_enabled(false);
-    runner::set_chunk_spans(false);
-    let (spans, rss) = span::snapshot();
+    let (spans, rss) = run.recorded_spans();
     span::check_nesting(&spans, TraceMode::Logical).expect("logical spans nest");
     span::check_nesting(&spans, TraceMode::Wall).expect("wall spans nest");
     span::chrome_trace(&spans, &rss, TraceMode::Logical)
@@ -38,7 +32,6 @@ fn logical_trace_under(jobs: usize) -> String {
 fn logical_trace_is_byte_identical_across_worker_counts() {
     let sequential = logical_trace_under(1);
     let parallel = logical_trace_under(4);
-    runner::set_jobs(0);
 
     assert!(
         sequential.contains("\"cat\": \"cell\""),

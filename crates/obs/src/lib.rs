@@ -21,10 +21,12 @@
 //! the event stream into fixed-width reference windows (miss rate,
 //! AMAT contribution, 3C mix per window) with online phase detection,
 //! whose window sums reconcile *exactly* against the engine's global
-//! metrics; [`span`], a pipeline span tracer with Chrome-trace
-//! (Perfetto) export in wall and byte-deterministic logical modes; and
-//! [`registry`], a process-wide store of named counters, gauges and
-//! histograms for end-of-run snapshots and progress gauges.
+//! metrics; [`span`], pipeline span values with Chrome-trace (Perfetto)
+//! export in wall and byte-deterministic logical modes; and
+//! [`registry`], a value of named counters, gauges and histograms for
+//! end-of-run snapshots, plus a step-gated progress counter. The crate
+//! holds no process-global state: the sweep runner in `sac-experiments`
+//! owns each run's spans and registry and hands them to its workers.
 //!
 //! The differential layer (DESIGN.md §15) compares two configurations
 //! replaying the same trace in lockstep: [`OutcomeProbe`] folds each

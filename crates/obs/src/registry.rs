@@ -1,5 +1,5 @@
-//! A process-wide metrics registry: named counters, gauges and
-//! histograms for run-level observability.
+//! A metrics registry: named counters, gauges and histograms for
+//! run-level observability.
 //!
 //! The simulation probes measure *what the cache did*; the registry
 //! measures *what the pipeline did* — cells completed, chunks replayed,
@@ -7,21 +7,15 @@
 //! are dotted strings (`sweep.cells`, `worker00.busy_us`) and all maps
 //! are `BTreeMap`s, so every rendering is deterministically ordered.
 //!
-//! Two surfaces:
-//!
-//! * [`MetricsRegistry`] — a plain value for unit tests and embedding.
-//! * The `global_*` free functions — a `Mutex`-guarded process
-//!   singleton the runner and bins update; [`snapshot`] clones it for
-//!   rendering ([`MetricsRegistry::render_text`]) or JSON embedding in
-//!   `BENCH_replay.json` ([`MetricsRegistry::to_json`]).
-//!
-//! Registry updates happen at coarse boundaries only (once per cell,
-//! once per progress step) — never per reference — so the lock is cold
-//! and the replay fast path is untouched.
+//! [`MetricsRegistry`] is a plain value: each sweep run owns one (the
+//! `sac-experiments` runner keeps it with the run's other records), and
+//! renders it for stderr ([`MetricsRegistry::render_text`]) or embeds it
+//! in `BENCH_replay.json` ([`MetricsRegistry::to_json`]). Updates happen
+//! at coarse boundaries only (once per cell or engine) — never per
+//! reference — so the replay fast path is untouched.
 
 use crate::Log2Histogram;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 /// A named-metric store: monotonic counters, last-value gauges, and
 /// log2-bucketed histograms.
@@ -154,75 +148,32 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn global() -> &'static Mutex<MetricsRegistry> {
-    static REG: OnceLock<Mutex<MetricsRegistry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(MetricsRegistry::new()))
-}
-
-/// Adds `delta` to the process-global counter `name`.
-pub fn global_counter_add(name: &str, delta: u64) {
-    global()
-        .lock()
-        .expect("registry lock")
-        .counter_add(name, delta);
-}
-
-/// Sets the process-global gauge `name`.
-pub fn global_gauge_set(name: &str, value: f64) {
-    global()
-        .lock()
-        .expect("registry lock")
-        .gauge_set(name, value);
-}
-
-/// Records a sample into the process-global histogram `name`.
-pub fn global_hist_record(name: &str, value: u64) {
-    global()
-        .lock()
-        .expect("registry lock")
-        .hist_record(name, value);
-}
-
-/// A copy of the process-global registry.
-pub fn snapshot() -> MetricsRegistry {
-    global().lock().expect("registry lock").clone()
-}
-
-/// Clears the process-global registry (start of a run; tests).
-pub fn reset_global() {
-    *global().lock().expect("registry lock") = MetricsRegistry::new();
-}
-
-/// A step-gated progress gauge over a known total (bytes of a trace
-/// file, entries of a conversion): `update` publishes the percentage
-/// to the process-global gauge `name` only when a new 10% step is
-/// crossed, and returns that stepped percentage so the caller can
-/// print exactly one progress line per step. Long streaming commands
-/// (`sact-convert`, `sac trace`) tick it per chunk — ten registry
-/// writes over a multi-gigabyte run, never one per entry.
+/// A step-gated progress counter over a known total (entries of a
+/// conversion or of a written trace): `update` returns the stepped
+/// percentage only when a new 10% step is crossed, so the caller prints
+/// exactly one progress line per step. Long streaming commands
+/// (`sact-convert`, `sac trace`) tick it per chunk — ten lines over a
+/// multi-gigabyte run, never one per entry.
 #[derive(Debug)]
 pub struct ProgressGauge {
-    name: String,
     total: u64,
     last_step: u64,
 }
 
 impl ProgressGauge {
-    /// Step size in percent between published updates.
+    /// Step size in percent between reported steps.
     pub const STEP_PCT: u64 = 10;
 
-    /// A gauge for `current / total` progress published under `name`.
-    pub fn new(name: &str, total: u64) -> Self {
+    /// A gauge for `current / total` progress.
+    pub fn new(total: u64) -> Self {
         ProgressGauge {
-            name: name.to_string(),
             total,
             last_step: 0,
         }
     }
 
     /// Records progress `current` (same unit as `total`). Returns
-    /// `Some(pct)` when a new step was crossed (and the gauge was
-    /// published), `None` otherwise.
+    /// `Some(pct)` when a new step was crossed, `None` otherwise.
     pub fn update(&mut self, current: u64) -> Option<u64> {
         let pct = 100 * current.min(self.total) / self.total.max(1);
         let step = pct / Self::STEP_PCT;
@@ -230,9 +181,7 @@ impl ProgressGauge {
             return None;
         }
         self.last_step = step;
-        let stepped = step * Self::STEP_PCT;
-        global_gauge_set(&self.name, stepped as f64);
-        Some(stepped)
+        Some(step * Self::STEP_PCT)
     }
 }
 
@@ -293,21 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn global_registry_accumulates_and_resets() {
-        reset_global();
-        global_counter_add("t.count", 1);
-        global_counter_add("t.count", 1);
-        global_gauge_set("t.gauge", 1.5);
-        global_hist_record("t.hist", 4);
-        let snap = snapshot();
-        assert_eq!(snap.counter("t.count"), 2);
-        assert_eq!(snap.gauge("t.gauge"), Some(1.5));
-        assert_eq!(snap.hist("t.hist").unwrap().total(), 1);
-        reset_global();
-        assert!(snapshot().is_empty());
-    }
-
-    #[test]
     fn non_finite_gauges_serialize_as_null() {
         let mut r = MetricsRegistry::new();
         r.gauge_set("bad", f64::NAN);
@@ -316,15 +250,12 @@ mod tests {
 
     #[test]
     fn progress_gauge_steps_by_ten_percent() {
-        // Parallel tests share the global registry, so assert only on
-        // this gauge's own key and on the returned steps.
-        let mut p = ProgressGauge::new("t.progress.steps", 1000);
+        let mut p = ProgressGauge::new(1000);
         assert_eq!(p.update(5), None, "below first step");
         assert_eq!(p.update(99), None);
         assert_eq!(p.update(100), Some(10));
         assert_eq!(p.update(101), None, "same step stays quiet");
         assert_eq!(p.update(349), Some(30), "skipped steps collapse");
-        assert_eq!(snapshot().gauge("t.progress.steps"), Some(30.0));
         assert_eq!(p.update(2000), Some(100), "clamped past total");
         assert_eq!(p.update(u64::MAX), None, "only fires once at 100");
     }
@@ -333,7 +264,7 @@ mod tests {
     fn progress_gauge_survives_zero_total() {
         // Unknown/zero totals must not divide by zero; such a gauge
         // simply never fires (current is clamped to the total).
-        let mut p = ProgressGauge::new("t.progress.zero", 0);
+        let mut p = ProgressGauge::new(0);
         assert_eq!(p.update(0), None);
         assert_eq!(p.update(1), None);
     }

@@ -3,10 +3,11 @@
 //! The sweep pipeline is a tree: a *run* contains *figure*-level
 //! stages, a figure contains *cells* (one grid item each — a
 //! benchmark×config batch or a generated trace), and a cell replays
-//! *chunks*. Each completed stage records a [`Span`] into a
-//! process-global store; at the end of the run the store is exported as
-//! Chrome trace-event JSON that Perfetto (`ui.perfetto.dev`) or
-//! `chrome://tracing` loads directly.
+//! *chunks*. Each completed stage is a [`Span`] value; the sweep runner
+//! collects a run's spans, and at the end of the run they are exported
+//! as Chrome trace-event JSON that Perfetto (`ui.perfetto.dev`) or
+//! `chrome://tracing` loads directly. This module holds only the values
+//! and the pure exporters: it keeps no state of its own.
 //!
 //! Two export modes ([`TraceMode`]):
 //!
@@ -22,19 +23,10 @@
 //!
 //! Export order is always the deterministic key order — never
 //! completion order — and wall timestamps are monotonic offsets from
-//! the [`reset`] instant, per the determinism contract in DESIGN.md
-//! §13. [`check_nesting`] verifies the laminar-nesting invariant (any
+//! the run's start, per the determinism contract in DESIGN.md §13. [`check_nesting`] verifies the laminar-nesting invariant (any
 //! two spans on a track are disjoint or contained) that Chrome's `"X"`
 //! events require; the figure suite validates its own trace before
 //! writing it.
-//!
-//! Recording is gated on an atomic [`enabled`] flag (off by default)
-//! and happens at stage *completion* — at most once per cell or chunk,
-//! never per reference — so the replay fast path never sees the lock.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Where in the pipeline tree a span sits. The level decides how the
 /// logical layout nests it; it is also exported as the Chrome `cat`.
@@ -93,7 +85,7 @@ pub struct Span {
     pub key: SpanKey,
     /// Recording track: 0 = main thread, `w + 1` = pool worker `w`.
     pub worker: u32,
-    /// Start, µs since [`reset`].
+    /// Start, µs since the run started.
     pub start_us: u64,
     /// Duration in µs.
     pub dur_us: u64,
@@ -147,78 +139,6 @@ pub enum TraceMode {
     /// Deterministic synthetic timestamps from the span keys; only
     /// deterministic args; single track. Byte-identical across runs.
     Logical,
-}
-
-#[derive(Debug)]
-struct Store {
-    epoch: Instant,
-    spans: Vec<Span>,
-    /// `(us_since_epoch, bytes)` RSS samples.
-    rss: Vec<(u64, u64)>,
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn store() -> &'static Mutex<Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(Store {
-            epoch: Instant::now(),
-            spans: Vec::new(),
-            rss: Vec::new(),
-        })
-    })
-}
-
-/// Whether spans are currently being recorded.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns span recording on or off (off by default).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Clears recorded spans and restarts the timestamp epoch. Call once
-/// at the start of a run (before enabling).
-pub fn reset() {
-    let mut s = store().lock().expect("span store lock");
-    s.epoch = Instant::now();
-    s.spans.clear();
-    s.rss.clear();
-}
-
-/// Microseconds since [`reset`] (monotonic run offset).
-pub fn now_us() -> u64 {
-    let s = store().lock().expect("span store lock");
-    s.epoch.elapsed().as_micros() as u64
-}
-
-/// Records one completed span, if recording is enabled.
-pub fn record(span: Span) {
-    if !enabled() {
-        return;
-    }
-    store().lock().expect("span store lock").spans.push(span);
-}
-
-/// Records an RSS sample (bytes) at the current run offset, if
-/// recording is enabled. Exported as a Chrome counter track in wall
-/// mode.
-pub fn sample_rss(bytes: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut s = store().lock().expect("span store lock");
-    let ts = s.epoch.elapsed().as_micros() as u64;
-    s.rss.push((ts, bytes));
-}
-
-/// A copy of all recorded spans and RSS samples, in recording order.
-pub fn snapshot() -> (Vec<Span>, Vec<(u64, u64)>) {
-    let s = store().lock().expect("span store lock");
-    (s.spans.clone(), s.rss.clone())
 }
 
 /// A span laid out on a track: the export-ready `(tid, ts, dur)` of
@@ -606,24 +526,6 @@ mod tests {
         let mv = t.find("MV row").unwrap();
         let sor = t.find("SOR row").unwrap();
         assert!(gen < mv && mv < sor, "key order, not recording order");
-    }
-
-    #[test]
-    fn global_store_gates_on_enabled() {
-        reset();
-        set_enabled(false);
-        record(Span::new("x", SpanLevel::Cell, key(1, 0, 0, 0), 0, 0, 1));
-        sample_rss(123);
-        assert_eq!(snapshot().0.len(), 0);
-        assert_eq!(snapshot().1.len(), 0);
-        set_enabled(true);
-        record(Span::new("x", SpanLevel::Cell, key(1, 0, 0, 0), 0, 0, 1));
-        sample_rss(123);
-        let (s, r) = snapshot();
-        assert_eq!((s.len(), r.len()), (1, 1));
-        set_enabled(false);
-        reset();
-        assert_eq!(snapshot().0.len(), 0);
     }
 
     #[test]

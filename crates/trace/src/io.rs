@@ -780,6 +780,11 @@ impl<R> TraceReader<R> {
         self
     }
 
+    /// The input the reader pulls bytes from.
+    pub fn get_ref(&self) -> &R {
+        &self.input.r
+    }
+
     /// The wire format behind this reader, for display.
     pub fn format(&self) -> &'static str {
         if self.sac2.is_some() {

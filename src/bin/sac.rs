@@ -10,11 +10,9 @@
 //! sac simulate mv.sact -c soft -c standard  # run configurations
 //! ```
 
-use software_assisted_caches::core::SoftCacheConfig;
 use software_assisted_caches::experiments::Config;
 use software_assisted_caches::loopir::{Program, TraceOptions};
 use software_assisted_caches::obs::ProgressGauge;
-use software_assisted_caches::simcache::{BypassMode, CacheGeometry, MemoryModel};
 use software_assisted_caches::trace::stats::{
     ReuseBand, ReuseHistogram, TagClass, TagFractions, VectorBand, VectorLengths,
 };
@@ -26,19 +24,6 @@ use std::process::ExitCode;
 
 const BENCHMARKS: [&str; 9] = [
     "MDG", "BDN", "DYF", "TRF", "NAS", "Slalom", "LIV", "MV", "SpMV",
-];
-
-const CONFIGS: [&str; 10] = [
-    "standard",
-    "victim",
-    "bypass",
-    "bypass-buffered",
-    "hw-prefetch",
-    "stream-buffers",
-    "column-assoc",
-    "assist",
-    "soft",
-    "soft-prefetch",
 ];
 
 fn main() -> ExitCode {
@@ -99,53 +84,15 @@ fn find_program(name: &str, small: bool) -> Result<Program, String> {
         .ok_or_else(|| format!("unknown benchmark '{name}' (valid: {BENCHMARKS:?})"))
 }
 
-fn parse_config(name: &str) -> Result<Config, String> {
-    let geom = CacheGeometry::standard();
-    let mem = MemoryModel::default();
-    Ok(match name {
-        "standard" => Config::standard(),
-        "victim" => Config::standard_victim(),
-        "bypass" => Config::Bypass {
-            geom,
-            mem,
-            mode: BypassMode::Plain,
-        },
-        "bypass-buffered" => Config::Bypass {
-            geom,
-            mem,
-            mode: BypassMode::Buffered { lines: 2 },
-        },
-        "hw-prefetch" => Config::HwPrefetch {
-            geom,
-            mem,
-            lines: 8,
-        },
-        "stream-buffers" => Config::StreamBuffer {
-            geom,
-            mem,
-            buffers: 4,
-            depth: 4,
-        },
-        "column-assoc" => Config::ColumnAssoc { geom, mem },
-        "assist" => Config::Assist {
-            geom,
-            mem,
-            lines: 16,
-        },
-        "soft" => Config::soft(),
-        "soft-prefetch" => Config::Soft(SoftCacheConfig::soft().with_prefetch(true)),
-        other => return Err(format!("unknown config '{other}' (valid: {CONFIGS:?})")),
-    })
-}
-
 fn cmd_list() -> Result<(), String> {
     println!("benchmarks:");
     for w in workloads::catalog() {
         println!("  {:<8} {} — {}", w.name, w.original, w.description);
     }
     println!("configurations:");
-    for c in CONFIGS {
-        println!("  {c}");
+    for name in Config::CLI_NAMES.split(" | ") {
+        let config = Config::by_name(name).expect("every CLI name resolves");
+        println!("  {name:<14} {config}");
     }
     Ok(())
 }
@@ -278,9 +225,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Traces at or above this many references report write progress
-/// (gauge `trace.entries_written_pct` plus one stderr line per 10%);
-/// shorter traces write in well under a second and stay silent.
+/// Traces at or above this many references report write progress (one
+/// stderr line per 10%); shorter traces write in well under a second and
+/// stay silent.
 const TRACE_PROGRESS_MIN_REFS: usize = 4_000_000;
 
 /// Streams `trace` through the binary encoder of the chosen format, one
@@ -288,8 +235,8 @@ const TRACE_PROGRESS_MIN_REFS: usize = 4_000_000;
 /// byte-identical to `write_binary`/`write_binary2` — ticking an
 /// entries-written progress gauge per chunk on large traces.
 fn write_with_progress(trace: &Trace, w: &mut impl Write, sact2: bool) -> std::io::Result<()> {
-    let mut progress = (trace.len() >= TRACE_PROGRESS_MIN_REFS)
-        .then(|| ProgressGauge::new("trace.entries_written_pct", trace.len() as u64));
+    let mut progress =
+        (trace.len() >= TRACE_PROGRESS_MIN_REFS).then(|| ProgressGauge::new(trace.len() as u64));
     let mut written = 0u64;
     let mut tick = |n: usize| {
         written += n as u64;
@@ -397,7 +344,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "config", "AMAT", "miss ratio", "words/ref", "main hits", "aux hits"
     );
     for name in &configs {
-        let cfg = parse_config(name)?;
+        let cfg = Config::by_name(name)
+            .ok_or_else(|| format!("unknown config '{name}' (valid: {})", Config::CLI_NAMES))?;
         let m = cfg.run(&trace);
         println!(
             "{:<16} {:>8.3} {:>11.4} {:>11.3} {:>10} {:>10}",

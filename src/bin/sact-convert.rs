@@ -16,21 +16,36 @@
 //! window (never the whole input), one decoded chunk and one pending
 //! `SAC2` run, and the announced entry count is carried from the input
 //! header (the writers enforce it). The input may be a pipe, such as
-//! `/dev/stdin`.
+//! `/dev/stdin`: the input size in the summary line is the bytes the
+//! decoder read, not a file length.
 
 use sac_obs::ProgressGauge;
 use sac_trace::io::{
-    self as trace_io, ChunkSource, FileSource, ReadError, Sact2Writer, SactWriter,
+    self as trace_io, ChunkSource, ReadError, Sact2Writer, SactWriter, TraceReader,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::process::exit;
 
-/// Inputs at or above this size report entries-read progress (gauge
-/// `convert.entries_read_pct` plus one stderr line per 10%); smaller
-/// conversions finish in well under a second and stay silent, so CI
-/// stderr diffs are unaffected.
-const PROGRESS_MIN_BYTES: u64 = 64 << 20;
+/// Inputs whose header announces at least this many entries report
+/// entries-read progress (one stderr line per 10%); smaller conversions
+/// finish in well under a second and stay silent, so CI stderr diffs are
+/// unaffected.
+const PROGRESS_MIN_ENTRIES: u64 = 4_000_000;
+
+/// A reader that counts the bytes pulled through it.
+struct Counted<R> {
+    inner: R,
+    bytes: u64,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+}
 
 fn usage() -> ! {
     eprintln!("usage: sact-convert <trace-file> [-o <output>] [--to sact|sact2]");
@@ -58,8 +73,14 @@ fn main() {
     }
     let Some(input) = input else { usage() };
 
-    let in_bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
-    let mut reader = match FileSource::open(&input) {
+    let file = std::fs::File::open(&input).unwrap_or_else(|e| {
+        eprintln!("sact-convert: cannot read {input}: {e}");
+        exit(1);
+    });
+    let mut reader = match TraceReader::new(Counted {
+        inner: file,
+        bytes: 0,
+    }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sact-convert: {input}: {e}");
@@ -102,11 +123,12 @@ fn main() {
             exit(1);
         }
     };
-    let progress = (in_bytes >= PROGRESS_MIN_BYTES)
-        .then(|| ProgressGauge::new("convert.entries_read_pct", reader.total()));
+    let progress =
+        (reader.total() >= PROGRESS_MIN_ENTRIES).then(|| ProgressGauge::new(reader.total()));
 
     match convert(&mut reader, out, to_sact2, progress) {
         Ok(entries) => {
+            let in_bytes = reader.get_ref().bytes;
             let out_bytes = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
             println!(
                 "{input} ({}) -> {out_path} ({}): {entries} entries, {} -> {} bytes ({:.2}x)",

@@ -19,7 +19,7 @@ fn list_shows_benchmarks_and_configs() {
     let out = sac().arg("list").output().expect("run sac");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["MV", "SpMV", "soft", "standard", "stream-buffers"] {
+    for needle in ["MV", "SpMV", "soft", "standard", "stream"] {
         assert!(text.contains(needle), "missing {needle} in: {text}");
     }
 }
@@ -264,6 +264,60 @@ fn stats_reads_a_piped_trace_like_a_file() {
             path.display()
         );
     }
+    std::fs::remove_file(&sact).ok();
+    std::fs::remove_file(&sac2).ok();
+}
+
+/// `sact-convert` counts the input bytes as it reads them, so a trace
+/// piped into `/dev/stdin` reports the sizes and ratio of the same file
+/// given by path.
+#[cfg(unix)]
+#[test]
+fn sact_convert_reports_a_piped_input_like_a_file() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let sact = tmpfile("convert-pipe.sact");
+    let sac2 = tmpfile("convert-pipe.sact2");
+    let out = sac()
+        .args(["trace", "MV", "--small", "--format", "sact2", "-o"])
+        .arg(&sac2)
+        .output()
+        .expect("run sac trace");
+    assert!(out.status.success());
+    // The part of the summary line after the entry count: `N -> M bytes (R x)`.
+    let sizes = |stdout: &[u8]| {
+        let text = String::from_utf8_lossy(stdout).into_owned();
+        let at = text.find("entries, ").expect("summary line") + "entries, ".len();
+        text[at..].trim_end().to_string()
+    };
+    let by_path = Command::new(env!("CARGO_BIN_EXE_sact-convert"))
+        .arg(&sac2)
+        .arg("-o")
+        .arg(&sact)
+        .output()
+        .expect("run sact-convert");
+    assert!(by_path.status.success());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sact-convert"))
+        .args(["/dev/stdin", "--to", "sact", "-o"])
+        .arg(&sact)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sact-convert");
+    let bytes = std::fs::read(&sac2).unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || stdin.write_all(&bytes));
+    let piped = child.wait_with_output().expect("wait for sact-convert");
+    writer.join().unwrap().expect("write the pipe");
+    assert!(
+        piped.status.success(),
+        "{}",
+        String::from_utf8_lossy(&piped.stderr)
+    );
+    let want = sizes(&by_path.stdout);
+    assert!(!want.starts_with("0 "), "{want}");
+    assert_eq!(sizes(&piped.stdout), want);
     std::fs::remove_file(&sact).ok();
     std::fs::remove_file(&sac2).ok();
 }
