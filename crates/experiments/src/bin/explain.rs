@@ -13,9 +13,11 @@
 //! and verifies that every event total reconciles exactly with the
 //! engine's `Metrics` counters.
 //!
-//! `--obs-json PATH` additionally writes the telemetry (summary,
-//! histograms, sampled events) as JSON Lines; the path is validated
-//! up front so a long run cannot die at the final write.
+//! `--obs-json PATH` additionally writes the telemetry as one JSON
+//! Lines file: the probe records (summary, histograms, sampled events),
+//! then with `--timeline` the window and phase records, then with
+//! `--diff` the diff records. The path is validated up front so a long
+//! run cannot die at the final write.
 //!
 //! `--timeline` re-runs the same configuration with the windowed
 //! [`Timeline`] probe attached (window width `--window`, default 8192
@@ -30,9 +32,8 @@
 //! mechanism (victim save, prefetch coverage, bypass side-effect, ...),
 //! and the per-mechanism counter deltas are verified to sum *exactly*
 //! to the difference of the two sides' global metrics before anything
-//! is printed. `--diff-json PATH` additionally writes the report
-//! (mechanisms, top diverging lines with lifetime stats, top sets) as
-//! JSON Lines.
+//! is printed; with `--obs-json` the report (mechanisms, top diverging
+//! lines with lifetime stats, top sets) is appended to the JSONL.
 //!
 //! `--cpus N` (with optional `--protocol mesi|dragon`) shards the trace
 //! round-robin over N CPUs and replays it through the coherent
@@ -43,8 +44,8 @@
 //! (the global metrics are the per-CPU blocks merged). The coherent
 //! system runs Standard caches and no probe, so with `--cpus` above 1
 //! an explicit `--config` other than `standard`, `--diff`,
-//! `--diff-json`, `--timeline`, `--obs-json`, `--store` and
-//! `--bench-guard` are rejected (exit 2) before anything is written.
+//! `--timeline`, `--obs-json`, `--store` and `--bench-guard` are
+//! rejected (exit 2) before anything is written.
 //!
 //! `--store DIR` opens a content-addressed result store: if DIR already
 //! holds this cell (same trace content, config, engine version) the
@@ -60,7 +61,8 @@
 //! disabled. Two more legs ride along: a store-warm leg asserting a
 //! warm store lookup beats the cold replay it replaces by >10x, and the
 //! run-level span layer (the run's span setting toggled between off and
-//! cells, interleaved rounds), which fails if recording spans costs more
+//! cells, with the side that runs first alternating from round to
+//! round), which fails if recording spans costs more
 //! than 1% throughput — an upper bound on the disabled span layer's
 //! overhead, which is one read of the run's span setting per replay
 //! batch, when the batch is made.
@@ -79,7 +81,7 @@ use sac_experiments::runner::{self, ReplayBatch, Run, Spans, REPLAY_CHUNK};
 use sac_experiments::{Config, ResultStore};
 use sac_trace::Trace;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
 fn fail(msg: &str) -> ! {
@@ -102,7 +104,6 @@ fn main() {
     let mut timeline = false;
     let mut window = sac_obs::DEFAULT_WINDOW_REFS;
     let mut diff_name: Option<String> = None;
-    let mut diff_json: Option<String> = None;
     let mut cpus = 1usize;
     let mut protocol = Protocol::Mesi;
 
@@ -130,7 +131,6 @@ fn main() {
                 window = cli::positive("--window", iter.next()).unwrap_or_else(|e| fail(&e))
             }
             "--diff" => diff_name = Some(value("--diff")),
-            "--diff-json" => diff_json = Some(value("--diff-json")),
             "--cpus" => cpus = cli::positive("--cpus", iter.next()).unwrap_or_else(|e| fail(&e)),
             "--protocol" => {
                 let name = value("--protocol");
@@ -168,7 +168,6 @@ fn main() {
         let ignored = [
             (config_explicit && config_name != "standard", "--config"),
             (diff_name.is_some(), "--diff"),
-            (diff_json.is_some(), "--diff-json"),
             (timeline, "--timeline"),
             (obs_json.is_some(), "--obs-json"),
             (store_dir.is_some(), "--store"),
@@ -187,15 +186,10 @@ fn main() {
 
     // Validate output paths up front: a long instrumented run must not
     // die at the final write because the directory does not exist.
-    let obs_writer = obs_json.as_ref().map(|path| {
-        let f = File::create(path)
-            .unwrap_or_else(|e| fail(&format!("--obs-json: cannot write {path}: {e}")));
-        (path.clone(), BufWriter::new(f))
-    });
-    let diff_writer = diff_json.as_ref().map(|path| {
-        let f = File::create(path)
-            .unwrap_or_else(|e| fail(&format!("--diff-json: cannot write {path}: {e}")));
-        (path.clone(), BufWriter::new(f))
+    let mut obs_writer = obs_json.map(|path| {
+        let f = sac_trace::io::create_output(&path)
+            .unwrap_or_else(|e| fail(&format!("--obs-json: {e}")));
+        (path, BufWriter::new(f))
     });
     let store = store_dir
         .map(|dir| ResultStore::open(&dir).unwrap_or_else(|e| fail(&format!("--store: {e}"))));
@@ -214,9 +208,6 @@ fn main() {
             ))
         })
     });
-    if diff_json.is_some() && diff_name.is_none() {
-        fail("--diff-json needs --diff <config> to name the second side");
-    }
     let trace: Trace = match trace_name.as_str() {
         "mixed" => mixed_trace(len),
         "hit" => hit_heavy_trace(len),
@@ -254,6 +245,9 @@ fn main() {
     };
     print!("{}", explanation.render(top));
     eprintln!("instrumented run took {:.2?}", start.elapsed());
+    append_jsonl(&mut obs_writer, |w| {
+        explanation.probe.write_jsonl(&label, w)
+    });
 
     if timeline {
         match explain_timeline(&label, &config, &trace, window) {
@@ -265,21 +259,13 @@ fn main() {
                     tl.windows().len(),
                     tl.phases().len()
                 );
+                append_jsonl(&mut obs_writer, |w| tl.write_jsonl(&label, w));
             }
             Err(e) => {
                 eprintln!("timeline reconciliation failed: {e}");
                 std::process::exit(1);
             }
         }
-    }
-
-    if let Some((path, mut w)) = obs_writer {
-        explanation
-            .probe
-            .write_jsonl(&label, &mut w)
-            .and_then(|()| w.flush())
-            .unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
-        eprintln!("wrote telemetry JSONL to {path}");
     }
 
     // The differential pass: replay the same trace through this config
@@ -294,13 +280,13 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("diff failed: {e}")));
         print!("{}", report.render(top));
         eprintln!("lockstep diff took {:.2?}", diff_start.elapsed());
-        if let Some((path, mut w)) = diff_writer {
-            report
-                .write_jsonl(&mut w, top)
-                .and_then(|()| w.flush())
-                .unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
-            eprintln!("wrote diff JSONL to {path}");
-        }
+        append_jsonl(&mut obs_writer, |w| report.write_jsonl(w, top));
+    }
+
+    if let Some((path, mut w)) = obs_writer {
+        w.flush()
+            .unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
+        eprintln!("wrote telemetry JSONL to {path}");
     }
 
     // With a store attached, this run either seeds the cell or is
@@ -424,18 +410,27 @@ fn run_bench_guard(path: &str, pct: f64) {
     }
 
     // Span-layer overhead guard: time the fastest shape with the run's
-    // span setting off vs cells as interleaved pairs and keep the most
-    // favorable per-round ratio. Recording spans adds a cell span per
-    // replay, so it upper-bounds the disabled path — whose only cost is
-    // one read of the span setting per batch — and the guard asserts
-    // even that upper bound stays within 1%.
+    // span setting off vs cells as pairs and keep the most favorable
+    // per-round ratio. The side that runs first alternates from round to
+    // round, so an order effect (the second replay of a pair running on
+    // a warmer cache or clock) is not read as span cost. Recording spans
+    // adds a cell span per replay, so it upper-bounds the disabled path
+    // — whose only cost is one read of the span setting per batch — and
+    // the guard asserts even that upper bound stays within 1%.
     let trace = hit_heavy_trace(BENCH_LEN);
+    let rate = |spans, name, round| {
+        runner::set_spans(spans);
+        guard_rate(name, &trace, round)
+    };
     let mut best_ratio = 0.0f64;
     for round in 0..5 {
-        runner::set_spans(Spans::Off);
-        let off = guard_rate("span_off", &trace, round);
-        runner::set_spans(Spans::Cells);
-        let on = guard_rate("span_on", &trace, round);
+        let (off, on) = if round % 2 == 0 {
+            let off = rate(Spans::Off, "span_off", round);
+            (off, rate(Spans::Cells, "span_on", round))
+        } else {
+            let on = rate(Spans::Cells, "span_on", round);
+            (rate(Spans::Off, "span_off", round), on)
+        };
         best_ratio = best_ratio.max(on / off);
     }
     runner::set_spans(Spans::Off);
@@ -454,6 +449,16 @@ fn run_bench_guard(path: &str, pct: f64) {
     if regressed {
         eprintln!("bench-guard: replay throughput guard regressed (see lines above)");
         std::process::exit(1);
+    }
+}
+
+/// Appends records to the `--obs-json` file, if one was asked for.
+fn append_jsonl(
+    writer: &mut Option<(String, BufWriter<File>)>,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) {
+    if let Some((path, w)) = writer {
+        write(w).unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
     }
 }
 

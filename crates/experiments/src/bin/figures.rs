@@ -12,12 +12,14 @@
 //! ```
 //!
 //! Arguments name figures of `figures::REGISTRY`: an id selects one
-//! figure, and `all` (the paper's 19), `extensions` and `ablations`
-//! expand in place to their groups; no names means `all`. An unknown name
-//! exits 2 before any trace is generated. `--markdown` prints the tables
-//! as markdown (`--markdown summary all extensions ablations` is
-//! EXPERIMENTS.md's table set), and `--csv DIR` also writes each table to
-//! `DIR/<id>.csv`.
+//! figure, and `all` (the paper's 19), `extensions`, `ablations` and
+//! `coherence` expand in place to their groups; no names means `all`. An
+//! unknown name or option exits 2 before any trace is generated.
+//! `--markdown` prints the tables as markdown (`--markdown summary all
+//! extensions ablations` is EXPERIMENTS.md's table set), and `--csv DIR`
+//! also writes each table to `DIR/<id>.csv`. `figures` prints only
+//! registry tables; per-trace telemetry (probe, timeline and lockstep
+//! diff JSONL) comes from the `explain` binary.
 //!
 //! Sweeps shard their (config × workload) cells across a worker pool;
 //! `--jobs N` pins the worker count (`--jobs 1` is the sequential
@@ -33,26 +35,16 @@
 //! version) are served without replay, fresh cells are persisted, so a
 //! second (*warm*) run over the same suite skips replay entirely and a
 //! summary line reports the hit/miss split.
-//! `--diff` runs the standalone differential pass instead of figures:
-//! every organization is lockstep-diffed against the standard baseline
-//! over the shared mixed trace and one reconciled divergence report per
-//! pair goes to stdout (single-threaded, so byte-identical at any
-//! `--jobs` setting).
-//! `--coherence` runs the standalone multi-core pass instead of figures:
-//! the private-vs-shared sweep (miss ratio and AMAT at 2 and 4 CPUs,
-//! plus the false-sharing fraction) over two deterministic kernels and
-//! the two sharing microkernels, under MESI by default or the protocol
-//! named by `--protocol mesi|dragon`. Rows run sequentially, so the
-//! table is byte-identical at any `--jobs` setting.
+//! The `coherence` group (`coh-mesi`, `coh-dragon`) is the multi-core
+//! private-vs-shared sweep: miss ratio and AMAT at 2 and 4 CPUs, plus
+//! the false-sharing fraction, over two deterministic kernels and the
+//! two sharing microkernels. Its rows run sequentially, so the tables
+//! are byte-identical at any `--jobs` setting, and its `coherence.*`
+//! counters reach the registry snapshot on stderr.
 //! `--bench-json PATH` additionally times raw / hit-heavy / miss-heavy
 //! replay micro-benchmarks and writes a JSON report (refs/sec per shape,
 //! store cold/warm, peak RSS, per-figure wall-clock, runner-level cell
 //! spans) to PATH.
-//! `--obs-json PATH` runs one instrumented standard + soft cell with the
-//! full `TracingProbe` and writes the telemetry as JSON Lines to PATH.
-//! `--timeline-json PATH` runs windowed-timeline cells (standard,
-//! victim, soft over the shared mixed trace) and writes one JSON line
-//! per window and phase to PATH.
 //! `--trace-json PATH` records pipeline spans (run → figure → cell,
 //! plus per-chunk spans with `--trace-chunks`) and writes a
 //! Chrome-trace / Perfetto JSON document to PATH; `--trace-logical`
@@ -64,9 +56,9 @@
 //! (counters / gauges / histograms) is printed to stderr at the end and
 //! embedded in the `--bench-json` report.
 
-use sac_experiments::explain::{self, hit_heavy_trace, miss_heavy_trace, mixed_trace};
-use sac_experiments::runner::{ReplayBatch, Run, Spans, REPLAY_CHUNK};
-use sac_experiments::{cli, diff, figures, runner, Config, ResultStore, Suite};
+use sac_experiments::explain::{hit_heavy_trace, miss_heavy_trace};
+use sac_experiments::runner::{ReplayBatch, Run, Spans};
+use sac_experiments::{cli, figures, runner, Config, ResultStore, Suite};
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
 use sac_trace::{Access, Trace};
 use std::io::{BufWriter, Write};
@@ -78,16 +70,11 @@ fn main() {
     let mut wanted: Vec<String> = Vec::new();
     let mut store_dir: Option<String> = None;
     let mut bench_json: Option<String> = None;
-    let mut obs_json: Option<String> = None;
-    let mut timeline_json: Option<String> = None;
     let mut trace_json: Option<String> = None;
     let mut trace_logical = false;
     let mut trace_chunks = false;
-    let mut diff_pairs = false;
     let mut markdown = false;
     let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut coherence_pass = false;
-    let mut protocol = sac_experiments::coherence::Protocol::Mesi;
     let mut jobs = 0;
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
@@ -99,7 +86,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--diff" => diff_pairs = true,
             "--markdown" => markdown = true,
             "--csv" => {
                 csv_dir = Some(iter.next().map(Into::into).unwrap_or_else(|| {
@@ -107,38 +93,11 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--coherence" => coherence_pass = true,
-            "--protocol" => {
-                let name = iter.next().unwrap_or_else(|| {
-                    eprintln!("--protocol needs a value");
-                    std::process::exit(2);
-                });
-                protocol =
-                    sac_experiments::coherence::Protocol::by_name(&name).unwrap_or_else(|| {
-                        eprintln!(
-                            "--protocol {name:?} not supported ({})",
-                            sac_experiments::coherence::Protocol::CLI_NAMES
-                        );
-                        std::process::exit(2);
-                    });
-            }
             "--trace-logical" => trace_logical = true,
             "--trace-chunks" => trace_chunks = true,
             "--bench-json" => {
                 bench_json = Some(iter.next().unwrap_or_else(|| {
                     eprintln!("--bench-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--obs-json" => {
-                obs_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--obs-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--timeline-json" => {
-                timeline_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--timeline-json needs an output path");
                     std::process::exit(2);
                 }));
             }
@@ -175,20 +134,6 @@ fn main() {
             std::process::exit(2);
         }
     });
-    let mut obs_writer = obs_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("--obs-json: {e}");
-            std::process::exit(2);
-        }
-    });
-    let mut timeline_writer = timeline_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("--timeline-json: {e}");
-            std::process::exit(2);
-        }
-    });
     let mut trace_writer = trace_json.map(|path| match sac_trace::io::create_output(&path) {
         Ok(f) => (path, BufWriter::new(f)),
         Err(e) => {
@@ -219,40 +164,6 @@ fn main() {
             std::process::exit(2);
         }
     });
-
-    // `--diff` is a standalone pass: every organization lockstep-diffed
-    // against the standard baseline over the shared mixed trace, one
-    // reconciled divergence report per pair on stdout. The pass is
-    // single-threaded by construction, so the output is byte-identical
-    // at any `--jobs` setting — which is exactly what the CI determinism
-    // leg diffs.
-    if diff_pairs {
-        run_diff_pairs(small);
-        return;
-    }
-
-    // `--coherence` is a standalone pass like `--diff`: the
-    // private-vs-shared multi-CPU sweep, built sequentially so the
-    // emitted table is byte-identical at any `--jobs` setting — the
-    // property the CI coherence-determinism leg diffs.
-    if coherence_pass {
-        println!("{}", sac_experiments::coherence::coherence_table(protocol));
-        // The sweep bumps the coherence.* registry counters; with
-        // `--bench-json` they ship as a small standalone artifact so the
-        // invalidation/upgrade/c2c totals land next to the replay report.
-        if let Some((path, f)) = bench_writer.as_mut() {
-            let report = format!(
-                "{{\n  \"schema\": \"sac-bench-coherence-v1\",\n  \"registry\": {}\n}}\n",
-                run.registry().to_json(2).trim_start()
-            );
-            if let Err(e) = f.write_all(report.as_bytes()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote coherence bench report to {path}");
-        }
-        return;
-    }
 
     let tracing = spans != Spans::Off;
     let start = Instant::now();
@@ -345,26 +256,9 @@ fn main() {
         reg.counter("lanes.diverged")
     );
 
-    // Everything past the figures proper (obs / timeline / bench cells)
-    // records under a sequence number no figure list can reach, so the
-    // figure keys stay stable whether or not the extra passes run.
+    // The bench cells record under a sequence number no figure list can
+    // reach, so the figure keys stay stable whether or not they run.
     runner::set_figure_seq(1000);
-
-    if let Some((path, w)) = obs_writer.as_mut() {
-        if let Err(e) = write_obs_jsonl(w).and_then(|()| w.flush()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote probe telemetry to {path}");
-    }
-
-    if let Some((path, w)) = timeline_writer.as_mut() {
-        if let Err(e) = write_timeline_jsonl(w).and_then(|()| w.flush()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote timeline JSONL to {path}");
-    }
 
     if let Some((path, f)) = bench_writer.as_mut() {
         let report = bench_report(
@@ -382,8 +276,8 @@ fn main() {
     }
 
     if let Some((path, f)) = trace_writer.as_mut() {
-        // The run span closes over everything recorded above, bench and
-        // telemetry cells included.
+        // The run span closes over everything recorded above, bench
+        // cells included.
         run.record_span(Span::new(
             "figures",
             SpanLevel::Run,
@@ -432,66 +326,6 @@ fn main() {
     if !reg.is_empty() {
         eprint!("{}", reg.render_text());
     }
-}
-
-/// The `--diff` pass: every non-standard organization lockstep-diffed
-/// against the standard baseline over the shared mixed trace. Each
-/// report is reconciled (mechanism deltas sum exactly to the pair's
-/// metrics difference) before it is printed.
-fn run_diff_pairs(small: bool) {
-    let len = if small { 50_000 } else { 200_000 };
-    let trace = mixed_trace(len);
-    let base = Config::standard();
-    for (name, config) in Config::all_organizations() {
-        if name == "standard" {
-            continue;
-        }
-        let report = diff::diff_configs("standard", &base, name, &config, &trace, REPLAY_CHUNK)
-            .unwrap_or_else(|e| {
-                eprintln!("--diff {name}: {e}");
-                std::process::exit(1);
-            });
-        print!("{}", report.render(3));
-        println!();
-    }
-}
-
-/// The `--timeline-json` pass: windowed-timeline cells over the shared
-/// mixed trace, one JSON line per window and per phase, each verified
-/// to reconcile exactly with the engine's global metrics.
-fn write_timeline_jsonl(w: &mut impl Write) -> std::io::Result<()> {
-    const TIMELINE_LEN: usize = 200_000;
-    let trace = mixed_trace(TIMELINE_LEN);
-    for (label, config) in [
-        ("timeline/mixed/standard", Config::standard()),
-        ("timeline/mixed/victim", Config::standard_victim()),
-        ("timeline/mixed/soft", Config::soft()),
-    ] {
-        let (tl, _) =
-            explain::explain_timeline(label, &config, &trace, sac_obs::DEFAULT_WINDOW_REFS)
-                .expect("built-in configs must reconcile window sums with global metrics");
-        tl.write_jsonl(label, w)?;
-    }
-    Ok(())
-}
-
-/// The `--obs-json` pass: instrumented standard, victim and soft cells
-/// with the full `TracingProbe` over the shared mixed trace, telemetry
-/// appended as JSON Lines (one `summary`/histogram/event record per
-/// line, tagged with the cell label).
-fn write_obs_jsonl(w: &mut impl Write) -> std::io::Result<()> {
-    const OBS_LEN: usize = 200_000;
-    let trace = mixed_trace(OBS_LEN);
-    for (label, config) in [
-        ("obs/mixed/standard", Config::standard()),
-        ("obs/mixed/victim", Config::standard_victim()),
-        ("obs/mixed/soft", Config::soft()),
-    ] {
-        let e = explain::explain_config(label, &config, &trace, 4096, 16)
-            .expect("built-in configs are probeable and must reconcile");
-        e.probe.write_jsonl(label, w)?;
-    }
-    Ok(())
 }
 
 /// Replays `trace` through a Standard + Victim + Soft batch and reports
@@ -737,7 +571,8 @@ mod tests {
         }
         for shape in ["raw", "hit_heavy", "miss_heavy"] {
             assert!(
-                explain::bench_refs_per_sec(&report, shape).is_some_and(|r| r > 0.0),
+                sac_experiments::explain::bench_refs_per_sec(&report, shape)
+                    .is_some_and(|r| r > 0.0),
                 "{shape}"
             );
         }

@@ -6,14 +6,14 @@
 //! * [`run_coherent`] — one verified run: the SWMR invariant is checked
 //!   after the replay (the global counters are the per-CPU blocks merged,
 //!   so they reconcile by construction), and the coherence totals land
-//!   in the global [`registry`] (`coherence.*`) so they ride along in
-//!   `figures --bench-json` snapshots.
+//!   in the run's registry (`coherence.*`), which `figures` prints to
+//!   stderr at the end of a run.
 //! * [`shard_round_robin`] / [`privatize`] — turn a uniprocessor
 //!   benchmark trace into a shared-data or private-data multi-CPU
-//!   version of itself, the two poles the `figures --coherence` sweep
-//!   compares.
+//!   version of itself, the two poles the coherence sweep compares.
 //! * [`coherence_table`] — the private-vs-shared sweep itself, over two
-//!   suite kernels and the two sharing microkernels.
+//!   suite kernels and the two sharing microkernels: the `coh-mesi` and
+//!   `coh-dragon` entries of [`crate::figures::REGISTRY`].
 
 use crate::{runner, Table};
 use sac_simcache::{
@@ -74,7 +74,7 @@ pub struct CoherentSummary {
 
 /// Runs `trace` through a [`CoherentSystem`] of `cpus` private caches
 /// under `protocol`, verifying the SWMR invariant before returning, and
-/// accumulating the coherence totals into the global metrics registry
+/// accumulating the coherence totals into the installed run's registry
 /// (`coherence.invalidations` / `.upgrades` / `.c2c_fills` /
 /// `.bus_occupancy`).
 ///
@@ -264,7 +264,7 @@ pub fn privatize(trace: &Trace) -> Trace {
 /// Reference length of the small kernels in the sweep.
 const SWEEP_KERNEL_REFS: usize = 60_000;
 
-/// The workload rows of the `figures --coherence` sweep: two suite
+/// The workload rows of the coherence sweep: two suite
 /// kernels (MV and SpMV shapes at reduced size, built via the shared
 /// deterministic generator in [`crate::explain`]) and the two sharing
 /// microkernels, the latter already cpu-tagged.
@@ -283,10 +283,10 @@ fn sweep_rows() -> Vec<(String, Trace)> {
     ]
 }
 
-/// The `figures --coherence` table: each workload's miss ratio and AMAT
-/// with the data private to each CPU versus shared between them, at 2
-/// and 4 CPUs under MESI, plus the false-sharing fraction of the
-/// 2-CPU shared run.
+/// The coherence sweep table (`figures coherence`): each workload's miss
+/// ratio and AMAT with the data private to each CPU versus shared
+/// between them, at 2 and 4 CPUs under `protocol`, plus the
+/// false-sharing fraction of the 2-CPU shared run.
 ///
 /// The already-multi-CPU microkernels keep their own tagging for the
 /// "shared" columns (re-sharding would destroy the pattern) and are
@@ -421,8 +421,8 @@ mod tests {
 
     #[test]
     fn sweep_tables_match_the_committed_golden() {
-        // The same bytes `figures --jobs 1 --coherence` followed by
-        // `--coherence --protocol dragon` print.
+        // The same bytes `figures coherence` prints: `coh-mesi`, then
+        // `coh-dragon`.
         let got = format!(
             "{}\n{}\n",
             coherence_table(Protocol::Mesi),

@@ -15,6 +15,7 @@
 //! [`REGISTRY`] lists every figure once, with its id, group and the input
 //! its builder takes; the `figures` binary and the tests select from it.
 
+use crate::coherence::coherence_table;
 use crate::suite::trace_options;
 use crate::{runner, Config, Suite, Table};
 use sac_core::SoftCacheConfig;
@@ -49,6 +50,8 @@ pub enum Group {
     Extension,
     /// Ablations of the paper's design choices.
     Ablation,
+    /// The multi-core private-vs-shared sweeps, one per protocol.
+    Coherence,
 }
 
 impl Group {
@@ -59,6 +62,7 @@ impl Group {
             Group::Paper => Some("all"),
             Group::Extension => Some("extensions"),
             Group::Ablation => Some("ablations"),
+            Group::Coherence => Some("coherence"),
         }
     }
 }
@@ -103,10 +107,11 @@ const fn entry(id: &'static str, group: Group, builder: Builder) -> Figure {
 }
 
 /// Every figure, in EXPERIMENTS.md order: the summary, the paper's 19
-/// figures, the extensions, then the ablations.
-pub const REGISTRY: [Figure; 33] = {
+/// figures, the extensions, the ablations, then the coherence sweeps.
+pub const REGISTRY: [Figure; 35] = {
+    use crate::coherence::Protocol::{Dragon, Mesi};
     use Builder::{Leveled, Scale, Suite as S};
-    use Group::{Ablation as A, Extension as E, Paper as P};
+    use Group::{Ablation as A, Coherence as C, Extension as E, Paper as P};
     [
         entry("summary", Group::Summary, S(summary)),
         entry("fig01a", P, S(fig01a)),
@@ -141,13 +146,15 @@ pub const REGISTRY: [Figure; 33] = {
         entry("abl-phys16", A, S(ablation_physical_16)),
         entry("abl-assoc", A, S(ablation_associativity)),
         entry("abl-bus", A, S(ablation_bus_width)),
+        entry("coh-mesi", C, Scale(|_| coherence_table(Mesi))),
+        entry("coh-dragon", C, Scale(|_| coherence_table(Dragon))),
     ]
 };
 
 /// Resolves figure names against [`REGISTRY`], in argument order: an id
 /// selects its figure and a group name (`all`, `extensions`,
-/// `ablations`) expands in place to the group's figures. No names
-/// selects `all`.
+/// `ablations`, `coherence`) expands in place to the group's figures.
+/// No names selects `all`.
 ///
 /// # Errors
 ///

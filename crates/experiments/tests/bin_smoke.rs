@@ -70,17 +70,74 @@ fn figures_generates_no_suite_that_no_selected_figure_reads() {
     }
 }
 
+/// A path in the temp directory that no test creates, for checking that
+/// a rejected run wrote nothing.
+fn unwritten_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("sac-unwritten-{tag}-{}", std::process::id()))
+}
+
 #[test]
 fn figures_rejects_unknown_options_before_running() {
-    // A mistyped or retired flag must not be taken for a figure id.
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--bogus", "fig04b"])
-        .output()
-        .expect("run figures");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown option --bogus"), "{err}");
-    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+    // A mistyped or retired flag must not be taken for a figure id. The
+    // retired side passes (`--diff`, `--coherence [--protocol]`,
+    // `--obs-json`, `--timeline-json`) fail the same way, before their
+    // output path is touched.
+    let path = unwritten_path("figures");
+    let path = path.to_str().expect("utf-8 temp path");
+    let cases: [&[&str]; 6] = [
+        &["--bogus"],
+        &["--diff"],
+        &["--coherence"],
+        &["--protocol", "dragon"],
+        &["--obs-json", path],
+        &["--timeline-json", path],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .arg("fig04b")
+            .output()
+            .expect("run figures");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option {}", args[0])),
+            "{args:?}: {err}"
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?}");
+        assert!(!std::path::Path::new(path).exists(), "{args:?}");
+    }
+}
+
+#[test]
+fn explain_rejects_unknown_options_before_running() {
+    // `--diff-json` is retired: the diff records go to `--obs-json`.
+    let path = unwritten_path("explain");
+    let cases = [
+        vec!["--bogus"],
+        vec![
+            "--diff",
+            "soft",
+            "--diff-json",
+            path.to_str().expect("utf-8 temp path"),
+        ],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(["--small", "--len", "2000"])
+            .args(&args)
+            .output()
+            .expect("run explain");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| ["--bogus", "--diff-json"].contains(a));
+        assert!(
+            err.contains(&format!("unknown argument {:?}", flag.unwrap())),
+            "{args:?}: {err}"
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?}");
+        assert!(!path.exists(), "{args:?}");
+    }
 }
 
 /// Runs `figures` with `args` and asserts it exits 2 with `message` on
@@ -133,7 +190,7 @@ fn figures_markdown_writes_one_csv_per_selected_id() {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["--small", "--markdown", "--csv"])
         .arg(&dir)
-        .args(["summary", "all", "extensions", "ablations"])
+        .args(["summary", "all", "extensions", "ablations", "coherence"])
         .output()
         .expect("run figures");
     assert!(
@@ -144,7 +201,8 @@ fn figures_markdown_writes_one_csv_per_selected_id() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("**Figure 6a"));
     assert!(text.contains("|---|"));
-    assert_eq!(text.lines().filter(|l| l.starts_with("**")).count(), 33);
+    assert_eq!(text.lines().filter(|l| l.starts_with("**")).count(), 35);
+    assert!(text.contains("**Coherence — private vs shared data, Dragon"));
     let mut got: Vec<String> = std::fs::read_dir(&dir)
         .expect("csv dir")
         .map(|e| {
@@ -263,28 +321,6 @@ fn figures_writes_a_valid_nested_chrome_trace() {
 }
 
 #[test]
-fn figures_writes_timeline_jsonl() {
-    let path = std::env::temp_dir().join(format!("sac-tl-{}.jsonl", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--small", "fig04b"])
-        .arg("--timeline-json")
-        .arg(&path)
-        .output()
-        .expect("run figures");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let jsonl = std::fs::read_to_string(&path).expect("timeline written");
-    assert!(jsonl.contains("\"kind\": \"window\""), "{jsonl}");
-    assert!(jsonl.contains("\"kind\": \"phase\""), "{jsonl}");
-    assert!(jsonl.contains("\"schema_version\": "), "{jsonl}");
-    assert!(jsonl.contains("timeline/mixed/standard"), "{jsonl}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn explain_rejects_unwritable_obs_path_before_running() {
     let out = Command::new(env!("CARGO_BIN_EXE_explain"))
         .args(["--small", "--obs-json", "/no/such/dir/obs.jsonl"])
@@ -354,7 +390,7 @@ fn explain_diff_attributes_divergence_and_writes_jsonl() {
     let path = std::env::temp_dir().join(format!("sac-diff-{}.jsonl", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_explain"))
         .args(["--small", "--config", "standard", "--diff", "soft"])
-        .arg("--diff-json")
+        .arg("--obs-json")
         .arg(&path)
         .output()
         .expect("run explain");
@@ -373,81 +409,15 @@ fn explain_diff_attributes_divergence_and_writes_jsonl() {
         "{text}"
     );
     let jsonl = std::fs::read_to_string(&path).expect("diff telemetry written");
+    // The probe records come first; the diff records follow them.
+    assert!(jsonl.starts_with("{\"type\":\"summary\""), "{jsonl}");
     assert!(
-        jsonl.starts_with("{\"type\":\"diff\",\"schema_version\":"),
+        jsonl.contains("\n{\"type\":\"diff\",\"schema_version\":"),
         "{jsonl}"
     );
     assert!(jsonl.contains("\"type\":\"side\""), "{jsonl}");
     assert!(jsonl.contains("\"type\":\"mechanism\""), "{jsonl}");
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn explain_diff_json_requires_a_diff_config() {
-    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
-        .args(["--small", "--diff-json", "/tmp/never-written.jsonl"])
-        .output()
-        .expect("run explain");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--diff-json needs --diff"), "{err}");
-}
-
-#[test]
-fn figures_diff_reports_every_pair_against_standard() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--small", "--diff"])
-        .output()
-        .expect("run figures");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    let pairs = text.matches("diff standard vs ").count();
-    assert_eq!(pairs, 7, "one pair per non-standard organization: {text}");
-    assert!(text.contains("diff standard vs soft"), "{text}");
-    assert_eq!(
-        text.matches("mechanism deltas sum exactly").count(),
-        7,
-        "every pair reconciled: {text}"
-    );
-}
-
-/// The sampled-event telemetry is recorded on a single instrumented
-/// replay, so its JSONL must not depend on the sweep worker count.
-#[test]
-fn figures_obs_jsonl_is_byte_identical_across_jobs() {
-    let run = |jobs: &str, tag: &str| {
-        let path =
-            std::env::temp_dir().join(format!("sac-obs-jobs{tag}-{}.jsonl", std::process::id()));
-        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-            .args(["--small", "fig04b", "--jobs", jobs])
-            .arg("--obs-json")
-            .arg(&path)
-            .output()
-            .expect("run figures");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let jsonl = std::fs::read(&path).expect("telemetry written");
-        std::fs::remove_file(&path).ok();
-        jsonl
-    };
-    let sequential = run("1", "1");
-    let parallel = run("4", "4");
-    assert!(!sequential.is_empty());
-    assert!(
-        String::from_utf8_lossy(&sequential).contains("\"schema_version\":"),
-        "obs records carry the schema version"
-    );
-    assert_eq!(
-        sequential, parallel,
-        "obs JSONL must be byte-identical under --jobs 4"
-    );
 }
 
 #[test]
@@ -512,14 +482,13 @@ fn explain_cpus_rejects_options_the_coherent_run_would_ignore() {
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
     let obs = tmp.join(format!("sac-cpus-obs-{pid}.jsonl"));
-    let diff = tmp.join(format!("sac-cpus-diff-{pid}.jsonl"));
     let store = tmp.join(format!("sac-cpus-store-{pid}"));
     let cases: [(Vec<&str>, &str); 7] = [
         (vec!["--config", "victim"], "--config"),
         (vec!["--config", "soft"], "--config"),
         (vec!["--diff", "victim"], "--diff"),
         (
-            vec!["--diff", "victim", "--diff-json", diff.to_str().unwrap()],
+            vec!["--diff", "victim", "--obs-json", obs.to_str().unwrap()],
             "--diff",
         ),
         (vec!["--timeline"], "--timeline"),
@@ -540,7 +509,7 @@ fn explain_cpus_rejects_options_the_coherent_run_would_ignore() {
         );
         assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{extra:?}");
     }
-    for path in [&obs, &diff, &store] {
+    for path in [&obs, &store] {
         assert!(!path.exists(), "{} must not be created", path.display());
     }
     // The bench guard would otherwise be skipped and exit 0.
@@ -588,20 +557,80 @@ fn explain_rejects_a_bench_guard_pct_that_disarms_or_trips_the_gate() {
     }
 }
 
-/// The telemetry outputs (probe JSONL, timeline JSONL and table, the
-/// lockstep diff report and its JSONL) are pinned byte for byte against
-/// goldens in the workspace's `tests/data`.
+/// `explain --obs-json` writes one JSONL: the probe records, then the
+/// timeline's window and phase records, then the diff records. Every
+/// record that carries a schema version carries `sac_obs::SCHEMA_VERSION`.
+#[test]
+fn explain_obs_json_appends_timeline_then_diff_records() {
+    let path = std::env::temp_dir().join(format!("sac-obs-all-{}.jsonl", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args([
+            "--small",
+            "--config",
+            "standard",
+            "--diff",
+            "soft",
+            "--timeline",
+            "--obs-json",
+        ])
+        .arg(&path)
+        .output()
+        .expect("run explain");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let jsonl = std::fs::read_to_string(&path).expect("telemetry written");
+    std::fs::remove_file(&path).ok();
+    let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/data/explain_diff_small_golden.jsonl");
+    let golden = std::fs::read_to_string(golden).expect("golden present");
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let (head, diff) = lines.split_at(lines.len() - golden.lines().count());
+    assert_eq!(diff, golden.lines().collect::<Vec<_>>(), "diff records");
+    // Probe records start `{"type":`, timeline records `{"kind": `.
+    let timeline_at = head
+        .iter()
+        .position(|l| l.starts_with("{\"kind\": "))
+        .expect("timeline records");
+    let (probe, timeline) = head.split_at(timeline_at);
+    assert!(
+        probe[0].starts_with("{\"type\":\"summary\""),
+        "{}",
+        probe[0]
+    );
+    assert!(probe.iter().all(|l| l.starts_with("{\"type\":")));
+    assert!(timeline.iter().all(|l| l.starts_with("{\"kind\": ")));
+    // One schema version across the three sections: the probe summary,
+    // every window and phase record and the diff header carry it, and
+    // no record carries another.
+    let version = sac_obs::SCHEMA_VERSION;
+    let stamped = |l: &&str| {
+        l.contains(&format!("\"schema_version\":{version},"))
+            || l.contains(&format!("\"schema_version\": {version},"))
+    };
+    assert!(stamped(&probe[0]) && stamped(&diff[0]));
+    assert!(timeline.iter().all(stamped));
+    for l in &lines {
+        assert!(!l.contains("schema_version") || stamped(l), "{l}");
+    }
+}
+
+/// `explain`'s report outputs are pinned byte for byte against goldens
+/// in the workspace's `tests/data`: the timeline table, and the diff
+/// records that close its `--obs-json` file.
 #[test]
 fn telemetry_outputs_match_their_goldens() {
     let data = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
     let dir = std::env::temp_dir().join(format!("sac-telemetry-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let run = |bin: &str, args: &[&str]| {
-        let out = Command::new(bin)
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
             .args(args)
             .current_dir(&dir)
             .output()
-            .expect("run binary");
+            .expect("run explain");
         assert!(
             out.status.success(),
             "{args:?}: {}",
@@ -609,47 +638,26 @@ fn telemetry_outputs_match_their_goldens() {
         );
         out.stdout
     };
-    let figures = env!("CARGO_BIN_EXE_figures");
-    let explain = env!("CARGO_BIN_EXE_explain");
-    run(
-        figures,
-        &[
-            "--jobs",
-            "1",
-            "--small",
-            "fig04b",
-            "--obs-json",
-            "obs_small_golden.jsonl",
-            "--timeline-json",
-            "timeline_small_golden.jsonl",
-        ],
+    run(&[
+        "--small",
+        "--config",
+        "standard",
+        "--diff",
+        "soft",
+        "--obs-json",
+        "obs.jsonl",
+    ]);
+    let obs = std::fs::read(dir.join("obs.jsonl")).expect("output written");
+    let diff = std::fs::read(data.join("explain_diff_small_golden.jsonl")).expect("golden");
+    assert!(
+        obs.ends_with(&diff),
+        "the diff records differ from tests/data/explain_diff_small_golden.jsonl"
     );
-    let diff_all = run(figures, &["--small", "--diff"]);
-    std::fs::write(dir.join("diff_all_small_golden.txt"), diff_all).expect("write");
-    run(
-        explain,
-        &[
-            "--small",
-            "--config",
-            "standard",
-            "--diff",
-            "soft",
-            "--diff-json",
-            "explain_diff_small_golden.jsonl",
-        ],
+    let timeline = run(&["--small", "--config", "soft", "--timeline"]);
+    let want = std::fs::read(data.join("explain_soft_timeline_golden.txt")).expect("golden");
+    assert!(
+        timeline == want,
+        "explain_soft_timeline_golden.txt differs from tests/data"
     );
-    let timeline = run(explain, &["--small", "--config", "soft", "--timeline"]);
-    std::fs::write(dir.join("explain_soft_timeline_golden.txt"), timeline).expect("write");
-    for name in [
-        "obs_small_golden.jsonl",
-        "timeline_small_golden.jsonl",
-        "diff_all_small_golden.txt",
-        "explain_diff_small_golden.jsonl",
-        "explain_soft_timeline_golden.txt",
-    ] {
-        let got = std::fs::read(dir.join(name)).expect("output written");
-        let want = std::fs::read(data.join(name)).expect("golden present");
-        assert!(got == want, "{name} differs from tests/data/{name}");
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

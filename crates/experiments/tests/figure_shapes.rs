@@ -38,6 +38,9 @@ fn fig11_tables_have_sweep_rows() {
     assert_eq!(b.columns().len(), 4);
 }
 
+/// The workload rows of the coherence sweeps.
+const COHERENCE_ROWS: [&str; 4] = ["mixed", "hit_heavy", "prod_cons", "false_share"];
+
 /// The rows a figure must have.
 enum Rows {
     /// The nine suite benchmarks.
@@ -90,8 +93,27 @@ fn expected_shape(id: &str) -> Option<(usize, Rows)> {
         "abl-phys16" => (2, Rows::Suite),
         "abl-assoc" => (4, Rows::Suite),
         "abl-bus" => (6, Rows::Suite),
+        "coh-mesi" | "coh-dragon" => (7, Rows::Labels(&COHERENCE_ROWS)),
         _ => return None,
     })
+}
+
+/// Builds `fig` and checks its table against [`expected_shape`].
+fn assert_expected_shape(fig: &figures::Figure, suite: Option<&Suite>) {
+    let (cols, rows) = expected_shape(fig.id)
+        .unwrap_or_else(|| panic!("{}: no expected shape for this registry id", fig.id));
+    let t = fig.build(suite, true);
+    assert_eq!(t.columns().len(), cols, "{}: {}", fig.id, t.title());
+    let labels: Vec<&str> = t.rows().iter().map(|(l, _)| l.as_str()).collect();
+    match rows {
+        Rows::Suite => assert_suite_rows(&t),
+        Rows::SuiteAndGeomean => {
+            assert_eq!(labels[..9], BENCHES, "{}", fig.id);
+            assert_eq!(labels[9..], ["geomean"], "{}", fig.id);
+        }
+        Rows::Labels(want) => assert_eq!(labels, want, "{}", fig.id),
+        Rows::Count(n) => assert_eq!(labels.len(), n, "{}", fig.id),
+    }
 }
 
 #[test]
@@ -99,20 +121,16 @@ fn expected_shape(id: &str) -> Option<(usize, Rows)> {
 fn every_figure_has_the_expected_shape() {
     let suite = Suite::small();
     for fig in &figures::REGISTRY {
-        let (cols, rows) = expected_shape(fig.id)
-            .unwrap_or_else(|| panic!("{}: no expected shape for this registry id", fig.id));
-        let t = fig.build(Some(&suite), true);
-        assert_eq!(t.columns().len(), cols, "{}: {}", fig.id, t.title());
-        let labels: Vec<&str> = t.rows().iter().map(|(l, _)| l.as_str()).collect();
-        match rows {
-            Rows::Suite => assert_suite_rows(&t),
-            Rows::SuiteAndGeomean => {
-                assert_eq!(labels[..9], BENCHES, "{}", fig.id);
-                assert_eq!(labels[9..], ["geomean"], "{}", fig.id);
-            }
-            Rows::Labels(want) => assert_eq!(labels, want, "{}", fig.id),
-            Rows::Count(n) => assert_eq!(labels.len(), n, "{}", fig.id),
-        }
+        assert_expected_shape(fig, Some(&suite));
+    }
+}
+
+#[test]
+fn coherence_group_tables_have_the_expected_shape() {
+    // The sweeps build their own traces, so they need no suite.
+    for fig in figures::select(&["coherence"]).unwrap() {
+        assert!(!fig.needs_suite(), "{}", fig.id);
+        assert_expected_shape(fig, None);
     }
 }
 
@@ -128,10 +146,11 @@ fn registry_ids_are_unique_and_groups_have_their_sizes() {
             Group::Summary,
             Group::Paper,
             Group::Extension,
-            Group::Ablation
+            Group::Ablation,
+            Group::Coherence
         ]
         .map(count),
-        [1, 19, 7, 6]
+        [1, 19, 7, 6, 2]
     );
 }
 
@@ -152,8 +171,12 @@ fn select_expands_groups_in_place_and_rejects_unknown_names() {
     assert_eq!(mixed[0], "fig06a");
     assert_eq!(mixed[7], "summary");
     assert_eq!(ids(&["all", "ablations"]).len(), 25);
+    assert_eq!(ids(&["coherence"]), ["coh-mesi", "coh-dragon"]);
     let err = figures::select(&["fig04b", "fig99"]).err().unwrap();
     assert!(err.contains("\"fig99\""), "{err}");
     assert!(err.contains("summary fig01a"), "{err}");
-    assert!(err.contains("groups: all extensions ablations"), "{err}");
+    assert!(
+        err.contains("groups: all extensions ablations coherence"),
+        "{err}"
+    );
 }
