@@ -21,15 +21,16 @@
 //! registry tables; per-trace telemetry (probe, timeline and lockstep
 //! diff JSONL) comes from the `explain` binary.
 //!
-//! Sweeps shard their (config × workload) cells across a worker pool;
-//! `--jobs N` pins the worker count (`--jobs 1` is the sequential
-//! path), and the default uses every core. Output is bit-identical
-//! either way. A run summary (cells done, slowest cells, aggregate
-//! speedup) goes to stderr at the end.
+//! Each figure lists its cells (`figures::Cell`: label, input, work) as
+//! a grid of rows, and the rows shard across a worker pool; `--jobs N`
+//! pins the worker count (`--jobs 1` is the sequential path), and the
+//! default uses every core. Output is bit-identical either way. A run
+//! summary (cells done, slowest cells, aggregate speedup) goes to stderr
+//! at the end.
 //!
-//! Replay is chunked: every configuration of a sweep row advances
-//! through the trace in one pass, each engine consuming a chunk while it
-//! is hot in cache.
+//! Replay is chunked: every configuration of a row that reads the same
+//! trace advances through it in one pass, each engine consuming a chunk
+//! while it is hot in cache.
 //! `--store DIR` attaches a content-addressed on-disk result store:
 //! suite cells found in DIR (same trace content, config and engine
 //! version) are served without replay, fresh cells are persisted, so a
@@ -37,10 +38,9 @@
 //! summary line reports the hit/miss split.
 //! The `coherence` group (`coh-mesi`, `coh-dragon`) is the multi-core
 //! private-vs-shared sweep: miss ratio and AMAT at 2 and 4 CPUs, plus
-//! the false-sharing fraction, over two deterministic kernels and the
-//! two sharing microkernels. Its rows run sequentially, so the tables
-//! are byte-identical at any `--jobs` setting, and its `coherence.*`
-//! counters reach the registry snapshot on stderr.
+//! the false-sharing fraction, over two synthetic traces and the two
+//! sharing microkernels. Each coherent run is a cell in the ledger, and
+//! its `coherence.*` counters reach the registry snapshot on stderr.
 //! `--bench-json PATH` additionally times raw / hit-heavy / miss-heavy
 //! replay micro-benchmarks and writes a JSON report (refs/sec per shape,
 //! store cold/warm, peak RSS, per-figure wall-clock, runner-level cell

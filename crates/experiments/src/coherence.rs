@@ -11,10 +11,11 @@
 //! * [`shard_round_robin`] / [`privatize`] — turn a uniprocessor
 //!   benchmark trace into a shared-data or private-data multi-CPU
 //!   version of itself, the two poles the coherence sweep compares.
-//! * [`coherence_table`] — the private-vs-shared sweep itself, over two
-//!   suite kernels and the two sharing microkernels: the `coh-mesi` and
-//!   `coh-dragon` entries of [`crate::figures::REGISTRY`].
+//! * `sweep` — the private-vs-shared sweep itself, over two synthetic
+//!   traces and the two sharing microkernels, as figure cells: the
+//!   `coh-mesi` and `coh-dragon` entries of [`crate::figures::REGISTRY`].
 
+use crate::figures::{Cell, Input, Plan, Work};
 use crate::{runner, Table};
 use sac_simcache::{
     CacheGeometry, CoherentSystem, CpuCoherence, Dragon, MemoryModel, Mesi, Metrics,
@@ -155,6 +156,17 @@ impl CoherentSummary {
         t
     }
 
+    /// The percentage of invalidations that were false sharing (0
+    /// without invalidations).
+    pub fn false_sharing_pct(&self) -> f64 {
+        let t = self.coherence_totals();
+        if t.invalidations_received > 0 {
+            100.0 * t.false_sharing_invalidations as f64 / t.invalidations_received as f64
+        } else {
+            0.0
+        }
+    }
+
     /// The textual report `explain --cpus` prints.
     pub fn render(&self) -> String {
         let m = &self.metrics;
@@ -189,11 +201,7 @@ impl CoherentSummary {
              {} c2c fills, {} wb forwards, {} updates\n",
             t.invalidations_received,
             t.false_sharing_invalidations,
-            if t.invalidations_received > 0 {
-                100.0 * t.false_sharing_invalidations as f64 / t.invalidations_received as f64
-            } else {
-                0.0
-            },
+            self.false_sharing_pct(),
             t.upgrades,
             t.c2c_fills,
             t.wb_forwards,
@@ -261,50 +269,59 @@ pub fn privatize(trace: &Trace) -> Trace {
     t
 }
 
-/// Reference length of the small kernels in the sweep.
+/// Reference length of the synthetic rows of the sweep.
 const SWEEP_KERNEL_REFS: usize = 60_000;
 
-/// The workload rows of the coherence sweep: two suite
-/// kernels (MV and SpMV shapes at reduced size, built via the shared
-/// deterministic generator in [`crate::explain`]) and the two sharing
-/// microkernels, the latter already cpu-tagged.
-fn sweep_rows() -> Vec<(String, Trace)> {
-    vec![
-        (
-            "mixed".into(),
-            crate::explain::mixed_trace(SWEEP_KERNEL_REFS),
-        ),
-        (
-            "hit_heavy".into(),
-            crate::explain::hit_heavy_trace(SWEEP_KERNEL_REFS),
-        ),
-        ("prod_cons".into(), sharing::producer_consumer(2, 2_000, 16)),
-        ("false_share".into(), sharing::false_sharing(2, 8_000, 4)),
-    ]
-}
-
-/// The coherence sweep table (`figures coherence`): each workload's miss
-/// ratio and AMAT with the data private to each CPU versus shared
-/// between them, at 2 and 4 CPUs under `protocol`, plus the
-/// false-sharing fraction of the 2-CPU shared run.
+/// The workload rows of the coherence sweep: the synthetic `mixed` and
+/// `hit_heavy` traces of [`crate::explain`] ([`mixed_trace`] and
+/// [`hit_heavy_trace`], 60,000 references each) and the two sharing
+/// microkernels, which issue from two CPUs of their own.
 ///
-/// The already-multi-CPU microkernels keep their own tagging for the
-/// "shared" columns (re-sharding would destroy the pattern) and are
-/// privatized from that tagging for the "private" columns. Rows run
-/// sequentially, so the table is byte-identical at any `--jobs` level.
+/// [`mixed_trace`]: crate::explain::mixed_trace
+/// [`hit_heavy_trace`]: crate::explain::hit_heavy_trace
+const SWEEP_ROWS: [&str; 4] = ["mixed", "hit_heavy", "prod_cons", "false_share"];
+
+/// The trace of sweep row `row` issued by `cpus` CPUs, sharing its data
+/// or, when `private`, each on its own copy ([`privatize`]). A workload
+/// that already issues from `cpus` CPUs keeps its own tagging
+/// (re-sharding would destroy its pattern); any other is sharded round
+/// robin.
 ///
 /// # Panics
 ///
-/// Panics if a run breaks the SWMR invariant (engine bug).
-pub fn coherence_table(protocol: Protocol) -> Table {
-    let geom = CacheGeometry::standard();
-    let mem = MemoryModel::default();
-    let title = format!(
-        "Coherence — private vs shared data, {} (miss ratio / AMAT)",
-        protocol.name()
-    );
-    let mut table = Table::new(
-        title,
+/// Panics if `row` is not a sweep row.
+pub(crate) fn sweep_trace(row: &str, cpus: usize, private: bool) -> Trace {
+    let trace = match row {
+        "mixed" => crate::explain::mixed_trace(SWEEP_KERNEL_REFS),
+        "hit_heavy" => crate::explain::hit_heavy_trace(SWEEP_KERNEL_REFS),
+        "prod_cons" => sharing::producer_consumer(2, 2_000, 16),
+        "false_share" => sharing::false_sharing(2, 8_000, 4),
+        _ => panic!("no coherence sweep row {row}"),
+    };
+    let tagged = if trace.cpu_count() == cpus {
+        trace
+    } else {
+        shard_round_robin(&trace, cpus)
+    };
+    if private {
+        privatize(&tagged)
+    } else {
+        tagged
+    }
+}
+
+/// The coherence sweep table under `protocol` (the `coh-mesi` and
+/// `coh-dragon` figures): each workload's miss ratio and AMAT with the
+/// data private to each CPU versus shared between them, at 2 and 4 CPUs,
+/// plus the false-sharing fraction of the 2-CPU shared run. Each row's
+/// three coherent runs are cells labeled `coh-<protocol>/<row>/<run>`.
+pub(crate) fn sweep(protocol: Protocol) -> Plan {
+    let id = format!("coh-{}", protocol.name().to_lowercase());
+    let table = Table::new(
+        format!(
+            "Coherence — private vs shared data, {} (miss ratio / AMAT)",
+            protocol.name()
+        ),
         &[
             "miss.priv2",
             "miss.shared2",
@@ -315,45 +332,34 @@ pub fn coherence_table(protocol: Protocol) -> Table {
             "false.pct2",
         ],
     );
-    for (name, trace) in sweep_rows() {
-        let run = |label: &str, cpus: usize, t: &Trace| {
-            run_coherent(label, protocol, geom, mem, cpus, t)
-                .unwrap_or_else(|e| panic!("coherence sweep {label}: {e}"))
-        };
-        // Respect existing tags where the workload is inherently
-        // multi-CPU; shard the uniprocessor kernels.
-        let tagged2 = if trace.cpu_count() > 1 {
-            trace.clone()
-        } else {
-            shard_round_robin(&trace, 2)
-        };
-        let shared2 = run(&format!("coherence/{name}/shared2"), 2, &tagged2);
-        let shared4 = run(
-            &format!("coherence/{name}/shared4"),
-            4,
-            &shard_round_robin(&trace, 4),
-        );
-        let priv2 = run(&format!("coherence/{name}/priv2"), 2, &privatize(&tagged2));
-        let t2 = shared2.coherence_totals();
-        let false_pct = if t2.invalidations_received > 0 {
-            100.0 * t2.false_sharing_invalidations as f64 / t2.invalidations_received as f64
-        } else {
-            0.0
-        };
-        table.push_row(
-            name,
-            vec![
-                priv2.metrics.miss_ratio(),
-                shared2.metrics.miss_ratio(),
-                shared4.metrics.miss_ratio(),
-                priv2.metrics.amat(),
-                shared2.metrics.amat(),
-                shared4.metrics.amat(),
-                false_pct,
-            ],
-        );
-    }
-    table
+    let rows = SWEEP_ROWS
+        .iter()
+        .map(|&row| {
+            let cell = |run: &str, cpus, private| Cell {
+                label: format!("{id}/{row}/{run}"),
+                input: Input::Coherent { row, cpus, private },
+                work: Work::Coherent(protocol),
+            };
+            let cells = vec![
+                cell("shared2", 2, false),
+                cell("shared4", 4, false),
+                cell("priv2", 2, true),
+            ];
+            (row.to_string(), cells)
+        })
+        .collect();
+    Plan::per_row(table, rows, |runs| {
+        let [shared2, shared4, priv2] = [0, 1, 2].map(|i| &runs[i]);
+        vec![
+            priv2.metrics.miss_ratio(),
+            shared2.metrics.miss_ratio(),
+            shared4.metrics.miss_ratio(),
+            priv2.metrics.amat(),
+            shared2.metrics.amat(),
+            shared4.metrics.amat(),
+            shared2.values[0],
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -425,8 +431,8 @@ mod tests {
         // `coh-dragon`.
         let got = format!(
             "{}\n{}\n",
-            coherence_table(Protocol::Mesi),
-            coherence_table(Protocol::Dragon)
+            sweep(Protocol::Mesi).run(None),
+            sweep(Protocol::Dragon).run(None)
         );
         assert_eq!(
             got,
@@ -437,7 +443,7 @@ mod tests {
 
     #[test]
     fn sweep_table_has_expected_shape() {
-        let t = coherence_table(Protocol::Mesi);
+        let t = sweep(Protocol::Mesi).run(None);
         assert_eq!(t.rows().len(), 4);
         let fs = t.get("false_share", "false.pct2").unwrap();
         assert!(

@@ -1,42 +1,50 @@
-//! One function per figure of the paper's evaluation, plus the ablations
-//! called out in DESIGN.md.
+//! One figure per table of the paper's evaluation, plus the extensions,
+//! ablations and coherence sweeps called out in DESIGN.md.
 //!
-//! Every figure is a sweep over a (configuration × workload) grid. The
-//! unit of parallelism is one **benchmark row**: all of a row's
-//! configurations replay the row's trace in a single batched pass
-//! ([`runner::replay_trace`]) so each decoded chunk is reused by every
-//! engine while it is hot, and rows shard across the [`runner`] worker
-//! pool and reassemble **by row index** — the emitted [`Table`] is
-//! bit-identical to the one a sequential run produces, whatever the
-//! worker count (see `runner::set_jobs`). Cross-cell reductions (suite
-//! means, geometric means) happen after aggregation, in row order, for
-//! the same reason.
-//!
-//! [`REGISTRY`] lists every figure once, with its id, group and the input
-//! its builder takes; the `figures` binary and the tests select from it.
+//! A figure is data: [`REGISTRY`] lists each one with its id, its group
+//! and a function that returns its [`Plan`]: the [`Cell`]s it replays, as
+//! a grid of rows, and the fold that turns their outcomes into its
+//! [`Table`]. A cell names one simulation: its ledger label, its input (a
+//! suite or leveled-suite benchmark, a generated program with its tracer
+//! options, or a coherent sharding) and what runs on it (a replay, a
+//! replay with context switches, a trace statistic, the 3C classifier or
+//! a coherent run). One function runs any grid, one pool item per row,
+//! and puts each result back by row and cell index, so the table is
+//! bit-identical at any worker count (`--jobs`). Within a row,
+//! consecutive cells that share an input run together: suite replays go
+//! through the suite's memo and result store, then one batched pass over
+//! the trace in which latency lanes form; a program's replays stream its
+//! trace while it is generated. Cross-cell reductions (derived columns,
+//! suite means, geometric means) happen in the fold, after every result
+//! is back, in row order.
 
-use crate::coherence::coherence_table;
+mod cell;
+
+pub use cell::{Cell, Input, Plan, Stat, Work};
+
+use crate::coherence;
 use crate::suite::trace_options;
-use crate::{runner, Config, Suite, Table};
+use crate::{Config, Suite, Table};
+pub(crate) use cell::Outcome;
 use sac_core::SoftCacheConfig;
 use sac_loopir::TraceOptions;
 use sac_simcache::{BypassMode, CacheGeometry, MemoryModel, Metrics};
-use sac_trace::stats::{
-    ReuseBand, ReuseHistogram, TagClass, TagFractions, VectorBand, VectorLengths,
-};
 use sac_trace::GapModel;
+use sac_workloads::{blocked, copying};
+use std::sync::Arc;
 
-/// A figure builder, tagged by the input it needs.
+/// A figure's plan function, tagged by the input its cells read.
 #[derive(Clone, Copy)]
 pub enum Builder {
-    /// The benchmark suite ([`Suite::paper`] or [`Suite::small`]).
-    Suite(fn(&Suite) -> Table),
+    /// The benchmark suite ([`Suite::paper`] or [`Suite::small`]); the
+    /// plan is listed over its benchmark names.
+    Suite(fn(&[&str]) -> Plan),
     /// The leveled suite ([`Suite::paper_leveled`] or
     /// [`Suite::small_leveled`]), which the figure builds for itself.
-    Leveled(fn(&Suite) -> Table),
-    /// Only the scale: the figure generates its own traces, scaled down
-    /// when the flag is set.
-    Scale(fn(bool) -> Table),
+    Leveled(fn(&[&str]) -> Plan),
+    /// Only the scale: the figure's cells generate their own traces,
+    /// scaled down when the flag is set.
+    Scale(fn(bool) -> Plan),
 }
 
 /// The part of the evaluation a figure belongs to.
@@ -73,32 +81,49 @@ pub struct Figure {
     pub id: &'static str,
     /// The group the figure belongs to.
     pub group: Group,
-    /// Builds the table.
+    /// Lists the figure's cells.
     pub builder: Builder,
 }
 
 impl Figure {
-    /// Whether the builder reads the benchmark suite.
+    /// Whether the figure's cells read the benchmark suite.
     pub fn needs_suite(&self) -> bool {
         matches!(self.builder, Builder::Suite(_))
     }
 
-    /// Builds the table at paper scale, or scaled down when `small`.
+    /// The figure's cells and fold, listed over the suite benchmarks
+    /// `benches` (for a figure over a suite) at paper scale, or scaled
+    /// down when `small`. Listing replays nothing.
+    pub fn plan(&self, benches: &[&str], small: bool) -> Plan {
+        match self.builder {
+            Builder::Suite(f) | Builder::Leveled(f) => f(benches),
+            Builder::Scale(f) => f(small),
+        }
+    }
+
+    /// Runs the figure's cells and returns its table, at paper scale or
+    /// scaled down when `small`.
     ///
     /// # Panics
     ///
     /// Panics if the figure [needs the suite](Self::needs_suite) and
     /// `suite` is `None`.
     pub fn build(&self, suite: Option<&Suite>, small: bool) -> Table {
-        match self.builder {
-            Builder::Suite(f) => f(suite.expect("suite figures are built over the suite")),
-            Builder::Leveled(f) => f(&if small {
-                Suite::small_leveled()
-            } else {
-                Suite::paper_leveled()
-            }),
-            Builder::Scale(f) => f(small),
-        }
+        let leveled;
+        let suite = match self.builder {
+            Builder::Suite(_) => Some(suite.expect("suite figures are built over the suite")),
+            Builder::Leveled(_) => {
+                leveled = if small {
+                    Suite::small_leveled()
+                } else {
+                    Suite::paper_leveled()
+                };
+                Some(&leveled)
+            }
+            Builder::Scale(_) => None,
+        };
+        let benches = suite.map(Suite::names).unwrap_or_default();
+        self.plan(&benches, small).run(suite)
     }
 }
 
@@ -114,25 +139,25 @@ pub const REGISTRY: [Figure; 35] = {
     use Group::{Ablation as A, Coherence as C, Extension as E, Paper as P};
     [
         entry("summary", Group::Summary, S(summary)),
-        entry("fig01a", P, S(fig01a)),
-        entry("fig01b", P, S(fig01b)),
-        entry("fig03a", P, S(fig03a)),
-        entry("fig03b", P, S(fig03b)),
-        entry("fig04a", P, S(fig04a)),
-        entry("fig04b", P, Scale(|_| fig04b())),
-        entry("fig06a", P, S(fig06a)),
-        entry("fig06b", P, S(fig06b)),
-        entry("fig07a", P, S(fig07a)),
-        entry("fig07b", P, S(fig07b)),
-        entry("fig08a", P, S(fig08a)),
-        entry("fig08b", P, S(fig08b)),
-        entry("fig09a", P, S(fig09a)),
-        entry("fig09b", P, S(fig09b)),
-        entry("fig10a", P, Scale(|_| fig10a())),
-        entry("fig10b", P, S(fig10b)),
-        entry("fig11a", P, Scale(fig11a)),
-        entry("fig11b", P, Scale(fig11b)),
-        entry("fig12", P, S(fig12)),
+        entry("fig01a", P, S(fig01a_plan)),
+        entry("fig01b", P, S(fig01b_plan)),
+        entry("fig03a", P, S(fig03a_plan)),
+        entry("fig03b", P, S(fig03b_plan)),
+        entry("fig04a", P, S(fig04a_plan)),
+        entry("fig04b", P, Scale(|_| fig04b_plan())),
+        entry("fig06a", P, S(fig06a_plan)),
+        entry("fig06b", P, S(fig06b_plan)),
+        entry("fig07a", P, S(fig07a_plan)),
+        entry("fig07b", P, S(fig07b_plan)),
+        entry("fig08a", P, S(fig08a_plan)),
+        entry("fig08b", P, S(fig08b_plan)),
+        entry("fig09a", P, S(fig09a_plan)),
+        entry("fig09b", P, S(fig09b_plan)),
+        entry("fig10a", P, Scale(|_| fig10a_plan())),
+        entry("fig10b", P, S(fig10b_plan)),
+        entry("fig11a", P, Scale(fig11a_plan)),
+        entry("fig11b", P, Scale(fig11b_plan)),
+        entry("fig12", P, S(fig12_plan)),
         entry("ext-var-vlines", E, Leveled(ext_variable_vlines)),
         entry("ext-pf-distance", E, S(ext_prefetch_distance)),
         entry("ext-related", E, S(ext_related_designs)),
@@ -146,8 +171,8 @@ pub const REGISTRY: [Figure; 35] = {
         entry("abl-phys16", A, S(ablation_physical_16)),
         entry("abl-assoc", A, S(ablation_associativity)),
         entry("abl-bus", A, S(ablation_bus_width)),
-        entry("coh-mesi", C, Scale(|_| coherence_table(Mesi))),
-        entry("coh-dragon", C, Scale(|_| coherence_table(Dragon))),
+        entry("coh-mesi", C, Scale(|_| coherence::sweep(Mesi))),
+        entry("coh-dragon", C, Scale(|_| coherence::sweep(Dragon))),
     ]
 };
 
@@ -185,97 +210,138 @@ pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<&'static Figure>, String
     Ok(selected)
 }
 
-/// The short cell-label prefix of a figure title ("Figure 6a — ..." →
-/// "Figure 6a").
-fn short(title: &str) -> &str {
-    title.split('—').next().unwrap_or(title).trim()
-}
-
-/// Replays `cells` over one suite benchmark's trace, reusing any result
-/// the suite has already recorded for the same `(benchmark, config)`
-/// pair (figures share many columns); the configs not seen before replay
-/// the trace in a single batched pass and are recorded for later
-/// figures. Results come back in cell order.
-fn replay_suite_cells(
-    suite: &Suite,
-    name: &str,
-    trace: &sac_trace::Trace,
-    cells: &[(String, Config)],
-) -> Vec<Metrics> {
-    let mut out: Vec<Option<Metrics>> = cells
-        .iter()
-        .map(|(_, cfg)| suite.cached(name, cfg))
-        .collect();
-    let fresh_cells: Vec<(String, Config)> = cells
-        .iter()
-        .zip(&out)
-        .filter(|(_, cached)| cached.is_none())
-        .map(|(cell, _)| cell.clone())
-        .collect();
-    if !fresh_cells.is_empty() {
-        let mut fresh = runner::replay_trace(&fresh_cells, trace).into_iter();
-        for (slot, (_, cfg)) in out.iter_mut().zip(cells) {
-            if slot.is_none() {
-                let m = fresh.next().expect("one result per fresh cell");
-                suite.store(name, cfg, m);
-                *slot = Some(m);
-            }
+/// The paper's figures over a suite, as functions of it.
+macro_rules! suite_figures {
+    ($($id:ident),*) => {$(
+        #[doc = concat!("The `", stringify!($id), "` figure of [`REGISTRY`] over `suite`.")]
+        pub fn $id(suite: &Suite) -> Table {
+            select(&[stringify!($id)]).expect("a registry id")[0].build(Some(suite), false)
         }
+    )*};
+}
+
+suite_figures!(
+    fig01a, fig01b, fig03a, fig03b, fig04a, fig06a, fig06b, fig07a, fig07b, fig08a, fig08b, fig09a,
+    fig09b, fig10b, fig12
+);
+
+/// The `fig04b` figure of [`REGISTRY`].
+pub fn fig04b() -> Table {
+    select(&["fig04b"]).expect("a registry id")[0].build(None, false)
+}
+
+/// The `fig10a` figure of [`REGISTRY`].
+pub fn fig10a() -> Table {
+    select(&["fig10a"]).expect("a registry id")[0].build(None, false)
+}
+
+/// The `fig11a` figure of [`REGISTRY`], scaled down when `small`.
+pub fn fig11a(small: bool) -> Table {
+    select(&["fig11a"]).expect("a registry id")[0].build(None, small)
+}
+
+/// The `fig11b` figure of [`REGISTRY`], scaled down when `small`.
+pub fn fig11b(small: bool) -> Table {
+    select(&["fig11b"]).expect("a registry id")[0].build(None, small)
+}
+
+/// A replay of `config` over `input`, labeled `label`.
+fn replay(label: String, input: &Input, config: Config) -> Cell {
+    Cell {
+        label,
+        input: input.clone(),
+        work: Work::Replay(config),
     }
-    out.into_iter().map(|m| m.expect("filled")).collect()
 }
 
-/// Runs every `(benchmark, config)` cell of the grid and returns the
-/// metrics in `[benchmark][config]` order. One parallel task per
-/// benchmark; within a task all configs replay the trace in a single
-/// batched pass.
-fn run_grid(title: &str, suite: &Suite, configs: &[(&str, Config)]) -> Vec<Vec<Metrics>> {
-    let prefix = short(title);
-    runner::par_map(suite.entries(), |_, (name, trace)| {
-        let cells: Vec<(String, Config)> = configs
-            .iter()
-            .map(|(label, cfg)| (format!("{prefix}/{name}/{label}"), *cfg))
-            .collect();
-        replay_suite_cells(suite, name, trace, &cells)
-    })
+/// A program input: `program` traced under `opts`, its generation
+/// booked under `label`.
+fn program(label: String, program: sac_loopir::Program, opts: TraceOptions) -> Input {
+    let program = Arc::new(program);
+    Input::Program {
+        label,
+        program,
+        opts,
+    }
 }
 
-/// Runs every `(label, config)` over every benchmark and tabulates
-/// `extract(metrics)`.
-fn metric_table(
+/// The rows of a figure over a suite: each benchmark of `benches`, over
+/// `input(bench)`.
+fn bench_rows(benches: &[&str], input: fn(String) -> Input) -> Vec<(String, Input)> {
+    benches
+        .iter()
+        .map(|&bench| (bench.to_string(), input(bench.to_string())))
+        .collect()
+}
+
+/// One grid row per `(name, input)`: a cell per `(column, work)` over the
+/// input, labeled `{prefix}/{name}/{column}`.
+fn grid(
+    prefix: &str,
+    rows: Vec<(String, Input)>,
+    works: &[(String, Work)],
+) -> Vec<(String, Vec<Cell>)> {
+    rows.into_iter()
+        .map(|(name, input)| {
+            let cells = works
+                .iter()
+                .map(|(column, work)| Cell {
+                    label: format!("{prefix}/{name}/{column}"),
+                    input: input.clone(),
+                    work: *work,
+                })
+                .collect();
+            (name, cells)
+        })
+        .collect()
+}
+
+/// A table of one row per `(name, input)` and one column per `(label,
+/// config)` replay, each cell read out by `value`.
+fn metric_plan<S: AsRef<str>>(
+    prefix: &str,
     title: &str,
-    suite: &Suite,
-    configs: &[(&str, Config)],
-    extract: impl Fn(&Metrics) -> f64,
-) -> Table {
-    let labels: Vec<&str> = configs.iter().map(|(l, _)| *l).collect();
-    let mut table = Table::new(title, &labels);
-    let grid = run_grid(title, suite, configs);
-    for ((name, _), row) in suite.entries().iter().zip(grid) {
-        table.push_row(name.clone(), row.iter().map(&extract).collect());
-    }
-    table
+    rows: Vec<(String, Input)>,
+    configs: &[(S, Config)],
+    value: fn(&Metrics) -> f64,
+) -> Plan {
+    let columns: Vec<&str> = configs.iter().map(|(l, _)| l.as_ref()).collect();
+    let works: Vec<(String, Work)> = configs
+        .iter()
+        .map(|(l, c)| (l.as_ref().to_string(), Work::Replay(*c)))
+        .collect();
+    Plan::per_row(
+        Table::new(title, &columns),
+        grid(prefix, rows, &works),
+        move |row| row.iter().map(|o| value(&o.metrics)).collect(),
+    )
 }
 
-fn amat_table(title: &str, suite: &Suite, configs: &[(&str, Config)]) -> Table {
-    metric_table(title, suite, configs, |m| m.amat())
+/// [`metric_plan`] of the AMAT.
+fn amat_plan<S: AsRef<str>>(
+    prefix: &str,
+    title: &str,
+    rows: Vec<(String, Input)>,
+    configs: &[(S, Config)],
+) -> Plan {
+    metric_plan(prefix, title, rows, configs, Metrics::amat)
 }
 
-/// Borrows `(String, Config)` sweeps as the `(&str, Config)` slices the
-/// table helpers take.
-fn as_label_refs(configs: &[(String, Config)]) -> Vec<(&str, Config)> {
-    configs.iter().map(|(l, c)| (l.as_str(), *c)).collect()
+/// The mean AMAT of cell `cell` over every row (one per benchmark),
+/// summed in row order.
+fn suite_mean(rows: &[Vec<Outcome>], cell: usize) -> f64 {
+    let sum: f64 = rows.iter().map(|row| row[cell].metrics.amat()).sum();
+    sum / rows.len() as f64
 }
 
-/// Parallel map over the suite's benchmarks, one row per benchmark, rows
-/// in suite order.
-fn par_rows(
-    suite: &Suite,
-    f: impl Fn(&str, &sac_trace::Trace) -> Vec<f64> + Sync,
-) -> Vec<(String, Vec<f64>)> {
-    runner::par_map(suite.entries(), |_, (name, trace)| {
-        (name.clone(), f(name, trace))
-    })
+/// A table of one trace statistic's fractions per benchmark.
+fn stat_plan(prefix: &str, title: &str, rows: Vec<(String, Input)>, stat: Stat) -> Plan {
+    let works = [(stat.name().to_string(), Work::Stat(stat))];
+    Plan::per_row(
+        Table::new(title, &stat.columns()),
+        grid(prefix, rows, &works),
+        |row| row[0].values.clone(),
+    )
 }
 
 /// The four software-control variants of Figures 6a/7a/7b.
@@ -289,47 +355,34 @@ fn soft_variants() -> [(&'static str, Config); 4] {
 }
 
 /// Figure 1a: distribution of references over temporal reuse distances.
-pub fn fig01a(suite: &Suite) -> Table {
-    let labels: Vec<&str> = ReuseBand::ALL.iter().map(|b| b.label()).collect();
-    let mut t = Table::new(
+fn fig01a_plan(benches: &[&str]) -> Plan {
+    stat_plan(
+        "Figure 1a",
         "Figure 1a — reuse-distance distribution (fraction of references)",
-        &labels,
-    );
-    for (name, row) in par_rows(suite, |name, trace| {
-        runner::timed_cell(format!("Figure 1a/{name}/reuse"), || {
-            ReuseHistogram::of(trace).fractions().to_vec()
-        })
-    }) {
-        t.push_row(name, row);
-    }
-    t
+        bench_rows(benches, Input::Suite),
+        Stat::Reuse,
+    )
 }
 
 /// Figure 1b: distribution of references over the vector length of their
 /// instruction's reference stream.
-pub fn fig01b(suite: &Suite) -> Table {
-    let labels: Vec<&str> = VectorBand::ALL.iter().map(|b| b.label()).collect();
-    let mut t = Table::new(
+fn fig01b_plan(benches: &[&str]) -> Plan {
+    stat_plan(
+        "Figure 1b",
         "Figure 1b — vector-length distribution (fraction of references)",
-        &labels,
-    );
-    for (name, row) in par_rows(suite, |name, trace| {
-        runner::timed_cell(format!("Figure 1b/{name}/vectors"), || {
-            VectorLengths::of(trace).fractions().to_vec()
-        })
-    }) {
-        t.push_row(name, row);
-    }
-    t
+        bench_rows(benches, Input::Suite),
+        Stat::Vectors,
+    )
 }
 
 /// Figure 3a: efficiency of bypassing (AMAT).
-pub fn fig03a(suite: &Suite) -> Table {
+fn fig03a_plan(benches: &[&str]) -> Plan {
     let geom = CacheGeometry::standard();
     let mem = MemoryModel::default();
-    amat_table(
+    amat_plan(
+        "Figure 3a",
         "Figure 3a — efficiency of bypassing (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("Standard", Config::standard()),
             (
@@ -354,10 +407,11 @@ pub fn fig03a(suite: &Suite) -> Table {
 }
 
 /// Figure 3b: efficiency of victim caches (AMAT).
-pub fn fig03b(suite: &Suite) -> Table {
-    amat_table(
+fn fig03b_plan(benches: &[&str]) -> Plan {
+    amat_plan(
+        "Figure 3b",
         "Figure 3b — efficiency of victim caches (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("Stand.", Config::standard()),
             ("Stand.+Victim", Config::standard_victim()),
@@ -367,85 +421,87 @@ pub fn fig03b(suite: &Suite) -> Table {
 }
 
 /// Figure 4a: fraction of references in each temporal × spatial tag class.
-pub fn fig04a(suite: &Suite) -> Table {
-    let labels: Vec<&str> = TagClass::ALL.iter().map(|c| c.label()).collect();
-    let mut t = Table::new(
+fn fig04a_plan(benches: &[&str]) -> Plan {
+    stat_plan(
+        "Figure 4a",
         "Figure 4a — software-tag classes (fraction of references)",
-        &labels,
-    );
-    for (name, row) in par_rows(suite, |name, trace| {
-        runner::timed_cell(format!("Figure 4a/{name}/tags"), || {
-            TagFractions::of(trace).fractions().to_vec()
-        })
-    }) {
-        t.push_row(name, row);
-    }
-    t
+        bench_rows(benches, Input::Suite),
+        Stat::Tags,
+    )
 }
 
 /// Figure 4b: the inter-reference issue-gap distribution used by the
-/// tracer (an input of the methodology, reproduced for completeness).
-pub fn fig04b() -> Table {
-    let mut t = Table::new(
-        "Figure 4b — time between consecutive load/stores (fraction of references)",
-        &["fraction"],
-    );
-    for &(gap, p) in GapModel::distribution() {
-        let label = if gap >= 25 {
-            "> 20 cycles".to_string()
-        } else {
-            format!("{gap} cycles")
-        };
-        t.push_row(label, vec![p]);
-    }
-    t
+/// tracer (an input of the methodology, reproduced for completeness). It
+/// has no cells.
+fn fig04b_plan() -> Plan {
+    Plan::new(Vec::new(), |_| {
+        let mut t = Table::new(
+            "Figure 4b — time between consecutive load/stores (fraction of references)",
+            &["fraction"],
+        );
+        for &(gap, p) in GapModel::distribution() {
+            let label = if gap >= 25 {
+                "> 20 cycles".to_string()
+            } else {
+                format!("{gap} cycles")
+            };
+            t.push_row(label, vec![p]);
+        }
+        t
+    })
 }
 
 /// Figure 6a: AMAT of the four software-control variants.
-pub fn fig06a(suite: &Suite) -> Table {
-    amat_table(
+fn fig06a_plan(benches: &[&str]) -> Plan {
+    amat_plan(
+        "Figure 6a",
         "Figure 6a — performance of software control (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &soft_variants(),
     )
 }
 
 /// Figure 6b: repartition of cache hits between main cache and
 /// bounce-back cache under the full mechanism.
-pub fn fig06b(suite: &Suite) -> Table {
-    let mut t = Table::new(
-        "Figure 6b — repartition of cache hits (hit ratio split, Soft.)",
-        &["main cache", "bounce-back"],
-    );
-    for (name, row) in par_rows(suite, |name, trace| {
-        let cells = vec![(format!("Figure 6b/{name}/Soft."), Config::soft())];
-        let m = replay_suite_cells(suite, name, trace, &cells)[0];
-        vec![m.main_hit_ratio(), m.aux_hit_ratio()]
-    }) {
-        t.push_row(name, row);
-    }
-    t
+fn fig06b_plan(benches: &[&str]) -> Plan {
+    let works = [("Soft.".to_string(), Work::Replay(Config::soft()))];
+    Plan::per_row(
+        Table::new(
+            "Figure 6b — repartition of cache hits (hit ratio split, Soft.)",
+            &["main cache", "bounce-back"],
+        ),
+        grid("Figure 6b", bench_rows(benches, Input::Suite), &works),
+        |row| {
+            let m = row[0].metrics;
+            vec![m.main_hit_ratio(), m.aux_hit_ratio()]
+        },
+    )
 }
 
 /// Figure 7a: memory traffic (words fetched per reference).
-pub fn fig07a(suite: &Suite) -> Table {
-    metric_table(
+fn fig07a_plan(benches: &[&str]) -> Plan {
+    metric_plan(
+        "Figure 7a",
         "Figure 7a — memory traffic (words fetched / references)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &soft_variants(),
-        |m| m.traffic_ratio(),
+        Metrics::traffic_ratio,
     )
 }
 
 /// Figure 7b: miss ratio.
-pub fn fig07b(suite: &Suite) -> Table {
-    metric_table("Figure 7b — miss ratio", suite, &soft_variants(), |m| {
-        m.miss_ratio()
-    })
+fn fig07b_plan(benches: &[&str]) -> Plan {
+    metric_plan(
+        "Figure 7b",
+        "Figure 7b — miss ratio",
+        bench_rows(benches, Input::Suite),
+        &soft_variants(),
+        Metrics::miss_ratio,
+    )
 }
 
 /// Figure 8a: influence of the virtual line size (AMAT).
-pub fn fig08a(suite: &Suite) -> Table {
+fn fig08a_plan(benches: &[&str]) -> Plan {
     let configs: Vec<(String, Config)> = [32u64, 64, 128, 256]
         .into_iter()
         .map(|v| {
@@ -455,16 +511,17 @@ pub fn fig08a(suite: &Suite) -> Table {
             )
         })
         .collect();
-    amat_table(
+    amat_plan(
+        "Figure 8a",
         "Figure 8a — influence of virtual line size (AMAT, cycles)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Figure 8b: influence of the physical line size (AMAT), standard
 /// caches vs the software-assisted design.
-pub fn fig08b(suite: &Suite) -> Table {
+fn fig08b_plan(benches: &[&str]) -> Plan {
     let mem = MemoryModel::default();
     let mut configs: Vec<(String, Config)> = [32u64, 64, 128, 256]
         .into_iter()
@@ -479,65 +536,60 @@ pub fn fig08b(suite: &Suite) -> Table {
         })
         .collect();
     configs.push(("Soft.".to_string(), Config::soft()));
-    amat_table(
+    amat_plan(
+        "Figure 8b",
         "Figure 8b — influence of physical line size (AMAT, cycles)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Figure 9a: software control for larger caches (% of misses removed
 /// relative to the plain cache of the same geometry).
-pub fn fig09a(suite: &Suite) -> Table {
+fn fig09a_plan(benches: &[&str]) -> Plan {
     // 8 KB keeps 32-byte lines; larger caches use 64-byte physical lines
     // (and thus 128-byte virtual lines), as in the paper.
-    let points: Vec<(String, CacheGeometry)> = vec![
-        ("Cs=8k,Ls=32".into(), CacheGeometry::new(8 * 1024, 32, 1)),
-        ("Cs=16k,Ls=64".into(), CacheGeometry::new(16 * 1024, 64, 1)),
-        ("Cs=32k,Ls=64".into(), CacheGeometry::new(32 * 1024, 64, 1)),
-        ("Cs=64k,Ls=64".into(), CacheGeometry::new(64 * 1024, 64, 1)),
+    let points = [
+        ("Cs=8k,Ls=32", CacheGeometry::new(8 * 1024, 32, 1)),
+        ("Cs=16k,Ls=64", CacheGeometry::new(16 * 1024, 64, 1)),
+        ("Cs=32k,Ls=64", CacheGeometry::new(32 * 1024, 64, 1)),
+        ("Cs=64k,Ls=64", CacheGeometry::new(64 * 1024, 64, 1)),
     ];
-    let labels: Vec<&str> = points.iter().map(|(l, _)| l.as_str()).collect();
-    let mut t = Table::new(
-        "Figure 9a — % of misses removed by software control",
-        &labels,
-    );
     let mem = MemoryModel::default();
-    // One batched pass per benchmark: the plain baseline and the soft
-    // cache of every geometry replay the trace together.
-    let rows = runner::par_map(suite.entries(), |_, (name, trace)| {
-        let mut cells: Vec<(String, Config)> = Vec::with_capacity(points.len() * 2);
-        for (label, geom) in &points {
-            cells.push((
-                format!("Figure 9a/{name}/{label}/base"),
-                Config::Standard { geom: *geom, mem },
-            ));
-            let soft_cfg = SoftCacheConfig::soft()
-                .with_geometry(*geom)
-                .with_virtual_line(geom.line_bytes() * 2);
-            cells.push((
-                format!("Figure 9a/{name}/{label}/soft"),
-                Config::Soft(soft_cfg),
-            ));
-        }
-        let ms = replay_suite_cells(suite, name, trace, &cells);
-        (0..points.len())
-            .map(|p| ms[2 * p + 1].misses_removed_vs(&ms[2 * p]))
-            .collect::<Vec<f64>>()
-    });
-    for ((name, _), row) in suite.entries().iter().zip(rows) {
-        t.push_row(name.clone(), row);
+    // The plain baseline and the soft cache of every geometry, pairwise.
+    let mut works = Vec::with_capacity(points.len() * 2);
+    for (label, geom) in points {
+        works.push((
+            format!("{label}/base"),
+            Work::Replay(Config::Standard { geom, mem }),
+        ));
+        let soft = SoftCacheConfig::soft()
+            .with_geometry(geom)
+            .with_virtual_line(geom.line_bytes() * 2);
+        works.push((format!("{label}/soft"), Work::Replay(Config::Soft(soft))));
     }
-    t
+    Plan::per_row(
+        Table::new(
+            "Figure 9a — % of misses removed by software control",
+            &points.map(|(label, _)| label),
+        ),
+        grid("Figure 9a", bench_rows(benches, Input::Suite), &works),
+        |row| {
+            row.chunks(2)
+                .map(|pair| pair[1].metrics.misses_removed_vs(&pair[0].metrics))
+                .collect()
+        },
+    )
 }
 
 /// Figure 9b: software control for set-associative caches (AMAT).
-pub fn fig09b(suite: &Suite) -> Table {
+fn fig09b_plan(benches: &[&str]) -> Plan {
     let geom2 = CacheGeometry::new(8 * 1024, 32, 2);
     let mem = MemoryModel::default();
-    amat_table(
+    amat_plan(
+        "Figure 9b",
         "Figure 9b — software control for 2-way set-associative caches (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("2-way", Config::Standard { geom: geom2, mem }),
             (
@@ -564,164 +616,132 @@ pub fn fig09b(suite: &Suite) -> Table {
 /// subroutines, fully instrumented and traced alone. Each kernel's trace
 /// is used by this figure only, so it streams through one batch of the
 /// four variants while it is generated instead of being held in a suite.
-pub fn fig10a() -> Table {
-    let title = "Figure 10a — most time-consuming Perfect Club subroutines (AMAT, cycles)";
-    let configs = soft_variants();
-    let labels: Vec<&str> = configs.iter().map(|(l, _)| *l).collect();
-    let mut t = Table::new(title, &labels);
-    let prefix = short(title);
-    let rows = runner::par_map(&sac_workloads::perfect_kernels(), |i, p| {
-        let name = p.name();
-        let cells: Vec<(String, Config)> = configs
-            .iter()
-            .map(|(label, cfg)| (format!("{prefix}/{name}/{label}"), *cfg))
-            .collect();
-        let opts = trace_options(i, false);
-        let ms = replay_program(format!("{prefix}/{name}/trace"), &cells, p, &opts);
-        (name.to_string(), ms.iter().map(Metrics::amat).collect())
-    });
-    for (name, row) in rows {
-        t.push_row(name, row);
-    }
-    t
+fn fig10a_plan() -> Plan {
+    let rows = sac_workloads::perfect_kernels()
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let name = p.name().to_string();
+            let label = format!("Figure 10a/{name}/trace");
+            (name, program(label, p, trace_options(i, false)))
+        })
+        .collect();
+    amat_plan(
+        "Figure 10a",
+        "Figure 10a — most time-consuming Perfect Club subroutines (AMAT, cycles)",
+        rows,
+        &soft_variants(),
+    )
 }
 
 /// Figure 10b: influence of memory latency — the AMAT advantage of the
 /// software-assisted cache (AMAT(Stand.) − AMAT(Soft.)) per latency.
-pub fn fig10b(suite: &Suite) -> Table {
+fn fig10b_plan(benches: &[&str]) -> Plan {
     let latencies = [5u64, 10, 15, 20, 25, 30];
-    let labels: Vec<String> = latencies.iter().map(|l| format!("lat={l}")).collect();
-    let labels: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
-        "Figure 10b — influence of memory latency (AMAT Stand. − AMAT Soft., cycles)",
-        &labels,
-    );
-    // One batched pass per benchmark: both engines of every latency
-    // point replay the trace together.
-    let rows = runner::par_map(suite.entries(), |_, (name, trace)| {
-        let mut cells: Vec<(String, Config)> = Vec::with_capacity(latencies.len() * 2);
-        for &lat in &latencies {
-            let mem = MemoryModel::default().with_latency(lat);
-            cells.push((
-                format!("Figure 10b/{name}/lat={lat}/stand"),
-                Config::Standard {
-                    geom: CacheGeometry::standard(),
-                    mem,
-                },
-            ));
-            cells.push((
-                format!("Figure 10b/{name}/lat={lat}/soft"),
-                Config::Soft(SoftCacheConfig::soft().with_latency(lat)),
-            ));
-        }
-        let ms = replay_suite_cells(suite, name, trace, &cells);
-        (0..latencies.len())
-            .map(|l| ms[2 * l].amat() - ms[2 * l + 1].amat())
-            .collect::<Vec<f64>>()
-    });
-    for ((name, _), row) in suite.entries().iter().zip(rows) {
-        t.push_row(name.clone(), row);
+    let columns: Vec<String> = latencies.iter().map(|l| format!("lat={l}")).collect();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    // Both engines of every latency point, pairwise; each engine's
+    // latencies share one latency-lane engine.
+    let mut works = Vec::with_capacity(latencies.len() * 2);
+    for lat in latencies {
+        let mem = MemoryModel::default().with_latency(lat);
+        let geom = CacheGeometry::standard();
+        works.push((
+            format!("lat={lat}/stand"),
+            Work::Replay(Config::Standard { geom, mem }),
+        ));
+        works.push((
+            format!("lat={lat}/soft"),
+            Work::Replay(Config::Soft(SoftCacheConfig::soft().with_latency(lat))),
+        ));
     }
-    t
-}
-
-/// Replays `cells` over `program`'s trace under `opts` while it is
-/// generated ([`runner::replay_generated`]); the generation records as
-/// `trace_label`.
-fn replay_program(
-    trace_label: String,
-    cells: &[(String, Config)],
-    program: &sac_loopir::Program,
-    opts: &TraceOptions,
-) -> Vec<Metrics> {
-    runner::replay_generated(trace_label, cells, |batch| {
-        program.trace_into(opts, |chunk| batch.feed(chunk))
-    })
-    .unwrap_or_else(|e| panic!("{} failed to trace: {e}", program.name()))
+    Plan::per_row(
+        Table::new(
+            "Figure 10b — influence of memory latency (AMAT Stand. − AMAT Soft., cycles)",
+            &columns,
+        ),
+        grid("Figure 10b", bench_rows(benches, Input::Suite), &works),
+        |row| {
+            row.chunks(2)
+                .map(|pair| pair[0].metrics.amat() - pair[1].metrics.amat())
+                .collect()
+        },
+    )
 }
 
 /// Figure 11a: optimal block size for blocked matrix-vector multiply.
 /// Rows are block sizes; `small` scales the problem down for tests.
-pub fn fig11a(small: bool) -> Table {
+fn fig11a_plan(small: bool) -> Plan {
     let (n, blocks): (i64, Vec<i64>) = if small {
         (240, vec![10, 20, 30, 40, 60, 120, 240])
     } else {
         (
-            sac_workloads::blocked::Params::default().n,
-            sac_workloads::blocked::FIG11A_BLOCKS.to_vec(),
+            blocked::Params::default().n,
+            blocked::FIG11A_BLOCKS.to_vec(),
         )
     };
-    let mut t = Table::new(
+    let rows = blocks
+        .into_iter()
+        .map(|b| {
+            let p = blocked::program(blocked::Params { n, block: b });
+            let label = format!("Figure 11a/B={b}/trace");
+            (format!("B={b}"), program(label, p, TraceOptions::default()))
+        })
+        .collect();
+    amat_plan(
+        "Figure 11a",
         "Figure 11a — blocked MV: AMAT vs block size",
-        &["Stand.", "Soft."],
-    );
-    // One parallel cell per block size: both engines replay the trace
-    // chunk by chunk while it is generated.
-    let rows = runner::par_map(&blocks, |_, &b| {
-        let p = sac_workloads::blocked::program(sac_workloads::blocked::Params { n, block: b });
-        let cells = [
-            (format!("Figure 11a/B={b}/Stand."), Config::standard()),
-            (format!("Figure 11a/B={b}/Soft."), Config::soft()),
-        ];
-        let trace_label = format!("Figure 11a/B={b}/trace");
-        let ms = replay_program(trace_label, &cells, &p, &TraceOptions::default());
-        (format!("B={b}"), vec![ms[0].amat(), ms[1].amat()])
-    });
-    for (label, row) in rows {
-        t.push_row(label, row);
-    }
-    t
+        rows,
+        &[("Stand.", Config::standard()), ("Soft.", Config::soft())],
+    )
 }
 
 /// Figure 11b: data copying in blocked matrix-matrix multiply across
 /// leading dimensions 116–126.
-pub fn fig11b(small: bool) -> Table {
+fn fig11b_plan(small: bool) -> Plan {
     let (n, block) = if small { (32, 16) } else { (64, 32) };
-    let mut t = Table::new(
-        "Figure 11b — blocked MM: AMAT vs leading dimension, copy × soft",
-        &["NoCopy/Stand.", "Copy/Stand.", "NoCopy/Soft.", "Copy/Soft."],
-    );
-    let lds: Vec<i64> = sac_workloads::copying::FIG11B_LDS.to_vec();
-    let rows = runner::par_map(&lds, |_, &ld| {
-        // The four cells of a row need only two traces (copy off/on); each
-        // streams once through a batch of both engines.
-        let replay_for = |copying: bool| {
-            let p = sac_workloads::copying::program(sac_workloads::copying::Params {
-                n,
-                ld,
-                block,
-                copying,
+    let rows = copying::FIG11B_LDS
+        .iter()
+        .map(|&ld| {
+            // The four cells of a row read two traces (copy off/on); each
+            // streams once through a batch of both engines. The cells run
+            // grouped by trace; the columns interleave copy × soft.
+            let inputs = [false, true].map(|copying| {
+                let p = copying::program(copying::Params {
+                    n,
+                    ld,
+                    block,
+                    copying,
+                });
+                let label = format!("Figure 11b/ld={ld}/copy={copying}/trace");
+                program(label, p, TraceOptions::default())
             });
-            let cells = [
-                (
-                    format!("Figure 11b/ld={ld}/copy={copying}/soft=false"),
-                    Config::standard(),
-                ),
-                (
-                    format!("Figure 11b/ld={ld}/copy={copying}/soft=true"),
-                    Config::soft(),
-                ),
-            ];
-            let trace_label = format!("Figure 11b/ld={ld}/copy={copying}/trace");
-            replay_program(trace_label, &cells, &p, &TraceOptions::default())
-        };
-        let nc = replay_for(false);
-        let cp = replay_for(true);
-        // Columns interleave copy × soft.
-        let row = vec![nc[0].amat(), cp[0].amat(), nc[1].amat(), cp[1].amat()];
-        (format!("ld={ld}"), row)
-    });
-    for (label, row) in rows {
-        t.push_row(label, row);
-    }
-    t
+            let mut cells = Vec::with_capacity(4);
+            for (copying, input) in [false, true].into_iter().zip(&inputs) {
+                for (soft, config) in [(false, Config::standard()), (true, Config::soft())] {
+                    let label = format!("Figure 11b/ld={ld}/copy={copying}/soft={soft}");
+                    cells.push(replay(label, input, config));
+                }
+            }
+            (format!("ld={ld}"), cells)
+        })
+        .collect();
+    Plan::per_row(
+        Table::new(
+            "Figure 11b — blocked MM: AMAT vs leading dimension, copy × soft",
+            &["NoCopy/Stand.", "Copy/Stand.", "NoCopy/Soft.", "Copy/Soft."],
+        ),
+        rows,
+        |row| [0, 2, 1, 3].map(|i| row[i].metrics.amat()).to_vec(),
+    )
 }
 
 /// Figure 12: prefetching (AMAT).
-pub fn fig12(suite: &Suite) -> Table {
-    amat_table(
+fn fig12_plan(benches: &[&str]) -> Plan {
+    amat_plan(
+        "Figure 12",
         "Figure 12 — prefetching (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("Stand.", Config::standard()),
             (
@@ -745,125 +765,110 @@ pub fn fig12(suite: &Suite) -> Table {
 /// size could be employed" for the data-copying refill loops. The
 /// variable-virtual-line analysis discovers the refill loop's extent on
 /// its own, so copy+soft with leveled traces approximates exactly that.
-pub fn ext_copy_vline(small: bool) -> Table {
+fn ext_copy_vline(small: bool) -> Plan {
     let (n, block) = if small { (32, 16) } else { (64, 32) };
-    let mut t = Table::new(
-        "Extension — copy refill with block-sized virtual lines (AMAT)",
-        &["Copy/Soft 64B", "Copy/Soft variable"],
-    );
-    let lds: Vec<i64> = sac_workloads::copying::FIG11B_LDS.to_vec();
-    let rows = runner::par_map(&lds, |_, &ld| {
-        let p = sac_workloads::copying::program(sac_workloads::copying::Params {
-            n,
-            ld,
-            block,
-            copying: true,
-        });
-        let plain = runner::timed_cell(format!("Ext copy-vline/ld={ld}/trace"), || {
-            p.trace_default()
-        });
-        let leveled = runner::timed_cell(format!("Ext copy-vline/ld={ld}/leveled-trace"), || {
-            p.trace(&sac_loopir::TraceOptions {
-                seed: 0x5AC,
-                gaps: true,
-                levels: true,
-            })
-            .expect("copy kernel traces")
-        });
-        let fixed = runner::run_cell(
-            format!("Ext copy-vline/ld={ld}/fixed"),
-            &Config::soft(),
-            &plain,
-        )
-        .amat();
-        let var = runner::run_cell(
-            format!("Ext copy-vline/ld={ld}/variable"),
-            &Config::Soft(SoftCacheConfig::soft().with_variable_vlines(true)),
-            &leveled,
-        )
-        .amat();
-        (format!("ld={ld}"), vec![fixed, var])
-    });
-    for (label, row) in rows {
-        t.push_row(label, row);
-    }
-    t
+    let rows = copying::FIG11B_LDS
+        .iter()
+        .map(|&ld| {
+            let p = copying::program(copying::Params {
+                n,
+                ld,
+                block,
+                copying: true,
+            });
+            let input = |trace: &str, levels: bool| {
+                let opts = TraceOptions {
+                    levels,
+                    ..TraceOptions::default()
+                };
+                program(format!("ext-copy-vline/ld={ld}/{trace}"), p.clone(), opts)
+            };
+            let variable = Config::Soft(SoftCacheConfig::soft().with_variable_vlines(true));
+            let cells = vec![
+                replay(
+                    format!("ext-copy-vline/ld={ld}/Copy/Soft 64B"),
+                    &input("trace", false),
+                    Config::soft(),
+                ),
+                replay(
+                    format!("ext-copy-vline/ld={ld}/Copy/Soft variable"),
+                    &input("leveled-trace", true),
+                    variable,
+                ),
+            ];
+            (format!("ld={ld}"), cells)
+        })
+        .collect();
+    Plan::per_row(
+        Table::new(
+            "Extension — copy refill with block-sized virtual lines (AMAT)",
+            &["Copy/Soft 64B", "Copy/Soft variable"],
+        ),
+        rows,
+        |row| row.iter().map(|o| o.metrics.amat()).collect(),
+    )
 }
 
 /// Extension: context-switch robustness. The cache is fully invalidated
 /// every `quantum` references (a pessimistic context-switch model); the
 /// software-assisted advantage must survive cold restarts because most
 /// of its gains are stream (compulsory) misses that a flush does not
-/// multiply. Cells are the mean AMAT across the suite.
-pub fn ext_context_switch(suite: &Suite) -> Table {
-    use sac_core::{SoftCache, SoftCacheConfig};
-    use sac_simcache::{CacheSim, StandardCache};
+/// multiply. Cells are the mean AMAT across the suite: one grid row per
+/// benchmark, averaged in the fold.
+fn ext_context_switch(benches: &[&str]) -> Plan {
     let quanta: [Option<usize>; 4] = [None, Some(100_000), Some(20_000), Some(5_000)];
-    let labels: Vec<String> = quanta
+    let columns: Vec<String> = quanta
         .iter()
         .map(|q| match q {
             None => "no switches".to_string(),
             Some(q) => format!("q={q}"),
         })
         .collect();
-    let labels: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
-        "Extension — context-switch robustness (mean AMAT: standard / soft)",
-        &labels,
-    );
-    let kinds = [("Stand.", false), ("Soft.", true)];
-    let nb = suite.entries().len();
-    // One cell per (kind, quantum, benchmark); the suite mean is reduced
-    // afterwards in benchmark order.
-    let cells: Vec<(usize, usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..quanta.len()).flat_map(move |q| (0..nb).map(move |b| (k, q, b))))
-        .collect();
-    let flat = runner::par_map(&cells, |_, &(k, q, b)| {
-        let (name, trace) = &suite.entries()[b];
-        let (kind, soft) = kinds[k];
-        let quantum = quanta[q];
-        let label = format!("Ext ctx-switch/{name}/{kind}/q={quantum:?}");
-        let m = runner::metered_cell(label, || {
-            if soft {
-                let mut c = SoftCache::new(SoftCacheConfig::soft());
-                match quantum {
-                    None => c.run(trace),
-                    Some(q) => c.run_with_context_switches(trace, q),
-                }
-                *c.metrics()
-            } else {
-                let mut c = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
-                match quantum {
-                    None => c.run(trace),
-                    Some(q) => c.run_with_context_switches(trace, q),
-                }
-                *c.metrics()
-            }
-        });
-        m.amat()
-    });
-    for (k, (kind, _)) in kinds.iter().enumerate() {
-        let row: Vec<f64> = (0..quanta.len())
-            .map(|q| {
-                let base = (k * quanta.len() + q) * nb;
-                let sum: f64 = flat[base..base + nb].iter().sum();
-                sum / nb as f64
-            })
-            .collect();
-        t.push_row(*kind, row);
+    let kinds = [("Stand.", Config::standard()), ("Soft.", Config::soft())];
+    let mut works = Vec::with_capacity(kinds.len() * quanta.len());
+    for (kind, config) in kinds {
+        for (column, quantum) in columns.iter().zip(quanta) {
+            let work = match quantum {
+                None => Work::Replay(config),
+                Some(q) => Work::ContextSwitch(config, q),
+            };
+            works.push((format!("{kind}/{column}"), work));
+        }
     }
-    t
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Table::new(
+        "Extension — context-switch robustness (mean AMAT: standard / soft)",
+        &columns,
+    );
+    let grid = grid(
+        "ext-context-switch",
+        bench_rows(benches, Input::Suite),
+        &works,
+    );
+    Plan::new(
+        grid.into_iter().map(|(_, cells)| cells).collect(),
+        move |rows| {
+            for (k, (kind, _)) in kinds.iter().enumerate() {
+                let means = (0..quanta.len())
+                    .map(|q| suite_mean(&rows, k * quanta.len() + q))
+                    .collect();
+                table.push_row(*kind, means);
+            }
+            table
+        },
+    )
 }
 
 /// Whole-suite summary: geometric-mean AMAT of every organization in the
 /// repository over the nine benchmarks, plus the per-benchmark rows — the
 /// one-table answer to "who wins".
-pub fn summary(suite: &Suite) -> Table {
+fn summary(benches: &[&str]) -> Plan {
     let geom = CacheGeometry::standard();
     let mem = MemoryModel::default();
-    let mut t = amat_table(
+    amat_plan(
+        "Summary",
         "Summary — AMAT of every organization (cycles; geometric mean last)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("Stand.", Config::standard()),
             ("Victim", Config::standard_victim()),
@@ -893,14 +898,13 @@ pub fn summary(suite: &Suite) -> Table {
                 Config::Soft(SoftCacheConfig::soft().with_prefetch(true)),
             ),
         ],
-    );
-    t.push_geomean_row("geomean");
-    t
+    )
+    .then(|t| t.push_geomean_row("geomean"))
 }
 
 /// Ablation: bounce-back cache size (the paper settles on 8 lines,
 /// noting small bounce-back caches perform nearly as well as large ones).
-pub fn ablation_bb_size(suite: &Suite) -> Table {
+fn ablation_bb_size(benches: &[&str]) -> Plan {
     let configs: Vec<(String, Config)> = [2u32, 4, 8, 16, 32]
         .into_iter()
         .map(|n| {
@@ -910,44 +914,45 @@ pub fn ablation_bb_size(suite: &Suite) -> Table {
             )
         })
         .collect();
-    amat_table(
+    amat_plan(
+        "abl-bb-size",
         "Ablation — bounce-back cache size (AMAT, cycles)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Ablation: bounce-back cache associativity (§2.2: "a 4-way bounce-back
 /// cache would perform reasonably well").
-pub fn ablation_bb_ways(suite: &Suite) -> Table {
-    let configs: Vec<(String, Config)> = [
+fn ablation_bb_ways(benches: &[&str]) -> Plan {
+    let configs = [
         (None, "full"),
         (Some(4), "4-way"),
         (Some(2), "2-way"),
         (Some(1), "1-way"),
     ]
-    .into_iter()
     .map(|(w, label)| {
         (
-            label.to_string(),
+            label,
             Config::Soft(SoftCacheConfig::soft().with_bounce_ways(w)),
         )
-    })
-    .collect();
-    amat_table(
+    });
+    amat_plan(
+        "abl-bb-ways",
         "Ablation — bounce-back associativity (AMAT, cycles)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Ablation: victim-for-all vs temporal-only admission into the
 /// bounce-back cache (§2.2 reports victim-for-all wins), and the
 /// 2-vs-3-cycle access-time choice (§2.2, note 6).
-pub fn ablation_bb_policy(suite: &Suite) -> Table {
-    amat_table(
+fn ablation_bb_policy(benches: &[&str]) -> Plan {
+    amat_plan(
+        "abl-bb-policy",
         "Ablation — bounce-back admission & access time (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("admit-all/3cy", Config::soft()),
             (
@@ -963,13 +968,14 @@ pub fn ablation_bb_policy(suite: &Suite) -> Table {
 }
 
 /// Extension (§3.2 "Cache Line Size"): variable-length virtual lines.
-/// The trace must carry spatial levels (`Suite::paper_leveled` /
-/// `Suite::small_leveled`); the fixed-size columns ignore them, so the
-/// same traces compare fairly.
-pub fn ext_variable_vlines(leveled_suite: &Suite) -> Table {
-    amat_table(
+/// The cells read the leveled suite (traces carrying spatial levels); the
+/// fixed-size columns ignore the levels, so the same traces compare
+/// fairly.
+fn ext_variable_vlines(benches: &[&str]) -> Plan {
+    metric_plan(
+        "ext-var-vlines",
         "Extension — variable-length virtual lines (AMAT, cycles; leveled traces)",
-        leveled_suite,
+        bench_rows(benches, Input::Leveled),
         &[
             ("fixed 64B", Config::soft()),
             (
@@ -981,103 +987,93 @@ pub fn ext_variable_vlines(leveled_suite: &Suite) -> Table {
                 Config::Soft(SoftCacheConfig::soft().with_variable_vlines(true)),
             ),
         ],
+        Metrics::amat,
     )
 }
 
 /// Extension (§4.4): prefetch distance vs memory latency. "Beyond
 /// [25 cycles] it becomes worthwhile to increase the prefetch distance by
 /// prefetching several physical lines at the same time." Cells are the
-/// mean AMAT across the suite.
-pub fn ext_prefetch_distance(suite: &Suite) -> Table {
+/// mean AMAT across the suite: one grid row per benchmark holds every
+/// latency and prefetch column, averaged in the fold.
+fn ext_prefetch_distance(benches: &[&str]) -> Plan {
     let degrees = [1u32, 2, 4];
-    let labels: Vec<String> = std::iter::once("no pf".to_string())
+    let columns: Vec<String> = std::iter::once("no pf".to_string())
         .chain(degrees.iter().map(|d| format!("degree {d}")))
         .collect();
-    let labels: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
-        "Extension — prefetch distance vs latency (mean AMAT, cycles)",
-        &labels,
-    );
     let lats = [20u64, 25, 30, 40];
-    let nb = suite.entries().len();
-    let config_for = |lat: u64, col: usize| -> Config {
-        if col == 0 {
-            Config::Soft(SoftCacheConfig::soft().with_latency(lat))
-        } else {
-            Config::Soft(
-                SoftCacheConfig::soft()
-                    .with_latency(lat)
-                    .with_prefetch(true)
-                    .with_prefetch_degree(degrees[col - 1]),
-            )
-        }
-    };
-    let ncols = degrees.len() + 1;
-    // One batched pass per (latency, benchmark): every prefetch column
-    // replays the trace together. Suite means reduce in benchmark order
-    // afterwards, preserving the sequential summation order.
-    let cells: Vec<(usize, usize)> = (0..lats.len())
-        .flat_map(|l| (0..nb).map(move |b| (l, b)))
-        .collect();
-    let flat: Vec<Vec<f64>> = runner::par_map(&cells, |_, &(l, b)| {
-        let (name, trace) = &suite.entries()[b];
-        let lat = lats[l];
-        let batch: Vec<(String, Config)> = (0..ncols)
-            .map(|c| {
-                (
-                    format!("Ext pf-distance/{name}/lat={lat}/col{c}"),
-                    config_for(lat, c),
-                )
-            })
-            .collect();
-        replay_suite_cells(suite, name, trace, &batch)
+    let mut works = Vec::with_capacity(lats.len() * columns.len());
+    for lat in lats {
+        let soft = SoftCacheConfig::soft().with_latency(lat);
+        let prefetching = degrees
             .iter()
-            .map(Metrics::amat)
-            .collect()
-    });
-    for (l, lat) in lats.iter().enumerate() {
-        let row: Vec<f64> = (0..ncols)
-            .map(|c| {
-                let sum: f64 = (0..nb).map(|b| flat[l * nb + b][c]).sum();
-                sum / nb as f64
-            })
-            .collect();
-        t.push_row(format!("lat={lat}"), row);
+            .map(|&d| soft.with_prefetch(true).with_prefetch_degree(d));
+        for (column, config) in columns.iter().zip(std::iter::once(soft).chain(prefetching)) {
+            works.push((
+                format!("lat={lat}/{column}"),
+                Work::Replay(Config::Soft(config)),
+            ));
+        }
     }
-    t
+    let ncols = columns.len();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Table::new(
+        "Extension — prefetch distance vs latency (mean AMAT, cycles)",
+        &columns,
+    );
+    let grid = grid("ext-pf-distance", bench_rows(benches, Input::Suite), &works);
+    Plan::new(
+        grid.into_iter().map(|(_, cells)| cells).collect(),
+        move |rows| {
+            for (l, lat) in lats.iter().enumerate() {
+                let means = (0..ncols)
+                    .map(|c| suite_mean(&rows, l * ncols + c))
+                    .collect();
+                table.push_row(format!("lat={lat}"), means);
+            }
+            table
+        },
+    )
 }
 
-/// Extension (§5 related work): the designs the paper discusses —
-/// Jouppi stream buffers, the column-associative cache, and an HP-7200
-/// style assist cache — against the software-assisted cache.
-pub fn ext_related_designs(suite: &Suite) -> Table {
+/// The designs of §5 related work — Jouppi stream buffers, the
+/// column-associative cache and an HP-7200 style assist cache — next to
+/// the standard and software-assisted caches.
+fn related_designs() -> [(&'static str, Config); 5] {
     let geom = CacheGeometry::standard();
     let mem = MemoryModel::default();
-    amat_table(
+    [
+        ("Stand.", Config::standard()),
+        (
+            "StreamBuf",
+            Config::StreamBuffer {
+                geom,
+                mem,
+                buffers: 4,
+                depth: 4,
+            },
+        ),
+        ("ColAssoc", Config::ColumnAssoc { geom, mem }),
+        (
+            "Assist",
+            Config::Assist {
+                geom,
+                mem,
+                lines: 16,
+            },
+        ),
+        ("Soft.", Config::soft()),
+    ]
+}
+
+/// Extension (§5 related work): the designs the paper discusses against
+/// the software-assisted cache (AMAT).
+fn ext_related_designs(benches: &[&str]) -> Plan {
+    amat_plan(
+        "ext-related",
         "Extension — related designs of §5 (AMAT, cycles)",
-        suite,
-        &[
-            ("Stand.", Config::standard()),
-            (
-                "StreamBuf",
-                Config::StreamBuffer {
-                    geom,
-                    mem,
-                    buffers: 4,
-                    depth: 4,
-                },
-            ),
-            ("ColAssoc", Config::ColumnAssoc { geom, mem }),
-            (
-                "Assist",
-                Config::Assist {
-                    geom,
-                    mem,
-                    lines: 16,
-                },
-            ),
-            ("Soft.", Config::soft()),
-        ],
+        bench_rows(benches, Input::Suite),
+        &related_designs(),
     )
 }
 
@@ -1086,81 +1082,56 @@ pub fn ext_related_designs(suite: &Suite) -> Table {
 /// paper's reading (§3.2): spatial assistance removes compulsory and
 /// capacity misses of vector accesses; the bounce-back cache attacks the
 /// pollution (capacity/conflict) component.
-pub fn ext_miss_classes(suite: &Suite) -> Table {
-    use sac_simcache::classify_misses;
-    let geom = CacheGeometry::standard();
-    let mut t = Table::new(
-        "Extension — 3C miss decomposition (misses per reference)",
-        &[
-            "compulsory",
-            "capacity",
-            "conflict",
-            "stand. total",
-            "soft total",
-        ],
-    );
-    for (name, row) in par_rows(suite, |name, trace| {
-        let c = runner::timed_cell(format!("Ext miss-classes/{name}/classify"), || {
-            classify_misses(trace, geom)
-        });
-        let soft = runner::run_cell(
-            format!("Ext miss-classes/{name}/soft"),
-            &Config::soft(),
-            trace,
-        );
-        vec![
-            c.per_ref(c.compulsory),
-            c.per_ref(c.capacity),
-            c.per_ref(c.conflict),
-            c.per_ref(c.total()),
-            soft.miss_ratio(),
-        ]
-    }) {
-        t.push_row(name, row);
-    }
-    t
+fn ext_miss_classes(benches: &[&str]) -> Plan {
+    let works = [
+        (
+            "classify".to_string(),
+            Work::Classify(CacheGeometry::standard()),
+        ),
+        ("soft total".to_string(), Work::Replay(Config::soft())),
+    ];
+    Plan::per_row(
+        Table::new(
+            "Extension — 3C miss decomposition (misses per reference)",
+            &[
+                "compulsory",
+                "capacity",
+                "conflict",
+                "stand. total",
+                "soft total",
+            ],
+        ),
+        grid(
+            "ext-miss-classes",
+            bench_rows(benches, Input::Suite),
+            &works,
+        ),
+        |row| {
+            let mut values = row[0].values.clone();
+            values.push(row[1].metrics.miss_ratio());
+            values
+        },
+    )
 }
 
 /// Companion to [`ext_related_designs`]: the memory-traffic side.
 /// Stream buffers buy their AMAT with wrong-path prefetch traffic (the
 /// paper's stated flaw of tag-blind hardware prefetching), while the
 /// software-assisted cache *reduces* traffic.
-pub fn ext_related_traffic(suite: &Suite) -> Table {
-    let geom = CacheGeometry::standard();
-    let mem = MemoryModel::default();
-    metric_table(
+fn ext_related_traffic(benches: &[&str]) -> Plan {
+    metric_plan(
+        "ext-related-traffic",
         "Extension — related designs of §5 (words fetched / references)",
-        suite,
-        &[
-            ("Stand.", Config::standard()),
-            (
-                "StreamBuf",
-                Config::StreamBuffer {
-                    geom,
-                    mem,
-                    buffers: 4,
-                    depth: 4,
-                },
-            ),
-            ("ColAssoc", Config::ColumnAssoc { geom, mem }),
-            (
-                "Assist",
-                Config::Assist {
-                    geom,
-                    mem,
-                    lines: 16,
-                },
-            ),
-            ("Soft.", Config::soft()),
-        ],
-        |m| m.traffic_ratio(),
+        bench_rows(benches, Input::Suite),
+        &related_designs(),
+        Metrics::traffic_ratio,
     )
 }
 
 /// Ablation: software control across main-cache associativities (the
 /// paper evaluates 1-way throughout and 2-way in Figure 9b; this sweep
 /// completes the picture).
-pub fn ablation_associativity(suite: &Suite) -> Table {
+fn ablation_associativity(benches: &[&str]) -> Plan {
     let configs: Vec<(String, Config)> = [1u32, 2, 4, 8]
         .into_iter()
         .map(|w| {
@@ -1171,20 +1142,20 @@ pub fn ablation_associativity(suite: &Suite) -> Table {
             )
         })
         .collect();
-    amat_table(
+    amat_plan(
+        "abl-assoc",
         "Ablation — software control vs main-cache associativity (AMAT, cycles)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Ablation: bus bandwidth. The virtual-line penalty is `n·LS/w_b`
 /// (§2.1: a 256-byte virtual line costs 14 extra cycles on the 16-byte
 /// bus), so narrower buses shrink the profitable virtual-line size.
-pub fn ablation_bus_width(suite: &Suite) -> Table {
-    let widths = [8u64, 16, 32];
+fn ablation_bus_width(benches: &[&str]) -> Plan {
     let mut configs: Vec<(String, Config)> = Vec::new();
-    for w in widths {
+    for w in [8u64, 16, 32] {
         let mem = MemoryModel::new(20, w);
         configs.push((
             format!("stand w={w}"),
@@ -1198,19 +1169,21 @@ pub fn ablation_bus_width(suite: &Suite) -> Table {
             Config::Soft(SoftCacheConfig::soft().with_memory(mem)),
         ));
     }
-    amat_table(
+    amat_plan(
+        "abl-bus",
         "Ablation — bus bandwidth (AMAT, cycles; bytes/cycle)",
-        suite,
-        &as_label_refs(&configs),
+        bench_rows(benches, Input::Suite),
+        &configs,
     )
 }
 
 /// Ablation: 16-byte physical lines under software control (§3.2 "Cache
 /// Line Size": performance proved similar, enabling a smaller mux).
-pub fn ablation_physical_16(suite: &Suite) -> Table {
-    amat_table(
+fn ablation_physical_16(benches: &[&str]) -> Plan {
+    amat_plan(
+        "abl-phys16",
         "Ablation — 16 B vs 32 B physical lines under software control (AMAT, cycles)",
-        suite,
+        bench_rows(benches, Input::Suite),
         &[
             ("32B phys", Config::soft()),
             (

@@ -1,14 +1,15 @@
 //! Experiment runners regenerating every evaluation figure of the paper.
 //!
-//! Each `figXX` function reproduces one figure of Temam & Drach's
-//! evaluation: it builds the workloads, sweeps the paper's parameters,
-//! runs the relevant cache configurations and returns a [`Table`] whose
-//! rows/series are the ones the paper plots. Absolute values differ (our
+//! Each figure of Temam & Drach's evaluation is data: the cells it runs
+//! (workload input × cache configuration) and the fold from their
+//! results to a [`Table`] whose rows/series are the ones the paper
+//! plots. Absolute values differ (our
 //! workloads are structural stand-ins, see `sac-workloads`), but the
 //! orderings, rough factors and crossovers are expected to match; see
 //! EXPERIMENTS.md for the recorded comparison.
 //!
-//! [`figures::REGISTRY`] lists every figure with its id and group. The
+//! [`figures::REGISTRY`] lists every figure with its id and group, and
+//! each paper figure is also a `figures::figXX` function. The
 //! `figures` binary prints any subset (`cargo run --release -p
 //! sac-experiments --bin figures -- fig06a`), and `figures --markdown
 //! summary all extensions ablations` prints EXPERIMENTS.md's tables.

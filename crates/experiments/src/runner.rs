@@ -808,28 +808,15 @@ impl CellStat {
     }
 }
 
-/// Runs one engine cell under the ledger: builds the engine, drives the
-/// trace, and records wall time + metrics under `label`.
-pub fn run_cell(label: String, config: &Config, trace: &Trace) -> Metrics {
-    metered_cell(label, || config.run(trace))
-}
-
-/// Times a cell whose body yields its own [`Metrics`] (engines driven
-/// directly rather than through [`Config::run`]).
-pub fn metered_cell(label: String, f: impl FnOnce() -> Metrics) -> Metrics {
-    cell(label, f, |m| Some(*m))
-}
-
-/// Times a non-engine cell (trace analysis, trace generation) under the
-/// ledger with zeroed simulation counters.
-pub fn timed_cell<R>(label: String, f: impl FnOnce() -> R) -> R {
-    cell(label, f, |_| None)
-}
-
 /// Runs `f` as one cell of the calling thread's run: times it, records
 /// its span when spans are on (with a `refs` arg when `metrics` reads
-/// counters from the result) and appends it to the ledger.
-fn cell<R>(label: String, f: impl FnOnce() -> R, metrics: impl FnOnce(&R) -> Option<Metrics>) -> R {
+/// counters from the result) and appends it to the ledger, with zeroed
+/// counters when `metrics` reads none (trace analysis or generation).
+pub(crate) fn cell<R>(
+    label: String,
+    f: impl FnOnce() -> R,
+    metrics: impl FnOnce(&R) -> Option<Metrics>,
+) -> R {
     let run = current();
     let span_start = (run.spans != Spans::Off).then(|| run.now_us());
     let start = Instant::now();
@@ -1144,7 +1131,7 @@ mod tests {
             std::thread::spawn(move || {
                 let run = Run::new(4, Spans::Off);
                 install(run.clone());
-                timed_cell("other/cell".into(), || ());
+                cell("other/cell".into(), || (), |_| None);
                 barrier.wait();
                 barrier.wait();
                 run

@@ -72,10 +72,15 @@ impl Suite {
     fn from_programs_with(programs: Vec<sac_loopir::Program>, levels: bool) -> Self {
         let entries = runner::par_map(&programs, |i, p| {
             let opts = trace_options(i, levels);
-            let trace = runner::timed_cell(format!("suite/{}/trace", p.name()), || {
-                p.trace(&opts)
-                    .unwrap_or_else(|e| panic!("workload {} failed to trace: {e}", p.name()))
-            });
+            let label = format!("suite/{}/trace", p.name());
+            let trace = runner::cell(
+                label,
+                || {
+                    p.trace(&opts)
+                        .unwrap_or_else(|e| panic!("workload {} failed to trace: {e}", p.name()))
+                },
+                |_| None,
+            );
             (p.name().to_string(), Arc::new(trace))
         });
         Suite {
@@ -97,11 +102,6 @@ impl Suite {
             .map(|(name, trace)| (name.clone(), trace.content_hash()))
             .collect();
         self.store = Some(Arc::new(StoreHandle { store, hashes }));
-    }
-
-    /// The attached on-disk store, if any.
-    pub fn result_store(&self) -> Option<&ResultStore> {
-        self.store.as_deref().map(|h| &h.store)
     }
 
     /// The cached metrics of an earlier `(benchmark, config)` cell over
@@ -169,15 +169,6 @@ impl Suite {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, t)| &**t)
-    }
-
-    /// Looks up one trace by benchmark name as a shared handle, for
-    /// handing to sweep workers without copying the trace.
-    pub fn trace_arc(&self, name: &str) -> Option<Arc<Trace>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| Arc::clone(t))
     }
 
     /// Total references across the suite.
@@ -255,13 +246,5 @@ mod tests {
         assert_eq!(warm.cached("MV", &cfg), Some(m));
         // But a different config is still a miss.
         assert!(warm.cached("MV", &Config::standard_victim()).is_none());
-    }
-
-    #[test]
-    fn arc_handles_alias_the_entry() {
-        let s = Suite::small();
-        let arc = s.trace_arc("MV").unwrap();
-        assert!(std::ptr::eq(&*arc, s.trace("MV").unwrap()));
-        assert!(s.trace_arc("nope").is_none());
     }
 }

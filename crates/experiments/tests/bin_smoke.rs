@@ -70,6 +70,29 @@ fn figures_generates_no_suite_that_no_selected_figure_reads() {
     }
 }
 
+/// The coherence sweeps book their coherent runs as cells: 12 per table,
+/// with their references in the run summary, while stdout stays the
+/// committed golden.
+#[test]
+fn figures_coherence_books_its_coherent_runs_as_cells() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--jobs", "1", "coherence"])
+        .output()
+        .expect("run figures");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("../../../tests/data/coherence_golden.txt")
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("coh-mesi: 12 cells in "), "{err}");
+    assert!(err.contains("coh-dragon: 12 cells in "), "{err}");
+    assert!(
+        err.contains("sweep: 24 cells, 1296000 simulated refs"),
+        "{err}"
+    );
+}
+
 /// A path in the temp directory that no test creates, for checking that
 /// a rejected run wrote nothing.
 fn unwritten_path(tag: &str) -> std::path::PathBuf {

@@ -4,8 +4,10 @@
 //! `#[ignore]`d so `cargo test` stays fast; `cargo test -- --ignored`
 //! runs it, as CI's release-mode step does.
 
-use sac_experiments::figures::{self, Group};
+use sac_experiments::figures::{self, Cell, Group, Input};
+use sac_experiments::runner::{self, Run, Spans};
 use sac_experiments::{Suite, Table};
+use std::collections::HashMap;
 
 const BENCHES: [&str; 9] = [
     "MDG", "BDN", "DYF", "TRF", "NAS", "Slalom", "LIV", "MV", "SpMV",
@@ -132,6 +134,44 @@ fn coherence_group_tables_have_the_expected_shape() {
         assert!(!fig.needs_suite(), "{}", fig.id);
         assert_expected_shape(fig, None);
     }
+}
+
+/// Every registry figure lists its cells at small scale without running
+/// any, and a label names one simulation: two cells with the same label
+/// have the same input and the same work, and two program inputs with the
+/// same generation label the same program and options. Extension,
+/// ablation and coherence labels start with their registry id.
+#[test]
+fn one_label_names_one_simulation() {
+    let run = Run::new(1, Spans::Off);
+    runner::install(run.clone());
+    let mut cells: HashMap<String, Cell> = HashMap::new();
+    let mut programs: HashMap<String, Input> = HashMap::new();
+    for fig in &figures::REGISTRY {
+        let plan = fig.plan(&BENCHES, true);
+        for cell in plan.rows().iter().flatten() {
+            if matches!(
+                fig.group,
+                Group::Extension | Group::Ablation | Group::Coherence
+            ) {
+                let prefix = format!("{}/", fig.id);
+                assert!(cell.label.starts_with(&prefix), "{}", cell.label);
+            }
+            if let Input::Program { label, .. } = &cell.input {
+                let first = programs.entry(label.clone()).or_insert(cell.input.clone());
+                assert_eq!(*first, cell.input, "{label} names two traces");
+            }
+            let first = cells.entry(cell.label.clone()).or_insert(cell.clone());
+            assert_eq!(
+                (&first.input, &first.work),
+                (&cell.input, &cell.work),
+                "{} names two simulations",
+                cell.label
+            );
+        }
+    }
+    assert!(cells.len() > 1_000, "{} cells", cells.len());
+    assert_eq!(run.cells_done(), 0, "listing ran a cell");
 }
 
 #[test]

@@ -9,23 +9,32 @@ fn figures_under(jobs: usize) -> (Suite, Vec<Table>) {
     // Regenerate the suite under this worker count too: trace generation
     // is itself sharded, so determinism must hold there as well.
     let suite = Suite::small();
-    let leveled = Suite::small_leveled();
+    let build =
+        |id: &str| figures::select(&[id]).expect("a registry id")[0].build(Some(&suite), true);
     let tables = vec![
-        // Plain grid sweeps (metric_table path).
-        figures::fig06a(&suite),
-        figures::fig07a(&suite),
-        // Trace-analysis rows (par_rows + timed_cell path).
-        figures::fig01a(&suite),
-        figures::fig06b(&suite),
-        // Two engine runs per cell, derived value.
-        figures::fig09a(&suite),
-        // Per-row trace generation inside the pool.
-        figures::fig11a(true),
-        // Post-aggregation suite means in benchmark order.
-        figures::ext_context_switch(&suite),
-        figures::ext_prefetch_distance(&suite),
-        // Leveled traces + variable virtual lines.
-        figures::ext_variable_vlines(&leveled),
+        // Suite inputs: one replay batch per benchmark row.
+        build("fig06a"),
+        build("fig07a"),
+        // Suite inputs read by a trace statistic, and by one replay
+        // read out twice.
+        build("fig01a"),
+        build("fig06b"),
+        // Two replays per column, derived in the fold.
+        build("fig09a"),
+        // Program inputs, generated inside the pool while they replay.
+        build("fig11a"),
+        // Two program inputs per row, one traced with levels.
+        build("ext-copy-vline"),
+        // Suite means folded in benchmark order, over replays with
+        // context switches and over one row of every latency.
+        build("ext-context-switch"),
+        build("ext-pf-distance"),
+        // The 3C classifier beside a suite replay.
+        build("ext-miss-classes"),
+        // Leveled-suite inputs + variable virtual lines.
+        build("ext-var-vlines"),
+        // Coherent inputs, one pool item per workload row.
+        build("coh-mesi"),
     ];
     (suite, tables)
 }

@@ -8,7 +8,7 @@ use std::fmt;
 use std::ops::Range;
 
 /// Options for trace generation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Seed for the issue-gap RNG; a given seed always reproduces the same
     /// trace, as in the paper ("repetitive simulations performed with the

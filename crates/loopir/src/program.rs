@@ -196,7 +196,7 @@ pub enum Stmt {
 /// A complete loop-nest program: arrays, tables, and a statement tree.
 ///
 /// See the crate-level example for typical construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     name: String,
     vars: Vec<String>,

@@ -2,16 +2,21 @@
 //! related designs, pinning the shapes recorded in EXPERIMENTS.md.
 
 use software_assisted_caches::core::{AssistCache, SoftCacheConfig};
-use software_assisted_caches::experiments::{figures, Config, Suite};
+use software_assisted_caches::experiments::{figures, Config, Suite, Table};
 use software_assisted_caches::simcache::{CacheGeometry, CacheSim, MemoryModel};
+
+/// The registry figure `id` at small scale, over `suite` when it reads
+/// the suite (a leveled figure builds its own).
+fn table(id: &str, suite: Option<&Suite>) -> Table {
+    figures::select(&[id]).expect("a registry id")[0].build(suite, true)
+}
 
 /// §3.2 variable-length virtual lines: with leveled traces, the variable
 /// scheme must match or beat the fixed 64-byte default on most codes —
 /// it picks the larger fill only where the compiler saw a long stream.
 #[test]
 fn variable_vlines_match_or_beat_the_default() {
-    let leveled = Suite::small_leveled();
-    let t = figures::ext_variable_vlines(&leveled);
+    let t = table("ext-var-vlines", None);
     let mut wins_or_ties = 0;
     for (name, _) in t.rows() {
         let fixed = t.get(name, "fixed 64B").unwrap();
@@ -40,7 +45,7 @@ fn variable_vlines_are_inert_without_levels() {
 #[test]
 fn column_associative_fixes_conflicts_not_pollution() {
     let suite = Suite::small();
-    let t = figures::ext_related_designs(&suite);
+    let t = table("ext-related", Some(&suite));
     let mut beats_standard = 0;
     for (name, _) in t.rows() {
         let stand = t.get(name, "Stand.").unwrap();
@@ -66,7 +71,7 @@ fn column_associative_fixes_conflicts_not_pollution() {
 #[test]
 fn assist_cache_handles_untagged_codes() {
     let suite = Suite::small();
-    let t = figures::ext_related_designs(&suite);
+    let t = table("ext-related", Some(&suite));
     let stand = t.get("MDG", "Stand.").unwrap();
     let assist = t.get("MDG", "Assist").unwrap();
     assert!(
@@ -81,8 +86,8 @@ fn assist_cache_handles_untagged_codes() {
 #[test]
 fn stream_buffers_pay_with_traffic() {
     let suite = Suite::small();
-    let amat = figures::ext_related_designs(&suite);
-    let traffic = figures::ext_related_traffic(&suite);
+    let amat = table("ext-related", Some(&suite));
+    let traffic = table("ext-related-traffic", Some(&suite));
     // They win AMAT on at least the pure-stream codes...
     let sb = amat.get("LIV", "StreamBuf").unwrap();
     let soft = amat.get("LIV", "Soft.").unwrap();
@@ -118,7 +123,7 @@ fn assist_cache_conserves_references() {
 #[test]
 fn soft_advantage_survives_context_switches() {
     let suite = Suite::small();
-    let t = figures::ext_context_switch(&suite);
+    let t = table("ext-context-switch", Some(&suite));
     for col in t.columns().to_vec() {
         let stand = t.get("Stand.", &col).unwrap();
         let soft = t.get("Soft.", &col).unwrap();
@@ -135,7 +140,7 @@ fn soft_advantage_survives_context_switches() {
 #[test]
 fn progressive_prefetch_helps_at_every_latency() {
     let suite = Suite::small();
-    let t = figures::ext_prefetch_distance(&suite);
+    let t = table("ext-pf-distance", Some(&suite));
     for (row, values) in t.rows() {
         let base = values[0]; // no prefetch
         let d1 = values[1];
