@@ -212,11 +212,6 @@ impl Deltas {
             &mut self.useful_prefetches,
         ]
     }
-
-    /// True when every counter delta is zero.
-    pub fn is_zero(&self) -> bool {
-        self.fields().iter().all(|(_, v)| *v == 0)
-    }
 }
 
 /// One mechanism bucket of the report.

@@ -66,12 +66,6 @@ impl Table {
         r.1.get(c).copied()
     }
 
-    /// The values of one column, in row order.
-    pub fn column_values(&self, column: &str) -> Option<Vec<f64>> {
-        let c = self.columns.iter().position(|x| x == column)?;
-        Some(self.rows.iter().map(|(_, v)| v[c]).collect())
-    }
-
     /// Renders as CSV (header row, then one line per row) for plotting
     /// tools.
     pub fn to_csv(&self) -> String {
@@ -197,7 +191,6 @@ mod tests {
         assert_eq!(t.get("MV", "Soft."), Some(1.75));
         assert_eq!(t.get("MV", "nope"), None);
         assert_eq!(t.get("nope", "Soft."), None);
-        assert_eq!(t.column_values("Stand."), Some(vec![3.5, 2.0]));
     }
 
     #[test]

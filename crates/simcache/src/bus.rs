@@ -64,11 +64,18 @@ pub enum FillSource {
 ///
 /// A uniprocessor memory system owns a private bus with one participant;
 /// a [`crate::CoherentSystem`] shares one instance across all cores so
-/// transaction counts and occupancy aggregate globally.
+/// transaction counts and occupancy aggregate globally. The line's
+/// transfer and memory-fill prices are fixed at construction, the way
+/// each memory-system lane holds its fetch table, so a transaction is
+/// priced without a division.
 #[derive(Debug, Clone)]
 pub struct SnoopBus {
     mem: MemoryModel,
     line_bytes: u64,
+    /// `LS/w_b`: bus beats of one line.
+    line_cycles: u64,
+    /// `t_lat + LS/w_b`: a one-line memory fill.
+    fill_cycles: u64,
     transactions: u64,
     occupancy_cycles: u64,
 }
@@ -76,9 +83,12 @@ pub struct SnoopBus {
 impl SnoopBus {
     /// Creates a bus for caches of `line_bytes`-byte lines.
     pub fn new(mem: MemoryModel, line_bytes: u64) -> Self {
+        let line_cycles = mem.transfer_cycles(line_bytes);
         SnoopBus {
             mem,
             line_bytes,
+            line_cycles,
+            fill_cycles: mem.latency() + line_cycles,
             transactions: 0,
             occupancy_cycles: 0,
         }
@@ -99,7 +109,7 @@ impl SnoopBus {
     /// Bus cycles to move one cache line (`LS/w_b`).
     #[inline]
     pub fn line_transfer_cycles(&self) -> u64 {
-        self.mem.transfer_cycles(self.line_bytes)
+        self.line_cycles
     }
 
     /// Cost of one coherence transaction, charged to the requester's
@@ -116,21 +126,19 @@ impl SnoopBus {
     pub fn transaction_cycles(&mut self, tx: BusTx, source: FillSource) -> u64 {
         self.transactions += 1;
         let cycles = match (tx, source) {
-            (BusTx::BusRd | BusTx::BusRdX, FillSource::Memory) => {
-                self.mem.latency() + self.line_transfer_cycles()
-            }
+            (BusTx::BusRd | BusTx::BusRdX, FillSource::Memory) => self.fill_cycles,
             (BusTx::BusRd | BusTx::BusRdX, FillSource::CacheToCache) => {
-                SNOOP_CYCLES + self.line_transfer_cycles()
+                SNOOP_CYCLES + self.line_cycles
             }
             (BusTx::BusUpgr, _) => SNOOP_CYCLES,
-            (BusTx::Flush, _) => self.line_transfer_cycles(),
+            (BusTx::Flush, _) => self.line_cycles,
         };
         self.occupancy_cycles += match tx {
             // The address phase of an upgrade occupies the bus for its
             // whole cost; data transactions log only their data beats
             // (the latency part is memory wait, not bus time).
             BusTx::BusUpgr => cycles,
-            BusTx::BusRd | BusTx::BusRdX => self.line_transfer_cycles(),
+            BusTx::BusRd | BusTx::BusRdX => self.line_cycles,
             BusTx::Flush => cycles,
         };
         cycles
@@ -195,6 +203,50 @@ mod tests {
         let mut b = bus();
         assert_eq!(b.transaction_cycles(BusTx::Flush, FillSource::Memory), 2);
         assert_eq!(b.occupancy_cycles(), 2);
+    }
+
+    #[test]
+    fn prices_and_occupancy_follow_the_memory_model() {
+        use BusTx::*;
+        use FillSource::*;
+        for bus_bytes in [8u64, 16, 32] {
+            for line_bytes in [16u64, 32, 64, 128, 256] {
+                for latency in [0u64, 20] {
+                    let mem = MemoryModel::new(latency, bus_bytes);
+                    let beats = mem.transfer_cycles(line_bytes);
+                    let at = format!("{mem}, {line_bytes} B lines");
+                    let mut b = SnoopBus::new(mem, line_bytes);
+                    assert_eq!(b.line_transfer_cycles(), beats, "{at}");
+                    let (mut transactions, mut occupancy) = (0, 0);
+                    for tx in [BusRd, BusRdX, BusUpgr, Flush] {
+                        for source in [Memory, CacheToCache] {
+                            // (charged cycles, bus-busy cycles)
+                            let (price, busy) = match (tx, source) {
+                                (BusRd | BusRdX, Memory) => {
+                                    (mem.fetch_cycles(1, line_bytes), beats)
+                                }
+                                (BusRd | BusRdX, CacheToCache) => (SNOOP_CYCLES + beats, beats),
+                                (BusUpgr, _) => (SNOOP_CYCLES, SNOOP_CYCLES),
+                                (Flush, _) => (beats, beats),
+                            };
+                            assert_eq!(
+                                b.transaction_cycles(tx, source),
+                                price,
+                                "{at}: {tx:?} from {source:?}"
+                            );
+                            transactions += 1;
+                            occupancy += busy;
+                            assert_eq!(b.transactions(), transactions, "{at}");
+                            assert_eq!(
+                                b.occupancy_cycles(),
+                                occupancy,
+                                "{at}: {tx:?} from {source:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

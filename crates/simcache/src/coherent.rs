@@ -471,10 +471,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
     fn miss(&mut self, cpu: usize, line: u64, bit: u32, is_write: bool) -> u64 {
         self.cores[cpu].sys.metrics_mut().misses += 1;
         let snoop = self.snoop_remotes(cpu, line, is_write, bit);
-        // A pending write-buffer entry anywhere (own buffer included)
-        // still holds the newest copy: it must answer before memory.
+        // With no cache to supply the line, a pending write-buffer entry
+        // anywhere (own buffer included) still holds the newest copy: it
+        // must answer before memory.
         let now = self.cores[cpu].sys.now();
-        let wb_forward = self.cores.iter().any(|c| c.sys.buffer_holds(now, line));
+        let wb_forward =
+            snoop.supplier.is_none() && self.cores.iter().any(|c| c.sys.buffer_holds(now, line));
         let source = if snoop.supplier.is_some() || wb_forward {
             FillSource::CacheToCache
         } else {

@@ -100,8 +100,20 @@ impl WriteBuffer {
     /// The timing side ([`WriteBuffer::push`], occupancy) keeps an
     /// exclusive boundary — only snoop *visibility* extends through the
     /// final beat.
+    ///
+    /// The snoop walks the queue newest first and stops at the first
+    /// entry retired before `now`. That is exact: [`WriteBuffer::push`]
+    /// starts each entry at the later of `now` and the newest entry's
+    /// completion, so completion times rise along the queue and every
+    /// entry older than a retired one has retired too. A drained buffer
+    /// (the common case on a coherent miss) answers from its newest
+    /// entry alone.
     pub fn snoop(&self, now: u64, line: u64) -> bool {
-        self.inflight.iter().any(|&(t, l)| l == line && t >= now)
+        self.inflight
+            .iter()
+            .rev()
+            .take_while(|&&(t, _)| t >= now)
+            .any(|&(_, l)| l == line)
     }
 
     fn drain(&mut self, now: u64) {
@@ -181,6 +193,70 @@ mod tests {
         // memory consistent from 11 on.
         assert!(wb.snoop(10, 0x40));
         assert!(!wb.snoop(11, 0x40));
+    }
+
+    /// The snoop the newest-first walk replaced: every entry, retired
+    /// or not.
+    fn full_scan(wb: &WriteBuffer, now: u64, line: u64) -> bool {
+        wb.inflight.iter().any(|&(t, l)| l == line && t >= now)
+    }
+
+    #[test]
+    fn snoop_equals_the_full_scan() {
+        use sac_trace::rng::SplitMix64;
+        for cap in [1usize, 2, 8] {
+            for seed in 0..48u64 {
+                let mut rng = SplitMix64::seed_from_u64(seed << 8 | cap as u64);
+                let retire = 1 + rng.below(4);
+                let mut wb = WriteBuffer::new(cap, retire);
+                let mut now = 0u64;
+                for step in 0..200 {
+                    // Bursts (no time passes) fill the buffer; long
+                    // pauses leave retired entries queued until the
+                    // next push drains them.
+                    now += rng.below(3 * retire);
+                    if rng.chance(0.5) {
+                        wb.push(now, rng.below(4));
+                    }
+                    // Each entry's retire cycle and the cycle after it,
+                    // plus times before, at and after `now`.
+                    let mut times: Vec<u64> =
+                        wb.inflight.iter().flat_map(|&(t, _)| [t, t + 1]).collect();
+                    times.extend([
+                        now,
+                        now.saturating_sub(rng.below(4 * retire)),
+                        now + rng.below(4 * retire),
+                    ]);
+                    for t in times {
+                        for line in 0..4 {
+                            assert_eq!(
+                                wb.snoop(t, line),
+                                full_scan(&wb, t, line),
+                                "cap {cap}, seed {seed}, step {step}: line {line} at {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snoop_after_the_newest_entry_retires_sees_nothing() {
+        let mut wb = WriteBuffer::new(8, 4);
+        wb.push(0, 1); // retires at 4
+        wb.push(0, 2); // retires at 8
+        wb.push(0, 1); // retires at 12
+        assert!(
+            wb.snoop(12, 1),
+            "the newest entry forwards on its final beat"
+        );
+        assert!(!wb.snoop(12, 2), "an older entry already retired");
+        assert!(
+            !wb.snoop(13, 1),
+            "nothing is pending after the newest entry"
+        );
+        assert!(wb.snoop(8, 2) && wb.snoop(4, 1));
     }
 
     #[test]

@@ -408,16 +408,16 @@ pub fn drain_to_trace<S: ChunkSource>(reader: &mut S) -> Result<Trace, ReadError
 /// [`Sact2Writer::push_chunk`] the accesses, then
 /// [`Sact2Writer::finish`].
 ///
-/// The open run (at most [`MAX_RUN`] entries) is encoded into a reused
-/// run buffer; when it ends, its flag byte, length and entries go into
-/// the 64 KiB output buffer, which reaches the inner writer when it
-/// fills and in `finish`. Converting a trace therefore never
+/// A run that closes inside a pushed chunk is written header first,
+/// straight into the 64 KiB output buffer, which reaches the inner
+/// writer when it fills and in `finish`. Only the run still open at a
+/// chunk's end (at most [`MAX_RUN`] entries) is encoded into a reused
+/// carry buffer until it closes. Converting a trace therefore never
 /// materializes it, and as for [`SactWriter`], write errors surface
 /// from `push_chunk` or `finish`.
 pub struct Sact2Writer<W: Write> {
     out: Out<W>,
-    prev_addr: u64,
-    prev_instr: u32,
+    prev: Prev,
     run_flags: u8,
     run_len: u64,
     run: Vec<u8>,
@@ -426,6 +426,51 @@ pub struct Sact2Writer<W: Write> {
 /// Most bytes one `SAC2` entry encodes to: an address delta (10), a
 /// gap (3) and an instr delta (5).
 const MAX_SAC2_ENTRY: usize = 18;
+
+/// Most bytes a run header encodes to: the flag byte plus a length
+/// varint of at most 3 bytes ([`MAX_RUN`]).
+const MAX_RUN_HEAD: usize = 4;
+
+/// The entry every `SAC2` delta is taken from (the first entry deltas
+/// from 0).
+#[derive(Default)]
+struct Prev {
+    addr: u64,
+    instr: u32,
+}
+
+impl Prev {
+    /// Appends `a`'s entry to `buf` and makes it the previous entry.
+    #[inline]
+    fn put(&mut self, a: &Access, buf: &mut Vec<u8>) {
+        let (addr, instr) = (a.addr(), a.instr());
+        let mut e = [0u8; MAX_SAC2_ENTRY];
+        let n = put_varint(
+            &mut e,
+            0,
+            zigzag_encode(addr.wrapping_sub(self.addr) as i64),
+        );
+        let n = put_varint(&mut e, n, u64::from(a.gap()));
+        let n = put_varint(
+            &mut e,
+            n,
+            zigzag_encode(i64::from(instr.wrapping_sub(self.instr) as i32)),
+        );
+        buf.extend_from_slice(&e[..n]);
+        self.addr = addr;
+        self.instr = instr;
+    }
+}
+
+/// Length of the run `chunk` starts with, `room` entries at most.
+#[inline]
+fn run_length(chunk: &[Access], flags: u8, room: u64) -> usize {
+    chunk
+        .iter()
+        .take(room as usize)
+        .take_while(|a| a.wire_flags() == flags)
+        .count()
+}
 
 impl<W: Write> Sact2Writer<W> {
     /// Buffers the header and readies the encoder for exactly `count`
@@ -437,8 +482,7 @@ impl<W: Write> Sact2Writer<W> {
     pub fn new(w: W, name: &str, count: u64) -> io::Result<Self> {
         Ok(Sact2Writer {
             out: Out::new(w, MAGIC2, name, count, false)?,
-            prev_addr: 0,
-            prev_instr: 0,
+            prev: Prev::default(),
             run_flags: 0,
             run_len: 0,
             run: Vec::new(),
@@ -463,47 +507,59 @@ impl<W: Write> Sact2Writer<W> {
     /// pass the announced count; propagates I/O errors.
     pub fn push_chunk(&mut self, chunk: &[Access]) -> io::Result<()> {
         self.out.admit(chunk.len())?;
-        for a in chunk {
-            let flags = a.wire_flags();
-            if flags != self.run_flags || self.run_len == MAX_RUN {
-                self.end_run()?;
-                self.run_flags = flags;
+        let mut rest = chunk;
+        if self.run_len > 0 {
+            // The run carried from the last chunk goes on while the
+            // flags match and it has room.
+            let len = run_length(rest, self.run_flags, MAX_RUN - self.run_len);
+            for a in &rest[..len] {
+                self.prev.put(a, &mut self.run);
             }
-            self.run_len += 1;
-            let (addr, instr) = (a.addr(), a.instr());
-            let mut e = [0u8; MAX_SAC2_ENTRY];
-            let n = put_varint(
-                &mut e,
-                0,
-                zigzag_encode(addr.wrapping_sub(self.prev_addr) as i64),
-            );
-            let n = put_varint(&mut e, n, u64::from(a.gap()));
-            let n = put_varint(
-                &mut e,
-                n,
-                zigzag_encode(i64::from(instr.wrapping_sub(self.prev_instr) as i32)),
-            );
-            self.run.extend_from_slice(&e[..n]);
-            self.prev_addr = addr;
-            self.prev_instr = instr;
+            self.run_len += len as u64;
+            rest = &rest[len..];
+            if rest.is_empty() {
+                return Ok(());
+            }
+            self.end_run()?;
+        }
+        while let Some(first) = rest.first() {
+            let flags = first.wire_flags();
+            let len = run_length(rest, flags, MAX_RUN);
+            let (run, tail) = rest.split_at(len);
+            if tail.is_empty() && len < MAX_RUN as usize {
+                // Still open at the chunk's end: carry it.
+                for a in run {
+                    self.prev.put(a, &mut self.run);
+                }
+                self.run_flags = flags;
+                self.run_len = len as u64;
+                return Ok(());
+            }
+            let out = &mut self.out;
+            out.make_room(MAX_RUN_HEAD)?;
+            out.buf.push(flags);
+            push_varint(&mut out.buf, len as u64);
+            for a in run {
+                out.make_room(MAX_SAC2_ENTRY)?;
+                self.prev.put(a, &mut out.buf);
+            }
+            rest = tail;
         }
         Ok(())
     }
 
-    /// Moves the open run, behind its flag byte and length, into the
+    /// Moves the carried run, behind its flag byte and length, into the
     /// output buffer; a run longer than the buffer goes straight to the
     /// inner writer.
     fn end_run(&mut self) -> io::Result<()> {
         if self.run_len == 0 {
             return Ok(());
         }
-        // Flag byte plus a length varint of at most 3 bytes (MAX_RUN).
-        const HEAD: usize = 4;
         let out = &mut self.out;
-        out.make_room(HEAD + self.run.len())?;
+        out.make_room(MAX_RUN_HEAD + self.run.len())?;
         out.buf.push(self.run_flags);
         push_varint(&mut out.buf, self.run_len);
-        if self.run.len() > OUT_BYTES - HEAD {
+        if self.run.len() > OUT_BYTES - MAX_RUN_HEAD {
             out.drain()?;
             out.w.write_all(&self.run)?;
         } else {

@@ -21,7 +21,10 @@
 //! 5. **Frozen counters** — twelve seeded runs (MESI and Dragon, 2–4
 //!    CPUs, tight and standard geometry) book exactly the per-CPU
 //!    coherence counters (false sharing included), global metrics and
-//!    bus totals pinned as literals.
+//!    bus totals pinned as literals. Six more runs on a zero-latency,
+//!    one-byte bus with a write-heavy mix book write-buffer forwards
+//!    under both protocols, so the forwarding path is pinned by seeded
+//!    runs as well as by the hand-built races of family 4.
 //!
 //! The build environment is offline, so instead of `proptest` the fuzz
 //! uses the hand-rolled [`SplitMix64`] generator; every assertion
@@ -36,13 +39,14 @@ use software_assisted_caches::trace::{interleave_round_robin, Access, Trace, MAX
 use software_assisted_caches::workloads::sharing;
 
 /// A seeded pseudo-random stream over `lines` cache lines' worth of
-/// addresses, mixed reads/writes with small issue gaps.
-fn random_stream(seed: u64, len: usize, lines: u64) -> Trace {
+/// addresses, a `write_frac` share of them writes, with small issue
+/// gaps.
+fn random_stream(seed: u64, len: usize, lines: u64, write_frac: f64) -> Trace {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut t = Trace::new("fuzz");
     for _ in 0..len {
         let addr = rng.below(lines * 4) * 8;
-        let a = if rng.chance(0.4) {
+        let a = if rng.chance(write_frac) {
             Access::write(addr)
         } else {
             Access::read(addr)
@@ -52,10 +56,16 @@ fn random_stream(seed: u64, len: usize, lines: u64) -> Trace {
     t
 }
 
-/// A multi-CPU interleave of `cpus` independently seeded streams.
+/// A multi-CPU interleave of `cpus` independently seeded streams, 40%
+/// writes.
 fn random_multi(seed: u64, cpus: usize, len_per_cpu: usize, lines: u64) -> Trace {
+    mixed_multi(seed, cpus, len_per_cpu, lines, 0.4)
+}
+
+/// [`random_multi`] with a `write_frac` share of writes.
+fn mixed_multi(seed: u64, cpus: usize, len_per_cpu: usize, lines: u64, write_frac: f64) -> Trace {
     let streams: Vec<Trace> = (0..cpus as u64)
-        .map(|c| random_stream(seed ^ (c << 32) | c, len_per_cpu, lines))
+        .map(|c| random_stream(seed ^ (c << 32) | c, len_per_cpu, lines, write_frac))
         .collect();
     interleave_round_robin("fuzz-multi", &streams)
 }
@@ -95,16 +105,26 @@ fn swmr_holds_at_every_step_dragon() {
     }
 }
 
+/// The shape every case of one frozen table shares.
+struct FrozenSetup {
+    mem: MemoryModel,
+    /// Cache lines' worth of addresses the tight-geometry streams cover
+    /// (the standard geometry's streams cover 384).
+    tight_lines: u64,
+    write_frac: f64,
+}
+
 /// Everything a seeded run books: each CPU's coherence counters, the
 /// global metrics, and the bus's transaction and occupancy totals.
 fn frozen_run<Proto: CoherenceProtocol>(
     geom: CacheGeometry,
+    setup: &FrozenSetup,
     cpus: usize,
     seed: u64,
     lines: u64,
 ) -> (Vec<CpuCoherence>, Metrics, [u64; 2]) {
-    let trace = random_multi(seed, cpus, 2_000, lines);
-    let mut sys: CoherentSystem<Proto> = CoherentSystem::new(geom, MemoryModel::default(), cpus);
+    let trace = mixed_multi(seed, cpus, 2_000, lines, setup.write_frac);
+    let mut sys: CoherentSystem<Proto> = CoherentSystem::new(geom, setup.mem, cpus);
     sys.run(&trace);
     (
         sys.stats().per_cpu().to_vec(),
@@ -189,12 +209,80 @@ const FROZEN: [Frozen; 12] = [
         bus: [6134, 12268] },
 ];
 
+/// Six runs that book write-buffer forwards: tight geometry over 32
+/// lines, 80% writes, zero memory latency and a one-byte bus. A dirty
+/// victim is pushed when its miss starts and drains in `LS/w_b`, while
+/// the miss itself takes `t_lat + LS/w_b`; only at `t_lat = 0` is the
+/// entry still pending (on its final beat) when the next CPU's
+/// back-to-back access snoops it. Recorded before the write-buffer
+/// snoop's newest-entry exit.
+#[rustfmt::skip]
+const FORWARDING: [Frozen; 6] = [
+    Frozen { dragon: false, standard: false, cpus: 2,
+        metrics: [4000, 774, 3226, 843, 3157, 103543, 3157, 12628, 2666, 0],
+        per_cpu: &[[322, 337, 232, 27, 374, 9, 0], [337, 322, 231, 27, 392, 9, 0]],
+        bus: [3882, 122604] },
+    Frozen { dragon: false, standard: false, cpus: 3,
+        metrics: [6000, 1193, 4807, 1100, 4900, 162048, 4900, 19600, 4108, 0],
+        per_cpu: &[[612, 585, 398, 38, 673, 9, 0], [584, 581, 391, 35, 623, 6, 0],
+                   [577, 607, 432, 42, 643, 5, 0]],
+        bus: [6733, 212006] },
+    Frozen { dragon: false, standard: false, cpus: 4,
+        metrics: [8000, 1638, 6362, 1233, 6767, 224725, 6767, 27068, 5630, 0],
+        per_cpu: &[[771, 751, 515, 41, 804, 3, 0], [771, 778, 551, 53, 798, 1, 0],
+                   [782, 758, 538, 51, 839, 2, 0], [756, 793, 595, 39, 839, 4, 0]],
+        bus: [9856, 309872] },
+    Frozen { dragon: true, standard: false, cpus: 2,
+        metrics: [4000, 774, 3226, 1020, 2980, 99418, 2980, 11920, 2089, 0],
+        per_cpu: &[[0, 0, 0, 0, 358, 6, 385], [0, 0, 0, 0, 368, 7, 395]],
+        bus: [3760, 96920] },
+    Frozen { dragon: true, standard: false, cpus: 3,
+        metrics: [6000, 1193, 4807, 1551, 4449, 152007, 4449, 17796, 2574, 0],
+        per_cpu: &[[0, 0, 0, 0, 678, 6, 733], [0, 0, 0, 0, 634, 1, 688],
+                   [0, 0, 0, 0, 624, 3, 677]],
+        bus: [6547, 146564] },
+    Frozen { dragon: true, standard: false, cpus: 4,
+        metrics: [8000, 1638, 6362, 1995, 6005, 208301, 6005, 24020, 3026, 0],
+        per_cpu: &[[0, 0, 0, 0, 821, 3, 895], [0, 0, 0, 0, 856, 0, 914],
+                   [0, 0, 0, 0, 866, 0, 913], [0, 0, 0, 0, 899, 1, 905]],
+        bus: [9632, 199414] },
+];
+
 #[test]
 fn seeded_runs_book_frozen_counters() {
     // The false-sharing column is the only check of the word masks
     // beyond the 0%/100% sharing kernels: a mask that survives a
     // refill, or is cleared too early, moves it.
-    for f in &FROZEN {
+    let setup = FrozenSetup {
+        mem: MemoryModel::default(),
+        tight_lines: 16,
+        write_frac: 0.4,
+    };
+    check_frozen(&FROZEN, &setup);
+}
+
+#[test]
+fn seeded_forwarding_runs_book_frozen_counters() {
+    let setup = FrozenSetup {
+        mem: MemoryModel::new(0, 1),
+        tight_lines: 32,
+        write_frac: 0.8,
+    };
+    check_frozen(&FORWARDING, &setup);
+    for dragon in [false, true] {
+        assert!(
+            FORWARDING
+                .iter()
+                .filter(|f| f.dragon == dragon)
+                .any(|f| f.per_cpu.iter().any(|c| c[5] > 0)),
+            "the forwarding table must pin a forward under {}",
+            if dragon { "Dragon" } else { "MESI" }
+        );
+    }
+}
+
+fn check_frozen(cases: &[Frozen], setup: &FrozenSetup) {
+    for f in cases {
         let case = format!(
             "{} {} geometry, {} CPUs",
             if f.dragon { "Dragon" } else { "MESI" },
@@ -204,13 +292,13 @@ fn seeded_runs_book_frozen_counters() {
         let (geom, lines) = if f.standard {
             (CacheGeometry::standard(), 384)
         } else {
-            (tight_geom(), 16)
+            (tight_geom(), setup.tight_lines)
         };
         let seed = 0xF20_0000 + f.cpus as u64;
         let (per_cpu, metrics, bus) = if f.dragon {
-            frozen_run::<Dragon>(geom, f.cpus, seed, lines)
+            frozen_run::<Dragon>(geom, setup, f.cpus, seed, lines)
         } else {
-            frozen_run::<Mesi>(geom, f.cpus, seed, lines)
+            frozen_run::<Mesi>(geom, setup, f.cpus, seed, lines)
         };
         let want_cpu: Vec<CpuCoherence> = f
             .per_cpu
