@@ -6,10 +6,13 @@
 //! tracing rows document what full instrumentation costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sac_core::{SoftCache, SoftCacheConfig};
+use sac_core::{SoftCache, SoftCacheConfig, SoftPolicy};
 use sac_experiments::explain::{hit_heavy_trace, miss_heavy_trace};
 use sac_obs::{EventCounts, ObsConfig, Probe, TracingProbe};
-use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, Metrics, StandardCache, VictimCache};
+use sac_simcache::{
+    CacheGeometry, CacheSim, MemoryModel, Metrics, StandardCache, StandardPolicy, VictimCache,
+    VictimPolicy,
+};
 use sac_trace::Trace;
 use std::hint::black_box;
 
@@ -20,19 +23,22 @@ fn geom() -> CacheGeometry {
 }
 
 fn run_standard<P: Probe>(probe: P, trace: &Trace) -> Metrics {
-    let mut c = StandardCache::with_probe(geom(), MemoryModel::default(), probe);
+    let mut c =
+        StandardCache::with_probe(StandardPolicy::new(geom()), MemoryModel::default(), probe);
     c.run_chunk(trace.as_slice());
     *c.metrics()
 }
 
 fn run_victim<P: Probe>(probe: P, trace: &Trace) -> Metrics {
-    let mut c = VictimCache::with_probe(geom(), MemoryModel::default(), 8, probe);
+    let mut c =
+        VictimCache::with_probe(VictimPolicy::new(geom(), 8), MemoryModel::default(), probe);
     c.run_chunk(trace.as_slice());
     *c.metrics()
 }
 
 fn run_soft<P: Probe>(probe: P, trace: &Trace) -> Metrics {
-    let mut c = SoftCache::with_probe(SoftCacheConfig::soft(), probe);
+    let cfg = SoftCacheConfig::soft();
+    let mut c = SoftCache::with_probe(SoftPolicy::new(cfg), cfg.memory, probe);
     c.run_chunk(trace.as_slice());
     *c.metrics()
 }
@@ -53,7 +59,7 @@ fn probe_overhead(c: &mut Criterion) {
         group.throughput(Throughput::Elements(trace.len() as u64));
         group.bench_with_input(BenchmarkId::new("standard/plain", name), trace, |b, t| {
             b.iter(|| {
-                let mut c = StandardCache::new(geom(), MemoryModel::default());
+                let mut c = StandardCache::new(StandardPolicy::new(geom()), MemoryModel::default());
                 c.run_chunk(black_box(t.as_slice()));
                 *c.metrics()
             })
@@ -71,7 +77,7 @@ fn probe_overhead(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("victim/plain", name), trace, |b, t| {
             b.iter(|| {
-                let mut c = VictimCache::new(geom(), MemoryModel::default(), 8);
+                let mut c = VictimCache::new(VictimPolicy::new(geom(), 8), MemoryModel::default());
                 c.run_chunk(black_box(t.as_slice()));
                 *c.metrics()
             })

@@ -19,17 +19,16 @@
 //! bounce-back cache: the filter sits in *front*, promotion happens once
 //! per residency (no bouncing), and there is no virtual-line mechanism.
 
-use crate::config::SoftCacheConfig;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, LaneSet, MemorySystem, Metrics,
-    ProbedSim, TagArray, WbStall, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, MemorySystem, TagArray, WbStall,
+    MAIN_HIT_CYCLES,
 };
 use sac_trace::Access;
 
 /// The assist-cache policy: a fully-associative FIFO filter probed in
-/// parallel with the main array, run by the shared [`CacheEngine`] via
-/// the [`AssistCache`] wrapper.
+/// parallel with the main array, run by the shared [`CacheEngine`] as
+/// the [`AssistCache`] organization.
 #[derive(Debug, Clone)]
 pub struct AssistPolicy {
     geom: CacheGeometry,
@@ -193,110 +192,32 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
 }
 
 /// The assist-cache organization: [`AssistPolicy`] run by the shared
-/// [`CacheEngine`] (wrapped because inherent constructors cannot be added
-/// to the engine type from outside `sac-simcache`).
+/// [`CacheEngine`]. The paper-comparable configuration is the standard
+/// geometry with 16 assist lines (the HP's 64 × 32 B scaled to our 8 KB
+/// cache).
 ///
 /// ```
-/// use sac_core::AssistCache;
+/// use sac_core::{AssistCache, AssistPolicy};
 /// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel};
 /// use sac_trace::Access;
 ///
-/// let mut c = AssistCache::new(CacheGeometry::standard(), MemoryModel::default(), 16);
+/// let policy = AssistPolicy::new(CacheGeometry::standard(), 16);
+/// let mut c = AssistCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0).with_temporal(true)); // fills the assist cache
 /// c.access(&Access::read(0));                     // assist hit: 1 cycle
 /// assert_eq!(c.metrics().aux_hits, 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct AssistCache<P: Probe = NoopProbe> {
-    engine: CacheEngine<AssistPolicy, P>,
-}
-
-impl AssistCache {
-    /// Creates an assist cache of `assist_lines` fully-associative lines
-    /// in front of the main cache (the HP-7200 used 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assist_lines` is zero.
-    pub fn new(geom: CacheGeometry, mem: sac_simcache::MemoryModel, assist_lines: u32) -> Self {
-        AssistCache::with_probe(geom, mem, assist_lines, NoopProbe)
-    }
-
-    /// The paper-comparable configuration: standard geometry, 16 assist
-    /// lines (scaled to our 8 KB cache from the HP's 64 × 32 B).
-    pub fn comparable() -> Self {
-        let cfg = SoftCacheConfig::soft();
-        AssistCache::new(cfg.geometry, cfg.memory, 16)
-    }
-}
-
-impl<P: Probe> AssistCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(
-        geom: CacheGeometry,
-        mem: sac_simcache::MemoryModel,
-        assist_lines: u32,
-        probe: P,
-    ) -> Self {
-        AssistCache {
-            engine: CacheEngine::from_parts(
-                AssistPolicy::new(geom, assist_lines),
-                MemorySystem::new(mem, geom.line_bytes()),
-                probe,
-            ),
-        }
-    }
-
-    /// The attached probe.
-    pub fn probe(&self) -> &P {
-        self.engine.probe()
-    }
-
-    /// The attached probe, mutably.
-    pub fn probe_mut(&mut self) -> &mut P {
-        self.engine.probe_mut()
-    }
-
-    /// Consumes the engine and returns the probe (for post-run export).
-    pub fn into_probe(self) -> P {
-        self.engine.into_probe()
-    }
-}
-
-impl<P: Probe> CacheSim for AssistCache<P> {
-    fn access(&mut self, a: &Access) {
-        self.engine.access(a);
-    }
-
-    fn run_chunk(&mut self, chunk: &[Access]) {
-        self.engine.run_chunk(chunk);
-    }
-
-    fn invalidate_all(&mut self) {
-        self.engine.invalidate_all();
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
-    }
-}
-
-impl<P: Probe> ProbedSim<P> for AssistCache<P> {
-    fn into_probe(self: Box<Self>) -> P {
-        self.engine.into_probe()
-    }
-}
+pub type AssistCache<P = NoopProbe> = CacheEngine<AssistPolicy, P>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_simcache::MemoryModel;
+    use sac_simcache::{CacheSim, MemoryModel};
 
     fn small(lines: u32) -> AssistCache {
         AssistCache::new(
-            CacheGeometry::new(128, 32, 1),
+            AssistPolicy::new(CacheGeometry::new(128, 32, 1), lines),
             MemoryModel::default(),
-            lines,
         )
     }
 

@@ -5,8 +5,8 @@ use crate::fillbuf::{FillBuffer, FillSlot};
 use crate::vline::aligned_block;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, CacheSim, Entry, Evict, LaneSet, Lanes, MemorySystem,
-    Metrics, OneLane, ProbedSim, TagArray, WbStall, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Entry, Evict, LaneSet, MemorySystem, OneLane,
+    TagArray, WbStall, SWAP_LOCK_CYCLES,
 };
 use sac_trace::Access;
 
@@ -22,8 +22,8 @@ const MAX_INFLIGHT: usize = 4;
 
 /// The software-assisted policy: a main array with virtual-line fills,
 /// backed by a bounce-back cache, optionally with software-biased
-/// replacement and progressive prefetching. Run by the shared
-/// [`CacheEngine`] via the [`SoftCache`] wrapper.
+/// replacement and progressive prefetching: the [`SoftCache`]
+/// organization run by the shared [`CacheEngine`].
 #[derive(Debug, Clone)]
 pub struct SoftPolicy {
     cfg: SoftCacheConfig,
@@ -49,8 +49,14 @@ pub struct SoftPolicy {
 }
 
 impl SoftPolicy {
-    /// Builds the policy state from a validated configuration.
-    fn new(cfg: SoftCacheConfig) -> Self {
+    /// Builds the policy state from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent (see
+    /// [`SoftCacheConfig::validate`]).
+    pub fn new(cfg: SoftCacheConfig) -> Self {
+        cfg.validate();
         let ls = cfg.geometry.line_bytes();
         let bounce = (cfg.bounce_lines > 0).then(|| {
             let ways = cfg.bounce_ways.unwrap_or(cfg.bounce_lines);
@@ -80,6 +86,12 @@ impl SoftPolicy {
             needed_buf: Vec::new(),
             stale_buf: Vec::new(),
         }
+    }
+
+    /// Deepest occupancy the §2.1 fill FIFO reached: how many in-flight
+    /// line slots the hardware actually needed.
+    pub fn fill_buffer_peak(&self) -> usize {
+        self.fillbuf.peak()
     }
 
     fn main_victim_way(&self, line: u64) -> usize {
@@ -614,6 +626,10 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
         self.prefetched_resident = 0;
         wbs
     }
+
+    fn prefetches(&self) -> bool {
+        self.cfg.prefetch
+    }
 }
 
 /// The paper's software-assisted cache: a main cache with virtual-line
@@ -621,128 +637,16 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
 /// replacement and progressive prefetching. See the crate docs for the
 /// mechanism summary and [`SoftCacheConfig`] for the presets.
 ///
-/// This is [`SoftPolicy`] run by the shared
-/// [`CacheEngine`](sac_simcache::CacheEngine); the thin wrapper exists
-/// because inherent constructors cannot be added to the engine type from
-/// outside `sac-simcache`.
-///
-/// The engine is generic over an observer probe (defaulting to the
-/// disabled [`NoopProbe`], which monomorphizes to the unprobed code —
-/// see [`Probe`]); attach one with [`SoftCache::with_probe`] to get
-/// typed miss/bounce/swap/prefetch/fill events.
-#[derive(Debug, Clone)]
-pub struct SoftCache<P: Probe = NoopProbe, L = OneLane> {
-    engine: CacheEngine<SoftPolicy, P, L>,
-}
-
-impl SoftCache {
-    /// Builds the engine from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`SoftCacheConfig::validate`]).
-    pub fn new(cfg: SoftCacheConfig) -> Self {
-        SoftCache::with_probe(cfg, NoopProbe)
-    }
-}
-
-impl SoftCache<NoopProbe, Lanes> {
-    /// Builds one engine carrying a timing lane per entry of
-    /// `latencies`, each `cfg` at that latency. Without prefetch the
-    /// policy's only clock decision is §2.2's write-buffer-full check;
-    /// a lane that disagrees with the first one there diverges and
-    /// reports no metrics ([`CacheSim::lane_metrics`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent or enables prefetch
-    /// (prefetch ready times read the clock).
-    pub fn with_lanes(cfg: SoftCacheConfig, latencies: &[u64]) -> Self {
-        cfg.validate();
-        assert!(!cfg.prefetch, "prefetch ready times need a single lane");
-        let sys = MemorySystem::with_lanes(cfg.memory, cfg.geometry.line_bytes(), latencies);
-        SoftCache {
-            engine: CacheEngine::from_parts(SoftPolicy::new(cfg), sys, NoopProbe),
-        }
-    }
-}
-
-impl<P: Probe> SoftCache<P> {
-    /// Builds the engine with an attached observer probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`SoftCacheConfig::validate`]).
-    pub fn with_probe(cfg: SoftCacheConfig, probe: P) -> Self {
-        cfg.validate();
-        let sys = MemorySystem::new(cfg.memory, cfg.geometry.line_bytes());
-        SoftCache {
-            engine: CacheEngine::from_parts(SoftPolicy::new(cfg), sys, probe),
-        }
-    }
-}
-
-impl<P: Probe, L: LaneSet> SoftCache<P, L> {
-    /// Deepest occupancy the §2.1 fill FIFO reached: how many in-flight
-    /// line slots the hardware actually needed.
-    pub fn fill_buffer_peak(&self) -> usize {
-        self.engine.policy().fillbuf.peak()
-    }
-
-    /// The configuration this engine runs.
-    pub fn config(&self) -> &SoftCacheConfig {
-        &self.engine.policy().cfg
-    }
-
-    /// The attached probe.
-    pub fn probe(&self) -> &P {
-        self.engine.probe()
-    }
-
-    /// The attached probe, mutably.
-    pub fn probe_mut(&mut self) -> &mut P {
-        self.engine.probe_mut()
-    }
-
-    /// Consumes the engine and returns the probe (for post-run export).
-    pub fn into_probe(self) -> P {
-        self.engine.into_probe()
-    }
-}
-
-impl<P: Probe, L: LaneSet> CacheSim for SoftCache<P, L> {
-    fn access(&mut self, a: &Access) {
-        self.engine.access(a);
-    }
-
-    fn run_chunk(&mut self, chunk: &[Access]) {
-        self.engine.run_chunk(chunk);
-    }
-
-    fn invalidate_all(&mut self) {
-        self.engine.invalidate_all();
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
-    }
-
-    fn lane_metrics(&self) -> Vec<Option<Metrics>> {
-        self.engine.lane_metrics()
-    }
-}
-
-impl<P: Probe> ProbedSim<P> for SoftCache<P> {
-    fn into_probe(self: Box<Self>) -> P {
-        self.engine.into_probe()
-    }
-}
+/// This is [`SoftPolicy`] run by the shared [`CacheEngine`], built with
+/// [`CacheEngine::new`], [`CacheEngine::with_probe`] (typed
+/// miss/bounce/swap/prefetch/fill events, see [`Probe`]) or, without
+/// prefetch, [`CacheEngine::with_lanes`].
+pub type SoftCache<P = NoopProbe, L = OneLane> = CacheEngine<SoftPolicy, P, L>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sac_simcache::CacheSim;
     use sac_trace::Trace;
 
     /// 4-line direct-mapped main cache, 2-line bounce-back cache,
@@ -753,7 +657,7 @@ mod tests {
             .with_bounce_lines(2);
         cfg.virtual_line_bytes = 64;
         cfg_mut(&mut cfg);
-        SoftCache::new(cfg)
+        SoftCache::new(SoftPolicy::new(cfg), cfg.memory)
     }
 
     fn read(line: u64) -> Access {
@@ -935,7 +839,7 @@ mod tests {
         cfg.bounce_lines = 0;
         cfg.replacement = Replacement::PreferNonTemporal;
         cfg.virtual_line_bytes = 32;
-        let mut c = SoftCache::new(cfg);
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         // Two lines in set 0 (2 sets): line 0 temporal, line 2 not.
         c.access(&read(0).with_temporal(true));
         c.access(&read(2));
@@ -967,14 +871,14 @@ mod tests {
         c.access(&read(0).with_spatial(true).with_gap(100));
         c.access(&read(8).with_spatial(true).with_gap(100));
         c.access(&read(16).with_spatial(true).with_gap(100));
-        assert!(c.engine.policy().prefetched_resident <= 1);
+        assert!(c.policy().prefetched_resident <= 1);
     }
 
     #[test]
     fn variable_vlines_follow_the_reference_level() {
         let mut cfg = SoftCacheConfig::soft().with_variable_vlines(true);
         cfg.bounce_lines = 0;
-        let mut c = SoftCache::new(cfg);
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         // Level 3: one miss fills 8 physical lines (256 B).
         c.access(&read(0).with_spatial(true).with_spatial_level(3));
         assert_eq!(c.metrics().lines_fetched, 8);
@@ -989,7 +893,8 @@ mod tests {
 
     #[test]
     fn variable_vlines_ignored_when_disabled() {
-        let mut c = SoftCache::new(SoftCacheConfig::soft());
+        let cfg = SoftCacheConfig::soft();
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         c.access(&read(0).with_spatial(true).with_spatial_level(3));
         assert_eq!(c.metrics().lines_fetched, 2, "default 64 B fill");
     }
@@ -1045,11 +950,11 @@ mod tests {
     #[test]
     fn fill_buffer_peak_matches_the_vline_span() {
         let mut c = tiny(|_| {});
-        assert_eq!(c.fill_buffer_peak(), 0);
+        assert_eq!(c.policy().fill_buffer_peak(), 0);
         c.access(&read(0).with_spatial(true)); // 64 B fill: 2 lines in flight
-        assert_eq!(c.fill_buffer_peak(), 2);
+        assert_eq!(c.policy().fill_buffer_peak(), 2);
         c.access(&read(8)); // single-line miss does not deepen it
-        assert_eq!(c.fill_buffer_peak(), 2);
+        assert_eq!(c.policy().fill_buffer_peak(), 2);
     }
 
     #[test]
@@ -1068,11 +973,11 @@ mod tests {
             .collect();
         let mut cfg = SoftCacheConfig::soft();
         cfg.prefetch = true;
-        let mut per_access = SoftCache::new(cfg);
+        let mut per_access = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         for a in &trace {
             per_access.access(a);
         }
-        let mut chunked = SoftCache::new(cfg);
+        let mut chunked = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         for chunk in trace.as_slice().chunks(512) {
             chunked.run_chunk(chunk);
         }
@@ -1098,7 +1003,7 @@ mod tests {
     fn metrics_invariants_hold_throughout_a_run() {
         let mut cfg = SoftCacheConfig::soft();
         cfg.prefetch = true;
-        let mut c = SoftCache::new(cfg);
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         let trace = soft_trace(5_000);
         for chunk in trace.as_slice().chunks(256) {
             c.run_chunk(chunk);
@@ -1120,7 +1025,7 @@ mod tests {
             geom.sets(),
             geom.line_bytes(),
         ));
-        let mut c = SoftCache::with_probe(cfg, probe);
+        let mut c = SoftCache::with_probe(SoftPolicy::new(cfg), cfg.memory, probe);
         let trace = soft_trace(20_000);
         for chunk in trace.as_slice().chunks(512) {
             c.run_chunk(chunk);
@@ -1137,17 +1042,29 @@ mod tests {
         let mut cfg = SoftCacheConfig::soft();
         cfg.prefetch = true;
         let trace = soft_trace(10_000);
-        let mut plain = SoftCache::new(cfg);
+        let mut plain = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         plain.run(&trace);
-        let mut probed = SoftCache::with_probe(cfg, EventCounts::default());
+        let mut probed =
+            SoftCache::with_probe(SoftPolicy::new(cfg), cfg.memory, EventCounts::default());
         probed.run(&trace);
         assert_eq!(plain.metrics(), probed.metrics());
         probed.metrics().reconcile_events(probed.probe()).unwrap();
     }
 
     #[test]
+    #[should_panic(expected = "prefetch ready times need a single lane")]
+    fn a_lane_engine_refuses_a_prefetching_policy() {
+        // Refused when the engine is built, in every build profile: a
+        // lane engine cannot time prefetches (the clock reads behind
+        // them are only debug-asserted).
+        let cfg = SoftCacheConfig::soft().with_prefetch(true);
+        let _ = CacheEngine::with_lanes(SoftPolicy::new(cfg), cfg.memory, &[20, 40]);
+    }
+
+    #[test]
     fn soft_defaults_run_a_real_trace() {
-        let mut c = SoftCache::new(SoftCacheConfig::soft());
+        let cfg = SoftCacheConfig::soft();
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         let trace: Trace = (0..10_000u64)
             .map(|i| {
                 Access::read((i % 3000) * 8)

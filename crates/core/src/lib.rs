@@ -35,11 +35,12 @@
 //! # Example
 //!
 //! ```
-//! use sac_core::{SoftCache, SoftCacheConfig};
+//! use sac_core::{SoftCache, SoftCacheConfig, SoftPolicy};
 //! use sac_simcache::CacheSim;
 //! use sac_trace::Access;
 //!
-//! let mut cache = SoftCache::new(SoftCacheConfig::soft());
+//! let cfg = SoftCacheConfig::soft();
+//! let mut cache = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
 //! // A spatial-tagged miss pulls in a 64-byte virtual line (2 physical
 //! // lines): the next line hits.
 //! cache.access(&Access::read(0).with_spatial(true));

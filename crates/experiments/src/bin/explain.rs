@@ -13,6 +13,10 @@
 //! and verifies that every event total reconciles exactly with the
 //! engine's `Metrics` counters.
 //!
+//! The synthetic trace (`--trace mixed|hit|miss`) is `--len` references
+//! long (default 500000, 50000 with `--small`, at most 67108864 = 2^26,
+//! a 1 GiB trace; a longer one exits 2 before any trace is built).
+//!
 //! `--obs-json PATH` additionally writes the telemetry as one JSON
 //! Lines file: the probe records (summary, histograms, sampled events),
 //! then with `--timeline` the window and phase records, then with
@@ -84,6 +88,10 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
+/// The longest synthetic trace `--len` accepts: 2^26 references, a
+/// 1 GiB trace.
+const MAX_LEN: usize = 1 << 26;
+
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
@@ -119,7 +127,12 @@ fn main() {
                 config_explicit = true;
             }
             "--trace" => trace_name = value("--trace"),
-            "--len" => len = cli::positive("--len", iter.next()).unwrap_or_else(|e| fail(&e)),
+            "--len" => {
+                len = cli::positive("--len", iter.next()).unwrap_or_else(|e| fail(&e));
+                if len > MAX_LEN {
+                    fail(&format!("--len: at most {MAX_LEN} references"));
+                }
+            }
             "--obs-json" => obs_json = Some(value("--obs-json")),
             "--ring" => ring = cli::positive("--ring", iter.next()).unwrap_or_else(|e| fail(&e)),
             "--sample" => {

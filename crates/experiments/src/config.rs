@@ -1,10 +1,10 @@
 //! Named cache configurations used across the figures.
 
-use sac_core::{AssistCache, SoftCache, SoftCacheConfig};
-use sac_obs::Probe;
+use sac_core::{AssistPolicy, SoftCacheConfig, SoftPolicy};
+use sac_obs::{NoopProbe, Probe};
 use sac_simcache::{
-    BypassCache, BypassMode, CacheGeometry, CacheSim, ColumnAssociativeCache, MemoryModel, Metrics,
-    NextLinePrefetchCache, ProbedSim, StandardCache, StreamBufferCache, VictimCache,
+    BypassMode, BypassPolicy, CacheEngine, CacheGeometry, ColAssocPolicy, MemoryModel, Metrics,
+    PrefetchPolicy, ProbedSim, StandardPolicy, StreamPolicy, VictimPolicy,
 };
 use sac_trace::Trace;
 use std::fmt;
@@ -24,14 +24,14 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Config {
-    /// A plain cache ([`StandardCache`]).
+    /// A plain cache ([`sac_simcache::StandardCache`]).
     Standard {
         /// Main-cache geometry.
         geom: CacheGeometry,
         /// Memory parameters.
         mem: MemoryModel,
     },
-    /// Main cache plus victim cache ([`VictimCache`]).
+    /// Main cache plus victim cache ([`sac_simcache::VictimCache`]).
     Victim {
         /// Main-cache geometry.
         geom: CacheGeometry,
@@ -40,7 +40,7 @@ pub enum Config {
         /// Victim-cache size in lines.
         lines: u32,
     },
-    /// Tag-driven bypassing ([`BypassCache`]).
+    /// Tag-driven bypassing ([`sac_simcache::BypassCache`]).
     Bypass {
         /// Main-cache geometry.
         geom: CacheGeometry,
@@ -49,7 +49,7 @@ pub enum Config {
         /// Plain or through a line buffer.
         mode: BypassMode,
     },
-    /// Hardware next-line prefetching ([`NextLinePrefetchCache`]).
+    /// Hardware next-line prefetching ([`sac_simcache::NextLinePrefetchCache`]).
     HwPrefetch {
         /// Main-cache geometry.
         geom: CacheGeometry,
@@ -58,7 +58,7 @@ pub enum Config {
         /// Prefetch-buffer size in lines.
         lines: u32,
     },
-    /// Jouppi stream buffers ([`StreamBufferCache`], §5 related work).
+    /// Jouppi stream buffers ([`sac_simcache::StreamBufferCache`], §5 related work).
     StreamBuffer {
         /// Main-cache geometry.
         geom: CacheGeometry,
@@ -69,14 +69,14 @@ pub enum Config {
         /// Entries per buffer.
         depth: u32,
     },
-    /// The column-associative cache ([`ColumnAssociativeCache`], §5).
+    /// The column-associative cache ([`sac_simcache::ColumnAssociativeCache`], §5).
     ColumnAssoc {
         /// Main-cache geometry (direct-mapped).
         geom: CacheGeometry,
         /// Memory parameters.
         mem: MemoryModel,
     },
-    /// An HP-7200-style assist cache ([`AssistCache`], §5).
+    /// An HP-7200-style assist cache ([`sac_core::AssistCache`], §5).
     Assist {
         /// Main-cache geometry.
         geom: CacheGeometry,
@@ -85,7 +85,7 @@ pub enum Config {
         /// Assist-cache size in lines.
         lines: u32,
     },
-    /// The software-assisted cache ([`SoftCache`]).
+    /// The software-assisted cache ([`sac_core::SoftCache`]).
     Soft(SoftCacheConfig),
 }
 
@@ -206,27 +206,10 @@ impl Config {
 
     /// Builds the configured engine, ready to replay a trace. The boxed
     /// engine is what a replay batch drives chunk by chunk; the virtual
-    /// dispatch happens once per chunk ([`CacheSim::run_chunk`]), not per
-    /// reference. The box is `Send` so a batch can shard its engines
-    /// across intra-cell worker threads.
-    pub fn build(&self) -> Box<dyn CacheSim + Send> {
-        match *self {
-            Config::Standard { geom, mem } => Box::new(StandardCache::new(geom, mem)),
-            Config::Victim { geom, mem, lines } => Box::new(VictimCache::new(geom, mem, lines)),
-            Config::Bypass { geom, mem, mode } => Box::new(BypassCache::new(geom, mem, mode)),
-            Config::HwPrefetch { geom, mem, lines } => {
-                Box::new(NextLinePrefetchCache::new(geom, mem, lines))
-            }
-            Config::StreamBuffer {
-                geom,
-                mem,
-                buffers,
-                depth,
-            } => Box::new(StreamBufferCache::new(geom, mem, buffers, depth)),
-            Config::ColumnAssoc { geom, mem } => Box::new(ColumnAssociativeCache::new(geom, mem)),
-            Config::Assist { geom, mem, lines } => Box::new(AssistCache::new(geom, mem, lines)),
-            Config::Soft(cfg) => Box::new(SoftCache::new(cfg)),
-        }
+    /// dispatch happens once per chunk
+    /// ([`sac_simcache::CacheSim::run_chunk`]), not per reference.
+    pub fn build(&self) -> Box<dyn ProbedSim<NoopProbe>> {
+        self.build_probed(NoopProbe)
     }
 
     /// Builds the configured engine with an observer probe attached; the
@@ -237,31 +220,51 @@ impl Config {
     /// metrics).
     pub fn build_probed<P: Probe + 'static>(&self, probe: P) -> Box<dyn ProbedSim<P>> {
         match *self {
-            Config::Standard { geom, mem } => Box::new(StandardCache::with_probe(geom, mem, probe)),
-            Config::Victim { geom, mem, lines } => {
-                Box::new(VictimCache::with_probe(geom, mem, lines, probe))
-            }
-            Config::Bypass { geom, mem, mode } => {
-                Box::new(BypassCache::with_probe(geom, mem, mode, probe))
-            }
-            Config::HwPrefetch { geom, mem, lines } => {
-                Box::new(NextLinePrefetchCache::with_probe(geom, mem, lines, probe))
-            }
+            Config::Standard { geom, mem } => Box::new(CacheEngine::with_probe(
+                StandardPolicy::new(geom),
+                mem,
+                probe,
+            )),
+            Config::Victim { geom, mem, lines } => Box::new(CacheEngine::with_probe(
+                VictimPolicy::new(geom, lines),
+                mem,
+                probe,
+            )),
+            Config::Bypass { geom, mem, mode } => Box::new(CacheEngine::with_probe(
+                BypassPolicy::new(geom, mode),
+                mem,
+                probe,
+            )),
+            Config::HwPrefetch { geom, mem, lines } => Box::new(CacheEngine::with_probe(
+                PrefetchPolicy::new(geom, lines),
+                mem,
+                probe,
+            )),
             Config::StreamBuffer {
                 geom,
                 mem,
                 buffers,
                 depth,
-            } => Box::new(StreamBufferCache::with_probe(
-                geom, mem, buffers, depth, probe,
+            } => Box::new(CacheEngine::with_probe(
+                StreamPolicy::new(geom, buffers, depth),
+                mem,
+                probe,
             )),
-            Config::ColumnAssoc { geom, mem } => {
-                Box::new(ColumnAssociativeCache::with_probe(geom, mem, probe))
-            }
-            Config::Assist { geom, mem, lines } => {
-                Box::new(AssistCache::with_probe(geom, mem, lines, probe))
-            }
-            Config::Soft(cfg) => Box::new(SoftCache::with_probe(cfg, probe)),
+            Config::ColumnAssoc { geom, mem } => Box::new(CacheEngine::with_probe(
+                ColAssocPolicy::new(geom),
+                mem,
+                probe,
+            )),
+            Config::Assist { geom, mem, lines } => Box::new(CacheEngine::with_probe(
+                AssistPolicy::new(geom, lines),
+                mem,
+                probe,
+            )),
+            Config::Soft(cfg) => Box::new(CacheEngine::with_probe(
+                SoftPolicy::new(cfg),
+                cfg.memory,
+                probe,
+            )),
         }
     }
 
@@ -305,18 +308,24 @@ impl Config {
 
     /// Builds one engine that replays this configuration at every
     /// latency of `latencies` over one policy state, one timing lane per
-    /// latency; [`CacheSim::lane_metrics`] reports each lane, `None`
-    /// where a lane diverged and must be replayed alone.
+    /// latency; [`sac_simcache::CacheSim::lane_metrics`] reports each
+    /// lane, `None` where a lane diverged and must be replayed alone.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has no [`Config::lane_key`].
-    pub fn build_lanes(&self, latencies: &[u64]) -> Box<dyn CacheSim + Send> {
-        match *self {
-            Config::Standard { geom, mem } => {
-                Box::new(StandardCache::with_lanes(geom, mem, latencies))
-            }
-            Config::Soft(cfg) => Box::new(SoftCache::with_lanes(cfg, latencies)),
+    pub fn build_lanes(&self, latencies: &[u64]) -> Box<dyn ProbedSim<NoopProbe>> {
+        match self.lane_key() {
+            Some(Config::Standard { geom, mem }) => Box::new(CacheEngine::with_lanes(
+                StandardPolicy::new(geom),
+                mem,
+                latencies,
+            )),
+            Some(Config::Soft(cfg)) => Box::new(CacheEngine::with_lanes(
+                SoftPolicy::new(cfg),
+                cfg.memory,
+                latencies,
+            )),
             _ => panic!("{self} cannot run latency lanes"),
         }
     }
@@ -437,6 +446,12 @@ mod tests {
             assert!(Config::by_name(name).is_some(), "{name}");
         }
         assert_eq!(Config::by_name("nope"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run latency lanes")]
+    fn lanes_refuse_a_configuration_without_a_lane_key() {
+        Config::standard_victim().build_lanes(&[20, 40]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! configurations, attributing every divergent reference to a mechanism.
 //!
 //! [`diff_configs`] builds both engines with an [`OutcomeProbe`] attached
-//! and drives them through [`run_lockstep`], so after every chunk both
-//! sides have folded exactly the same references. The per-reference
+//! and feeds them each chunk of the trace in turn, so after every chunk
+//! both sides have folded exactly the same references. The per-reference
 //! outcomes are paired element-wise; a pair *diverges* when the outcome
 //! class differs (hit ↔ miss, different miss cause, different auxiliary
 //! structure, bypass on one side) or when the same class generated
@@ -30,7 +30,7 @@ use sac_obs::{
     json_escape, AuxSource, FillOrigin, LifetimeSummary, LineStats, MissCause, OutcomeClass,
     OutcomeProbe, RefOutcome,
 };
-use sac_simcache::{run_lockstep, Metrics};
+use sac_simcache::Metrics;
 use sac_trace::Trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -365,21 +365,18 @@ pub fn diff_configs(
     let mut mech_deltas = [Deltas::default(); Mechanism::ALL.len()];
     let mut div_lines: BTreeMap<u64, u64> = BTreeMap::new();
     let mut div_sets: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut pair_err: Option<String> = None;
 
-    run_lockstep(&mut *sim_a, &mut *sim_b, trace.as_slice(), chunk, |_, _| {
-        if pair_err.is_some() {
-            return;
-        }
+    for slice in trace.as_slice().chunks(chunk) {
+        sim_a.run_chunk(slice);
+        sim_b.run_chunk(slice);
         let outcomes_a = state_a.borrow_mut().drain_outcomes();
         let outcomes_b = state_b.borrow_mut().drain_outcomes();
         if outcomes_a.len() != outcomes_b.len() {
-            pair_err = Some(format!(
+            return Err(format!(
                 "sides folded different reference counts in one chunk ({} vs {})",
                 outcomes_a.len(),
                 outcomes_b.len()
             ));
-            return;
         }
         for (oa, ob) in outcomes_a.iter().zip(&outcomes_b) {
             debug_assert_eq!(oa.line, ob.line, "same trace, same line size");
@@ -395,9 +392,6 @@ pub fn diff_configs(
             *div_lines.entry(oa.line).or_insert(0) += 1;
             *div_sets.entry(geom_a.set_of_line(oa.line)).or_insert(0) += 1;
         }
-    });
-    if let Some(e) = pair_err {
-        return Err(e);
     }
 
     let metrics_a = *sim_a.metrics();
@@ -437,26 +431,20 @@ pub fn diff_configs(
         }
     }
 
-    // Check 3: the probed lockstep pair replays exactly like an unprobed
-    // twin.
-    let mut twin_a = config_a.build();
-    let mut twin_b = config_b.build();
-    run_lockstep(
-        &mut *twin_a,
-        &mut *twin_b,
-        trace.as_slice(),
-        chunk,
-        |_, _| {},
-    );
-    if *twin_a.metrics() != metrics_a {
-        return Err(format!(
-            "{label_a}: probed lockstep diverged from unprobed twin"
-        ));
-    }
-    if *twin_b.metrics() != metrics_b {
-        return Err(format!(
-            "{label_b}: probed lockstep diverged from unprobed twin"
-        ));
+    // Check 3: each probed side replays exactly like an unprobed twin.
+    for (label, config, m) in [
+        (label_a, config_a, &metrics_a),
+        (label_b, config_b, &metrics_b),
+    ] {
+        let mut twin = config.build();
+        for slice in trace.as_slice().chunks(chunk) {
+            twin.run_chunk(slice);
+        }
+        if twin.metrics() != m {
+            return Err(format!(
+                "{label}: probed lockstep diverged from unprobed twin"
+            ));
+        }
     }
 
     let mut mechanisms: Vec<MechanismRow> = Mechanism::ALL

@@ -12,7 +12,7 @@
 use crate::runner::REPLAY_CHUNK;
 use crate::Config;
 use sac_obs::{ObsConfig, Probe, Timeline, TracingProbe};
-use sac_simcache::{CacheSim, MemoryModel, Metrics, StandardCache, AUX_HIT_CYCLES};
+use sac_simcache::{MemoryModel, Metrics, AUX_HIT_CYCLES};
 use sac_trace::{Access, Trace};
 
 /// A trace whose footprint fits the standard 8 KB cache: after the first
@@ -170,7 +170,7 @@ pub fn explain_config(
     let (metrics, mut probe) = run_probed(config, trace, TracingProbe::new(obs), REPLAY_CHUNK);
     probe.finish();
 
-    let mut base = StandardCache::new(geom, mem);
+    let mut base = Config::Standard { geom, mem }.build();
     for chunk in trace.as_slice().chunks(REPLAY_CHUNK) {
         base.run_chunk(chunk);
     }

@@ -31,7 +31,8 @@
 
 use sac_obs::span::{Span, SpanKey, SpanLevel};
 use sac_obs::MetricsRegistry;
-use sac_simcache::{CacheSim, Metrics};
+use sac_obs::NoopProbe;
+use sac_simcache::{Metrics, ProbedSim};
 use sac_trace::io::{ChunkSource, ReadError};
 use sac_trace::{Access, Trace};
 use std::cell::RefCell;
@@ -494,7 +495,7 @@ pub struct ReplayBatch {
 struct BatchSlot {
     /// `(cell index, label, config)` per lane, in lane order.
     cells: Vec<(usize, String, Config)>,
-    engine: Box<dyn CacheSim + Send>,
+    engine: Box<dyn ProbedSim<NoopProbe>>,
     wall: Duration,
     chunks: u64,
 }
@@ -540,7 +541,7 @@ impl ReplayBatch {
     fn push_engine(
         &mut self,
         cells: Vec<(usize, String, Config)>,
-        engine: Box<dyn CacheSim + Send>,
+        engine: Box<dyn ProbedSim<NoopProbe>>,
     ) {
         self.cells += cells.len();
         self.engines.push(BatchSlot {
@@ -562,9 +563,10 @@ impl ReplayBatch {
     }
 
     /// Drives every engine over one decoded chunk (in push order)
-    /// through its [`CacheSim::run_chunk`]. With spans on, the first
-    /// chunk opens the batch's cell-level span (claiming this thread's
-    /// next slot), so every way of driving a batch records its span.
+    /// through its [`sac_simcache::CacheSim::run_chunk`]. With spans on,
+    /// the first chunk opens the batch's cell-level span (claiming this
+    /// thread's next slot), so every way of driving a batch records its
+    /// span.
     pub fn feed(&mut self, chunk: &[Access]) {
         let spans = self.run.spans;
         if spans != Spans::Off && self.span.is_none() {

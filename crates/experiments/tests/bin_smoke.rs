@@ -163,6 +163,21 @@ fn explain_rejects_unknown_options_before_running() {
     }
 }
 
+#[test]
+fn explain_rejects_a_len_above_its_ceiling_before_building_a_trace() {
+    // u64::MAX references would overflow the trace's capacity; the
+    // ceiling turns that panic into a usage error.
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args(["--small", "--len", "18446744073709551615"])
+        .output()
+        .expect("run explain");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--len: at most 67108864 references"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+}
+
 /// Runs `figures` with `args` and asserts it exits 2 with `message` on
 /// stderr before printing any table.
 fn assert_figures_usage_error(args: &[&str], message: &str) {

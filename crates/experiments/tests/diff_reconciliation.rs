@@ -107,3 +107,13 @@ fn divergence_report_is_deterministic_across_chunk_sizes() {
     b.write_jsonl(&mut jb, 5).expect("jsonl b");
     assert_eq!(ja, jb, "diff JSONL must be chunk-size independent");
 }
+
+#[test]
+fn a_zero_chunk_replays_one_reference_at_a_time() {
+    let trace = mixed_trace(500);
+    let base = Config::standard();
+    let victim = Config::standard_victim();
+    let zero = diff_configs("standard", &base, "victim", &victim, &trace, 0).expect("chunk 0");
+    let one = diff_configs("standard", &base, "victim", &victim, &trace, 1).expect("chunk 1");
+    assert_eq!(zero.render(5), one.render(5));
+}

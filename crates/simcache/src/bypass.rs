@@ -8,8 +8,8 @@
 //! recovering the spatial locality of bypassed streams.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
-    TagArray, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, TagArray,
+    MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -38,7 +38,6 @@ pub enum BypassMode {
 #[derive(Debug, Clone)]
 pub struct BypassPolicy {
     main: StandardPolicy,
-    mode: BypassMode,
     buffer: Option<TagArray>,
 }
 
@@ -58,14 +57,8 @@ impl BypassPolicy {
         };
         BypassPolicy {
             main: StandardPolicy::new(geom),
-            mode,
             buffer,
         }
-    }
-
-    /// The bypass mode.
-    pub fn mode(&self) -> BypassMode {
-        self.mode
     }
 }
 
@@ -166,17 +159,14 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
 /// path; all main-cache contents stay coherent because bypassed
 /// references still probe the main cache first. This is [`BypassPolicy`]
 /// run by the shared [`CacheEngine`]; attach an observer with
-/// [`BypassCache::with_probe`].
+/// [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{BypassCache, BypassMode, CacheGeometry, CacheSim, MemoryModel};
+/// use sac_simcache::{BypassCache, BypassMode, BypassPolicy, CacheGeometry, CacheSim, MemoryModel};
 /// use sac_trace::Access;
 ///
-/// let mut c = BypassCache::new(
-///     CacheGeometry::standard(),
-///     MemoryModel::default(),
-///     BypassMode::Plain,
-/// );
+/// let policy = BypassPolicy::new(CacheGeometry::standard(), BypassMode::Plain);
+/// let mut c = BypassCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0)); // non-temporal: bypassed, not allocated
 /// c.access(&Access::read(8)); // same line — but nothing was cached
 /// assert_eq!(c.metrics().bypasses, 2);
@@ -184,47 +174,25 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
 /// ```
 pub type BypassCache<P = NoopProbe> = CacheEngine<BypassPolicy, P>;
 
-impl BypassCache {
-    /// Creates a bypassing cache.
-    pub fn new(geom: CacheGeometry, mem: MemoryModel, mode: BypassMode) -> Self {
-        BypassCache::with_probe(geom, mem, mode, NoopProbe)
-    }
-}
-
-impl<P: Probe> BypassCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(geom: CacheGeometry, mem: MemoryModel, mode: BypassMode, probe: P) -> Self {
-        CacheEngine::from_parts(
-            BypassPolicy::new(geom, mode),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-
-    /// The bypass mode.
-    pub fn mode(&self) -> BypassMode {
-        self.policy().mode()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSim;
+    use crate::{CacheSim, MemoryModel};
 
     fn plain() -> BypassCache {
         BypassCache::new(
-            CacheGeometry::new(128, 32, 1),
+            BypassPolicy::new(CacheGeometry::new(128, 32, 1), BypassMode::Plain),
             MemoryModel::default(),
-            BypassMode::Plain,
         )
     }
 
     fn buffered() -> BypassCache {
         BypassCache::new(
-            CacheGeometry::new(128, 32, 1),
+            BypassPolicy::new(
+                CacheGeometry::new(128, 32, 1),
+                BypassMode::Buffered { lines: 2 },
+            ),
             MemoryModel::default(),
-            BypassMode::Buffered { lines: 2 },
         )
     }
 

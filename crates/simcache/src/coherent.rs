@@ -582,7 +582,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheSim, StandardCache, SNOOP_CYCLES};
+    use crate::{CacheSim, StandardCache, StandardPolicy, SNOOP_CYCLES};
     use sac_trace::interleave_round_robin;
 
     fn small_geom() -> CacheGeometry {
@@ -611,7 +611,7 @@ mod tests {
     /// [`StandardCache`] of the same geometry: the books must be equal,
     /// counter for counter, with no coherence activity at all.
     fn assert_single_cpu_is_standard<Proto: CoherenceProtocol>(geom: CacheGeometry, trace: &Trace) {
-        let mut std_cache = StandardCache::new(geom, MemoryModel::default());
+        let mut std_cache = StandardCache::new(StandardPolicy::new(geom), MemoryModel::default());
         for a in trace {
             std_cache.access(a);
         }

@@ -17,7 +17,7 @@
 //! set differing from the set it sits in, so no extra state is stored.)
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, TagArray, WbStall,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, TagArray, WbStall,
     MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
@@ -162,13 +162,14 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
 
 /// A column-associative (rehash) cache: [`ColAssocPolicy`] run by the
 /// shared [`CacheEngine`]. Attach an observer with
-/// [`ColumnAssociativeCache::with_probe`].
+/// [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, ColumnAssociativeCache, MemoryModel};
+/// use sac_simcache::{CacheGeometry, CacheSim, ColAssocPolicy, ColumnAssociativeCache, MemoryModel};
 /// use sac_trace::Access;
 ///
-/// let mut c = ColumnAssociativeCache::new(CacheGeometry::standard(), MemoryModel::default());
+/// let policy = ColAssocPolicy::new(CacheGeometry::standard());
+/// let mut c = ColumnAssociativeCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0));
 /// c.access(&Access::read(8192));  // conflicts; goes to the rehash slot
 /// c.access(&Access::read(0));     // rehash hit: 2 cycles, swap
@@ -177,37 +178,17 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
 /// ```
 pub type ColumnAssociativeCache<P = NoopProbe> = CacheEngine<ColAssocPolicy, P>;
 
-impl ColumnAssociativeCache {
-    /// Creates the cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the geometry is direct-mapped with at least two sets
-    /// (the rehash function flips the top index bit).
-    pub fn new(geom: CacheGeometry, mem: MemoryModel) -> Self {
-        ColumnAssociativeCache::with_probe(geom, mem, NoopProbe)
-    }
-}
-
-impl<P: Probe> ColumnAssociativeCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(geom: CacheGeometry, mem: MemoryModel, probe: P) -> Self {
-        CacheEngine::from_parts(
-            ColAssocPolicy::new(geom),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSim;
+    use crate::{CacheSim, MemoryModel};
 
     fn small() -> ColumnAssociativeCache {
         // 8 sets of 32 B.
-        ColumnAssociativeCache::new(CacheGeometry::new(256, 32, 1), MemoryModel::default())
+        ColumnAssociativeCache::new(
+            ColAssocPolicy::new(CacheGeometry::new(256, 32, 1)),
+            MemoryModel::default(),
+        )
     }
 
     #[test]
@@ -278,6 +259,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "direct-mapped")]
     fn associative_geometry_rejected() {
-        let _ = ColumnAssociativeCache::new(CacheGeometry::new(256, 32, 2), MemoryModel::default());
+        let _ = ColumnAssociativeCache::new(
+            ColAssocPolicy::new(CacheGeometry::new(256, 32, 2)),
+            MemoryModel::default(),
+        );
     }
 }

@@ -10,17 +10,20 @@ use sac_trace::{Access, Trace};
 /// [`Metrics`]. The blanket [`CacheSim::run`] drives a whole [`Trace`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache};
+/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy};
 /// use sac_trace::{Access, Trace};
 ///
 /// let trace: Trace = [Access::read(0), Access::read(0)].into_iter().collect();
-/// let mut sim = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+/// let policy = StandardPolicy::new(CacheGeometry::standard());
+/// let mut sim = StandardCache::new(policy, MemoryModel::default());
 /// sim.run(&trace);
 /// assert_eq!(sim.metrics().main_hits, 1);
 /// assert_eq!(sim.metrics().misses, 1);
 /// ```
 pub trait CacheSim {
-    /// Processes one reference.
+    /// Processes one reference: the single-step reference that
+    /// [`CacheSim::run_chunk`] is tested against. Replay goes through
+    /// `run_chunk`.
     fn access(&mut self, a: &Access);
 
     /// The metrics accumulated so far.
@@ -35,18 +38,10 @@ pub trait CacheSim {
     /// Drives a contiguous slice of references through the simulator —
     /// the unit of work of the batched replay engine, which decodes a
     /// trace chunk once and feeds it to many engines while it is hot in
-    /// cache.
-    ///
-    /// The default implementation simply calls [`CacheSim::access`] per
-    /// reference; engines with a hit fast path override it to bump a
-    /// compact [`crate::ChunkDelta`] on main-cache hits and merge it into
-    /// [`Metrics`] at the chunk boundary. Either way the counters after
-    /// the call are exactly those of per-access replay.
-    fn run_chunk(&mut self, chunk: &[Access]) {
-        for a in chunk {
-            self.access(a);
-        }
-    }
+    /// cache. Main-cache hits bump a compact [`crate::ChunkDelta`] that
+    /// is merged into [`Metrics`] at the chunk boundary, so the counters
+    /// after the call are exactly those of per-access replay.
+    fn run_chunk(&mut self, chunk: &[Access]);
 
     /// Drives an entire trace through the simulator.
     fn run(&mut self, trace: &Trace) {
@@ -57,9 +52,7 @@ pub trait CacheSim {
     /// single-config engine; one per latency for a lane engine
     /// ([`crate::Lanes`]), `None` where a lane diverged from the
     /// reference lane and needs a solo replay.
-    fn lane_metrics(&self) -> Vec<Option<Metrics>> {
-        vec![Some(*self.metrics())]
-    }
+    fn lane_metrics(&self) -> Vec<Option<Metrics>>;
 
     /// Drives a trace, invalidating everything every `quantum`
     /// references — the cold-cache cost of context switches.
@@ -69,11 +62,11 @@ pub trait CacheSim {
     /// Panics if `quantum` is zero.
     fn run_with_context_switches(&mut self, trace: &Trace, quantum: usize) {
         assert!(quantum > 0, "quantum must be positive");
-        for (i, a) in trace.iter().enumerate() {
-            if i > 0 && i % quantum == 0 {
+        for (i, slice) in trace.as_slice().chunks(quantum).enumerate() {
+            if i > 0 {
                 self.invalidate_all();
             }
-            self.access(a);
+            self.run_chunk(slice);
         }
     }
 }
@@ -90,11 +83,14 @@ pub trait ProbedSim<P>: CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheGeometry, MemoryModel, StandardCache};
+    use crate::{CacheGeometry, MemoryModel, StandardCache, StandardPolicy};
 
     #[test]
     fn invalidate_all_forces_cold_restart() {
-        let mut sim = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+        let mut sim = StandardCache::new(
+            StandardPolicy::new(CacheGeometry::standard()),
+            MemoryModel::default(),
+        );
         sim.access(&sac_trace::Access::write(0));
         sim.access(&sac_trace::Access::read(0));
         assert_eq!(sim.metrics().main_hits, 1);
@@ -107,7 +103,10 @@ mod tests {
     #[test]
     fn context_switch_quanta_split_the_run() {
         let trace: Trace = (0..100u64).map(|_| sac_trace::Access::read(0)).collect();
-        let mut sim = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+        let mut sim = StandardCache::new(
+            StandardPolicy::new(CacheGeometry::standard()),
+            MemoryModel::default(),
+        );
         sim.run_with_context_switches(&trace, 25);
         // Flushes after refs 25, 50, 75: one extra miss each.
         assert_eq!(sim.metrics().misses, 4);
@@ -118,7 +117,10 @@ mod tests {
         let trace: Trace = (0..100u64)
             .map(|i| sac_trace::Access::read(i * 8))
             .collect();
-        let mut sim = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+        let mut sim = StandardCache::new(
+            StandardPolicy::new(CacheGeometry::standard()),
+            MemoryModel::default(),
+        );
         sim.run(&trace);
         assert_eq!(sim.metrics().refs, 100);
     }

@@ -32,11 +32,12 @@
 //! # Example
 //!
 //! ```
-//! use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache};
+//! use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy};
 //! use sac_trace::{Access, Trace};
 //!
 //! let trace: Trace = (0..1024u64).map(|i| Access::read(i * 8)).collect();
-//! let mut cache = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+//! let policy = StandardPolicy::new(CacheGeometry::standard());
+//! let mut cache = StandardCache::new(policy, MemoryModel::default());
 //! cache.run(&trace);
 //! // Sequential doubles: one miss per 32-byte line.
 //! assert_eq!(cache.metrics().misses, 256);
@@ -54,7 +55,6 @@ mod colassoc;
 mod config;
 mod engine;
 mod fused;
-mod lockstep;
 mod memsys;
 mod metrics;
 mod prefetch;
@@ -74,7 +74,6 @@ pub use colassoc::{ColAssocPolicy, ColumnAssociativeCache};
 pub use config::{CacheGeometry, MemoryModel};
 pub use engine::{CacheSim, ProbedSim};
 pub use fused::{LineRun, LineRuns};
-pub use lockstep::run_lockstep;
 pub use memsys::{CacheEngine, CachePolicy, Lane, LaneSet, Lanes, MemorySystem, OneLane, WbStall};
 pub use metrics::{ChunkDelta, Metrics};
 pub use prefetch::{NextLinePrefetchCache, PrefetchPolicy};

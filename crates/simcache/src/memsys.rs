@@ -614,6 +614,14 @@ pub trait CachePolicy<P: Probe> {
     /// written back (the engine counts them and emits the
     /// [`Event::Flush`]).
     fn flush(&mut self) -> u64;
+
+    /// Whether the policy times prefetches from the clock
+    /// ([`MemorySystem::now`]), which only a one-lane engine reads:
+    /// [`CacheEngine::with_lanes`] refuses such a policy.
+    #[inline]
+    fn prefetches(&self) -> bool {
+        false
+    }
 }
 
 /// A complete cache simulator: a [`CachePolicy`] composed with the
@@ -633,25 +641,61 @@ pub struct CacheEngine<Pol, P = NoopProbe, L = OneLane> {
     probe: P,
 }
 
-impl<Pol, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
-    /// Composes a policy, a memory system and a probe into an engine.
-    pub fn from_parts(policy: Pol, sys: MemorySystem<L>, probe: P) -> Self {
+impl<Pol: CachePolicy<P>, P: Probe> CacheEngine<Pol, P> {
+    /// Runs `policy` over a one-lane memory system priced by `mem`, with
+    /// `probe` attached; the line size is the policy's.
+    pub fn with_probe(policy: Pol, mem: MemoryModel, probe: P) -> Self {
+        let sys = MemorySystem::new(mem, policy.geometry().line_bytes());
         CacheEngine { policy, sys, probe }
     }
+}
 
+impl<Pol: CachePolicy<NoopProbe>> CacheEngine<Pol> {
+    /// Runs `policy` over a one-lane memory system priced by `mem`.
+    ///
+    /// ```
+    /// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy};
+    /// use sac_trace::Access;
+    ///
+    /// let policy = StandardPolicy::new(CacheGeometry::standard());
+    /// let mut c = StandardCache::new(policy, MemoryModel::default());
+    /// c.access(&Access::read(0));
+    /// assert_eq!(c.metrics().misses, 1);
+    /// ```
+    pub fn new(policy: Pol, mem: MemoryModel) -> Self {
+        CacheEngine::with_probe(policy, mem, NoopProbe)
+    }
+}
+
+impl<Pol: CachePolicy<NoopProbe>> CacheEngine<Pol, NoopProbe, Lanes> {
+    /// Runs `policy` once over one timing lane per entry of `latencies`,
+    /// each `mem` at that latency (the first is the reference lane). A
+    /// policy whose only clock decision is the write-buffer-full check
+    /// yields, on every lane still in step, the metrics of a solo run at
+    /// its latency ([`CacheSim::lane_metrics`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latencies` is empty or the policy
+    /// [prefetches](CachePolicy::prefetches).
+    pub fn with_lanes(policy: Pol, mem: MemoryModel, latencies: &[u64]) -> Self {
+        assert!(
+            !policy.prefetches(),
+            "prefetch ready times need a single lane"
+        );
+        let sys = MemorySystem::with_lanes(mem, policy.geometry().line_bytes(), latencies);
+        CacheEngine {
+            policy,
+            sys,
+            probe: NoopProbe,
+        }
+    }
+}
+
+impl<Pol, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
     /// The organization's policy state (tag arrays, buffers).
     pub fn policy(&self) -> &Pol {
         &self.policy
-    }
-
-    /// The policy state, mutably.
-    pub fn policy_mut(&mut self) -> &mut Pol {
-        &mut self.policy
-    }
-
-    /// The memory model the engine's reference lane prices against.
-    pub fn memory(&self) -> MemoryModel {
-        self.sys.memory()
     }
 
     /// The attached probe.
@@ -667,13 +711,6 @@ impl<Pol, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
     /// Consumes the engine and returns the probe (for post-run export).
     pub fn into_probe(self) -> P {
         self.probe
-    }
-}
-
-impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
-    /// The main-array geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.policy.geometry()
     }
 }
 
@@ -754,7 +791,7 @@ impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> CacheSim for CacheEngine<Pol, P,
     }
 }
 
-impl<Pol: CachePolicy<P>, P: Probe> ProbedSim<P> for CacheEngine<Pol, P> {
+impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> ProbedSim<P> for CacheEngine<Pol, P, L> {
     fn into_probe(self: Box<Self>) -> P {
         self.probe
     }
@@ -846,6 +883,13 @@ mod tests {
             assert_eq!(m.lines_fetched, 2);
         }
         assert_eq!(*sys.metrics(), lanes[0].unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetch ready times need a single lane")]
+    fn a_lane_engine_refuses_a_prefetching_policy() {
+        let policy = crate::PrefetchPolicy::new(CacheGeometry::standard(), 8);
+        let _ = CacheEngine::with_lanes(policy, MemoryModel::default(), &[20, 40]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! `Stand.+Prefetching` baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
-    WbStall, AUX_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, WbStall,
+    AUX_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -171,6 +171,10 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         }
         CachePolicy::<P>::flush(&mut self.main)
     }
+
+    fn prefetches(&self) -> bool {
+        true
+    }
 }
 
 /// A standard cache plus an N-entry prefetch buffer: every demand miss on
@@ -182,54 +186,31 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
 /// wrong predictions and additional memory traffic — both are visible in
 /// this engine's [`crate::Metrics`] (`prefetches` vs `useful_prefetches`,
 /// `words_fetched`). This is [`PrefetchPolicy`] run by the shared
-/// [`CacheEngine`]; attach an observer with
-/// [`NextLinePrefetchCache::with_probe`].
+/// [`CacheEngine`]; attach an observer with [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, NextLinePrefetchCache};
+/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, NextLinePrefetchCache, PrefetchPolicy};
 /// use sac_trace::Access;
 ///
-/// let mut c = NextLinePrefetchCache::new(
-///     CacheGeometry::standard(),
-///     MemoryModel::default(),
-///     8,
-/// );
+/// let policy = PrefetchPolicy::new(CacheGeometry::standard(), 8);
+/// let mut c = NextLinePrefetchCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0));                 // miss, prefetches line 1
 /// c.access(&Access::read(32).with_gap(100));  // prefetch-buffer hit
 /// assert_eq!(c.metrics().useful_prefetches, 1);
 /// ```
 pub type NextLinePrefetchCache<P = NoopProbe> = CacheEngine<PrefetchPolicy, P>;
 
-impl NextLinePrefetchCache {
-    /// Creates the cache with a `buffer_lines`-entry prefetch buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buffer_lines` is zero.
-    pub fn new(geom: CacheGeometry, mem: MemoryModel, buffer_lines: u32) -> Self {
-        NextLinePrefetchCache::with_probe(geom, mem, buffer_lines, NoopProbe)
-    }
-}
-
-impl<P: Probe> NextLinePrefetchCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(geom: CacheGeometry, mem: MemoryModel, buffer_lines: u32, probe: P) -> Self {
-        CacheEngine::from_parts(
-            PrefetchPolicy::new(geom, buffer_lines),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSim;
+    use crate::{CacheSim, MemoryModel};
     use sac_trace::Trace;
 
     fn small() -> NextLinePrefetchCache {
-        NextLinePrefetchCache::new(CacheGeometry::new(128, 32, 1), MemoryModel::default(), 2)
+        NextLinePrefetchCache::new(
+            PrefetchPolicy::new(CacheGeometry::new(128, 32, 1), 2),
+            MemoryModel::default(),
+        )
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The Standard baseline: a plain write-back, write-allocate LRU cache.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, Lanes, MemoryModel, MemorySystem,
-    OneLane, TagArray, WbStall,
+    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, MemorySystem, OneLane, TagArray,
+    WbStall,
 };
 use sac_obs::{Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -131,60 +131,32 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
 ///
 /// The engine is generic over an observer probe (defaulting to the
 /// disabled [`NoopProbe`], which monomorphizes to the unprobed code —
-/// see [`Probe`]); attach one with [`StandardCache::with_probe`].
+/// see [`Probe`]); attach one with [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache};
+/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy};
 /// use sac_trace::Access;
 ///
-/// let mut c = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+/// let policy = StandardPolicy::new(CacheGeometry::standard());
+/// let mut c = StandardCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0));        // miss: 20 + 2 cycles
 /// c.access(&Access::read(8));        // hit in the same line: 1 cycle
 /// assert_eq!(c.metrics().mem_cycles, 23);
 /// ```
 pub type StandardCache<P = NoopProbe, L = OneLane> = CacheEngine<StandardPolicy, P, L>;
 
-impl StandardCache {
-    /// Creates the cache with the standard 8-entry write buffer.
-    pub fn new(geom: CacheGeometry, mem: MemoryModel) -> Self {
-        StandardCache::with_probe(geom, mem, NoopProbe)
-    }
-}
-
-impl StandardCache<NoopProbe, Lanes> {
-    /// Creates one engine carrying a timing lane per entry of
-    /// `latencies`, each `mem` with that latency: a Standard cache
-    /// makes no clock decision, so every lane's metrics equal a solo
-    /// run at its latency.
-    pub fn with_lanes(geom: CacheGeometry, mem: MemoryModel, latencies: &[u64]) -> Self {
-        CacheEngine::from_parts(
-            StandardPolicy::new(geom),
-            MemorySystem::with_lanes(mem, geom.line_bytes(), latencies),
-            NoopProbe,
-        )
-    }
-}
-
-impl<P: Probe> StandardCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(geom: CacheGeometry, mem: MemoryModel, probe: P) -> Self {
-        CacheEngine::from_parts(
-            StandardPolicy::new(geom),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSim;
+    use crate::{CacheSim, MemoryModel};
     use sac_trace::Trace;
 
     fn small() -> StandardCache {
         // 4 lines of 32 B, direct-mapped; 20-cycle latency, 16 B bus.
-        StandardCache::new(CacheGeometry::new(128, 32, 1), MemoryModel::default())
+        StandardCache::new(
+            StandardPolicy::new(CacheGeometry::new(128, 32, 1)),
+            MemoryModel::default(),
+        )
     }
 
     #[test]
@@ -213,7 +185,7 @@ mod tests {
     #[test]
     fn associativity_removes_conflicts() {
         let geom = CacheGeometry::new(128, 32, 2);
-        let mut c = StandardCache::new(geom, MemoryModel::default());
+        let mut c = StandardCache::new(StandardPolicy::new(geom), MemoryModel::default());
         for _ in 0..3 {
             c.access(&Access::read(0));
             c.access(&Access::read(2 * 32)); // same set in 2-set cache
@@ -317,7 +289,11 @@ mod tests {
     fn counting_probe_reconciles_with_metrics() {
         use sac_obs::EventCounts;
         let geom = CacheGeometry::new(128, 32, 1);
-        let mut c = StandardCache::with_probe(geom, MemoryModel::default(), EventCounts::default());
+        let mut c = StandardCache::with_probe(
+            StandardPolicy::new(geom),
+            MemoryModel::default(),
+            EventCounts::default(),
+        );
         let trace: Trace = (0..300u64).map(|i| Access::read((i % 29) * 24)).collect();
         for chunk in trace.as_slice().chunks(64) {
             c.run_chunk(chunk);
@@ -332,8 +308,11 @@ mod tests {
     /// the flush's `Flush { writebacks }` event arrives after the last
     /// chunk fold. Returns the final counters and the probe.
     fn run_then_flush<P: sac_obs::Probe>(probe: P) -> (crate::Metrics, P) {
-        let mut c =
-            StandardCache::with_probe(CacheGeometry::standard(), MemoryModel::default(), probe);
+        let mut c = StandardCache::with_probe(
+            StandardPolicy::new(CacheGeometry::standard()),
+            MemoryModel::default(),
+            probe,
+        );
         let trace: Trace = (0..4096u64)
             .map(|i| {
                 let addr = (i * 40) % 12288;
@@ -377,7 +356,8 @@ mod tests {
             geom.sets(),
             geom.line_bytes(),
         ));
-        let mut c = StandardCache::with_probe(geom, MemoryModel::default(), probe);
+        let mut c =
+            StandardCache::with_probe(StandardPolicy::new(geom), MemoryModel::default(), probe);
         let trace: Trace = (0..400u64)
             .map(|i| {
                 if i % 5 == 0 {

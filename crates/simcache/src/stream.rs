@@ -9,8 +9,8 @@
 //! comparing `useful_prefetches` across buffer counts.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemoryModel, MemorySystem, StandardPolicy,
-    WbStall, MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, WbStall,
+    MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -188,68 +188,38 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
         }
         CachePolicy::<P>::flush(&mut self.main)
     }
+
+    fn prefetches(&self) -> bool {
+        true
+    }
 }
 
 /// A standard cache backed by `N` stream buffers of `K` entries: this is
 /// [`StreamPolicy`] run by the shared [`CacheEngine`]. Attach an observer
-/// with [`StreamBufferCache::with_probe`].
+/// with [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StreamBufferCache};
+/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, StreamBufferCache, StreamPolicy};
 /// use sac_trace::Access;
 ///
-/// let mut c = StreamBufferCache::new(
-///     CacheGeometry::standard(),
-///     MemoryModel::default(),
-///     4,
-///     4,
-/// );
+/// let policy = StreamPolicy::new(CacheGeometry::standard(), 4, 4);
+/// let mut c = StreamBufferCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0));                  // miss: allocates a stream
 /// c.access(&Access::read(32).with_gap(200));   // head hit
 /// assert_eq!(c.metrics().aux_hits, 1);
 /// ```
 pub type StreamBufferCache<P = NoopProbe> = CacheEngine<StreamPolicy, P>;
 
-impl StreamBufferCache {
-    /// Creates the cache with `buffers` stream buffers of `depth` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buffers` or `depth` is zero.
-    pub fn new(geom: CacheGeometry, mem: MemoryModel, buffers: u32, depth: u32) -> Self {
-        StreamBufferCache::with_probe(geom, mem, buffers, depth, NoopProbe)
-    }
-}
-
-impl<P: Probe> StreamBufferCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(
-        geom: CacheGeometry,
-        mem: MemoryModel,
-        buffers: u32,
-        depth: u32,
-        probe: P,
-    ) -> Self {
-        CacheEngine::from_parts(
-            StreamPolicy::new(geom, buffers, depth),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSim;
+    use crate::{CacheSim, MemoryModel};
     use sac_trace::Trace;
 
     fn cache(buffers: u32) -> StreamBufferCache {
         StreamBufferCache::new(
-            CacheGeometry::new(1024, 32, 1),
+            StreamPolicy::new(CacheGeometry::new(1024, 32, 1), buffers, 4),
             MemoryModel::default(),
-            buffers,
-            4,
         )
     }
 

@@ -1,8 +1,8 @@
 //! Jouppi's victim cache (the Figure 3b baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Evict, LaneSet, MemoryModel, MemorySystem,
-    StandardPolicy, TagArray, WbStall, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Evict, LaneSet, MemorySystem, StandardPolicy,
+    TagArray, WbStall, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -144,13 +144,14 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
 /// victim cache are discarded (written back first when dirty) — the
 /// bounce-back mechanism of `sac-core` is exactly this design plus the
 /// temporal-bit-driven bounce. This is [`VictimPolicy`] run by the shared
-/// [`CacheEngine`]; attach an observer with [`VictimCache::with_probe`].
+/// [`CacheEngine`]; attach an observer with [`CacheEngine::with_probe`].
 ///
 /// ```
-/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, VictimCache};
+/// use sac_simcache::{CacheGeometry, CacheSim, MemoryModel, VictimCache, VictimPolicy};
 /// use sac_trace::Access;
 ///
-/// let mut c = VictimCache::new(CacheGeometry::standard(), MemoryModel::default(), 8);
+/// let policy = VictimPolicy::new(CacheGeometry::standard(), 8);
+/// let mut c = VictimCache::new(policy, MemoryModel::default());
 /// c.access(&Access::read(0));      // miss
 /// c.access(&Access::read(8192));   // conflict: evicts line 0 to the victim cache
 /// c.access(&Access::read(0));      // victim-cache hit (3 cycles), swap
@@ -158,37 +159,17 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
 /// ```
 pub type VictimCache<P = NoopProbe> = CacheEngine<VictimPolicy, P>;
 
-impl VictimCache {
-    /// Creates a victim cache of `victim_lines` fully-associative lines
-    /// behind the main cache (the paper uses 8 lines of 32 bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `victim_lines` is zero.
-    pub fn new(geom: CacheGeometry, mem: MemoryModel, victim_lines: u32) -> Self {
-        VictimCache::with_probe(geom, mem, victim_lines, NoopProbe)
-    }
-}
-
-impl<P: Probe> VictimCache<P> {
-    /// Creates the cache with an attached observer probe.
-    pub fn with_probe(geom: CacheGeometry, mem: MemoryModel, victim_lines: u32, probe: P) -> Self {
-        CacheEngine::from_parts(
-            VictimPolicy::new(geom, victim_lines),
-            MemorySystem::new(mem, geom.line_bytes()),
-            probe,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheSim, MAIN_HIT_CYCLES};
+    use crate::{CacheSim, MemoryModel, MAIN_HIT_CYCLES};
 
     fn small() -> VictimCache {
         // 4-line direct-mapped main + 2-line victim cache.
-        VictimCache::new(CacheGeometry::new(128, 32, 1), MemoryModel::default(), 2)
+        VictimCache::new(
+            VictimPolicy::new(CacheGeometry::new(128, 32, 1), 2),
+            MemoryModel::default(),
+        )
     }
 
     #[test]

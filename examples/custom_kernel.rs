@@ -5,7 +5,7 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
+use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
 use software_assisted_caches::loopir::{idx, shift, Program};
 use software_assisted_caches::simcache::CacheSim;
 use software_assisted_caches::trace::stats::TagFractions;
@@ -57,7 +57,8 @@ fn main() {
         f.spatial_fraction()
     );
 
-    let mut cache = SoftCache::new(SoftCacheConfig::soft());
+    let cfg = SoftCacheConfig::soft();
+    let mut cache = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
     cache.run(&trace);
     println!("software-assisted cache: {}", cache.metrics());
 }

@@ -5,8 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
-use software_assisted_caches::simcache::{CacheGeometry, CacheSim, MemoryModel, StandardCache};
+use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
+use software_assisted_caches::simcache::{
+    CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy,
+};
 use software_assisted_caches::workloads::mv;
 
 fn main() {
@@ -20,12 +22,16 @@ fn main() {
 
     // 2. The paper's Standard baseline: 8 KB, 32-byte lines, 1-way,
     //    20-cycle memory latency, 16-byte bus.
-    let mut standard = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+    let mut standard = StandardCache::new(
+        StandardPolicy::new(CacheGeometry::standard()),
+        MemoryModel::default(),
+    );
     standard.run(&trace);
 
     // 3. The software-assisted cache: 64-byte virtual lines + a 256-byte
     //    bounce-back cache, driven by the tags.
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
+    let cfg = SoftCacheConfig::soft();
+    let mut soft = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
     soft.run(&trace);
 
     let (s, m) = (standard.metrics(), soft.metrics());

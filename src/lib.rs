@@ -22,16 +22,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
-//! use software_assisted_caches::simcache::{CacheSim, StandardCache};
+//! use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
+//! use software_assisted_caches::simcache::{CacheSim, StandardCache, StandardPolicy};
 //! use software_assisted_caches::workloads::mv;
 //!
 //! let trace = mv::program(128).trace_default();
+//! let cfg = SoftCacheConfig::soft();
 //!
-//! let mut standard = StandardCache::new(Default::default(), Default::default());
+//! let mut standard = StandardCache::new(StandardPolicy::new(cfg.geometry), cfg.memory);
 //! standard.run(&trace);
 //!
-//! let mut soft = SoftCache::new(SoftCacheConfig::soft());
+//! let mut soft = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
 //! soft.run(&trace);
 //!
 //! assert!(soft.metrics().amat() <= standard.metrics().amat());

@@ -2,11 +2,16 @@
 //! software-assisted cache must degenerate into the corresponding
 //! baseline organization — same hits, same misses, same write-backs.
 
-use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
+use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
 use software_assisted_caches::simcache::{
-    CacheGeometry, CacheSim, MemoryModel, StandardCache, VictimCache,
+    CacheGeometry, CacheSim, MemoryModel, StandardCache, StandardPolicy, VictimCache, VictimPolicy,
 };
 use software_assisted_caches::trace::{Access, GapModel, Trace};
+
+/// The software-assisted cache running `cfg`.
+fn soft_cache(cfg: SoftCacheConfig) -> SoftCache {
+    SoftCache::new(SoftPolicy::new(cfg), cfg.memory)
+}
 
 /// A pseudo-random but deterministic mixed trace with tags.
 fn mixed_trace(n: usize, footprint_lines: u64) -> Trace {
@@ -59,8 +64,8 @@ fn soft_without_mechanisms_equals_standard_cache() {
         CacheGeometry::new(4 * 1024, 64, 4),
     ] {
         let trace = mixed_trace(50_000, 4 * geom.lines());
-        let mut soft = SoftCache::new(neutered_soft(geom));
-        let mut standard = StandardCache::new(geom, MemoryModel::default());
+        let mut soft = soft_cache(neutered_soft(geom));
+        let mut standard = StandardCache::new(StandardPolicy::new(geom), MemoryModel::default());
         soft.run(&trace);
         standard.run(&trace);
         let (s, b) = (soft.metrics(), standard.metrics());
@@ -81,8 +86,8 @@ fn soft_with_plain_victim_cache_equals_victim_baseline() {
     cfg.use_temporal = false;
     cfg.use_spatial = false;
     cfg.bounce_lines = 8;
-    let mut soft = SoftCache::new(cfg);
-    let mut victim = VictimCache::new(geom, MemoryModel::default(), 8);
+    let mut soft = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
+    let mut victim = VictimCache::new(VictimPolicy::new(geom, 8), MemoryModel::default());
     soft.run(&trace);
     victim.run(&trace);
     let (s, v) = (soft.metrics(), victim.metrics());
@@ -95,7 +100,7 @@ fn soft_with_plain_victim_cache_equals_victim_baseline() {
 #[test]
 fn every_reference_is_classified_exactly_once() {
     let trace = mixed_trace(30_000, 2048);
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
     soft.run(&trace);
     let m = soft.metrics();
     assert_eq!(m.refs as usize, trace.len());
@@ -106,8 +111,11 @@ fn every_reference_is_classified_exactly_once() {
 #[test]
 fn virtual_lines_halve_stream_misses() {
     let trace = stream_trace(32_768);
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
-    let mut stand = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
+    let mut stand = StandardCache::new(
+        StandardPolicy::new(CacheGeometry::standard()),
+        MemoryModel::default(),
+    );
     soft.run(&trace);
     stand.run(&trace);
     // One miss per 64-byte virtual line vs one per 32-byte physical line.
@@ -122,7 +130,7 @@ fn virtual_lines_halve_stream_misses() {
 fn soft_is_deterministic_across_runs() {
     let trace = mixed_trace(20_000, 1024);
     let run = || {
-        let mut c = SoftCache::new(SoftCacheConfig::soft().with_prefetch(true));
+        let mut c = soft_cache(SoftCacheConfig::soft().with_prefetch(true));
         c.run(&trace);
         *c.metrics()
     };
@@ -152,8 +160,11 @@ fn bounce_back_cache_is_strictly_better_than_nothing_on_mv_pattern() {
             );
         }
     }
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
-    let mut stand = StandardCache::new(CacheGeometry::standard(), MemoryModel::default());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
+    let mut stand = StandardCache::new(
+        StandardPolicy::new(CacheGeometry::standard()),
+        MemoryModel::default(),
+    );
     soft.run(&trace);
     stand.run(&trace);
     assert!(

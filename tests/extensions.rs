@@ -1,7 +1,7 @@
 //! Integration tests for the paper's proposed extensions and the §5
 //! related designs, pinning the shapes recorded in EXPERIMENTS.md.
 
-use software_assisted_caches::core::{AssistCache, SoftCacheConfig};
+use software_assisted_caches::core::{AssistCache, AssistPolicy, SoftCacheConfig};
 use software_assisted_caches::experiments::{figures, Config, Suite, Table};
 use software_assisted_caches::simcache::{CacheGeometry, CacheSim, MemoryModel};
 
@@ -110,7 +110,10 @@ fn stream_buffers_pay_with_traffic() {
 fn assist_cache_conserves_references() {
     let suite = Suite::small();
     let trace = suite.trace("TRF").unwrap();
-    let mut c = AssistCache::new(CacheGeometry::standard(), MemoryModel::default(), 16);
+    let mut c = AssistCache::new(
+        AssistPolicy::new(CacheGeometry::standard(), 16),
+        MemoryModel::default(),
+    );
     c.run(trace);
     let m = c.metrics();
     assert_eq!(m.refs as usize, trace.len());

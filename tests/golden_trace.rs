@@ -10,10 +10,15 @@
 //! accounting, cycle costing, fetch width or write handling trips this
 //! test with the exact counter that moved.
 
-use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
-use software_assisted_caches::simcache::{CacheSim, Metrics, StandardCache};
+use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
+use software_assisted_caches::simcache::{CacheSim, Metrics, StandardCache, StandardPolicy};
 use software_assisted_caches::trace::io::read_text;
 use software_assisted_caches::trace::Trace;
+
+/// The software-assisted cache running `cfg`.
+fn soft_cache(cfg: SoftCacheConfig) -> SoftCache {
+    SoftCache::new(SoftPolicy::new(cfg), cfg.memory)
+}
 
 fn golden() -> Trace {
     let text = include_str!("data/golden.trace");
@@ -26,7 +31,7 @@ fn golden() -> Trace {
 #[test]
 fn standard_cache_counters_match_golden() {
     let trace = golden();
-    let mut stand = StandardCache::new(Default::default(), Default::default());
+    let mut stand = StandardCache::new(StandardPolicy::new(Default::default()), Default::default());
     stand.run(&trace);
     let expected = Metrics {
         refs: 280,
@@ -52,7 +57,7 @@ fn standard_cache_counters_match_golden() {
 #[test]
 fn soft_cache_counters_match_golden() {
     let trace = golden();
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
     soft.run(&trace);
     let expected = Metrics {
         refs: 280,
@@ -81,9 +86,9 @@ fn soft_cache_beats_the_baseline_on_the_golden_trace() {
     // enough to debug by hand: fewer misses, fewer words fetched, lower
     // AMAT.
     let trace = golden();
-    let mut stand = StandardCache::new(Default::default(), Default::default());
+    let mut stand = StandardCache::new(StandardPolicy::new(Default::default()), Default::default());
     stand.run(&trace);
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
     soft.run(&trace);
     assert!(soft.metrics().misses < stand.metrics().misses);
     assert!(soft.metrics().words_fetched < stand.metrics().words_fetched);

@@ -15,11 +15,18 @@
 //! - across memory latencies, `t_lat` enters once per fetching miss:
 //!   two latency lanes that stall alike differ by `(L − L′) · misses`.
 
-use software_assisted_caches::core::{SoftCache, SoftCacheConfig};
-use software_assisted_caches::simcache::{CacheSim, MemoryModel, StandardCache};
+use software_assisted_caches::core::{SoftCache, SoftCacheConfig, SoftPolicy};
+use software_assisted_caches::simcache::{
+    CacheEngine, CacheSim, MemoryModel, StandardCache, StandardPolicy,
+};
 use software_assisted_caches::trace::io::read_text;
 use software_assisted_caches::trace::rng::SplitMix64;
 use software_assisted_caches::trace::{Access, Trace};
+
+/// The software-assisted cache running `cfg`.
+fn soft_cache(cfg: SoftCacheConfig) -> SoftCache {
+    SoftCache::new(SoftPolicy::new(cfg), cfg.memory)
+}
 
 /// A read of physical line `line` (32-byte lines), `gap` cycles after the
 /// previous access completed.
@@ -37,12 +44,15 @@ fn cost_of(c: &mut SoftCache, a: Access) -> u64 {
 #[test]
 fn miss_penalty_is_latency_plus_lines_over_bus_width() {
     for (vline_bytes, lines, penalty) in [(32, 1, 22), (64, 2, 24), (256, 8, 36)] {
-        let mut c = SoftCache::new(SoftCacheConfig::soft().with_virtual_line(vline_bytes));
+        let mut c = soft_cache(SoftCacheConfig::soft().with_virtual_line(vline_bytes));
         assert_eq!(cost_of(&mut c, read(0, 0).with_spatial(true)), penalty);
         assert_eq!(c.metrics().lines_fetched, lines);
     }
     // The standard cache fetches one line per miss: 20 + 32/16.
-    let mut stand = StandardCache::new(Default::default(), MemoryModel::default());
+    let mut stand = StandardCache::new(
+        StandardPolicy::new(Default::default()),
+        MemoryModel::default(),
+    );
     stand.access(&read(0, 0));
     assert_eq!(stand.metrics().mem_cycles, 22);
 }
@@ -51,7 +61,7 @@ fn miss_penalty_is_latency_plus_lines_over_bus_width() {
 fn virtual_line_fetches_only_the_absent_lines() {
     // Line 1 is cached; the 4-line virtual line {0..3} fetches 3 lines:
     // 20 + 3·32/16 = 26 cycles.
-    let mut c = SoftCache::new(SoftCacheConfig::soft().with_virtual_line(128));
+    let mut c = soft_cache(SoftCacheConfig::soft().with_virtual_line(128));
     c.access(&read(1, 0));
     assert_eq!(cost_of(&mut c, read(0, 0).with_spatial(true)), 26);
 }
@@ -61,16 +71,19 @@ fn figure_10b_latency_point() {
     // At 30 cycles of latency, the Figure 10b soft cache pays
     // 30 + 64/16 = 34 cycles for a 64-byte virtual line and the standard
     // cache 30 + 32/16 = 32 for one line.
-    let mut c = SoftCache::new(SoftCacheConfig::soft().with_latency(30));
+    let mut c = soft_cache(SoftCacheConfig::soft().with_latency(30));
     assert_eq!(cost_of(&mut c, read(0, 0).with_spatial(true)), 34);
-    let mut stand = StandardCache::new(Default::default(), MemoryModel::default().with_latency(30));
+    let mut stand = StandardCache::new(
+        StandardPolicy::new(Default::default()),
+        MemoryModel::default().with_latency(30),
+    );
     stand.access(&read(0, 0));
     assert_eq!(stand.metrics().mem_cycles, 32);
 }
 
 #[test]
 fn bounce_back_hit_costs_three_cycles_and_locks_two() {
-    let mut c = SoftCache::new(SoftCacheConfig::soft());
+    let mut c = soft_cache(SoftCacheConfig::soft());
     c.access(&read(0, 0));
     // Line 256 maps to set 0 of the 256-set cache: line 0 moves to the
     // bounce-back cache.
@@ -90,7 +103,7 @@ fn bounce_back_hit_costs_three_cycles_and_locks_two() {
 
 #[test]
 fn prefetched_line_hit_costs_one_extra_cycle() {
-    let mut c = SoftCache::new(SoftCacheConfig::soft().with_prefetch(true));
+    let mut c = soft_cache(SoftCacheConfig::soft().with_prefetch(true));
     // A spatial miss on line 0 fills the virtual line {0, 1} (24 cycles)
     // and prefetches line 2 into the bounce-back cache.
     assert_eq!(cost_of(&mut c, read(0, 0).with_spatial(true)), 24);
@@ -141,20 +154,25 @@ fn latency_enters_once_per_fetching_miss() {
         let mut engines: Vec<(&str, Box<dyn CacheSim>)> = vec![
             (
                 "Stand.",
-                Box::new(StandardCache::with_lanes(
-                    Default::default(),
+                Box::new(CacheEngine::with_lanes(
+                    StandardPolicy::new(Default::default()),
                     MemoryModel::default(),
                     &latencies,
                 )),
             ),
             (
                 "Soft.",
-                Box::new(SoftCache::with_lanes(SoftCacheConfig::soft(), &latencies)),
+                Box::new(CacheEngine::with_lanes(
+                    SoftPolicy::new(SoftCacheConfig::soft()),
+                    MemoryModel::default(),
+                    &latencies,
+                )),
             ),
             (
                 "Soft. 256B",
-                Box::new(SoftCache::with_lanes(
-                    SoftCacheConfig::soft().with_virtual_line(256),
+                Box::new(CacheEngine::with_lanes(
+                    SoftPolicy::new(SoftCacheConfig::soft().with_virtual_line(256)),
+                    MemoryModel::default(),
                     &latencies,
                 )),
             ),

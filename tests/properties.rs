@@ -8,15 +8,22 @@
 //! message carries the case seed so a failure is reproducible.
 
 use software_assisted_caches::core::{
-    virtual_block, AssistCache, FillBuffer, FillSlot, SoftCache, SoftCacheConfig,
+    virtual_block, AssistCache, AssistPolicy, FillBuffer, FillSlot, SoftCache, SoftCacheConfig,
+    SoftPolicy,
 };
 use software_assisted_caches::simcache::{
-    classify_misses, BypassCache, BypassMode, CacheGeometry, CacheSim, ColumnAssociativeCache,
-    MemoryModel, Metrics, NextLinePrefetchCache, StandardCache, StreamBufferCache, VictimCache,
-    WriteBuffer,
+    classify_misses, BypassCache, BypassMode, BypassPolicy, CacheGeometry, CacheSim,
+    ColAssocPolicy, ColumnAssociativeCache, MemoryModel, Metrics, NextLinePrefetchCache,
+    PrefetchPolicy, StandardCache, StandardPolicy, StreamBufferCache, StreamPolicy, VictimCache,
+    VictimPolicy, WriteBuffer,
 };
 use software_assisted_caches::trace::rng::SplitMix64;
 use software_assisted_caches::trace::{Access, Trace};
+
+/// The software-assisted cache running `cfg`.
+fn soft_cache(cfg: SoftCacheConfig) -> SoftCache {
+    SoftCache::new(SoftPolicy::new(cfg), cfg.memory)
+}
 
 const CASES: u64 = 64;
 
@@ -72,7 +79,10 @@ fn check_conservation(case: u64, m: &Metrics, trace: &Trace) {
 fn standard_cache_conserves_references() {
     for_each_case(|case, rng| {
         let trace = gen_trace(rng);
-        let mut c = StandardCache::new(CacheGeometry::new(1024, 32, 1), MemoryModel::default());
+        let mut c = StandardCache::new(
+            StandardPolicy::new(CacheGeometry::new(1024, 32, 1)),
+            MemoryModel::default(),
+        );
         c.run(&trace);
         check_conservation(case, c.metrics(), &trace);
     });
@@ -82,7 +92,10 @@ fn standard_cache_conserves_references() {
 fn victim_cache_conserves_references() {
     for_each_case(|case, rng| {
         let trace = gen_trace(rng);
-        let mut c = VictimCache::new(CacheGeometry::new(1024, 32, 1), MemoryModel::default(), 4);
+        let mut c = VictimCache::new(
+            VictimPolicy::new(CacheGeometry::new(1024, 32, 1), 4),
+            MemoryModel::default(),
+        );
         c.run(&trace);
         check_conservation(case, c.metrics(), &trace);
     });
@@ -94,9 +107,8 @@ fn bypass_cache_conserves_references() {
         let trace = gen_trace(rng);
         for mode in [BypassMode::Plain, BypassMode::Buffered { lines: 2 }] {
             let mut c = BypassCache::new(
-                CacheGeometry::new(1024, 32, 1),
+                BypassPolicy::new(CacheGeometry::new(1024, 32, 1), mode),
                 MemoryModel::default(),
-                mode,
             );
             c.run(&trace);
             check_conservation(case, c.metrics(), &trace);
@@ -108,8 +120,10 @@ fn bypass_cache_conserves_references() {
 fn prefetch_cache_conserves_references() {
     for_each_case(|case, rng| {
         let trace = gen_trace(rng);
-        let mut c =
-            NextLinePrefetchCache::new(CacheGeometry::new(1024, 32, 1), MemoryModel::default(), 4);
+        let mut c = NextLinePrefetchCache::new(
+            PrefetchPolicy::new(CacheGeometry::new(1024, 32, 1), 4),
+            MemoryModel::default(),
+        );
         c.run(&trace);
         check_conservation(case, c.metrics(), &trace);
     });
@@ -122,17 +136,17 @@ fn related_designs_conserve_references() {
         let geom = CacheGeometry::new(1024, 32, 1);
         let mem = MemoryModel::default();
         {
-            let mut c = StreamBufferCache::new(geom, mem, 2, 4);
+            let mut c = StreamBufferCache::new(StreamPolicy::new(geom, 2, 4), mem);
             c.run(&trace);
             check_conservation(case, c.metrics(), &trace);
         }
         {
-            let mut c = ColumnAssociativeCache::new(geom, mem);
+            let mut c = ColumnAssociativeCache::new(ColAssocPolicy::new(geom), mem);
             c.run(&trace);
             check_conservation(case, c.metrics(), &trace);
         }
         {
-            let mut c = AssistCache::new(geom, mem, 4);
+            let mut c = AssistCache::new(AssistPolicy::new(geom, 4), mem);
             c.run(&trace);
             check_conservation(case, c.metrics(), &trace);
         }
@@ -150,7 +164,7 @@ fn miss_classification_is_bounded_and_consistent() {
         // The real organization can never beat the compulsory floor.
         assert!(c.total() >= c.compulsory, "case {case}");
         // And the standard engine's miss count matches the classifier's.
-        let mut sim = StandardCache::new(geom, MemoryModel::default());
+        let mut sim = StandardCache::new(StandardPolicy::new(geom), MemoryModel::default());
         sim.run(&trace);
         assert_eq!(sim.metrics().misses, c.total(), "case {case}");
     });
@@ -164,7 +178,7 @@ fn soft_cache_conserves_references() {
             .with_geometry(CacheGeometry::new(1024, 32, 1))
             .with_bounce_lines(4)
             .with_prefetch(true);
-        let mut c = SoftCache::new(cfg);
+        let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
         c.run(&trace);
         check_conservation(case, c.metrics(), &trace);
     });
@@ -180,7 +194,7 @@ fn soft_cache_conserves_on_all_paper_configs() {
             SoftCacheConfig::spatial_only(),
             SoftCacheConfig::simplified_assoc(2),
         ] {
-            let mut c = SoftCache::new(cfg);
+            let mut c = SoftCache::new(SoftPolicy::new(cfg), cfg.memory);
             c.run(&trace);
             check_conservation(case, c.metrics(), &trace);
         }
@@ -192,7 +206,7 @@ fn engines_are_deterministic() {
     for_each_case(|case, rng| {
         let trace = gen_trace(rng);
         let run = |trace: &Trace| {
-            let mut c = SoftCache::new(SoftCacheConfig::soft().with_prefetch(true));
+            let mut c = soft_cache(SoftCacheConfig::soft().with_prefetch(true));
             c.run(trace);
             *c.metrics()
         };
@@ -297,7 +311,7 @@ fn hit_plus_miss_cycles_bound_amat() {
         let trace = gen_trace(rng);
         // AMAT is bounded above by the cost of missing on every access
         // with the largest virtual line plus worst-case stalls.
-        let mut c = SoftCache::new(SoftCacheConfig::soft().with_virtual_line(256));
+        let mut c = soft_cache(SoftCacheConfig::soft().with_virtual_line(256));
         c.run(&trace);
         let worst = 20.0 + (8.0 * 32.0) / 16.0 + 16.0; // fetch + generous stall slack
         assert!(c.metrics().amat() <= worst, "case {case}: {}", c.metrics());
@@ -308,7 +322,7 @@ fn hit_plus_miss_cycles_bound_amat() {
 #[test]
 fn empty_trace_is_fine_everywhere() {
     let empty = Trace::new("empty");
-    let mut soft = SoftCache::new(SoftCacheConfig::soft());
+    let mut soft = soft_cache(SoftCacheConfig::soft());
     soft.run(&empty);
     assert_eq!(soft.metrics().refs, 0);
     assert_eq!(soft.metrics().amat(), 0.0);
@@ -356,7 +370,8 @@ fn tracing_probe_reconciles_with_metrics_on_random_traces() {
             .with_ring(64, 1 + rng.below(7));
         let chunk = 13 + rng.below(80) as usize;
 
-        let mut std = StandardCache::with_probe(geom, mem, TracingProbe::new(obs));
+        let mut std =
+            StandardCache::with_probe(StandardPolicy::new(geom), mem, TracingProbe::new(obs));
         for c in trace.as_slice().chunks(chunk) {
             std.run_chunk(c);
         }
@@ -370,7 +385,8 @@ fn tracing_probe_reconciles_with_metrics_on_random_traces() {
             .with_memory(mem)
             .with_virtual_line(geom.line_bytes() * (1 << rng.below(3)))
             .with_prefetch(rng.chance(0.5));
-        let mut soft = SoftCache::with_probe(cfg, TracingProbe::new(obs));
+        let mut soft =
+            SoftCache::with_probe(SoftPolicy::new(cfg), cfg.memory, TracingProbe::new(obs));
         for c in trace.as_slice().chunks(chunk) {
             soft.run_chunk(c);
         }

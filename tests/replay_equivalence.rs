@@ -184,7 +184,7 @@ fn high_address_trace(seed: u64, len: usize) -> Trace {
 }
 
 /// The oracle: one [`CacheSim::access`] call per reference.
-fn per_access(engine: &mut dyn CacheSim, trace: &Trace) -> Metrics {
+fn per_access<S: CacheSim + ?Sized>(engine: &mut S, trace: &Trace) -> Metrics {
     for a in trace.iter() {
         engine.access(a);
     }
