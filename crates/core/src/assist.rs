@@ -21,7 +21,7 @@
 
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, MemorySystem, TagArray, WbStall,
+    CacheEngine, CacheGeometry, CachePolicy, Entry, MemorySystem, TagArray, WbStall,
     MAIN_HIT_CYCLES,
 };
 use sac_trace::Access;
@@ -62,12 +62,7 @@ impl AssistPolicy {
         }
     }
 
-    fn discard<P: Probe, L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        entry: Entry,
-    ) {
+    fn discard<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, entry: Entry) {
         if entry.valid && entry.dirty {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
@@ -81,12 +76,7 @@ impl AssistPolicy {
     /// first) is promoted to the main cache unless it is marked
     /// spatial-only (the `prefetched` field doubles as the HP
     /// spatial-only bit here).
-    fn assist_insert<P: Probe, L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        entry: Entry,
-    ) {
+    fn assist_insert<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, entry: Entry) {
         let line = entry.line;
         let way = self.assist.victim_way(line);
         let evicted = self.assist.install(line, way, entry);
@@ -134,13 +124,7 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
         }
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         if let Some(idx) = self.assist.peek(line) {
             // Both arrays are probed in parallel: 1 cycle. FIFO
             // replacement: the hit does not refresh the stamp.

@@ -5,8 +5,8 @@ use crate::fillbuf::{FillBuffer, FillSlot};
 use crate::vline::aligned_block;
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_simcache::{
-    CacheEngine, CacheGeometry, CachePolicy, Entry, Evict, LaneSet, MemorySystem, OneLane,
-    TagArray, WbStall, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Entry, Evict, MemorySystem, TagArray, WbStall,
+    SWAP_LOCK_CYCLES,
 };
 use sac_trace::Access;
 
@@ -102,12 +102,7 @@ impl SoftPolicy {
     /// stall is charged immediately (§2.2: bounce maintenance runs in the
     /// shadow of the access but a full write buffer stalls the processor
     /// on the spot).
-    fn discard<P: Probe, L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        entry: Entry,
-    ) {
+    fn discard<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, entry: Entry) {
         if entry.valid && entry.dirty {
             if P::ENABLED {
                 probe.on_event(&Event::Writeback { line: entry.line });
@@ -139,9 +134,9 @@ impl SoftPolicy {
     /// bounce-back set that nothing has changed since: `way` is that
     /// set's LRU way, so a plain-LRU insertion into the same set takes it
     /// without another pass.
-    fn bounce_insert<P: Probe, L: LaneSet>(
+    fn bounce_insert<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         entry: Entry,
         filling: &[u64],
@@ -167,9 +162,9 @@ impl SoftPolicy {
 
     /// Installs an admitted entry at bounce-back way `way` (chosen by
     /// [`Self::bounce_evict`]) and disposes of the evictee.
-    fn bounce_install<P: Probe, L: LaneSet>(
+    fn bounce_install<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         mut entry: Entry,
         way: usize,
@@ -197,9 +192,9 @@ impl SoftPolicy {
 
     /// Bounces a temporal line from the bounce-back cache into its
     /// main-cache slot, honoring the paper's corner cases.
-    fn bounce_back<P: Probe, L: LaneSet>(
+    fn bounce_back<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         mut evicted: Entry,
         filling: &[u64],
@@ -242,7 +237,7 @@ impl SoftPolicy {
     }
 
     /// Delivers every in-flight prefetch that has arrived.
-    fn settle_prefetch<P: Probe, L: LaneSet>(&mut self, sys: &mut MemorySystem<L>, probe: &mut P) {
+    fn settle_prefetch<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P) {
         let now = sys.now();
         let mut i = 0;
         while i < self.inflight.len() {
@@ -284,9 +279,9 @@ impl SoftPolicy {
     /// Issues prefetches for `degree` consecutive lines starting at
     /// `line` (§4.4; degree > 1 is the long-latency extension). Older
     /// undelivered prefetches are displaced first.
-    fn issue_prefetch<P: Probe, L: LaneSet>(
+    fn issue_prefetch<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         line: u64,
         ready_at: u64,
@@ -329,9 +324,9 @@ impl SoftPolicy {
     /// Handles a hit in the bounce-back cache (or on the in-flight
     /// prefetch): swap with the conflicting main line. Returns the
     /// cycles the hit takes; the caller reports them.
-    fn bounce_hit<P: Probe, L: LaneSet>(
+    fn bounce_hit<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         mut entry: Entry,
         bbway: Option<usize>,
@@ -394,9 +389,9 @@ impl SoftPolicy {
     /// Handles a full miss: virtual-line fill plus bounce-back
     /// maintenance. `bb_lru` is the LRU way of `line`'s bounce-back set,
     /// from the pass that found `line` absent there.
-    fn full_miss<P: Probe, L: LaneSet>(
+    fn full_miss<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         line: u64,
         a: &Access,
@@ -544,10 +539,10 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
     }
 
     #[inline]
-    fn before_access<L: LaneSet>(&mut self, sys: &mut MemorySystem<L>, probe: &mut P) {
+    fn before_access(&mut self, sys: &mut MemorySystem, probe: &mut P) {
         // A lane engine carries no prefetch, so nothing is ever in
         // flight: it never reads the clock here.
-        if L::SINGLE && sys.now() >= self.next_ready {
+        if self.next_ready != u64::MAX && sys.now() >= self.next_ready {
             self.settle_prefetch(sys, probe);
         }
     }
@@ -569,13 +564,7 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
         entry.prefetched = false;
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         // One pass over the bounce-back set: a hit swaps with the
         // conflicting main line; a miss learns the set's LRU way.
         let bb_lru = match self
@@ -641,7 +630,7 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
 /// [`CacheEngine::new`], [`CacheEngine::with_probe`] (typed
 /// miss/bounce/swap/prefetch/fill events, see [`Probe`]) or, without
 /// prefetch, [`CacheEngine::with_lanes`].
-pub type SoftCache<P = NoopProbe, L = OneLane> = CacheEngine<SoftPolicy, P, L>;
+pub type SoftCache<P = NoopProbe> = CacheEngine<SoftPolicy, P>;
 
 #[cfg(test)]
 mod tests {

@@ -17,6 +17,11 @@
 //! long (default 500000, 50000 with `--small`, at most 67108864 = 2^26,
 //! a 1 GiB trace; a longer one exits 2 before any trace is built).
 //!
+//! The probe keeps the last 4096 sampled events (one in every
+//! `--sample`, default 1), and the reports list the top 5 entries of
+//! each ranking: the most conflicting sets, and with `--diff` the most
+//! divergent mechanisms, lines and sets.
+//!
 //! `--obs-json PATH` additionally writes the telemetry as one JSON
 //! Lines file: the probe records (summary, histograms, sampled events),
 //! then with `--timeline` the window and phase records, then with
@@ -92,20 +97,31 @@ use std::time::Instant;
 /// 1 GiB trace.
 const MAX_LEN: usize = 1 << 26;
 
+/// Sampled events the probe's ring keeps.
+const RING: usize = 4096;
+
+/// Entries the reports list per ranking (sets, lines, mechanisms).
+const TOP: usize = 5;
+
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--small` only shrinks the default, so an explicit `--len` wins
+    // wherever it stands.
+    let mut len = if args.iter().any(|a| a == "--small") {
+        50_000
+    } else {
+        500_000
+    };
     let mut config_name = "soft".to_string();
     let mut config_explicit = false;
     let mut trace_name = "mixed".to_string();
-    let mut len = 500_000usize;
     let mut obs_json: Option<String> = None;
-    let mut ring = 4096usize;
     let mut sample = 1u64;
-    let mut top = 5usize;
     let mut bench_guard: Option<String> = None;
     let mut guard_pct = 5.0f64;
     let mut store_dir: Option<String> = None;
@@ -115,7 +131,7 @@ fn main() {
     let mut cpus = 1usize;
     let mut protocol = Protocol::Mesi;
 
-    let mut iter = std::env::args().skip(1);
+    let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
         let mut value = |flag: &str| {
             iter.next()
@@ -134,11 +150,9 @@ fn main() {
                 }
             }
             "--obs-json" => obs_json = Some(value("--obs-json")),
-            "--ring" => ring = cli::positive("--ring", iter.next()).unwrap_or_else(|e| fail(&e)),
             "--sample" => {
                 sample = cli::positive("--sample", iter.next()).unwrap_or_else(|e| fail(&e))
             }
-            "--top" => top = cli::positive("--top", iter.next()).unwrap_or_else(|e| fail(&e)),
             "--timeline" => timeline = true,
             "--window" => {
                 window = cli::positive("--window", iter.next()).unwrap_or_else(|e| fail(&e))
@@ -165,7 +179,7 @@ fn main() {
                     .filter(|p: &f64| p.is_finite() && *p >= 0.0)
                     .unwrap_or_else(|| fail("--bench-guard-pct needs a finite number >= 0"))
             }
-            "--small" => len = 50_000,
+            "--small" => {}
             other => fail(&format!(
                 "unknown argument {other:?} (see the module docs for usage)"
             )),
@@ -249,14 +263,14 @@ fn main() {
 
     let label = format!("explain/{trace_name}/{config_name}");
     let start = Instant::now();
-    let explanation = match explain_config(&label, &config, &trace, ring, sample) {
+    let explanation = match explain_config(&label, &config, &trace, RING, sample) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("explain failed: {e}");
             std::process::exit(1);
         }
     };
-    print!("{}", explanation.render(top));
+    print!("{}", explanation.render(TOP));
     eprintln!("instrumented run took {:.2?}", start.elapsed());
     append_jsonl(&mut obs_writer, |w| {
         explanation.probe.write_jsonl(&label, w)
@@ -291,9 +305,9 @@ fn main() {
         let diff_start = Instant::now();
         let report = diff_configs(&label, &config, &label_b, config_b, &trace, REPLAY_CHUNK)
             .unwrap_or_else(|e| fail(&format!("diff failed: {e}")));
-        print!("{}", report.render(top));
+        print!("{}", report.render(TOP));
         eprintln!("lockstep diff took {:.2?}", diff_start.elapsed());
-        append_jsonl(&mut obs_writer, |w| report.write_jsonl(w, top));
+        append_jsonl(&mut obs_writer, |w| report.write_jsonl(w, TOP));
     }
 
     if let Some((path, mut w)) = obs_writer {

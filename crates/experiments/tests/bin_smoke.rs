@@ -134,7 +134,9 @@ fn figures_rejects_unknown_options_before_running() {
 
 #[test]
 fn explain_rejects_unknown_options_before_running() {
-    // `--diff-json` is retired: the diff records go to `--obs-json`.
+    // `--diff-json` is retired: the diff records go to `--obs-json`. The
+    // probe ring and the report length are constants, not `--ring` and
+    // `--top`.
     let path = unwritten_path("explain");
     let cases = [
         vec!["--bogus"],
@@ -144,6 +146,8 @@ fn explain_rejects_unknown_options_before_running() {
             "--diff-json",
             path.to_str().expect("utf-8 temp path"),
         ],
+        vec!["--ring", "8"],
+        vec!["--top", "8"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_explain"))
@@ -153,7 +157,9 @@ fn explain_rejects_unknown_options_before_running() {
             .expect("run explain");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        let flag = args.iter().find(|a| ["--bogus", "--diff-json"].contains(a));
+        let flag = args
+            .iter()
+            .find(|a| ["--bogus", "--diff-json", "--ring", "--top"].contains(a));
         assert!(
             err.contains(&format!("unknown argument {:?}", flag.unwrap())),
             "{args:?}: {err}"
@@ -161,6 +167,21 @@ fn explain_rejects_unknown_options_before_running() {
         assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?}");
         assert!(!path.exists(), "{args:?}");
     }
+}
+
+#[test]
+fn explain_takes_an_explicit_len_before_small() {
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args(["--len", "2000", "--small"])
+        .output()
+        .expect("run explain");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("trace        2000 refs"), "{text}");
 }
 
 #[test]

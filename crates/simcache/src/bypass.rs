@@ -8,7 +8,7 @@
 //! recovering the spatial locality of bypassed streams.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, TagArray,
+    CacheEngine, CacheGeometry, CachePolicy, MemorySystem, StandardPolicy, TagArray,
     MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
@@ -80,13 +80,7 @@ impl<P: Probe> CachePolicy<P> for BypassPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         if a.temporal() {
             // Normal write-back write-allocate path.
             return self.main.miss(sys, probe, line, a);

@@ -17,8 +17,7 @@
 //! set differing from the set it sits in, so no extra state is stored.)
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, TagArray, WbStall,
-    MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, MemorySystem, TagArray, WbStall, MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -81,13 +80,7 @@ impl<P: Probe> CachePolicy<P> for ColAssocPolicy {
         }
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         let alt = self.rehash_line(line);
         if self.tags.peek_as(alt, line).is_some() {
             // Rehash hit: one extra probe cycle, then swap the slots so

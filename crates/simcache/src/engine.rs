@@ -50,8 +50,8 @@ pub trait CacheSim {
 
     /// The metrics of every timing lane, in lane order: one entry for a
     /// single-config engine; one per latency for a lane engine
-    /// ([`crate::Lanes`]), `None` where a lane diverged from the
-    /// reference lane and needs a solo replay.
+    /// ([`crate::CacheEngine::with_lanes`]), `None` where a lane diverged
+    /// from the reference lane and needs a solo replay.
     fn lane_metrics(&self) -> Vec<Option<Metrics>>;
 
     /// Drives a trace, invalidating everything every `quantum`

@@ -74,7 +74,7 @@ pub use colassoc::{ColAssocPolicy, ColumnAssociativeCache};
 pub use config::{CacheGeometry, MemoryModel};
 pub use engine::{CacheSim, ProbedSim};
 pub use fused::{LineRun, LineRuns};
-pub use memsys::{CacheEngine, CachePolicy, Lane, LaneSet, Lanes, MemorySystem, OneLane, WbStall};
+pub use memsys::{CacheEngine, CachePolicy, MemorySystem, WbStall};
 pub use metrics::{ChunkDelta, Metrics};
 pub use prefetch::{NextLinePrefetchCache, PrefetchPolicy};
 pub use standard::{StandardCache, StandardPolicy};

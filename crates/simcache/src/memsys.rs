@@ -16,15 +16,16 @@
 //! several **timing lanes** ([`Lane`]): a clock, a write buffer, a price
 //! table and cycle counters per memory latency, all over one policy
 //! state. Where a policy makes no clock decision, a latency only prices
-//! the trajectory, so the lanes of a [`Lanes`] set replay a sweep of
-//! latencies from one tag walk. The single decision the lane-eligible
-//! policies take from the clock — §2.2's "abort a bounce-back when the
-//! write buffer is full" — is evaluated on every lane; a lane that
-//! disagrees with the first one is dropped as *diverged* (its owner
-//! replays that latency alone). A single-config engine is the one-lane
-//! case ([`OneLane`]) of the same code.
+//! the trajectory, so the lanes of [`MemorySystem::with_lanes`] replay a
+//! sweep of latencies from one tag walk. The single decision the
+//! lane-eligible policies take from the clock — §2.2's "abort a
+//! bounce-back when the write buffer is full" — is evaluated on every
+//! lane; a lane that disagrees with the first one is dropped as
+//! *diverged* (its owner replays that latency alone). A single-config
+//! engine is the one-lane case of the same code: its reference lane is
+//! held inline and its list of other lanes is empty.
 //!
-//! Lanes share everything that is the same on every lane. Lock windows
+//! The lanes share everything that is the same on every lane. Lock windows
 //! open at a fixed distance past each lane's own completion and the
 //! issue gaps are the trace's, so arrivals, lock stalls and hits cost
 //! every lane the same: they run once, on the first lane's clock and
@@ -45,7 +46,6 @@ use crate::{
 };
 use sac_obs::{Event, NoopProbe, Probe};
 use sac_trace::Access;
-use std::fmt;
 
 /// Fetches of up to this many lines are priced from a lane's table;
 /// longer ones (virtual lines wider than 8 physical lines) apply the
@@ -61,8 +61,8 @@ const PRICED_LINES: usize = 8;
 /// `mem_delta`/`stall_delta` (wrapping: a lane may run behind the
 /// first one). The first lane's offsets stay zero.
 #[derive(Debug, Clone)]
-pub struct Lane {
-    /// Position of the lane's latency in the list the set was built from.
+struct Lane {
+    /// Position of the lane's latency in the list the system was built from.
     id: usize,
     mem: MemoryModel,
     /// The 8-entry dirty write-back buffer, retiring one line per bus
@@ -142,87 +142,6 @@ impl Lane {
     }
 }
 
-/// The timing lanes a [`MemorySystem`] carries. The engine and the
-/// memory system are generic over it, so the one-lane set compiles to a
-/// plain single-clock loop.
-pub trait LaneSet: Clone + fmt::Debug {
-    /// Whether the set holds exactly one lane by construction. Clock
-    /// reads that feed prefetch ready times are debug-asserted on it: a
-    /// lane engine must never reach them.
-    const SINGLE: bool;
-
-    /// The lanes still in step, the reference lane first.
-    fn live(&self) -> &[Lane];
-
-    /// The lanes still in step, mutably.
-    fn live_mut(&mut self) -> &mut [Lane];
-
-    /// Drops the lane at position `pos` (never 0) as diverged.
-    fn diverge(&mut self, pos: usize);
-
-    /// How many lanes the set was built with, diverged ones included.
-    fn count(&self) -> usize;
-}
-
-/// The lane set of a single-config engine.
-#[derive(Debug, Clone)]
-pub struct OneLane([Lane; 1]);
-
-impl LaneSet for OneLane {
-    const SINGLE: bool = true;
-
-    #[inline(always)]
-    fn live(&self) -> &[Lane] {
-        &self.0
-    }
-
-    #[inline(always)]
-    fn live_mut(&mut self) -> &mut [Lane] {
-        &mut self.0
-    }
-
-    fn diverge(&mut self, _pos: usize) {
-        unreachable!("a single lane cannot disagree with itself")
-    }
-
-    fn count(&self) -> usize {
-        1
-    }
-}
-
-/// The lane set of a latency-sweep engine: one lane per latency, over
-/// one policy state. The first lane is the reference: the policy follows
-/// its answer to every clock decision, and a lane that answers otherwise
-/// leaves the set.
-#[derive(Debug, Clone)]
-pub struct Lanes {
-    live: Vec<Lane>,
-    count: usize,
-}
-
-impl LaneSet for Lanes {
-    const SINGLE: bool = false;
-
-    #[inline(always)]
-    fn live(&self) -> &[Lane] {
-        &self.live
-    }
-
-    #[inline(always)]
-    fn live_mut(&mut self) -> &mut [Lane] {
-        &mut self.live
-    }
-
-    fn diverge(&mut self, pos: usize) {
-        assert!(pos > 0, "the reference lane cannot diverge");
-        self.live.remove(pos);
-    }
-
-    fn count(&self) -> usize {
-        self.count
-    }
-}
-
 /// How the stall of a write-buffer push is accounted (the organizations
 /// differ on whether write-buffer pressure hides under the miss).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,23 +163,38 @@ pub enum WbStall {
 }
 
 /// The timing and accounting core shared by every cache organization:
-/// the reference [`Clock`], its timing [`Lane`]s (write buffer, prices
+/// the reference [`Clock`], its timing lanes (write buffer, prices
 /// and offsets per memory latency) and the [`Metrics`] block, which
 /// holds the reference lane's cycles.
 ///
 /// Policies never touch a clock, a write buffer or a cycle counter;
-/// they report events, and the memory system prices them on every lane.
+/// they report events, and the memory system prices them on every lane:
+/// the reference lane first, then the others of a latency sweep. The
+/// policy follows the reference lane's answer to every clock decision,
+/// and a lane that answers otherwise leaves the sweep.
+///
+/// Only a one-lane system reads its clock for a policy ([`Self::now`],
+/// [`Self::access_cost`], [`Self::fetch_cycles`]: prefetch ready times);
+/// debug builds assert it.
+///
 /// Each core of the multi-core [`crate::CoherentSystem`] keeps its own
 /// one-lane memory system for its write buffer and books, while the
 /// system prices transactions on one shared bus and hands one shared
 /// clock to whichever core acts.
 #[derive(Debug, Clone)]
-pub struct MemorySystem<L = OneLane> {
+pub struct MemorySystem {
     line_bytes: u64,
     /// The reference lane's clock; lock windows and arrivals are the
     /// same on every lane.
     clock: Clock,
-    lanes: L,
+    /// The reference lane, held inline: the single-config path never
+    /// reaches through a pointer for it.
+    first: Lane,
+    /// The other lanes of a latency sweep still in step, in lane order;
+    /// empty for a single-config engine.
+    rest: Vec<Lane>,
+    /// How many lanes the system was built with, diverged ones included.
+    built: usize,
     /// Cycles the access in flight costs every lane alike: its arrival
     /// stall plus what [`Self::spend`] reported.
     shared: u64,
@@ -274,7 +208,31 @@ impl MemorySystem {
     /// the standard 8-entry write buffer retires one line per bus
     /// transfer.
     pub fn new(mem: MemoryModel, line_bytes: u64) -> Self {
-        MemorySystem::from_lanes(OneLane([Lane::new(0, mem, line_bytes)]), line_bytes)
+        MemorySystem::with_lanes(mem, line_bytes, &[mem.latency()])
+    }
+
+    /// Creates a memory system with one lane per entry of `latencies`,
+    /// each `mem` with that latency. The first latency is the reference
+    /// lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latencies` is empty.
+    pub fn with_lanes(mem: MemoryModel, line_bytes: u64, latencies: &[u64]) -> Self {
+        let (&reference, others) = latencies
+            .split_first()
+            .expect("a memory system needs a lane");
+        let lane = |id, lat| Lane::new(id, mem.with_latency(lat), line_bytes);
+        MemorySystem {
+            line_bytes,
+            clock: Clock::new(),
+            first: lane(0, reference),
+            rest: (1..).zip(others).map(|(id, &lat)| lane(id, lat)).collect(),
+            built: latencies.len(),
+            shared: 0,
+            lock: 0,
+            metrics: Metrics::new(),
+        }
     }
 
     /// The clock, mutably: [`crate::CoherentSystem`] copies its one
@@ -288,51 +246,13 @@ impl MemorySystem {
     /// entry still holds `line` (see [`WriteBuffer::snoop`]).
     #[inline]
     pub(crate) fn buffer_holds(&self, now: u64, line: u64) -> bool {
-        self.lanes.0[0].wb.snoop(now, line)
-    }
-}
-
-impl MemorySystem<Lanes> {
-    /// Creates a memory system with one lane per entry of `latencies`,
-    /// each `mem` with that latency. The first latency is the reference
-    /// lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latencies` is empty.
-    pub fn with_lanes(mem: MemoryModel, line_bytes: u64, latencies: &[u64]) -> Self {
-        assert!(!latencies.is_empty(), "a lane set needs a lane");
-        let live = latencies
-            .iter()
-            .enumerate()
-            .map(|(id, &lat)| Lane::new(id, mem.with_latency(lat), line_bytes))
-            .collect();
-        MemorySystem::from_lanes(
-            Lanes {
-                live,
-                count: latencies.len(),
-            },
-            line_bytes,
-        )
-    }
-}
-
-impl<L: LaneSet> MemorySystem<L> {
-    fn from_lanes(lanes: L, line_bytes: u64) -> Self {
-        MemorySystem {
-            line_bytes,
-            clock: Clock::new(),
-            lanes,
-            shared: 0,
-            lock: 0,
-            metrics: Metrics::new(),
-        }
+        self.first.wb.snoop(now, line)
     }
 
     /// The memory/bus parameters of the reference lane.
     #[inline]
     pub fn memory(&self) -> MemoryModel {
-        self.lanes.live()[0].mem
+        self.first.mem
     }
 
     /// The physical line size the write buffer and fetch pricing use.
@@ -358,8 +278,8 @@ impl<L: LaneSet> MemorySystem<L> {
     /// Every lane's metrics in lane order: the shared counters with the
     /// lane's cycles, or `None` for a lane that diverged.
     pub fn lane_metrics(&self) -> Vec<Option<Metrics>> {
-        let mut out = vec![None; self.lanes.count()];
-        for lane in self.lanes.live() {
+        let mut out = vec![None; self.built];
+        for lane in std::iter::once(&self.first).chain(&self.rest) {
             out[lane.id] = Some(Metrics {
                 mem_cycles: self.metrics.mem_cycles.wrapping_add(lane.mem_delta),
                 stall_cycles: self.metrics.stall_cycles.wrapping_add(lane.stall_delta),
@@ -408,11 +328,10 @@ impl<L: LaneSet> MemorySystem<L> {
     pub(crate) fn complete(&mut self) {
         let shared = std::mem::take(&mut self.shared);
         let lock = std::mem::take(&mut self.lock);
-        let lanes = self.lanes.live_mut();
-        let (first, rest) = lanes.split_first_mut().expect("a lane set has a lane");
+        let first = &mut self.first;
         let advance = first.advance();
         let stall = first.stall;
-        for lane in rest {
+        for lane in &mut self.rest {
             let drift = lane.advance().wrapping_sub(advance);
             lane.skew = lane.skew.wrapping_add(drift);
             lane.mem_delta = lane.mem_delta.wrapping_add(drift);
@@ -438,17 +357,25 @@ impl<L: LaneSet> MemorySystem<L> {
         self.shared += cycles;
     }
 
+    /// Applies `f` to every lane in step: the reference lane, then the
+    /// others of a sweep.
+    #[inline(always)]
+    fn each_lane(&mut self, mut f: impl FnMut(&mut Lane)) {
+        f(&mut self.first);
+        self.rest.iter_mut().for_each(f);
+    }
+
     /// Demand-fetches `lines` physical lines: records the traffic and
     /// charges the access `t_lat + n·LS/w_b`.
     #[inline]
     pub fn fetch(&mut self, lines: u64) {
         self.metrics.record_fetch(lines, self.line_bytes);
         let line_bytes = self.line_bytes;
-        for lane in self.lanes.live_mut() {
+        self.each_lane(|lane| {
             let penalty = lane.price(lines, line_bytes);
             lane.penalty = penalty;
             lane.cost += penalty;
-        }
+        });
     }
 
     /// Fetches one word straight from memory (a plain bypassed load):
@@ -456,9 +383,7 @@ impl<L: LaneSet> MemorySystem<L> {
     #[inline]
     pub fn fetch_word(&mut self) {
         self.metrics.words_fetched += 1;
-        for lane in self.lanes.live_mut() {
-            lane.cost += lane.word;
-        }
+        self.each_lane(|lane| lane.cost += lane.word);
     }
 
     /// Records the traffic of `lines` fetched lines whose cycles are not
@@ -481,7 +406,7 @@ impl<L: LaneSet> MemorySystem<L> {
     pub fn writeback(&mut self, line: u64, stall: WbStall) {
         self.metrics.writebacks += 1;
         let reference = self.clock.now();
-        for lane in self.lanes.live_mut() {
+        self.each_lane(|lane| {
             let wait = lane.push(reference, line);
             match stall {
                 WbStall::Booked => {
@@ -495,7 +420,7 @@ impl<L: LaneSet> MemorySystem<L> {
                 }
                 WbStall::Free => {}
             }
-        }
+        });
     }
 
     /// Pushes a bypassed store to `line` into the write buffer *without*
@@ -504,11 +429,11 @@ impl<L: LaneSet> MemorySystem<L> {
     #[inline]
     pub fn buffer_store(&mut self, line: u64) {
         let reference = self.clock.now();
-        for lane in self.lanes.live_mut() {
+        self.each_lane(|lane| {
             let wait = lane.push(reference, line);
             lane.stall += wait;
             lane.cost += wait;
-        }
+        });
     }
 
     /// Hides the transfers of `dirty` victim lines to the write buffer
@@ -517,11 +442,11 @@ impl<L: LaneSet> MemorySystem<L> {
     #[inline]
     pub fn hide_transfers(&mut self, dirty: u64) {
         let transfer = DIRTY_TRANSFER_CYCLES * dirty;
-        for lane in self.lanes.live_mut() {
+        self.each_lane(|lane| {
             let residual = transfer.saturating_sub(lane.penalty);
             lane.stall += residual;
             lane.cost += residual;
-        }
+        });
     }
 
     /// Locks both arrays `cycles` beyond the access's completion (the
@@ -534,46 +459,38 @@ impl<L: LaneSet> MemorySystem<L> {
     /// Whether a write-buffer push right now would stall (§2.2: a bounce
     /// over a dirty line is aborted when the buffer is full). The answer
     /// is the reference lane's; every other lane that answers otherwise
-    /// diverges and leaves the set.
+    /// diverges and leaves the sweep.
     #[inline]
     pub fn write_buffer_full(&mut self) -> bool {
         let reference = self.clock.now();
-        let full = self.lanes.live_mut()[0].buffer_full(reference);
-        if !L::SINGLE {
-            let mut pos = 1;
-            while pos < self.lanes.live().len() {
-                if self.lanes.live_mut()[pos].buffer_full(reference) == full {
-                    pos += 1;
-                } else {
-                    self.lanes.diverge(pos);
-                }
-            }
-        }
+        let full = self.first.buffer_full(reference);
+        self.rest
+            .retain_mut(|lane| lane.buffer_full(reference) == full);
         full
     }
 
-    /// The current cycle. One-lane engines only: it feeds prefetch ready
+    /// The current cycle. One-lane systems only: it feeds prefetch ready
     /// times, which a lane engine never computes.
     #[inline]
     pub fn now(&self) -> u64 {
-        debug_assert!(L::SINGLE, "a clock read on a lane engine");
-        self.lanes.live()[0].now(self.clock.now())
+        debug_assert_eq!(self.built, 1, "a clock read on a lane engine");
+        self.first.now(self.clock.now())
     }
 
     /// The cost charged to the access in flight so far, arrival stall
-    /// included. One-lane engines only, like [`Self::now`].
+    /// included. One-lane systems only, like [`Self::now`].
     #[inline]
     pub fn access_cost(&self) -> u64 {
-        debug_assert!(L::SINGLE, "a clock read on a lane engine");
-        self.shared + self.lanes.live()[0].cost
+        debug_assert_eq!(self.built, 1, "a clock read on a lane engine");
+        self.shared + self.first.cost
     }
 
     /// The price of fetching `lines` physical lines, for prefetch ready
-    /// times. One-lane engines only, like [`Self::now`].
+    /// times. One-lane systems only, like [`Self::now`].
     #[inline]
     pub fn fetch_cycles(&self, lines: u64) -> u64 {
-        debug_assert!(L::SINGLE, "a clock read on a lane engine");
-        self.lanes.live()[0].price(lines, self.line_bytes)
+        debug_assert_eq!(self.built, 1, "a clock read on a lane engine");
+        self.first.price(lines, self.line_bytes)
     }
 }
 
@@ -585,9 +502,8 @@ impl<L: LaneSet> MemorySystem<L> {
 /// cache) and decides what happens past the main-array probe. The
 /// generic [`CacheEngine`] drives the common front-end: reference
 /// bookkeeping, arrival, the main probe, the 1-cycle hit, completion
-/// and the invariant checks. The policy's methods are generic over the
-/// memory system's [`LaneSet`], so the same policy code runs one lane
-/// or a latency sweep.
+/// and the invariant checks. The same policy code runs one lane or a
+/// latency sweep: the [`MemorySystem`] prices its events on every lane.
 pub trait CachePolicy<P: Probe> {
     /// The main-array geometry (address-to-line mapping).
     fn geometry(&self) -> CacheGeometry;
@@ -595,7 +511,7 @@ pub trait CachePolicy<P: Probe> {
     /// Hook before the main-array probe — e.g. delivering in-flight
     /// prefetches that have arrived by now.
     #[inline]
-    fn before_access<L: LaneSet>(&mut self, _sys: &mut MemorySystem<L>, _probe: &mut P) {}
+    fn before_access(&mut self, _sys: &mut MemorySystem, _probe: &mut P) {}
 
     /// Probes the main array (with LRU side effect); `Some(index)` on a
     /// hit.
@@ -608,7 +524,7 @@ pub trait CachePolicy<P: Probe> {
     /// Everything past a main-array miss — auxiliary hit, bypass or a
     /// full miss — reported to `sys` as events: fetches, auxiliary-hit
     /// cycles, write-backs, transfers to hide and any post-swap lock.
-    fn miss<L: LaneSet>(&mut self, sys: &mut MemorySystem<L>, probe: &mut P, line: u64, a: &Access);
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access);
 
     /// Invalidates all cached state; returns the number of dirty lines
     /// written back (the engine counts them and emits the
@@ -632,12 +548,11 @@ pub trait CachePolicy<P: Probe> {
 /// a compact [`ChunkDelta`] folded into [`Metrics`] at the chunk
 /// boundary. The engine is generic over the probe with the disabled
 /// [`NoopProbe`] as default, so unprobed engines monomorphize to the
-/// probe-free code, and over the [`LaneSet`] with the single
-/// [`OneLane`] as default.
+/// probe-free code.
 #[derive(Debug, Clone)]
-pub struct CacheEngine<Pol, P = NoopProbe, L = OneLane> {
+pub struct CacheEngine<Pol, P = NoopProbe> {
     policy: Pol,
-    sys: MemorySystem<L>,
+    sys: MemorySystem,
     probe: P,
 }
 
@@ -665,9 +580,7 @@ impl<Pol: CachePolicy<NoopProbe>> CacheEngine<Pol> {
     pub fn new(policy: Pol, mem: MemoryModel) -> Self {
         CacheEngine::with_probe(policy, mem, NoopProbe)
     }
-}
 
-impl<Pol: CachePolicy<NoopProbe>> CacheEngine<Pol, NoopProbe, Lanes> {
     /// Runs `policy` once over one timing lane per entry of `latencies`,
     /// each `mem` at that latency (the first is the reference lane). A
     /// policy whose only clock decision is the write-buffer-full check
@@ -692,7 +605,7 @@ impl<Pol: CachePolicy<NoopProbe>> CacheEngine<Pol, NoopProbe, Lanes> {
     }
 }
 
-impl<Pol, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
+impl<Pol, P: Probe> CacheEngine<Pol, P> {
     /// The organization's policy state (tag arrays, buffers).
     pub fn policy(&self) -> &Pol {
         &self.policy
@@ -714,7 +627,7 @@ impl<Pol, P: Probe, L: LaneSet> CacheEngine<Pol, P, L> {
     }
 }
 
-impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> CacheSim for CacheEngine<Pol, P, L> {
+impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
     fn access(&mut self, a: &Access) {
         let is_write = a.kind().is_write();
         self.sys.metrics_mut().record_ref(is_write);
@@ -791,7 +704,7 @@ impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> CacheSim for CacheEngine<Pol, P,
     }
 }
 
-impl<Pol: CachePolicy<P>, P: Probe, L: LaneSet> ProbedSim<P> for CacheEngine<Pol, P, L> {
+impl<Pol: CachePolicy<P>, P: Probe> ProbedSim<P> for CacheEngine<Pol, P> {
     fn into_probe(self: Box<Self>) -> P {
         self.probe
     }
@@ -890,6 +803,14 @@ mod tests {
     fn a_lane_engine_refuses_a_prefetching_policy() {
         let policy = crate::PrefetchPolicy::new(CacheGeometry::standard(), 8);
         let _ = CacheEngine::with_lanes(policy, MemoryModel::default(), &[20, 40]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a clock read on a lane engine")]
+    fn a_lane_system_refuses_a_clock_read() {
+        let sys = MemorySystem::with_lanes(MemoryModel::default(), 32, &[20, 40]);
+        let _ = sys.now();
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! `Stand.+Prefetching` baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, WbStall,
-    AUX_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, MemorySystem, StandardPolicy, WbStall, AUX_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -55,9 +54,9 @@ impl PrefetchPolicy {
         self.buffer.iter().position(|s| s.valid && s.line == line)
     }
 
-    fn issue_prefetch<P: Probe, L: LaneSet>(
+    fn issue_prefetch<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         line: u64,
         ready_at: u64,
@@ -91,9 +90,9 @@ impl PrefetchPolicy {
         };
     }
 
-    fn promote<P: Probe, L: LaneSet>(
+    fn promote<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         slot: usize,
         a: &Access,
@@ -136,13 +135,7 @@ impl<P: Probe> CachePolicy<P> for PrefetchPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         if let Some(slot) = self.buffer_find(line) {
             sys.metrics_mut().aux_hits += 1;
             sys.metrics_mut().useful_prefetches += 1;

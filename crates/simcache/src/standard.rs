@@ -1,9 +1,6 @@
 //! The Standard baseline: a plain write-back, write-allocate LRU cache.
 
-use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Entry, LaneSet, MemorySystem, OneLane, TagArray,
-    WbStall,
-};
+use crate::{CacheEngine, CacheGeometry, CachePolicy, Entry, MemorySystem, TagArray, WbStall};
 use sac_obs::{Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
 
@@ -38,9 +35,9 @@ impl StandardPolicy {
     /// Always inlined, like [`Self::demand_fill`]: as calls they cost
     /// the miss paths built on them a few percent.
     #[inline(always)]
-    pub(crate) fn fill_lru<L: LaneSet>(
+    pub(crate) fn fill_lru(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         line: u64,
         dirty: bool,
         stall: WbStall,
@@ -59,9 +56,9 @@ impl StandardPolicy {
     /// shows up as stall. The caller has counted the miss and reported
     /// the fetch. Returns the filled way.
     #[inline(always)]
-    pub(crate) fn demand_fill<P: Probe, L: LaneSet>(
+    pub(crate) fn demand_fill<P: Probe>(
         &mut self,
-        sys: &mut MemorySystem<L>,
+        sys: &mut MemorySystem,
         probe: &mut P,
         line: u64,
         is_write: bool,
@@ -105,13 +102,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         }
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         sys.metrics_mut().misses += 1;
         sys.fetch(1);
         self.demand_fill(sys, probe, line, a.kind().is_write());
@@ -143,7 +134,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
 /// c.access(&Access::read(8));        // hit in the same line: 1 cycle
 /// assert_eq!(c.metrics().mem_cycles, 23);
 /// ```
-pub type StandardCache<P = NoopProbe, L = OneLane> = CacheEngine<StandardPolicy, P, L>;
+pub type StandardCache<P = NoopProbe> = CacheEngine<StandardPolicy, P>;
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,7 @@
 //! comparing `useful_prefetches` across buffer counts.
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, LaneSet, MemorySystem, StandardPolicy, WbStall,
-    MAIN_HIT_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, MemorySystem, StandardPolicy, WbStall, MAIN_HIT_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -59,12 +58,7 @@ impl StreamPolicy {
     }
 
     /// Starts a fresh stream at `line + 1` in the LRU buffer.
-    fn allocate_stream<P: Probe, L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-    ) {
+    fn allocate_stream<P: Probe>(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64) {
         self.lru_clock += 1;
         let lru_clock = self.lru_clock;
         let fetch = sys.fetch_cycles(1);
@@ -107,13 +101,7 @@ impl<P: Probe> CachePolicy<P> for StreamPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         if let Some(bi) = self
             .buffers
             .iter()

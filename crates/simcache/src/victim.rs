@@ -1,8 +1,8 @@
 //! Jouppi's victim cache (the Figure 3b baseline).
 
 use crate::{
-    CacheEngine, CacheGeometry, CachePolicy, Evict, LaneSet, MemorySystem, StandardPolicy,
-    TagArray, WbStall, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
+    CacheEngine, CacheGeometry, CachePolicy, Evict, MemorySystem, StandardPolicy, TagArray,
+    WbStall, AUX_HIT_CYCLES, SWAP_LOCK_CYCLES,
 };
 use sac_obs::{AuxSource, Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
@@ -57,13 +57,7 @@ impl<P: Probe> CachePolicy<P> for VictimPolicy {
         CachePolicy::<P>::touch_hit(&mut self.main, idx, a);
     }
 
-    fn miss<L: LaneSet>(
-        &mut self,
-        sys: &mut MemorySystem<L>,
-        probe: &mut P,
-        line: u64,
-        a: &Access,
-    ) {
+    fn miss(&mut self, sys: &mut MemorySystem, probe: &mut P, line: u64, a: &Access) {
         // One pass over the fully associative victim array answers both
         // "is the line here" and "which way takes the next main victim".
         let vway = match self.victim.take_or_victim(line, Evict::Lru) {

@@ -411,7 +411,7 @@ pub fn drain_to_trace<S: ChunkSource>(reader: &mut S) -> Result<Trace, ReadError
 /// A run that closes inside a pushed chunk is written header first,
 /// straight into the 64 KiB output buffer, which reaches the inner
 /// writer when it fills and in `finish`. Only the run still open at a
-/// chunk's end (at most [`MAX_RUN`] entries) is encoded into a reused
+/// chunk's end (at most 65536 entries) is encoded into a reused
 /// carry buffer until it closes. Converting a trace therefore never
 /// materializes it, and as for [`SactWriter`], write errors surface
 /// from `push_chunk` or `finish`.

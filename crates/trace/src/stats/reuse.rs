@@ -94,7 +94,7 @@ impl ReuseHistogram {
     /// contiguously), that record is a dense `u32` table indexed by
     /// `word - lo`, at most 8 bytes per reference and one load and store
     /// per reference. Sparser traces (external trace files scattered over
-    /// the address space) fall back to a hashed [`WordMap`].
+    /// the address space) fall back to a hashed word map.
     pub fn of(trace: &Trace) -> Self {
         let accesses = trace.as_slice();
         let mut counts = [0u64; 5];

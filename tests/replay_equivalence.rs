@@ -486,8 +486,8 @@ fn store_heavy_trace() -> Trace {
     refs.into_iter().collect()
 }
 
-/// Lanes that disagree on the write-buffer-full check diverge, and the
-/// sweep replays them alone: every result still equals its solo run.
+/// A lane that disagrees on the write-buffer-full check diverges, and
+/// the sweep replays it alone: every result still equals its solo run.
 #[test]
 fn diverged_lanes_replay_alone_and_still_match() {
     let trace = store_heavy_trace();
